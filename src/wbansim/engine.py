@@ -8,11 +8,12 @@ resulting packets to the active routing protocol. Multi-hop packets traverse
 their whole path inside the originating round; there is no per-hop queue.
 
 Determinism: a run is a pure function of (config, seed). The master seed is
-split into independent streams per concern (topology, events, shadowing,
-tie-breaking noise), and event draws are made for every node id each round
-whether or not the node is alive, so the scheduled-sensing and event streams
-are identical across protocols under a shared seed. Metric differences
-between protocols are therefore attributable to routing alone.
+split into independent streams per concern (topology, events, shadowing).
+Event counts are drawn for every node id each round whether or not the node
+is alive, and readings are drawn in id order for every due reading and
+event, so the scheduled-sensing and event streams are identical across
+protocols under a shared seed. Metric differences between protocols are
+therefore attributable to routing alone.
 
 Charging follows last-gasp semantics: the action a dying node paid for still
 completes, so its final transmission is delivered before it falls silent.
@@ -184,15 +185,13 @@ class _Sim:
         validate_config(cfg)
         self.cfg = cfg
         root = np.random.SeedSequence(cfg.seed)
-        topo_ss, events_ss, shadow_ss, tie_ss = root.spawn(4)
+        topo_ss, events_ss, shadow_ss = root.spawn(3)
         self.events_rng = np.random.Generator(np.random.PCG64(events_ss))
         self.shadow_rng = np.random.Generator(np.random.PCG64(shadow_ss))
-        self.tie_rng = np.random.Generator(np.random.PCG64(tie_ss))  # reserved
 
         self.nodes, self.sink = build_topology(cfg, np.random.Generator(np.random.PCG64(topo_ss)))
         self.n = cfg.node_count
-        self.slots = assign_tdma(self.nodes)
-        self.slot_order = sorted(self.slots, key=self.slots.get)
+        self.alive_count = self.n  # decremented by _charge on each death
 
         # Static geometry caches.
         self.d_sink = {nd.id: distance(nd.position, self.sink.position) for nd in self.nodes}
@@ -219,16 +218,15 @@ class _Sim:
         self.sink_reach = [nd.id for nd in self.nodes if self.d_sink[nd.id] <= cfg.tx_range]
 
         self.poisson_cdf = poisson_cdf_table(cfg.events.lam)
-        self.period_by_id = [cfg.schedule.periods[nd.kind] for nd in self.nodes]
+        # Node ids grouped by sensing period, each group in id order.
+        groups: dict[int, list[int]] = {}
+        for nd in self.nodes:
+            groups.setdefault(cfg.schedule.periods[nd.kind], []).append(nd.id)
+        self.period_groups = list(groups.items())
         self.eq = _EquilibriumTracker(cfg)
         self.drained_total = 0.0
         self.x_t = cfg.energy.x_t
-        # Alive-neighbor cache: a superset of the live neighbors (the select
-        # functions re-check aliveness), refreshed at round start after deaths.
-        self._neighbor_cache = [
-            [self.nodes[j] for j in self.adjacency[nd.id]] for nd in self.nodes
-        ]
-        self._deaths_pending = False
+        self._refresh_neighbor_cache()
         self.traffic_log: list[tuple[int, int, int, bool]] | None = [] if record_traffic else None
         self.links_log: list[tuple[int, int, int, bool]] | None = [] if record_links else None
 
@@ -242,6 +240,7 @@ class _Sim:
         # Protocol state.
         proto = cfg.protocol
         self.mattempt_state: MattemptState | None = None
+        self._usable: list[bool] | None = None  # usable flags mattempt_state was built from
         self.heat_tx = [0] * self.n
         self.heat_rx = [0] * self.n
         self.simple_forwarder: int | None = None
@@ -263,6 +262,7 @@ class _Sim:
         self.drained_total += node.residual_energy
         node.residual_energy = 0.0
         node.alive = False
+        self.alive_count -= 1
         self._deaths_pending = True
         return True
 
@@ -293,9 +293,15 @@ class _Sim:
                     if nd.alive:
                         self.c5 += 1
                         self._charge(nd, cfg.energy.x_c)
-                self.mattempt_state = mattempt_build_hopcounts(
-                    self.nodes, self.sink, cfg.tx_range, cfg.mattempt,
-                    adjacency=self.adjacency, sink_reach=self.sink_reach)
+                # The hop counts are a pure function of the usable set (the
+                # adjacency is static): rebuild only when that set changed.
+                threshold = cfg.mattempt.temp_threshold
+                usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
+                if usable != self._usable:
+                    self._usable = usable
+                    self.mattempt_state = mattempt_build_hopcounts(
+                        self.nodes, self.sink, cfg.tx_range, cfg.mattempt,
+                        adjacency=self.adjacency, sink_reach=self.sink_reach)
         elif proto == "simple":
             if rnd % cfg.simple.control_period == 0:
                 for nd in self.nodes:
@@ -305,13 +311,18 @@ class _Sim:
             self.simple_forwarder = simple_select_forwarder(self.nodes, self.sink, self.d_sink)
             self.simple_parked = 0
 
-    def _alive_neighbors(self, node: SensorNode) -> list[SensorNode]:
-        return self._neighbor_cache[node.id]
-
     def _refresh_neighbor_cache(self) -> None:
+        """Per node, the alive in-range neighbors a routing rule may pick;
+        for AMHRP only those strictly closer to the sink, the only ones its
+        rule accepts. Refreshed at round start after deaths, so mid-round it
+        is a superset of the live candidates (the select functions re-check
+        aliveness)."""
+        nodes, d = self.nodes, self.d_sink
+        closer_only = self.cfg.protocol == "amhrp"
         self._neighbor_cache = [
-            [self.nodes[j] for j in self.adjacency[nd.id] if self.nodes[j].alive]
-            for nd in self.nodes
+            [nodes[j] for j in self.adjacency[i]
+             if nodes[j].alive and not (closer_only and d[j] >= d[i])]
+            for i in range(self.n)
         ]
         self._deaths_pending = False
 
@@ -319,10 +330,10 @@ class _Sim:
         proto = self.cfg.protocol
         if proto == "amhrp":
             return amhrp_select_forwarder(
-                holder, self._alive_neighbors(holder), self.sink, kind, self.d_sink)
+                holder, self._neighbor_cache[holder.id], self.sink, kind, self.d_sink)
         if proto == "mattempt":
             return mattempt_next_hop(
-                holder, kind, self.mattempt_state, self._alive_neighbors(holder),
+                holder, kind, self.mattempt_state, self._neighbor_cache[holder.id],
                 self.sink, self.d_sink)
         # SIMPLE: critical packets and the ECG node go straight to the sink,
         # everything else goes to the round's elected forwarder.
@@ -458,30 +469,35 @@ class _Sim:
         if self._deaths_pending:
             self._refresh_neighbor_cache()
 
-        # Event draws happen for every node id, dead or alive, so the stream
-        # consumed is identical across protocols under a shared seed.
-        counts = invert_poisson(self.poisson_cdf, self.events_rng.random(self.n))
-        origin_packets: list[list[tuple[PacketKind, object]]] = []
-        for nd in self.nodes:
+        # Event counts are drawn for every node id, dead or alive, so the
+        # stream consumed is identical across protocols under a shared seed.
+        counts = invert_poisson(self.poisson_cdf, self.events_rng.random(self.n)).tolist()
+        due = {i for period, ids in self.period_groups if rnd % period == 0 for i in ids}
+        if self.traffic_log is not None:
+            self.traffic_log.extend((rnd, i, counts[i], i in due) for i in range(self.n))
+        # Only nodes with a due reading or an event draw readings, in id
+        # order; slots run in id order too (assign_tdma), so this list is
+        # also the transmit order.
+        originators: list[tuple[SensorNode, list[tuple[PacketKind, object]]]] = []
+        for i, k in enumerate(counts):
+            if not (k or i in due):
+                continue
+            nd = self.nodes[i]
             pkts: list[tuple[PacketKind, object]] = []
-            due = rnd % self.period_by_id[nd.id] == 0  # inline of is_scheduled
-            if due:
+            if i in due:
                 pkts.append((PacketKind.NORMAL,
                              sample_reading(nd.kind, False, cfg.vitals, self.events_rng)))
-            for _ in range(int(counts[nd.id])):
+            for _ in range(k):
                 pkts.append((PacketKind.CRITICAL,
                              sample_reading(nd.kind, True, cfg.vitals, self.events_rng)))
-            origin_packets.append(pkts)
-            if self.traffic_log is not None:
-                self.traffic_log.append((rnd, nd.id, int(counts[nd.id]), due))
+            originators.append((nd, pkts))
 
         self._begin_round(rnd)
 
-        for node_id in self.slot_order:
-            node = self.nodes[node_id]
+        for node, pkts in originators:
             if not node.alive:
                 continue
-            for kind, _payload in origin_packets[node_id]:
+            for kind, _payload in pkts:
                 self.c1 += 1
                 if self._charge(node, cfg.energy.x_s):
                     break  # the reading completed, but a dead node sends nothing
@@ -517,7 +533,7 @@ class _Sim:
         total_residual = sum(nd.residual_energy for nd in self.nodes)
         return RoundMetrics(
             round=rnd,
-            alive_count=sum(1 for nd in self.nodes if nd.alive),
+            alive_count=self.alive_count,
             packets_sent=self.round_sent,
             packets_received_at_sink=self.round_received,
             critical_received=self.round_critical,

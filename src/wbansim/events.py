@@ -9,6 +9,7 @@ equal to one hour by default.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,13 +53,20 @@ def poisson_pmf(lam: float, k: int) -> float:
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
+@functools.lru_cache(maxsize=128)
 def poisson_cdf_table(lam: float) -> np.ndarray:
-    """Cumulative probabilities P(X <= k) out to the far tail of Poisson(lam)."""
+    """Cumulative probabilities P(X <= k) out to the far tail of Poisson(lam).
+
+    Memoized per ``lam``; the returned array is shared by every caller, so it
+    is read-only.
+    """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     k_max = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
     pmf = np.array([poisson_pmf(lam, k) for k in range(k_max + 1)])
-    return np.cumsum(pmf)
+    table = np.cumsum(pmf)
+    table.setflags(write=False)
+    return table
 
 
 def invert_poisson(cdf: np.ndarray, u) -> np.ndarray | int:

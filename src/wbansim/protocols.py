@@ -164,10 +164,12 @@ def mattempt_build_hopcounts(nodes: list[SensorNode], sink: Sink, tx_range: floa
 
     Dead nodes and nodes above the temperature threshold are excluded, which
     cuts every path through them; anything left unreachable gets an infinite
-    hop count and will hold (or escalate) its traffic. Callers that rebuild
-    every round can pass the static in-range ``adjacency`` (node id to ids
-    within tx_range) and ``sink_reach`` (ids within tx_range of the sink) to
-    skip recomputing pairwise distances.
+    hop count and will hold (or escalate) its traffic. For fixed positions
+    the result is a pure function of the usable set (the nodes alive and at
+    or below ``temp_threshold``), so a caller may keep it until that set
+    changes. Callers can pass the static in-range ``adjacency`` (node id to
+    ids within tx_range) and ``sink_reach`` (ids within tx_range of the sink)
+    to skip recomputing pairwise distances.
     """
     params = params or MattemptParams()
     by_id = {n.id: n for n in nodes}

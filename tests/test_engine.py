@@ -222,6 +222,82 @@ class TestEngineSpecializations:
             assert node_a.residual_energy == node_b.residual_energy
             assert node_a.alive == node_b.alive
 
+    @staticmethod
+    def _dying_config(protocol, **over):
+        # A thin energy budget and a high event rate: every node dies within
+        # 300 rounds, at different rounds.
+        base = SimConfig()
+        return replace(base, protocol=protocol, seed=3, rounds=300,
+                       initial_energy=0.482,
+                       events=replace(base.events, lam=1.0), **over)
+
+    def test_hopcount_cache_matches_fresh_bfs(self, monkeypatch):
+        import wbansim.engine as engine
+        from wbansim.engine import _Sim
+        from wbansim.protocols import mattempt_build_hopcounts
+
+        base = SimConfig()
+        c = self._dying_config(
+            "mattempt", mattempt=replace(base.mattempt, temp_threshold=37.2))
+        builds = []
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return mattempt_build_hopcounts(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
+        sim = _Sim(c, record_traffic=False, record_links=False)
+        begin_round = sim._begin_round
+
+        def checked_begin_round(rnd):
+            begin_round(rnd)
+            fresh = mattempt_build_hopcounts(sim.nodes, sim.sink, c.tx_range, c.mattempt)
+            assert sim.mattempt_state.hop_counts == fresh.hop_counts, f"round {rnd}"
+
+        sim._begin_round = checked_begin_round
+        threshold = c.mattempt.temp_threshold
+        heated = cooled = 0
+        prev = [True] * sim.n
+        for rnd in range(c.rounds):
+            row = sim.run_round(rnd)
+            alive = sum(nd.alive for nd in sim.nodes)
+            assert sim.alive_count == row.alive_count == alive, f"round {rnd}"
+            cool = [nd.temperature <= threshold for nd in sim.nodes]
+            for nd, was, now in zip(sim.nodes, prev, cool):
+                if nd.alive:
+                    heated += was and not now
+                    cooled += now and not was
+            prev = cool
+        # The run exercised every way the usable set changes, and the cache
+        # still skipped most rebuilds.
+        assert heated and cooled
+        assert sim.alive_count == 0
+        assert len(builds) < c.rounds // 4
+
+    def test_amhrp_closer_lists_match_full_neighbor_lists(self):
+        from wbansim.core import PacketKind
+        from wbansim.engine import _Sim
+        from wbansim.protocols import RouteAction, amhrp_select_forwarder
+
+        c = self._dying_config("amhrp")
+        sim = _Sim(c, record_traffic=False, record_links=False)
+        forwarded = 0
+        for rnd in range(c.rounds):
+            row = sim.run_round(rnd)
+            assert sim.alive_count == row.alive_count == sum(nd.alive for nd in sim.nodes)
+            for nd in sim.nodes:
+                if not nd.alive:
+                    continue
+                full = [sim.nodes[j] for j in sim.adjacency[nd.id] if sim.nodes[j].alive]
+                for kind in (PacketKind.NORMAL, PacketKind.CRITICAL):
+                    cached = amhrp_select_forwarder(nd, sim._neighbor_cache[nd.id],
+                                                    sim.sink, kind, sim.d_sink)
+                    assert cached == amhrp_select_forwarder(nd, full, sim.sink, kind,
+                                                            sim.d_sink), f"round {rnd}"
+                    forwarded += cached.action is RouteAction.SEND_TO_FORWARDER
+        assert forwarded
+        assert sim.alive_count == 0
+
 
 class TestValidateConfig:
     def test_default_is_valid(self):

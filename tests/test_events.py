@@ -6,7 +6,8 @@ import pytest
 from wbansim.core import SensorKind
 from wbansim.events import (EventParams, SensingSchedule, VitalThresholds,
                             default_schedule, is_critical, is_scheduled,
-                            poisson_pmf, sample_event_count, sample_reading)
+                            poisson_cdf_table, poisson_pmf, sample_event_count,
+                            sample_reading)
 
 
 def rng(seed):
@@ -43,6 +44,27 @@ class TestPoissonPmf:
     def test_values_are_probabilities(self):
         for k in range(30):
             assert 0.0 <= poisson_pmf(3.0, k) <= 1.0
+
+
+class TestPoissonCdfTable:
+    def test_memoized_per_lambda(self):
+        assert poisson_cdf_table(4.0) is poisson_cdf_table(4.0)
+        assert poisson_cdf_table(4.0) is not poisson_cdf_table(2.0)
+
+    def test_shared_table_is_read_only(self):
+        table = poisson_cdf_table(4.0)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        assert table[0] == pytest.approx(math.exp(-4.0), rel=1e-12)
+
+    def test_matches_cumulative_pmf(self):
+        table = poisson_cdf_table(1.5)
+        expected = np.cumsum([poisson_pmf(1.5, k) for k in range(len(table))])
+        assert np.array_equal(table, expected)
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_cdf_table(-1.0)
 
 
 class TestSampleEventCount:
