@@ -2,9 +2,9 @@
 
 from .channel import ChannelParams, LinkClass, frequency_factor, path_loss, reference_path_loss
 from .config import ConfigError, SimConfig, load_config, parse_config, render_config, validate_config
-from .core import (BodyPoint, Packet, PacketKind, SensorKind, SensorNode, Sink,
-                   build_topology, distance)
-from .energy import ActionCounts, ChargeOutcome, EnergyWeights, charge, round_cost
+from .core import (BodyPoint, PacketKind, SensorKind, SensorNode, Sink, build_topology,
+                   distance)
+from .energy import ActionCounts, EnergyWeights, charge, round_cost
 from .engine import (RoundMetrics, RunResult, RunSummary, assign_tdma,
                      run_simulation, summarize_run, throughput)
 from .events import (EventParams, SensingSchedule, VitalThresholds, is_critical,

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .core import format_layout
 from .engine import run_simulation
-from .io import (compare_runs, emit_plot_series, read_metrics_csv,
+from .io import (compare_runs, emit_plot_series, median_series, read_metrics_csv,
                  read_summary_json, render_comparison, write_comparison,
                  write_metrics_csv, write_summary_json)
 
@@ -117,32 +117,7 @@ def cmd_plots(args) -> int:
         parts = stem.split("_")
         protocol = "_".join(parts[1:-1])
         by_protocol.setdefault(protocol, []).append(read_metrics_csv(p))
-
-    import statistics
-
-    from .engine import RoundMetrics
-
-    runs = {}
-    for protocol in sorted(by_protocol):
-        series = by_protocol[protocol]
-        rounds = min(len(s) for s in series)
-        merged = []
-        for r in range(rounds):
-            rows = [s[r] for s in series]
-            losses = [m.mean_path_loss for m in rows if m.mean_path_loss is not None]
-            merged.append(RoundMetrics(
-                round=r,
-                alive_count=int(statistics.median(m.alive_count for m in rows)),
-                packets_sent=int(statistics.median(m.packets_sent for m in rows)),
-                packets_received_at_sink=int(
-                    statistics.median(m.packets_received_at_sink for m in rows)),
-                critical_received=int(statistics.median(m.critical_received for m in rows)),
-                total_residual=statistics.median(m.total_residual for m in rows),
-                mean_residual=statistics.median(m.mean_residual for m in rows),
-                mean_path_loss=statistics.median(losses) if losses else None,
-                equilibrium_ok=all(m.equilibrium_ok for m in rows),
-            ))
-        runs[protocol] = merged
+    runs = {protocol: median_series(by_protocol[protocol]) for protocol in sorted(by_protocol)}
     files = emit_plot_series(runs, in_dir)
     print("wrote " + ", ".join(f.name for f in files))
     return EXIT_OK

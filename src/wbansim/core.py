@@ -43,8 +43,6 @@ class SensorKind(Enum):
 class PacketKind(Enum):
     NORMAL = "normal"
     CRITICAL = "critical"
-    CONTROL = "control"
-    HELLO = "hello"
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,6 @@ class Sink:
     position: BodyPoint
 
     # The sink has an unbounded power source; its energy is not tracked.
-
-
-@dataclass
-class Packet:
-    kind: PacketKind
-    source: int
-    created_round: int
-    hop_count: int = 0
-    payload: object = None
 
 
 def distance(a: BodyPoint, b: BodyPoint) -> float:

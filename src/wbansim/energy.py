@@ -9,7 +9,6 @@ path loss is a reported metric, not an energy input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .core import SensorNode
 
@@ -57,29 +56,19 @@ class ActionCounts:
         )
 
 
-class ChargeOutcome(Enum):
-    APPLIED = "applied"
-    DIED = "died"
-
-
-@dataclass(frozen=True)
-class ChargeResult:
-    outcome: ChargeOutcome
-    drained: float  # energy actually removed from the node
-
-
 def round_cost(w: EnergyWeights, c: ActionCounts) -> float:
     """Energy for one accounting window: n1*x_s + n2*x_d + n3*x_w + n4*x_f + n5*x_c."""
     return c.n1 * w.x_s + c.n2 * w.x_d + c.n3 * w.x_w + c.n4 * w.x_f + c.n5 * w.x_c
 
 
-def charge(node: SensorNode, cost: float, w: EnergyWeights) -> ChargeResult:
-    """Deduct ``cost`` joules from a live node.
+def charge(node: SensorNode, cost: float, w: EnergyWeights) -> float:
+    """Deduct ``cost`` joules from a live node; return the joules drained.
 
     If the deduction would leave the node at or below the death threshold,
-    the node dies: its residual clamps to zero and it is marked dead. The
-    action the charge paid for still counts as performed (last-gasp), so a
-    dying node's final transmission completes.
+    the node dies: its residual clamps to zero and it is marked dead, and
+    the drain is what it had left. The action the charge paid for still
+    counts as performed (last-gasp), so a dying node's final transmission
+    completes.
     """
     if not node.alive:
         raise RuntimeError(f"charge on dead node {node.id} (engine bug)")
@@ -87,8 +76,8 @@ def charge(node: SensorNode, cost: float, w: EnergyWeights) -> ChargeResult:
         raise ValueError("charge cost must be >= 0")
     if node.residual_energy - cost > w.x_t:
         node.residual_energy -= cost
-        return ChargeResult(ChargeOutcome.APPLIED, cost)
+        return cost
     drained = node.residual_energy
     node.residual_energy = 0.0
     node.alive = False
-    return ChargeResult(ChargeOutcome.DIED, drained)
+    return drained

@@ -15,14 +15,22 @@ event, so the scheduled-sensing and event streams are identical across
 protocols under a shared seed. Metric differences between protocols are
 therefore attributable to routing alone.
 
+The protocol is chosen once per run, from the scheme table. A scheme owns
+its state and enters the round through four hooks: ``begin_round`` (the
+control exchange; M-ATTEMPT also rebuilds its hop counts, SIMPLE elects its
+forwarder), ``decide`` (the public rule in ``protocols``), ``hand_over`` (the
+send to an alive relay: M-ATTEMPT's hotspot bounce, SIMPLE's parking) and
+``end_round`` (M-ATTEMPT's temperature step, SIMPLE's aggregated uplink).
+Everything else (the transmit bookkeeping, charging, the control exchange,
+the metrics) is shared.
+
 Charging follows last-gasp semantics: the action a dying node paid for still
 completes, so its final transmission is delivered before it falls silent.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +38,10 @@ import numpy as np
 from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
-from .energy import ActionCounts
+from .energy import ActionCounts, charge
 from .events import invert_poisson, poisson_cdf_table, sample_reading
 from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
-                        RoutingDecision, amhrp_select_forwarder,
+                        RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
                         mattempt_build_hopcounts, mattempt_next_hop,
                         mattempt_temperature_step, simple_select_forwarder)
 
@@ -136,18 +144,15 @@ class _EquilibriumTracker:
 
     def __init__(self, cfg: SimConfig):
         self.window_len = cfg.amhrp.eq_window_len
-        self.l = cfg.amhrp.eq_windows
-        self.windows: deque[tuple[int, int, int]] = deque(maxlen=self.l)
+        self.windows: deque[tuple[int, int, int]] = deque(maxlen=cfg.amhrp.eq_windows)
         self.cur_total = 0
         self.cur_forwards = 0
         self.cur_sends = 0
         self.rounds_in_window = 0
-        self.L = max(1, cfg.rounds)
-        self.a0 = cfg.initial_energy
-        self.alpha_star = cfg.amhrp.alpha_star
-
-        self._coeffs_a: list[float] = []
-        self._coeffs_b: list[float] = []
+        # The series over the filled windows, rebuilt when a window closes.
+        self.profile = EquilibriumProfile(a0=cfg.initial_energy, coeffs_a=(), coeffs_b=(),
+                                          L=max(1, cfg.rounds),
+                                          alpha_star=cfg.amhrp.alpha_star)
 
     def push_round(self, counts: ActionCounts) -> None:
         self.cur_total += counts.n1 + counts.n2 + counts.n3 + counts.n4 + counts.n5
@@ -158,32 +163,20 @@ class _EquilibriumTracker:
             self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
             self.cur_total = self.cur_forwards = self.cur_sends = 0
             self.rounds_in_window = 0
-            self._coeffs_a = [f / t if t else 0.0 for f, _s, t in self.windows]
-            self._coeffs_b = [s / t if t else 0.0 for _f, s, t in self.windows]
-
-    def profile(self) -> EquilibriumProfile:
-        pad = self.l - len(self._coeffs_a)
-        return EquilibriumProfile(
-            a0=self.a0,
-            coeffs_a=tuple(self._coeffs_a) + (0.0,) * pad,
-            coeffs_b=tuple(self._coeffs_b) + (0.0,) * pad,
-            L=self.L, alpha_star=self.alpha_star)
+            self.profile = replace(
+                self.profile,
+                coeffs_a=tuple(f / t if t else 0.0 for f, _s, t in self.windows),
+                coeffs_b=tuple(s / t if t else 0.0 for _f, s, t in self.windows))
 
     def flag(self, round_index: int) -> bool:
-        # Inline of equilibrium_ok(self.profile(), x): the zero padding past
-        # the filled windows contributes nothing to the series.
-        x = min(round_index, self.L)
-        base = math.pi * x / self.L
-        total = self.a0
-        for n, (ca, cb) in enumerate(zip(self._coeffs_a, self._coeffs_b), start=1):
-            total += ca * math.sin(n * base) + cb * math.cos(n * base)
-        return total > self.alpha_star
+        return equilibrium_ok(self.profile, min(round_index, self.profile.L))
 
 
 class _Sim:
     def __init__(self, cfg: SimConfig, record_traffic: bool, record_links: bool):
         validate_config(cfg)
         self.cfg = cfg
+        self.w = cfg.energy
         root = np.random.SeedSequence(cfg.seed)
         topo_ss, events_ss, shadow_ss = root.spawn(3)
         self.events_rng = np.random.Generator(np.random.PCG64(events_ss))
@@ -225,8 +218,6 @@ class _Sim:
         self.period_groups = list(groups.items())
         self.eq = _EquilibriumTracker(cfg)
         self.drained_total = 0.0
-        self.x_t = cfg.energy.x_t
-        self._refresh_neighbor_cache()
         self.traffic_log: list[tuple[int, int, int, bool]] | None = [] if record_traffic else None
         self.links_log: list[tuple[int, int, int, bool]] | None = [] if record_links else None
 
@@ -236,225 +227,111 @@ class _Sim:
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
-
-        # Protocol state.
-        proto = cfg.protocol
-        self.mattempt_state: MattemptState | None = None
-        self._usable: list[bool] | None = None  # usable flags mattempt_state was built from
+        # Transmissions per node this round; only M-ATTEMPT's thermal model
+        # reads (and resets) them.
         self.heat_tx = [0] * self.n
         self.heat_rx = [0] * self.n
-        self.simple_forwarder: int | None = None
-        self.simple_parked = 0
-        if proto == "mattempt":
-            for nd in self.nodes:
-                nd.temperature = cfg.mattempt.ambient
 
-    # -- charging helpers ---------------------------------------------------
+        self.scheme = _SCHEMES[cfg.protocol](self)
+        self._refresh_neighbor_cache()
+
+    # -- shared bookkeeping -------------------------------------------------
 
     def _charge(self, node: SensorNode, cost: float) -> bool:
-        """Inline of energy.charge (the innermost loop); returns True on death."""
-        if not node.alive:
-            raise RuntimeError(f"charge on dead node {node.id} (engine bug)")
-        if node.residual_energy - cost > self.x_t:
-            node.residual_energy -= cost
-            self.drained_total += cost
+        """energy.charge plus the run's tallies; returns True on death."""
+        self.drained_total += charge(node, cost, self.w)
+        if node.alive:
             return False
-        self.drained_total += node.residual_energy
-        node.residual_energy = 0.0
-        node.alive = False
         self.alive_count -= 1
         self._deaths_pending = True
         return True
 
-
-    # -- link bookkeeping ---------------------------------------------------
-
-    def _record_link(self, rnd: int, tx: SensorNode, rx_id: int) -> None:
+    def _transmit(self, rnd: int, tx: SensorNode, rx_id: int, is_origin: bool,
+                  cost: float | None = None) -> None:
+        """One on-body send: a destined send from the originator, a forward
+        from a relay. The link is recorded before the charge, so the log holds
+        the sender's alive flag at send time."""
+        if is_origin:
+            self.c2 += 1
+        else:
+            self.c4 += 1
+        self.heat_tx[tx.id] += 1
+        if rx_id != SINK_ID:
+            self.heat_rx[rx_id] += 1
         self.round_pairs[(tx.id, rx_id)] = None
         if self.links_log is not None:
             self.links_log.append((rnd, tx.id, rx_id, tx.alive))
+        if cost is None:
+            cost = self.w.x_d if is_origin else self.w.x_f
+        self._charge(tx, cost)
 
-    # -- per-protocol control phases ----------------------------------------
-
-    def _begin_round(self, rnd: int) -> None:
-        cfg = self.cfg
-        proto = cfg.protocol
-        if proto == "amhrp":
-            # Nodes start knowing each other's location, so the first
-            # residual-energy beacon exchange happens a full period in.
-            if rnd > 0 and rnd % cfg.amhrp.control_period == 0:
-                for nd in self.nodes:
-                    if nd.alive:
-                        self.c5 += 1
-                        self._charge(nd, cfg.energy.x_c)
-        elif proto == "mattempt":
-            if rnd % cfg.mattempt.hello_period == 0:
-                for nd in self.nodes:
-                    if nd.alive:
-                        self.c5 += 1
-                        self._charge(nd, cfg.energy.x_c)
-                # The hop counts are a pure function of the usable set (the
-                # adjacency is static): rebuild only when that set changed.
-                threshold = cfg.mattempt.temp_threshold
-                usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
-                if usable != self._usable:
-                    self._usable = usable
-                    self.mattempt_state = mattempt_build_hopcounts(
-                        self.nodes, self.sink, cfg.tx_range, cfg.mattempt,
-                        adjacency=self.adjacency, sink_reach=self.sink_reach)
-        elif proto == "simple":
-            if rnd % cfg.simple.control_period == 0:
-                for nd in self.nodes:
-                    if nd.alive:
-                        self.c5 += 1
-                        self._charge(nd, cfg.energy.x_c)
-            self.simple_forwarder = simple_select_forwarder(self.nodes, self.sink, self.d_sink)
-            self.simple_parked = 0
+    def _control_exchange(self) -> None:
+        """Every alive node pays one control-packet exchange."""
+        x_c = self.w.x_c
+        for nd in self.nodes:
+            if nd.alive:
+                self.c5 += 1
+                self._charge(nd, x_c)
 
     def _refresh_neighbor_cache(self) -> None:
         """Per node, the alive in-range neighbors a routing rule may pick;
-        for AMHRP only those strictly closer to the sink, the only ones its
-        rule accepts. Refreshed at round start after deaths, so mid-round it
-        is a superset of the live candidates (the select functions re-check
-        aliveness)."""
+        for a closer-only scheme (AMHRP) only those strictly closer to the
+        sink, the only ones its rule accepts. Refreshed at round start after
+        deaths, so mid-round it is a superset of the live candidates (the
+        select functions re-check aliveness)."""
         nodes, d = self.nodes, self.d_sink
-        closer_only = self.cfg.protocol == "amhrp"
-        self._neighbor_cache = [
+        closer_only = self.scheme.closer_only
+        self.neighbors = [
             [nodes[j] for j in self.adjacency[i]
              if nodes[j].alive and not (closer_only and d[j] >= d[i])]
             for i in range(self.n)
         ]
         self._deaths_pending = False
 
-    def _decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        proto = self.cfg.protocol
-        if proto == "amhrp":
-            return amhrp_select_forwarder(
-                holder, self._neighbor_cache[holder.id], self.sink, kind, self.d_sink)
-        if proto == "mattempt":
-            return mattempt_next_hop(
-                holder, kind, self.mattempt_state, self._neighbor_cache[holder.id],
-                self.sink, self.d_sink)
-        # SIMPLE: critical packets and the ECG node go straight to the sink,
-        # everything else goes to the round's elected forwarder.
-        fw = self.simple_forwarder
-        if (kind is PacketKind.CRITICAL or holder.kind is SensorKind.ECG
-                or fw is None or fw == holder.id or not self.nodes[fw].alive):
-            return RoutingDecision(RouteAction.SEND_TO_SINK)
-        return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
-
-    def _effective_temp(self, node: SensorNode) -> float:
-        p = self.cfg.mattempt
-        return node.temperature + self.heat_tx[node.id] * p.delta_tx \
-            + self.heat_rx[node.id] * p.delta_rx
-
     # -- packet routing -----------------------------------------------------
 
     def _route_packet(self, rnd: int, origin: SensorNode, kind: PacketKind) -> None:
         """Walk one packet from its originator toward the sink."""
-        cfg = self.cfg
-        w = cfg.energy
+        scheme = self.scheme
         holder = origin
         is_origin = True
         for _hop in range(self.n + 2):
-            decision = self._decide(holder, kind)
+            decision = scheme.decide(holder, kind)
             act = decision.action
 
             if act is RouteAction.HOLD:
                 # Origin: nothing transmitted. Relay: packet already counted
                 # as sent; it is dropped here (no queueing across rounds).
                 return
+            if act is RouteAction.SEND_TO_FORWARDER:
+                target = self.nodes[decision.target]
+                if not target.alive:
+                    return  # stale choice of a mid-round casualty: packet dropped
+            if is_origin:
+                self.round_sent += 1  # counted once, when the originator transmits
 
             if act is RouteAction.SEND_TO_EXTERNAL_WSN:
+                # Off-body receiver: no on-body link pair to record.
                 self.c3 += 1
                 self.heat_tx[holder.id] += 1
-                self._charge(holder, w.x_w)
-                if is_origin:
-                    self.round_sent += 1
-                # Off-body receiver: no on-body link pair to record.
+                self._charge(holder, self.w.x_w)
                 return
 
             if act is RouteAction.SEND_TO_SINK:
-                cost = w.x_d if is_origin else w.x_f
+                cost = None
                 if decision.boosted:
-                    cost = w.x_d * cfg.mattempt.boost_multiplier
-                if is_origin:
-                    self.c2 += 1
-                else:
-                    self.c4 += 1
-                self.heat_tx[holder.id] += 1
-                self._record_link(rnd, holder, SINK_ID)
-                self._charge(holder, cost)
-                if is_origin:
-                    self.round_sent += 1
+                    cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
+                self._transmit(rnd, holder, SINK_ID, is_origin, cost)
                 self.round_received += 1
                 if kind is PacketKind.CRITICAL:
                     self.round_critical += 1
                 return
 
-            # SEND_TO_FORWARDER
-            target = self.nodes[decision.target]
-            if not target.alive:
-                return  # stale choice of a mid-round casualty: packet dropped
-            if cfg.protocol == "mattempt" \
-                    and self._effective_temp(target) > cfg.mattempt.temp_threshold:
-                # Hotspot bounce: the overheated relay sends the packet back
-                # and the sender re-routes in a later round (the next hop-count
-                # flood walks around it). The packet is lost for this round.
-                if is_origin:
-                    self.c2 += 1
-                else:
-                    self.c4 += 1
-                self.heat_tx[holder.id] += 1
-                self.heat_rx[target.id] += 1
-                self._record_link(rnd, holder, target.id)
-                self._charge(holder, w.x_d if is_origin else w.x_f)
-                if is_origin:
-                    self.round_sent += 1
-                if target.alive:
-                    self.c4 += 1
-                    self.heat_tx[target.id] += 1
-                    self.heat_rx[holder.id] += 1
-                    self._record_link(rnd, target, holder.id)
-                    self._charge(target, w.x_f)
+            if not scheme.hand_over(rnd, holder, target, is_origin):
                 return
-
-            cost = w.x_d if is_origin else w.x_f
-            if is_origin:
-                self.c2 += 1
-            else:
-                self.c4 += 1
-            self.heat_tx[holder.id] += 1
-            self.heat_rx[target.id] += 1
-            self._record_link(rnd, holder, target.id)
-            self._charge(holder, cost)
-            if is_origin:
-                self.round_sent += 1
-
-            if cfg.protocol == "simple":
-                self.simple_parked += 1  # aggregated at end of round
-                return
-
             holder = target
             is_origin = False
         raise RuntimeError("routing did not terminate (engine bug)")
-
-    def _flush_simple(self, rnd: int) -> None:
-        """The elected forwarder aggregates parked packets into one uplink."""
-        fw = self.simple_forwarder
-        k = self.simple_parked
-        if fw is None or k == 0:
-            return
-        node = self.nodes[fw]
-        if not node.alive:
-            return  # forwarder died mid-round: parked packets are lost
-        w = self.cfg.energy
-        self.c2 += 1
-        self.c4 += k
-        self.heat_tx[fw] += 1
-        self._record_link(rnd, node, SINK_ID)
-        self._charge(node, w.x_d + k * w.x_f)
-        self.round_received += k  # parked packets are all normal traffic
 
     # -- one round ----------------------------------------------------------
 
@@ -492,29 +369,20 @@ class _Sim:
                              sample_reading(nd.kind, True, cfg.vitals, self.events_rng)))
             originators.append((nd, pkts))
 
-        self._begin_round(rnd)
+        self.scheme.begin_round(rnd)
 
         for node, pkts in originators:
             if not node.alive:
                 continue
             for kind, _payload in pkts:
                 self.c1 += 1
-                if self._charge(node, cfg.energy.x_s):
+                if self._charge(node, self.w.x_s):
                     break  # the reading completed, but a dead node sends nothing
                 self._route_packet(rnd, node, kind)
                 if not node.alive:
                     break
 
-        self._flush_simple(rnd)
-
-        if cfg.protocol == "mattempt":
-            p = cfg.mattempt
-            for nd in self.nodes:
-                if nd.alive:
-                    nd.temperature = mattempt_temperature_step(
-                        p, nd.temperature, self.heat_tx[nd.id], self.heat_rx[nd.id])
-            self.heat_tx = [0] * self.n
-            self.heat_rx = [0] * self.n
+        self.scheme.end_round(rnd)
 
         self.eq.push_round(ActionCounts(self.c1, self.c2, self.c3, self.c4, self.c5))
 
@@ -542,6 +410,150 @@ class _Sim:
             mean_path_loss=(sum(losses) / len(losses)) if losses else None,
             equilibrium_ok=self.eq.flag(rnd),
         )
+
+
+# ---------------------------------------------------------------------------
+# Routing schemes
+# ---------------------------------------------------------------------------
+
+class _Scheme:
+    """One routing scheme's state and its four hooks into the round.
+
+    The rule functions are looked up as this module's globals at call time,
+    so code that wraps them here also sees the engine's calls.
+    """
+    closer_only = False  # neighbor lists keep only nodes strictly closer to the sink
+
+    def __init__(self, sim: _Sim):
+        self.sim = sim
+
+    def begin_round(self, rnd: int) -> None:
+        """Control phase, before the first slot."""
+
+    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+        raise NotImplementedError
+
+    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
+                  is_origin: bool) -> bool:
+        """Send to the alive relay ``target``; True when it carries the packet on."""
+        self.sim._transmit(rnd, holder, target.id, is_origin)
+        return True
+
+    def end_round(self, rnd: int) -> None:
+        """After the last slot."""
+
+
+class _Amhrp(_Scheme):
+    closer_only = True
+
+    def begin_round(self, rnd: int) -> None:
+        # Nodes start knowing each other's location, so the first
+        # residual-energy beacon exchange happens a full period in.
+        if rnd > 0 and rnd % self.sim.cfg.amhrp.control_period == 0:
+            self.sim._control_exchange()
+
+    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+        sim = self.sim
+        return amhrp_select_forwarder(holder, sim.neighbors[holder.id], sim.sink, kind,
+                                      sim.d_sink)
+
+
+class _Mattempt(_Scheme):
+    def __init__(self, sim: _Sim):
+        super().__init__(sim)
+        self.p = sim.cfg.mattempt
+        self.state: MattemptState | None = None
+        self._usable: list[bool] | None = None  # usable flags state was built from
+        for nd in sim.nodes:
+            nd.temperature = self.p.ambient
+
+    def begin_round(self, rnd: int) -> None:
+        if rnd % self.p.hello_period:
+            return
+        sim = self.sim
+        sim._control_exchange()
+        # The hop counts are a pure function of the usable set (the
+        # adjacency is static): rebuild only when that set changed.
+        threshold = self.p.temp_threshold
+        usable = [nd.alive and nd.temperature <= threshold for nd in sim.nodes]
+        if usable != self._usable:
+            self._usable = usable
+            self.state = mattempt_build_hopcounts(
+                sim.nodes, sim.sink, sim.cfg.tx_range, self.p,
+                adjacency=sim.adjacency, sink_reach=sim.sink_reach)
+
+    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+        sim = self.sim
+        return mattempt_next_hop(holder, kind, self.state, sim.neighbors[holder.id],
+                                 sim.sink, sim.d_sink)
+
+    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
+                  is_origin: bool) -> bool:
+        sim, p = self.sim, self.p
+        # The relay's temperature including this round's traffic so far,
+        # read before this send adds to it.
+        hot = target.temperature + sim.heat_tx[target.id] * p.delta_tx \
+            + sim.heat_rx[target.id] * p.delta_rx > p.temp_threshold
+        sim._transmit(rnd, holder, target.id, is_origin)
+        if not hot:
+            return True
+        # Hotspot bounce: the overheated relay sends the packet back and the
+        # sender re-routes in a later round (the next hop-count flood walks
+        # around it). The packet is lost for this round.
+        sim._transmit(rnd, target, holder.id, False)
+        return False
+
+    def end_round(self, rnd: int) -> None:
+        sim, p = self.sim, self.p
+        for nd in sim.nodes:
+            if nd.alive:
+                nd.temperature = mattempt_temperature_step(
+                    p, nd.temperature, sim.heat_tx[nd.id], sim.heat_rx[nd.id])
+        sim.heat_tx = [0] * sim.n
+        sim.heat_rx = [0] * sim.n
+
+
+class _Simple(_Scheme):
+    def __init__(self, sim: _Sim):
+        super().__init__(sim)
+        self.forwarder: int | None = None
+        self.parked = 0
+
+    def begin_round(self, rnd: int) -> None:
+        sim = self.sim
+        if rnd % sim.cfg.simple.control_period == 0:
+            sim._control_exchange()
+        self.forwarder = simple_select_forwarder(sim.nodes, sim.sink, sim.d_sink)
+        self.parked = 0
+
+    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+        # Critical packets and the ECG node go straight to the sink,
+        # everything else goes to the round's elected forwarder.
+        fw = self.forwarder
+        if (kind is PacketKind.CRITICAL or holder.kind is SensorKind.ECG
+                or fw is None or fw == holder.id or not self.sim.nodes[fw].alive):
+            return RoutingDecision(RouteAction.SEND_TO_SINK)
+        return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
+
+    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
+                  is_origin: bool) -> bool:
+        self.sim._transmit(rnd, holder, target.id, is_origin)
+        self.parked += 1  # aggregated at end of round
+        return False
+
+    def end_round(self, rnd: int) -> None:
+        """The elected forwarder aggregates parked packets into one uplink."""
+        sim, fw, k = self.sim, self.forwarder, self.parked
+        if fw is None or k == 0 or not sim.nodes[fw].alive:
+            return  # a forwarder that died mid-round loses its parked packets
+        # One destined send that carries k forwards; the packets were
+        # counted as sent when parked.
+        sim._transmit(rnd, sim.nodes[fw], SINK_ID, True, sim.w.x_d + k * sim.w.x_f)
+        sim.c4 += k
+        sim.round_received += k  # parked packets are all normal traffic
+
+
+_SCHEMES = {"amhrp": _Amhrp, "mattempt": _Mattempt, "simple": _Simple}
 
 
 def run_simulation(config: SimConfig, *, record_traffic: bool = False,

@@ -25,8 +25,8 @@ class EventParams:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.lam < 0:
-            problems.append("events.lambda: must be >= 0")
+        if not 0 <= self.lam < math.inf:  # also rejects nan
+            problems.append("events.lambda: must be a finite number >= 0")
         if self.rounds_per_day < 1:
             problems.append("events.rounds_per_day: must be >= 1")
         return problems

@@ -82,6 +82,31 @@ def read_summary_json(path) -> RunSummary:
 # Plot series (one file per figure family, one column per protocol)
 # ---------------------------------------------------------------------------
 
+def median_series(series: list[list[RoundMetrics]]) -> list[RoundMetrics]:
+    """Per-round median of several runs, cut to the shortest run.
+
+    Counts take the int of the median; the path loss is the median over the
+    runs that transmitted (None when none did); the equilibrium flag holds
+    only when it holds in every run.
+    """
+    merged = []
+    for r in range(min(len(s) for s in series)):
+        rows = [s[r] for s in series]
+        losses = [m.mean_path_loss for m in rows if m.mean_path_loss is not None]
+        merged.append(RoundMetrics(
+            round=r,
+            alive_count=int(statistics.median(m.alive_count for m in rows)),
+            packets_sent=int(statistics.median(m.packets_sent for m in rows)),
+            packets_received_at_sink=int(
+                statistics.median(m.packets_received_at_sink for m in rows)),
+            critical_received=int(statistics.median(m.critical_received for m in rows)),
+            total_residual=statistics.median(m.total_residual for m in rows),
+            mean_residual=statistics.median(m.mean_residual for m in rows),
+            mean_path_loss=statistics.median(losses) if losses else None,
+            equilibrium_ok=all(m.equilibrium_ok for m in rows),
+        ))
+    return merged
+
 PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
 
 

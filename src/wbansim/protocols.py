@@ -104,18 +104,14 @@ class EquilibriumProfile:
         if self.L < 1:
             raise ValueError("L must be >= 1")
 
-    @property
-    def series_length(self) -> int:
-        return len(self.coeffs_a)
-
 
 def equilibrium_score(p: EquilibriumProfile, x: float) -> float:
     if not 0 <= x <= p.L:
         raise ValueError(f"x must lie in [0, {p.L}], got {x}")
+    base = math.pi * x / p.L
     total = p.a0
-    for n in range(1, p.series_length + 1):
-        phase = n * math.pi * x / p.L
-        total += p.coeffs_a[n - 1] * math.sin(phase) + p.coeffs_b[n - 1] * math.cos(phase)
+    for n, (ca, cb) in enumerate(zip(p.coeffs_a, p.coeffs_b), start=1):
+        total += ca * math.sin(n * base) + cb * math.cos(n * base)
     return total
 
 

@@ -48,6 +48,15 @@ class TestSimulate:
         assert code == 1
         assert "rounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_exits_1(self, lam, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[sim]\nrounds = 5\n[events]\nlambda = {lam}\n")
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "events.lambda" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o"))

@@ -5,7 +5,7 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import (ALL_KINDS, CANONICAL_LAYOUT, PLANE_HEIGHT, PLANE_WIDTH,
-                          BodyPoint, Packet, PacketKind, SensorKind, TopologyError,
+                          BodyPoint, PacketKind, SensorKind, TopologyError,
                           build_topology, distance, format_layout)
 
 
@@ -87,11 +87,5 @@ class TestBuildTopology:
 
 
 class TestPacket:
-    def test_hop_count_increments(self):
-        pkt = Packet(kind=PacketKind.NORMAL, source=3, created_round=7)
-        assert pkt.hop_count == 0
-        pkt.hop_count += 1
-        assert pkt.hop_count == 1
-
     def test_critical_kind_is_distinct(self):
         assert PacketKind.CRITICAL is not PacketKind.NORMAL

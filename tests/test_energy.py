@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.energy import (ActionCounts, ChargeOutcome, EnergyWeights, charge,
-                            round_cost)
+from wbansim.energy import ActionCounts, EnergyWeights, charge, round_cost
 
 
 def make_weights(**over):
@@ -63,32 +62,32 @@ class TestWeightValidation:
 class TestCharge:
     def test_simple_subtraction(self):
         node = make_node(0.5)
-        res = charge(node, 0.2, make_weights())
-        assert res.outcome is ChargeOutcome.APPLIED
+        drained = charge(node, 0.2, make_weights())
+        assert drained == 0.2
         assert node.residual_energy == pytest.approx(0.3, abs=1e-15)
         assert node.alive
 
     def test_exhaustion(self):
         node = make_node(0.1)
-        res = charge(node, 0.2, make_weights())
-        assert res.outcome is ChargeOutcome.DIED
+        drained = charge(node, 0.2, make_weights())
         assert node.residual_energy == 0.0
         assert not node.alive
-        assert res.drained == pytest.approx(0.1)
+        assert drained == pytest.approx(0.1)
 
     def test_zero_cost_identity(self):
         node = make_node(0.5)
-        res = charge(node, 0.0, make_weights())
-        assert res.outcome is ChargeOutcome.APPLIED
+        drained = charge(node, 0.0, make_weights())
+        assert drained == 0.0
+        assert node.alive
         assert node.residual_energy == 0.5
 
     def test_threshold_death(self):
         # Death triggers when the deduction cannot keep the node above x_t.
         node = make_node(0.5)
-        res = charge(node, 0.03, make_weights(x_t=0.48))
-        assert res.outcome is ChargeOutcome.DIED
+        drained = charge(node, 0.03, make_weights(x_t=0.48))
+        assert not node.alive
         assert node.residual_energy == 0.0
-        assert res.drained == pytest.approx(0.5)
+        assert drained == pytest.approx(0.5)
 
     def test_charging_dead_node_is_engine_bug(self):
         node = make_node(0.5, alive=False)

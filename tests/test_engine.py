@@ -186,41 +186,8 @@ class TestRunSimulation:
 
 
 class TestEngineSpecializations:
-    """The engine inlines hot-path copies of public operations; these pin the
-    inlined behavior to the public contracts."""
-
-    def test_equilibrium_flag_matches_public_function(self):
-        from wbansim.engine import _EquilibriumTracker
-        from wbansim.energy import ActionCounts
-        from wbansim.protocols import equilibrium_ok
-
-        c = cfg(rounds=500)
-        tracker = _EquilibriumTracker(c)
-        import numpy as np
-        g = np.random.Generator(np.random.PCG64(21))
-        for rnd in range(400):
-            tracker.push_round(ActionCounts(*(int(v) for v in g.integers(0, 30, size=5))))
-            assert tracker.flag(rnd) == equilibrium_ok(tracker.profile(),
-                                                       min(rnd, tracker.L))
-
-    def test_engine_charge_matches_public_charge(self):
-        from wbansim.energy import ChargeOutcome, charge
-        from wbansim.engine import _Sim
-
-        c = cfg(rounds=1)
-        sim = _Sim(c, record_traffic=False, record_links=False)
-        import numpy as np
-        g = np.random.Generator(np.random.PCG64(23))
-        node_a = sim.nodes[0]
-        node_b = SensorNode(id=99, kind=node_a.kind, position=node_a.position,
-                            residual_energy=node_a.residual_energy)
-        while node_a.alive:
-            cost = float(g.random()) * 0.01
-            died_engine = sim._charge(node_a, cost)
-            res = charge(node_b, cost, c.energy)
-            assert died_engine == (res.outcome is ChargeOutcome.DIED)
-            assert node_a.residual_energy == node_b.residual_energy
-            assert node_a.alive == node_b.alive
+    """The engine caches derived state on its hot path; these pin the cached
+    behavior to the public contracts and the run's outputs to fingerprints."""
 
     @staticmethod
     def _dying_config(protocol, **over):
@@ -230,6 +197,40 @@ class TestEngineSpecializations:
         return replace(base, protocol=protocol, seed=3, rounds=300,
                        initial_energy=0.482,
                        events=replace(base.events, lam=1.0), **over)
+
+    # sha256 of the metrics CSV, the traffic and link logs and drained_total
+    # on the dying configs. These runs cross paths of the packet walk that
+    # the golden configs reach rarely: deaths mid-round for every protocol,
+    # SIMPLE parking, and (hot variant) three M-ATTEMPT hotspot bounces.
+    AUDIT_FINGERPRINTS = {
+        "amhrp": "2eeca0af1b7b46934671ceb60a5a9d56c2070b1b84509a41003669e64e2f9d85",
+        "mattempt": "5860588f2d670c3b0220459eeadd1772e208feab8b8e72b3ea628b480f7176d8",
+        "simple": "48152b7c91deb6d1d21882bb2c96b1090096f62fc15f8da9e36a2f988bed4930",
+        "mattempt_hot": "569df058770822be4d44021ba1f538adece80c990a650695ad9d8a7c86aad980",
+    }
+
+    @pytest.mark.parametrize("case", sorted(AUDIT_FINGERPRINTS))
+    def test_audit_fingerprint(self, case, tmp_path):
+        import hashlib
+
+        from wbansim.io import write_metrics_csv
+
+        protocol, _, variant = case.partition("_")
+        over = {}
+        if variant == "hot":
+            over["mattempt"] = replace(SimConfig().mattempt, temp_threshold=37.2)
+        res = run_simulation(self._dying_config(protocol, **over),
+                             record_traffic=True, record_links=True)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(res.metrics, path)
+        text = "\n".join([
+            path.read_text(encoding="utf-8"),
+            *(",".join(map(str, row)) for row in res.audit.traffic),
+            *(",".join(map(str, row)) for row in res.audit.links),
+            repr(res.audit.drained_total),
+        ])
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.AUDIT_FINGERPRINTS[case]
 
     def test_hopcount_cache_matches_fresh_bfs(self, monkeypatch):
         import wbansim.engine as engine
@@ -247,14 +248,14 @@ class TestEngineSpecializations:
 
         monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
         sim = _Sim(c, record_traffic=False, record_links=False)
-        begin_round = sim._begin_round
+        begin_round = sim.scheme.begin_round
 
         def checked_begin_round(rnd):
             begin_round(rnd)
             fresh = mattempt_build_hopcounts(sim.nodes, sim.sink, c.tx_range, c.mattempt)
-            assert sim.mattempt_state.hop_counts == fresh.hop_counts, f"round {rnd}"
+            assert sim.scheme.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
-        sim._begin_round = checked_begin_round
+        sim.scheme.begin_round = checked_begin_round
         threshold = c.mattempt.temp_threshold
         heated = cooled = 0
         prev = [True] * sim.n
@@ -290,7 +291,7 @@ class TestEngineSpecializations:
                     continue
                 full = [sim.nodes[j] for j in sim.adjacency[nd.id] if sim.nodes[j].alive]
                 for kind in (PacketKind.NORMAL, PacketKind.CRITICAL):
-                    cached = amhrp_select_forwarder(nd, sim._neighbor_cache[nd.id],
+                    cached = amhrp_select_forwarder(nd, sim.neighbors[nd.id],
                                                     sim.sink, kind, sim.d_sink)
                     assert cached == amhrp_select_forwarder(nd, full, sim.sink, kind,
                                                             sim.d_sink), f"round {rnd}"

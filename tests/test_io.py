@@ -4,7 +4,7 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.engine import RoundMetrics, RunSummary, run_simulation
-from wbansim.io import (CSV_HEADER, compare_runs, emit_plot_series,
+from wbansim.io import (CSV_HEADER, compare_runs, emit_plot_series, median_series,
                         read_metrics_csv, read_summary_json, render_comparison,
                         write_metrics_csv, write_summary_json)
 
@@ -127,6 +127,40 @@ class TestPlotSeries:
         runs["simple"] = runs["simple"][:-1]
         with pytest.raises(ValueError):
             emit_plot_series(runs, tmp_path)
+
+
+class TestMedianSeries:
+    def test_field_medians(self):
+        runs = [[row(0, alive=19, sent=4, received=3, loss=30.0)],
+                [row(0, alive=17, sent=1, received=1, loss=40.0)],
+                [row(0, alive=18, sent=9, received=8, loss=35.5)]]
+        (m,) = median_series(runs)
+        assert (m.round, m.alive_count, m.packets_sent,
+                m.packets_received_at_sink) == (0, 18, 4, 3)
+        assert m.mean_path_loss == 35.5
+        assert m.total_residual == row(0).total_residual
+
+    def test_even_count_median_truncated_to_int(self):
+        (m,) = median_series([[row(0, alive=19)], [row(0, alive=18)]])
+        assert m.alive_count == 18  # int(18.5)
+
+    def test_path_loss_over_transmitting_runs_only(self):
+        quiet = [row(0, loss=None), row(1, loss=None)]
+        loud = [row(0, loss=None), row(1, loss=42.0)]
+        merged = median_series([quiet, quiet, loud])
+        assert merged[0].mean_path_loss is None
+        assert merged[1].mean_path_loss == 42.0
+
+    def test_equilibrium_flag_anded_across_runs(self):
+        ok = [row(0), row(1)]
+        broken = [row(0), replace(row(1), equilibrium_ok=False)]
+        merged = median_series([ok, broken, ok])
+        assert [m.equilibrium_ok for m in merged] == [True, False]
+
+    def test_truncated_to_shortest_run(self):
+        runs = [[row(r) for r in range(n)] for n in (5, 3, 4)]
+        merged = median_series(runs)
+        assert [m.round for m in merged] == [0, 1, 2]
 
 
 class TestCompareRuns:
