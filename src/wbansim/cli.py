@@ -18,9 +18,9 @@ from pathlib import Path
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .core import format_layout
 from .engine import run_simulation
-from .io import (compare_runs, emit_plot_series, median_series, read_metrics_csv,
-                 read_summary_json, render_comparison, write_comparison,
-                 write_metrics_csv, write_summary_json)
+from .io import (ResultFileError, compare_runs, emit_plot_series, median_series,
+                 read_metrics_csv, read_summary_json, render_comparison,
+                 write_comparison, write_metrics_csv, write_summary_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -175,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ResultFileError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,8 @@ from .channel import ChannelParams
 from .core import ALL_KINDS, SensorKind
 from .energy import EnergyWeights
 from .events import (EventParams, PressureBand, SensingSchedule, VitalBand,
-                     VitalThresholds, default_bands, default_schedule)
+                     VitalThresholds, default_bands, default_schedule,
+                     has_critical_region)
 from .protocols import MattemptParams, SimpleParams
 
 PROTOCOLS = ("amhrp", "mattempt", "simple")
@@ -120,6 +121,14 @@ def validate_config(cfg: SimConfig) -> None:
     problems += cfg.channel.validate()
     problems += cfg.events.validate()
     problems += cfg.vitals.validate()
+    # The engine never computes a reading, so a band sample_reading could not
+    # draw from is caught here, before round 0. Node i carries ALL_KINDS[i % 19].
+    for kind in ALL_KINDS[:cfg.node_count]:
+        if kind not in cfg.vitals.bands:
+            problems.append(f"vitals.{kind.value}: no band configured")
+        elif cfg.events.lam > 0 and not has_critical_region(kind, cfg.vitals):
+            problems.append(f"vitals.{kind.value}: no out-of-band region to draw "
+                            "event readings from (events.lambda > 0)")
     problems += cfg.schedule.validate()
     problems += cfg.amhrp.validate()
     problems += cfg.mattempt.validate()

@@ -15,6 +15,14 @@ event, so the scheduled-sensing and event streams are identical across
 protocols under a shared seed. Metric differences between protocols are
 therefore attributable to routing alone.
 
+No run reads a reading's value, so the engine never computes one: each
+reading's uniforms (``reading_draws`` of them) are consumed from the events
+stream and skipped. The stream is served from blocks of ``EVENT_BLOCK``
+uniforms, each inverted to Poisson counts in one call; ``Generator.random(B)``
+yields the same doubles as B scalar draws, so the counts a round reads are
+those a draw-by-draw walk of the stream (counts, then ``sample_reading`` per
+reading) would give.
+
 The protocol is chosen once per run, from the scheme table. A scheme owns
 its state and enters the round through four hooks: ``begin_round`` (the
 control exchange; M-ATTEMPT also rebuilds its hop counts, SIMPLE elects its
@@ -39,13 +47,16 @@ from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
 from .energy import ActionCounts, charge
-from .events import invert_poisson, poisson_cdf_table, sample_reading
+# sample_reading is not called here; it stays a module attribute because
+# perfbench/tracer.py wraps the events functions by name in this namespace.
+from .events import invert_poisson, poisson_cdf_table, reading_draws, sample_reading  # noqa: F401
 from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
                         RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
                         mattempt_build_hopcounts, mattempt_next_hop,
                         mattempt_temperature_step, simple_select_forwarder)
 
 SINK_ID = -1  # receiver id used for node-to-sink links in audit records
+EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
 
 
 @dataclass
@@ -211,6 +222,11 @@ class _Sim:
         self.sink_reach = [nd.id for nd in self.nodes if self.d_sink[nd.id] <= cfg.tx_range]
 
         self.poisson_cdf = poisson_cdf_table(cfg.events.lam)
+        # The events stream as Poisson counts, one block at a time; the
+        # cursor may run past the block's end after a round's reading skip.
+        self._event_block: list[int] = []
+        self._event_pos = 0
+        self.draws_per_reading = [reading_draws(nd.kind) for nd in self.nodes]
         # Node ids grouped by sensing period, each group in id order.
         groups: dict[int, list[int]] = {}
         for nd in self.nodes:
@@ -272,6 +288,23 @@ class _Sim:
             if nd.alive:
                 self.c5 += 1
                 self._charge(nd, x_c)
+
+    def _event_counts(self, m: int) -> list[int]:
+        """The next m entries of the events stream as Poisson counts,
+        refilling the block (and dropping skipped blocks) as needed."""
+        counts: list[int] = []
+        pos = self._event_pos
+        while True:
+            while pos >= len(self._event_block):
+                pos -= len(self._event_block)
+                self._event_block = invert_poisson(
+                    self.poisson_cdf, self.events_rng.random(EVENT_BLOCK)).tolist()
+            got = self._event_block[pos:pos + m - len(counts)]
+            counts += got
+            pos += len(got)
+            if len(counts) == m:
+                self._event_pos = pos
+                return counts
 
     def _refresh_neighbor_cache(self) -> None:
         """Per node, the alive in-range neighbors a routing rule may pick;
@@ -336,7 +369,6 @@ class _Sim:
     # -- one round ----------------------------------------------------------
 
     def run_round(self, rnd: int) -> RoundMetrics:
-        cfg = self.cfg
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
         self.round_pairs = {}
         self.round_sent = 0
@@ -348,33 +380,28 @@ class _Sim:
 
         # Event counts are drawn for every node id, dead or alive, so the
         # stream consumed is identical across protocols under a shared seed.
-        counts = invert_poisson(self.poisson_cdf, self.events_rng.random(self.n)).tolist()
+        counts = self._event_counts(self.n)
         due = {i for period, ids in self.period_groups if rnd % period == 0 for i in ids}
         if self.traffic_log is not None:
             self.traffic_log.extend((rnd, i, counts[i], i in due) for i in range(self.n))
-        # Only nodes with a due reading or an event draw readings, in id
+        # Only nodes with a due reading or an event take readings, in id
         # order; slots run in id order too (assign_tdma), so this list is
-        # also the transmit order.
-        originators: list[tuple[SensorNode, list[tuple[PacketKind, object]]]] = []
+        # also the transmit order. The readings' uniforms are skipped.
+        originators: list[tuple[SensorNode, bool, int]] = []
+        skip = 0
         for i, k in enumerate(counts):
-            if not (k or i in due):
-                continue
-            nd = self.nodes[i]
-            pkts: list[tuple[PacketKind, object]] = []
-            if i in due:
-                pkts.append((PacketKind.NORMAL,
-                             sample_reading(nd.kind, False, cfg.vitals, self.events_rng)))
-            for _ in range(k):
-                pkts.append((PacketKind.CRITICAL,
-                             sample_reading(nd.kind, True, cfg.vitals, self.events_rng)))
-            originators.append((nd, pkts))
+            is_due = i in due
+            if k or is_due:
+                originators.append((self.nodes[i], is_due, k))
+                skip += (is_due + k) * self.draws_per_reading[i]
+        self._event_pos += skip
 
         self.scheme.begin_round(rnd)
 
-        for node, pkts in originators:
+        for node, is_due, k in originators:
             if not node.alive:
                 continue
-            for kind, _payload in pkts:
+            for kind in [PacketKind.NORMAL] * is_due + [PacketKind.CRITICAL] * k:
                 self.c1 += 1
                 if self._charge(node, self.w.x_s):
                     break  # the reading completed, but a dead node sends nothing

@@ -18,6 +18,11 @@ import numpy as np
 from .core import SensorKind
 
 
+# Largest accepted ``lam``: its CDF table has about 1430 entries, and every
+# term of it is finite (lam**k for k <= 20 stays far below the float range).
+LAMBDA_MAX = 1000.0
+
+
 @dataclass(frozen=True)
 class EventParams:
     lam: float = 0.1  # expected events per round per node
@@ -25,8 +30,8 @@ class EventParams:
 
     def validate(self) -> list[str]:
         problems = []
-        if not 0 <= self.lam < math.inf:  # also rejects nan
-            problems.append("events.lambda: must be a finite number >= 0")
+        if not 0 <= self.lam <= LAMBDA_MAX:  # also rejects inf and nan
+            problems.append(f"events.lambda: must be a number in [0, {LAMBDA_MAX:g}]")
         if self.rounds_per_day < 1:
             problems.append("events.rounds_per_day: must be >= 1")
         return problems
@@ -188,16 +193,36 @@ def is_critical(kind: SensorKind, reading, t: VitalThresholds) -> bool:
     return reading < band.lower or reading > band.upper
 
 
-def _uniform_two_intervals(lo1, hi1, lo2, hi2, rng) -> float:
-    """One uniform draw over the union of two (possibly empty) intervals."""
-    w1 = max(0.0, hi1 - lo1)
-    w2 = max(0.0, hi2 - lo2)
-    if w1 + w2 <= 0:
-        raise ValueError("no out-of-band region available to sample")
-    u = rng.random() * (w1 + w2)
-    if u < w1:
-        return lo1 + u
-    return lo2 + (u - w1)
+def reading_draws(kind: SensorKind) -> int:
+    """Uniform variates one ``sample_reading`` call takes from its generator:
+    two for blood pressure (systolic, diastolic), one for every other kind,
+    normal or critical alike."""
+    return 2 if kind is SensorKind.BLOOD_PRESSURE else 1
+
+
+def _critical_region(kind: SensorKind, band: VitalBand,
+                     t: VitalThresholds) -> tuple[float, float, float, float]:
+    """The out-of-band region of a single-valued kind, clipped to the
+    envelope, as two intervals (lo1, width1, lo2, width2); a width may be 0."""
+    if kind is SensorKind.GLUCOSE:
+        low_hi = math.nextafter(t.glucose_low_critical, -math.inf)
+        lo1, hi1 = (band.env_low, low_hi) if t.glucose_profile == "diabetic" else (0.0, 0.0)
+    else:
+        lo1, hi1 = band.env_low, math.nextafter(band.lower, -math.inf)
+    lo2 = math.nextafter(band.upper, math.inf)
+    return lo1, max(0.0, hi1 - lo1), lo2, max(0.0, band.env_high - lo2)
+
+
+def has_critical_region(kind: SensorKind, t: VitalThresholds) -> bool:
+    """True when ``sample_reading(kind, True, t, rng)`` has a region to draw
+    from; blood pressure always has one."""
+    band = t.bands.get(kind)
+    if band is None:
+        raise KeyError(f"no vital band configured for {kind.value}")
+    if kind is SensorKind.BLOOD_PRESSURE:
+        return True
+    _, w1, _, w2 = _critical_region(kind, band, t)
+    return w1 + w2 > 0
 
 
 def sample_reading(kind: SensorKind, critical_event: bool, t: VitalThresholds,
@@ -207,7 +232,8 @@ def sample_reading(kind: SensorKind, critical_event: bool, t: VitalThresholds,
     Normal draws are uniform inside the band; critical draws are uniform over
     the out-of-band region adjacent to the band, clipped to the physiological
     envelope. The result always satisfies
-    ``is_critical(kind, result, t) == critical_event``.
+    ``is_critical(kind, result, t) == critical_event``. A call takes exactly
+    ``reading_draws(kind)`` uniforms from ``rng``.
     """
     band = t.bands.get(kind)
     if band is None:
@@ -223,21 +249,16 @@ def sample_reading(kind: SensorKind, critical_event: bool, t: VitalThresholds,
             diastolic = db.lower + rng.random() * (db.upper - db.lower)
         return (systolic, diastolic)
 
-    if kind is SensorKind.GLUCOSE:
-        if not critical_event:
-            return band.lower + rng.random() * (band.upper - band.lower)
-        if t.glucose_profile == "diabetic":
-            return _uniform_two_intervals(
-                band.env_low, math.nextafter(t.glucose_low_critical, -math.inf),
-                math.nextafter(band.upper, math.inf), band.env_high, rng)
-        return _uniform_two_intervals(
-            0.0, 0.0, math.nextafter(band.upper, math.inf), band.env_high, rng)
-
     if not critical_event:
         return band.lower + rng.random() * (band.upper - band.lower)
-    return _uniform_two_intervals(
-        band.env_low, math.nextafter(band.lower, -math.inf),
-        math.nextafter(band.upper, math.inf), band.env_high, rng)
+    # One uniform draw over the union of the two intervals.
+    lo1, w1, lo2, w2 = _critical_region(kind, band, t)
+    if w1 + w2 <= 0:
+        raise ValueError("no out-of-band region available to sample")
+    u = rng.random() * (w1 + w2)
+    if u < w1:
+        return lo1 + u
+    return lo2 + (u - w1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ from .engine import RoundMetrics, RunSummary
 
 CSV_HEADER = ("round,alive,sent,received,critical_received,"
               "total_residual_j,mean_residual_j,mean_path_loss_db,equilibrium_ok")
+_CSV_FIELDS = CSV_HEADER.count(",") + 1
+
+
+class ResultFileError(ValueError):
+    """A results file that exists but does not hold what its name says."""
 
 
 def _fmt(value: float) -> str:
@@ -40,21 +45,26 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: not a metrics CSV (unexpected header)")
+        raise ResultFileError(f"{path}: not a metrics CSV (unexpected header)")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        out.append(RoundMetrics(
-            round=int(f[0]),
-            alive_count=int(f[1]),
-            packets_sent=int(f[2]),
-            packets_received_at_sink=int(f[3]),
-            critical_received=int(f[4]),
-            total_residual=float(f[5]),
-            mean_residual=float(f[6]),
-            mean_path_loss=None if f[7] == "" else float(f[7]),
-            equilibrium_ok=f[8] == "1",
-        ))
+        try:
+            if len(f) != _CSV_FIELDS:
+                raise ValueError(f"{len(f)} fields, expected {_CSV_FIELDS}")
+            out.append(RoundMetrics(
+                round=int(f[0]),
+                alive_count=int(f[1]),
+                packets_sent=int(f[2]),
+                packets_received_at_sink=int(f[3]),
+                critical_received=int(f[4]),
+                total_residual=float(f[5]),
+                mean_residual=float(f[6]),
+                mean_path_loss=None if f[7] == "" else float(f[7]),
+                equilibrium_ok=f[8] == "1",
+            ))
+        except ValueError as exc:
+            raise ResultFileError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 
@@ -74,8 +84,22 @@ def write_summary_json(summary: RunSummary, path) -> None:
 
 
 def read_summary_json(path) -> RunSummary:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunSummary(**data)
+    """Inverse of write_summary_json; every field must be present and typed
+    as written (a number, the protocol a string, throughput possibly null)."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        summary = RunSummary(**data)
+    except (ValueError, TypeError) as exc:  # bad JSON, missing or unknown keys
+        raise ResultFileError(f"{path}: not a run summary: {exc}") from None
+    for key, value in data.items():
+        if key == "protocol":
+            ok = isinstance(value, str)
+        else:
+            ok = ((isinstance(value, (int, float)) and not isinstance(value, bool))
+                  or (value is None and key == "throughput_pct"))
+        if not ok:
+            raise ResultFileError(f"{path}: not a run summary: bad value for {key!r}")
+    return summary
 
 
 # ---------------------------------------------------------------------------

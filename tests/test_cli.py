@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestSimulate:
         assert code == 1
         assert "rounds" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    @pytest.mark.parametrize("lam", ["inf", "nan", "1e300"])
     def test_non_finite_lambda_exits_1(self, lam, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[sim]\nrounds = 5\n[events]\nlambda = {lam}\n")
@@ -56,6 +57,23 @@ class TestSimulate:
         assert code == 1
         assert "events.lambda" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    EMPTY_HEART_RATE = "[vitals]\nheart_rate = 60, 100, 60, 100\n"
+
+    def test_empty_critical_region_exits_1_before_round_0(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[sim]\nrounds = 50\n[events]\nlambda = 2\n" + self.EMPTY_HEART_RATE)
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "vitals.heart_rate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_critical_region_runs_without_events(self, tmp_path):
+        cfg = tmp_path / "quiet.ini"
+        cfg.write_text("[sim]\nrounds = 50\n[events]\nlambda = 0\n" + self.EMPTY_HEART_RATE)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "metrics_amhrp_seed1.csv").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
@@ -75,7 +93,44 @@ def sweep_dir(tmp_path_factory):
     return out
 
 
+def _without_key(text):
+    data = json.loads(text)
+    del data["network_lifetime"]
+    return json.dumps(data)
+
+
+def _with_value(key, value):
+    def corrupt(text):
+        return json.dumps({**json.loads(text), key: value})
+    return corrupt
+
+
+# case -> (command, file to corrupt, corruption)
+BAD_RESULT_FILES = {
+    "summary_missing_key": ("compare", "summary_amhrp_seed1.json", _without_key),
+    "summary_unknown_key": ("compare", "summary_simple_seed2.json", _with_value("extra", 1)),
+    "summary_string_number": ("compare", "summary_amhrp_seed3.json",
+                              _with_value("stability_period", "4500")),
+    "summary_not_json": ("compare", "summary_mattempt_seed1.json", lambda t: t[:-5]),
+    "metrics_short_row": ("plots", "metrics_amhrp_seed2.csv",
+                          lambda t: t.rstrip("\n").rsplit(",", 1)[0] + "\n"),
+    "metrics_bad_number": ("plots", "metrics_simple_seed1.csv",
+                           lambda t: t.replace("\n5,", "\nfive,", 1)),
+    "metrics_bad_header": ("plots", "metrics_mattempt_seed3.csv", lambda t: "x" + t),
+}
+
+
 class TestSweepCompareAndPlots:
+    @pytest.mark.parametrize("case", sorted(BAD_RESULT_FILES))
+    def test_bad_result_file_exits_2_naming_it(self, case, sweep_dir, tmp_path, capsys):
+        command, name, corrupt = BAD_RESULT_FILES[case]
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs)
+        path = runs / name
+        path.write_text(corrupt(path.read_text()))
+        assert main([command, "--in", str(runs)]) == 2
+        assert name in capsys.readouterr().err
+
     def test_sweep_writes_every_combo(self, sweep_dir):
         assert len(list(sweep_dir.glob("metrics_*.csv"))) == 9
         assert len(list(sweep_dir.glob("summary_*.json"))) == 9

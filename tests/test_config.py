@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from wbansim.config import (ConfigError, SimConfig, parse_config, render_config,
@@ -98,6 +100,29 @@ class TestSections:
         cfg = parse_config("[vitals]\nheart_rate = 50, 110, 20, 220\n")
         band = cfg.vitals.bands[SensorKind.HEART_RATE]
         assert (band.lower, band.upper) == (50, 110)
+
+    EMPTY_HEART_RATE = "[vitals]\nheart_rate = 60, 100, 60, 100\n"
+
+    def test_empty_critical_region_of_an_uncarried_kind_allowed(self):
+        # Nodes 0-15 carry every kind but heart_rate (node 16).
+        parse_config("[sim]\nnode_count = 16\n" + self.EMPTY_HEART_RATE)
+        with pytest.raises(ConfigError):
+            parse_config("[sim]\nnode_count = 17\n" + self.EMPTY_HEART_RATE)
+
+    def test_empty_critical_region_follows_glucose_profile(self):
+        # Nothing above the band; the diabetic profile still has the low side.
+        band = "glucose = 110, 125, 40, 125\n"
+        parse_config("[vitals]\n" + band)
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[vitals]\nglucose_profile = nondiabetic\n" + band)
+        assert any(v.startswith("vitals.glucose:") for v in exc.value.violations)
+
+    def test_missing_band_of_a_carried_kind_rejected(self):
+        cfg = SimConfig()
+        bands = {k: b for k, b in cfg.vitals.bands.items() if k is not SensorKind.TILT}
+        with pytest.raises(ConfigError) as exc:
+            validate_config(replace(cfg, vitals=replace(cfg.vitals, bands=bands)))
+        assert "vitals.tilt: no band configured" in exc.value.violations
 
     def test_vitals_blood_pressure_components(self):
         cfg = parse_config("[vitals]\nblood_pressure_systolic = 85, 125, 60, 230, 150\n")

@@ -300,6 +300,81 @@ class TestEngineSpecializations:
         assert sim.alive_count == 0
 
 
+class _CountingRng:
+    """A generator that counts the uniforms taken from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.used = 0
+
+    def random(self, size=None):
+        self.used += 1 if size is None else size
+        return self.rng.random(size)
+
+
+def _walk_events_stream(c):
+    """The events stream drawn call by call: each round one count per node,
+    then in id order every due reading and every event's reading through
+    ``sample_reading``. Returns the traffic log, the uniforms used and the
+    most uniforms one round used."""
+    import numpy as np
+
+    from wbansim.core import build_topology
+    from wbansim.events import (invert_poisson, is_scheduled, poisson_cdf_table,
+                                sample_reading)
+
+    topo_ss, events_ss, _ = np.random.SeedSequence(c.seed).spawn(3)
+    nodes, _ = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
+    rng = _CountingRng(np.random.Generator(np.random.PCG64(events_ss)))
+    cdf = poisson_cdf_table(c.events.lam)
+    log, widest = [], 0
+    for rnd in range(c.rounds):
+        before = rng.used
+        counts = invert_poisson(cdf, rng.random(len(nodes))).tolist()
+        for nd, k in zip(nodes, counts):
+            due = is_scheduled(nd.kind, rnd, c.schedule)
+            log.append((rnd, nd.id, k, due))
+            if due:
+                sample_reading(nd.kind, False, c.vitals, rng)
+            for _ in range(k):
+                sample_reading(nd.kind, True, c.vitals, rng)
+        widest = max(widest, rng.used - before)
+    return log, rng.used, widest
+
+
+class TestEventStream:
+    """The engine serves the events stream from blocks and skips the
+    readings' uniforms; its traffic log must equal the call-by-call walk."""
+
+    # (lambda, placement, node_count, rounds_per_day, glucose_profile, rounds)
+    CASES = [
+        (0.0, "uniform", 19, 24, "diabetic", 700),
+        (0.1, "canonical", 3, 1, "nondiabetic", 2000),
+        (0.1, "uniform", 19, 24, "diabetic", 800),
+        (2.0, "uniform", 19, 24, "nondiabetic", 300),
+        (2.0, "canonical", 3, 1, "diabetic", 1200),
+        (300.0, "canonical", 19, 1, "diabetic", 6),
+        (300.0, "uniform", 3, 24, "nondiabetic", 20),
+    ]
+
+    @pytest.mark.parametrize("lam,placement,n,rpd,profile,rounds", CASES)
+    def test_traffic_log_matches_call_by_call_walk(self, lam, placement, n, rpd,
+                                                   profile, rounds):
+        from wbansim.engine import EVENT_BLOCK
+        from wbansim.events import SensingSchedule, default_schedule
+
+        base = SimConfig()
+        c = replace(base, rounds=rounds, seed=5, node_count=n, placement=placement,
+                    events=replace(base.events, lam=lam, rounds_per_day=rpd),
+                    schedule=SensingSchedule(default_schedule(rpd)),
+                    vitals=replace(base.vitals, glucose_profile=profile))
+        log, used, widest = _walk_events_stream(c)
+        assert used > 3 * EVENT_BLOCK  # the run crosses several blocks
+        if lam == 300.0 and n == 19:
+            assert widest > EVENT_BLOCK  # one round skips past a whole block
+        assert run_simulation(c, record_traffic=True).audit.traffic == log
+
+
 class TestValidateConfig:
     def test_default_is_valid(self):
         validate_config(SimConfig())

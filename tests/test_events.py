@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from wbansim.core import SensorKind
-from wbansim.events import (EventParams, SensingSchedule, VitalThresholds,
-                            default_schedule, is_critical, is_scheduled,
-                            poisson_cdf_table, poisson_pmf, sample_event_count,
-                            sample_reading)
+from wbansim.events import (LAMBDA_MAX, EventParams, SensingSchedule,
+                            VitalThresholds, default_schedule, is_critical,
+                            is_scheduled, poisson_cdf_table, poisson_pmf,
+                            reading_draws, sample_event_count, sample_reading)
 
 
 def rng(seed):
@@ -212,6 +212,19 @@ class TestSampleReading:
                 assert is_critical(SensorKind.GLUCOSE, v, t) == critical
 
 
+class TestReadingDraws:
+    @pytest.mark.parametrize("profile", ["diabetic", "nondiabetic"])
+    @pytest.mark.parametrize("critical", [False, True])
+    @pytest.mark.parametrize("kind", list(SensorKind))
+    def test_count_matches_sample_reading(self, kind, critical, profile):
+        t = VitalThresholds(glucose_profile=profile)
+        drawn, skipped = rng(13), rng(13)
+        sample_reading(kind, critical, t, drawn)
+        for _ in range(reading_draws(kind)):
+            skipped.random()
+        assert drawn.random() == skipped.random()
+
+
 class TestEventParams:
     def test_defaults(self):
         p = EventParams()
@@ -221,3 +234,14 @@ class TestEventParams:
 
     def test_negative_lambda_flagged(self):
         assert any("lambda" in v for v in EventParams(lam=-1).validate())
+
+    def test_lambda_bound(self):
+        assert EventParams(lam=LAMBDA_MAX).validate() == []
+        assert any("events.lambda" in v for v in EventParams(lam=LAMBDA_MAX * 1.01).validate())
+        assert any("events.lambda" in v for v in EventParams(lam=1e300).validate())
+
+    def test_table_at_lambda_bound_is_finite_and_small(self):
+        table = poisson_cdf_table(LAMBDA_MAX)
+        assert len(table) < 2000
+        assert np.all(np.isfinite(table))
+        assert table[-1] == pytest.approx(1.0)
