@@ -1,6 +1,6 @@
 """Round-based simulator for energy-aware multi-hop routing in WBANs."""
 
-from .channel import ChannelParams, LinkClass, frequency_factor, path_loss, reference_path_loss
+from .channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from .config import ConfigError, SimConfig, load_config, parse_config, render_config, validate_config
 from .core import (BodyPoint, PacketKind, SensorKind, SensorNode, Sink, build_topology,
                    distance)

@@ -5,16 +5,18 @@ Loss in dB at distance d from a transmitter is
     PL(d) = PL0 + 10 * n * log10(d / d0) + X_sigma
 
 where PL0 is the free-space loss at the reference distance d0 and n is the
-path-loss exponent of the link class (on-body line of sight, non line of
-sight, or free space). X_sigma is a zero-mean Gaussian shadowing term drawn
-by the caller, so this module holds no random state.
+path-loss exponent of the on-body link class: line of sight or non line of
+sight, as in the IEEE 802.15.6 on-body channel model. X_sigma is a
+zero-mean Gaussian shadowing term drawn by the caller, so this module holds
+no random state.
 
-PL0 is computed as 20*log10(4*pi*d0*f / c), the standard free-space form.
+PL0 is computed as 20*log10(4*pi*d0*f / c), the standard free-space form,
+so the carrier frequency enters the loss only through PL0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 SPEED_OF_LIGHT = 299792458.0
@@ -23,7 +25,6 @@ SPEED_OF_LIGHT = 299792458.0
 class LinkClass(Enum):
     LOS = "los"
     NLOS = "nlos"
-    FREE_SPACE = "free_space"
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,10 @@ class ChannelParams:
     d0: float = 0.1
     exponent_los: float = 3.5
     exponent_nlos: float = 6.0
-    exponent_free: float = 2.0
     sigma_db: float = 0.0
-    k_freq: float = 1.0
-    c: float = field(default=SPEED_OF_LIGHT)
 
     def exponent(self, link: LinkClass) -> float:
-        if link is LinkClass.LOS:
-            return self.exponent_los
-        if link is LinkClass.NLOS:
-            return self.exponent_nlos
-        return self.exponent_free
+        return self.exponent_los if link is LinkClass.LOS else self.exponent_nlos
 
     def validate(self) -> list[str]:
         problems = []
@@ -61,7 +55,7 @@ class ChannelParams:
 
 def reference_path_loss(p: ChannelParams) -> float:
     """Free-space loss at the reference distance, in dB."""
-    return 20.0 * math.log10(4.0 * math.pi * p.d0 * p.frequency / p.c)
+    return 20.0 * math.log10(4.0 * math.pi * p.d0 * p.frequency / SPEED_OF_LIGHT)
 
 
 def path_loss(p: ChannelParams, d: float, link: LinkClass = LinkClass.LOS,
@@ -76,13 +70,3 @@ def path_loss(p: ChannelParams, d: float, link: LinkClass = LinkClass.LOS,
     n = p.exponent(link)
     return reference_path_loss(p) + 10.0 * n * math.log10(d / p.d0) + shadow_sample
 
-
-def frequency_factor(p: ChannelParams, f: float, f_ref: float) -> float:
-    """Linear-scale loss ratio between carrier ``f`` and reference ``f_ref``.
-
-    The amplitude-domain loss scales with f**k, so power-domain loss scales
-    with the square: (f / f_ref) ** (2 * k).
-    """
-    if f <= 0 or f_ref <= 0:
-        raise ValueError("frequencies must be > 0")
-    return (f / f_ref) ** (2.0 * p.k_freq)

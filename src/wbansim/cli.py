@@ -94,7 +94,10 @@ def cmd_compare(args) -> int:
         print(f"no summary_*.json files in {in_dir}", file=sys.stderr)
         return EXIT_IO
     summaries = [read_summary_json(p) for p in paths]
-    report = compare_runs(summaries)
+    try:
+        report = compare_runs(summaries)
+    except ResultFileError as exc:
+        raise ResultFileError(f"{in_dir}: {exc}") from None
     write_comparison(report, in_dir)
     print(render_comparison(report), end="")
     return EXIT_OK

@@ -10,18 +10,23 @@ The config format is a flat-sectioned key=value document:
     x_d = 7e-6
 
 Sections: sim, energy, channel, events, vitals, schedule, amhrp, mattempt,
-simple. Unknown sections or keys are hard errors, every constraint violation
-is reported with its key path, and unspecified keys take the defaults below
-(19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost
-x_w is pinned to 100 * x_d: leaving it unset derives it, setting it to
-anything else is rejected unless unconstrained weights are explicitly
-allowed.
+simple. A section's scalar keys are the bool/int/float/str fields of its
+dataclass (``[sim]``: SimConfig's own; ``events.lambda`` is the field
+``lam``), declared nowhere else; ``channel.nlos_pairs``, the vital bands and
+the schedule periods have their own syntax. Unknown sections or keys are
+hard errors, every constraint violation is reported with its key path, and
+unspecified keys take the defaults below (19 nodes, 10000 rounds, 0.5 J,
+2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
+leaving it unset derives it, setting it to anything else is rejected unless
+unconstrained weights are explicitly allowed.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import io
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
 from .core import ALL_KINDS, SensorKind
@@ -122,13 +127,16 @@ def validate_config(cfg: SimConfig) -> None:
     problems += cfg.events.validate()
     problems += cfg.vitals.validate()
     # The engine never computes a reading, so a band sample_reading could not
-    # draw from is caught here, before round 0. Node i carries ALL_KINDS[i % 19].
+    # draw from is caught here, before round 0, as is a kind with no sensing
+    # period. Node i carries ALL_KINDS[i % 19].
     for kind in ALL_KINDS[:cfg.node_count]:
         if kind not in cfg.vitals.bands:
             problems.append(f"vitals.{kind.value}: no band configured")
         elif cfg.events.lam > 0 and not has_critical_region(kind, cfg.vitals):
             problems.append(f"vitals.{kind.value}: no out-of-band region to draw "
                             "event readings from (events.lambda > 0)")
+        if kind not in cfg.schedule.periods:
+            problems.append(f"schedule.{kind.value}: no sensing period configured")
     problems += cfg.schedule.validate()
     problems += cfg.amhrp.validate()
     problems += cfg.mattempt.validate()
@@ -144,39 +152,25 @@ def validate_config(cfg: SimConfig) -> None:
 # Parsing
 # ---------------------------------------------------------------------------
 
+_SECTIONS = ("sim", "energy", "channel", "events", "vitals", "schedule",
+             "amhrp", "mattempt", "simple")
 _KIND_BY_NAME = {k.value: k for k in SensorKind}
+_BP_KEYS = ("blood_pressure_systolic", "blood_pressure_diastolic")
+_INI_KEY = {"lam": "lambda"}  # field -> INI key where they differ ("lambda" is a keyword)
 
-_SIM_KEYS = {
-    "node_count": int,
-    "rounds": int,
-    "initial_energy": float,
-    "protocol": str,
-    "seed": int,
-    "placement": str,
-    "tx_range": float,
-    "stop_on_all_dead": bool,
-    "allow_unconstrained_weights": bool,
-    "out_dir": str,
-}
-_ENERGY_KEYS = {"x_s", "x_d", "x_w", "x_f", "x_c", "x_t"}
-_CHANNEL_KEYS = {
-    "frequency": float,
-    "d0": float,
-    "exponent_los": float,
-    "exponent_nlos": float,
-    "exponent_free": float,
-    "sigma_db": float,
-    "k_freq": float,
-    "nlos_pairs": str,
-}
-_EVENTS_KEYS = {"lambda": float, "rounds_per_day": int}
-_AMHRP_KEYS = {"control_period": int, "alpha_star": float,
-               "eq_windows": int, "eq_window_len": int}
-_MATTEMPT_KEYS = {"temp_threshold": float, "ambient": float, "delta_tx": float,
-                  "delta_rx": float, "cooling": float, "boost_multiplier": float,
-                  "hello_period": int}
-_SIMPLE_KEYS = {"control_period": int}
-_VITALS_EXTRA = {"glucose_profile", "glucose_low_critical"}
+
+def _section(cfg: SimConfig, name: str):
+    """The dataclass holding a section's scalar keys: ``[sim]`` is SimConfig's own."""
+    return cfg if name == "sim" else getattr(cfg, name)
+
+
+@functools.cache
+def _scalar_keys(cls: type) -> dict[str, tuple[str, type]]:
+    """INI key -> (field, type) for each bool, int, float or str field of a
+    section dataclass, in declaration order: exactly the section's scalar keys."""
+    hints = typing.get_type_hints(cls)
+    return {_INI_KEY.get(f.name, f.name): (f.name, hints[f.name])
+            for f in fields(cls) if hints[f.name] in (bool, int, float, str)}
 
 
 def _parse_bool(raw: str, path: str, problems: list[str]) -> bool:
@@ -201,6 +195,21 @@ def _parse_scalar(raw: str, typ, path: str, problems: list[str]):
         problems.append(f"{path}: expected {typ.__name__}, got {raw!r}")
         return 0
     return raw.strip()
+
+
+def _parse_scalars(name: str, cls: type, raw: dict[str, str],
+                   problems: list[str]) -> dict[str, object]:
+    """Field overrides from one section's keys; a key that names no scalar
+    field of ``cls`` is unknown."""
+    keys = _scalar_keys(cls)
+    over = {}
+    for key, text in raw.items():
+        if key not in keys:
+            problems.append(f"unknown key {name}.{key}")
+            continue
+        attr, typ = keys[key]
+        over[attr] = _parse_scalar(text, typ, f"{name}.{key}", problems)
+    return over
 
 
 def _parse_floats(raw: str, path: str, problems: list[str]) -> list[float]:
@@ -228,6 +237,47 @@ def _parse_band(raw: str, path: str, problems: list[str]) -> VitalBand | None:
     return None
 
 
+def _parse_bands(raw: dict[str, str], problems: list[str]) -> dict:
+    """The default bands overridden by the ``[vitals]`` keys named after a
+    sensor kind or a blood-pressure component; those keys leave ``raw``."""
+    bands = default_bands()
+    for key in [k for k in raw if k in _KIND_BY_NAME or k in _BP_KEYS]:
+        text, path = raw.pop(key), f"vitals.{key}"
+        if key in _BP_KEYS:
+            vals = _parse_floats(text, path, problems)
+            if len(vals) != 5:
+                problems.append(f"{path}: expected 'lower, upper, env_low, env_high, high'")
+                continue
+            bp = bands[SensorKind.BLOOD_PRESSURE]
+            comp = VitalBand(vals[0], vals[1], vals[2], vals[3])
+            if key.endswith("systolic"):
+                bp = PressureBand(comp, bp.diastolic, vals[4], bp.diastolic_high)
+            else:
+                bp = PressureBand(bp.systolic, comp, bp.systolic_high, vals[4])
+            bands[SensorKind.BLOOD_PRESSURE] = bp
+        elif _KIND_BY_NAME[key] is SensorKind.BLOOD_PRESSURE:
+            problems.append(f"{path}: use blood_pressure_systolic/_diastolic")
+        else:
+            band = _parse_band(text, path, problems)
+            if band is not None:
+                bands[_KIND_BY_NAME[key]] = band
+    return bands
+
+
+def _parse_pairs(raw: str, problems: list[str]) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for tok in raw.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        parts = tok.split("-")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except (ValueError, IndexError):
+            problems.append(f"channel.nlos_pairs: expected 'i-j' pairs, got {tok!r}")
+    return tuple(pairs)
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse a configuration document; unspecified keys take the defaults.
 
@@ -242,140 +292,35 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError([f"parse error: {exc}"]) from exc
 
     problems: list[str] = []
-    known = {"sim", "energy", "channel", "events", "vitals", "schedule",
-             "amhrp", "mattempt", "simple"}
     for section in cp.sections():
-        if section not in known:
+        if section not in _SECTIONS:
             problems.append(f"unknown section [{section}]")
     if cp.defaults():
         for key in cp.defaults():
             problems.append(f"key {key!r} outside any section")
 
     cfg = SimConfig()
+    raw = {name: dict(cp[name]) if cp.has_section(name) else {} for name in _SECTIONS}
+    # Keys that are not scalar fields, each with its own syntax.
+    nlos_pairs = _parse_pairs(raw["channel"].pop("nlos_pairs", ""), problems)
+    bands = _parse_bands(raw["vitals"], problems)
+    schedule = raw.pop("schedule")
+    over = {name: _parse_scalars(name, type(_section(cfg, name)), keys, problems)
+            for name, keys in raw.items()}
+    energy = over["energy"]
+    if "x_d" in energy and "x_w" not in energy:
+        energy["x_w"] = 100.0 * energy["x_d"]
+    over["vitals"]["bands"] = bands
+    cfg = replace(cfg, **over.pop("sim"), nlos_pairs=nlos_pairs)
+    cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
 
-    def section(name: str) -> dict[str, str]:
-        return dict(cp[name]) if cp.has_section(name) else {}
-
-    # [sim]
-    sim_over = {}
-    for key, raw in section("sim").items():
-        if key not in _SIM_KEYS:
-            problems.append(f"unknown key sim.{key}")
+    periods = default_schedule(cfg.events.rounds_per_day)
+    for key, text in schedule.items():
+        if key not in _KIND_BY_NAME:
+            problems.append(f"unknown key schedule.{key}")
             continue
-        sim_over[key] = _parse_scalar(raw, _SIM_KEYS[key], f"sim.{key}", problems)
-    cfg = replace(cfg, **sim_over)
-
-    # [energy] (x_w derived from x_d when omitted)
-    energy_raw = {}
-    for key, raw in section("energy").items():
-        if key not in _ENERGY_KEYS:
-            problems.append(f"unknown key energy.{key}")
-            continue
-        energy_raw[key] = _parse_scalar(raw, float, f"energy.{key}", problems)
-    if energy_raw:
-        base = default_energy_weights()
-        merged = {k: energy_raw.get(k, getattr(base, k)) for k in _ENERGY_KEYS}
-        if "x_w" not in energy_raw and "x_d" in energy_raw:
-            merged["x_w"] = 100.0 * merged["x_d"]
-        cfg = replace(cfg, energy=EnergyWeights(**merged))
-
-    # [channel]
-    chan_over = {}
-    nlos_pairs: list[tuple[int, int]] = []
-    for key, raw in section("channel").items():
-        if key not in _CHANNEL_KEYS:
-            problems.append(f"unknown key channel.{key}")
-            continue
-        if key == "nlos_pairs":
-            for tok in raw.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                parts = tok.split("-")
-                try:
-                    a, b = int(parts[0]), int(parts[1])
-                    nlos_pairs.append((a, b))
-                except (ValueError, IndexError):
-                    problems.append(f"channel.nlos_pairs: expected 'i-j' pairs, got {tok!r}")
-        else:
-            chan_over[key] = _parse_scalar(raw, _CHANNEL_KEYS[key], f"channel.{key}", problems)
-    if chan_over:
-        cfg = replace(cfg, channel=ChannelParams(**chan_over))
-    if nlos_pairs:
-        cfg = replace(cfg, nlos_pairs=tuple(nlos_pairs))
-
-    # [events]
-    ev_over = {}
-    for key, raw in section("events").items():
-        if key not in _EVENTS_KEYS:
-            problems.append(f"unknown key events.{key}")
-            continue
-        attr = "lam" if key == "lambda" else key
-        ev_over[attr] = _parse_scalar(raw, _EVENTS_KEYS[key], f"events.{key}", problems)
-    if ev_over:
-        cfg = replace(cfg, events=EventParams(**ev_over))
-
-    # [vitals]
-    bands = default_bands()
-    vit_extra = {}
-    for key, raw in section("vitals").items():
-        path = f"vitals.{key}"
-        if key == "glucose_profile":
-            vit_extra["glucose_profile"] = raw.strip()
-        elif key == "glucose_low_critical":
-            vit_extra["glucose_low_critical"] = _parse_scalar(raw, float, path, problems)
-        elif key in ("blood_pressure_systolic", "blood_pressure_diastolic"):
-            vals = _parse_floats(raw, path, problems)
-            if len(vals) != 5:
-                problems.append(f"{path}: expected 'lower, upper, env_low, env_high, high'")
-                continue
-            bp = bands[SensorKind.BLOOD_PRESSURE]
-            comp = VitalBand(vals[0], vals[1], vals[2], vals[3])
-            if key.endswith("systolic"):
-                bp = PressureBand(comp, bp.diastolic, vals[4], bp.diastolic_high)
-            else:
-                bp = PressureBand(bp.systolic, comp, bp.systolic_high, vals[4])
-            bands[SensorKind.BLOOD_PRESSURE] = bp
-        elif key in _KIND_BY_NAME:
-            kind = _KIND_BY_NAME[key]
-            if kind is SensorKind.BLOOD_PRESSURE:
-                problems.append(f"{path}: use blood_pressure_systolic/_diastolic")
-                continue
-            band = _parse_band(raw, path, problems)
-            if band is not None:
-                bands[kind] = band
-        else:
-            problems.append(f"unknown key {path}")
-    if cp.has_section("vitals"):
-        cfg = replace(cfg, vitals=VitalThresholds(bands=bands, **vit_extra))
-
-    # [schedule]
-    if cp.has_section("schedule"):
-        rpd = cfg.events.rounds_per_day
-        periods = default_schedule(rpd)
-        for key, raw in section("schedule").items():
-            if key not in _KIND_BY_NAME:
-                problems.append(f"unknown key schedule.{key}")
-                continue
-            periods[_KIND_BY_NAME[key]] = _parse_scalar(raw, int, f"schedule.{key}", problems)
-        cfg = replace(cfg, schedule=SensingSchedule(periods=periods))
-    elif cfg.events.rounds_per_day != 24:
-        cfg = replace(cfg, schedule=SensingSchedule(default_schedule(cfg.events.rounds_per_day)))
-
-    # protocol sections
-    for name, keys, cls, attr in (
-        ("amhrp", _AMHRP_KEYS, AmhrpParams, "amhrp"),
-        ("mattempt", _MATTEMPT_KEYS, MattemptParams, "mattempt"),
-        ("simple", _SIMPLE_KEYS, SimpleParams, "simple"),
-    ):
-        over = {}
-        for key, raw in section(name).items():
-            if key not in keys:
-                problems.append(f"unknown key {name}.{key}")
-                continue
-            over[key] = _parse_scalar(raw, keys[key], f"{name}.{key}", problems)
-        if over:
-            cfg = replace(cfg, **{attr: cls(**over)})
+        periods[_KIND_BY_NAME[key]] = _parse_scalar(text, int, f"schedule.{key}", problems)
+    cfg = replace(cfg, schedule=SensingSchedule(periods=periods))
 
     if problems:
         raise ConfigError(problems)
@@ -392,71 +337,45 @@ def load_config(path: str) -> SimConfig:
 # Rendering (inverse of parse_config for valid configs)
 # ---------------------------------------------------------------------------
 
+def _band_pairs(bands: dict) -> list[tuple[str, str]]:
+    pairs = []
+    for kind in SensorKind:
+        band = bands[kind]
+        if kind is SensorKind.BLOOD_PRESSURE:
+            s, d = band.systolic, band.diastolic
+            pairs.append(("blood_pressure_systolic",
+                          f"{s.lower!r}, {s.upper!r}, {s.env_low!r}, {s.env_high!r}, "
+                          f"{band.systolic_high!r}"))
+            pairs.append(("blood_pressure_diastolic",
+                          f"{d.lower!r}, {d.upper!r}, {d.env_low!r}, {d.env_high!r}, "
+                          f"{band.diastolic_high!r}"))
+        else:
+            spec = f"{band.lower!r}, {band.upper!r}, {band.env_low!r}, {band.env_high!r}"
+            if band.hard is not None:
+                spec += f", {band.hard!r}"
+            pairs.append((kind.value, spec))
+    return pairs
+
+
 def render_config(cfg: SimConfig) -> str:
     """Serialize a config so that ``parse_config(render_config(cfg)) == cfg``."""
-    out = io.StringIO()
+    sections = {}
+    for name in _SECTIONS:
+        obj = _section(cfg, name)
+        sections[name] = [(key, getattr(obj, attr))
+                          for key, (attr, _) in _scalar_keys(type(obj)).items()]
+    if cfg.nlos_pairs:
+        sections["channel"].append(
+            ("nlos_pairs", ", ".join(f"{a}-{b}" for a, b in cfg.nlos_pairs)))
+    sections["vitals"][:0] = _band_pairs(cfg.vitals.bands)
+    sections["schedule"] = [(k.value, cfg.schedule.periods[k]) for k in SensorKind]
 
-    def sec(name: str, pairs: list[tuple[str, object]]) -> None:
+    out = io.StringIO()
+    for name, pairs in sections.items():
         out.write(f"[{name}]\n")
         for key, val in pairs:
             if isinstance(val, bool):
                 val = "true" if val else "false"
             out.write(f"{key} = {val}\n")
         out.write("\n")
-
-    sec("sim", [
-        ("node_count", cfg.node_count), ("rounds", cfg.rounds),
-        ("initial_energy", repr(cfg.initial_energy)), ("protocol", cfg.protocol),
-        ("seed", cfg.seed), ("placement", cfg.placement),
-        ("tx_range", repr(cfg.tx_range)),
-        ("stop_on_all_dead", cfg.stop_on_all_dead),
-        ("allow_unconstrained_weights", cfg.allow_unconstrained_weights),
-        ("out_dir", cfg.out_dir),
-    ])
-    w = cfg.energy
-    sec("energy", [(k, repr(getattr(w, k))) for k in ("x_s", "x_d", "x_w", "x_f", "x_c", "x_t")])
-    ch = cfg.channel
-    chan_pairs = [
-        ("frequency", repr(ch.frequency)), ("d0", repr(ch.d0)),
-        ("exponent_los", repr(ch.exponent_los)), ("exponent_nlos", repr(ch.exponent_nlos)),
-        ("exponent_free", repr(ch.exponent_free)), ("sigma_db", repr(ch.sigma_db)),
-        ("k_freq", repr(ch.k_freq)),
-    ]
-    if cfg.nlos_pairs:
-        chan_pairs.append(("nlos_pairs", ", ".join(f"{a}-{b}" for a, b in cfg.nlos_pairs)))
-    sec("channel", chan_pairs)
-    sec("events", [("lambda", repr(cfg.events.lam)),
-                   ("rounds_per_day", cfg.events.rounds_per_day)])
-
-    vit_pairs: list[tuple[str, object]] = []
-    for kind in SensorKind:
-        band = cfg.vitals.bands[kind]
-        if kind is SensorKind.BLOOD_PRESSURE:
-            s, d = band.systolic, band.diastolic
-            vit_pairs.append(("blood_pressure_systolic",
-                              f"{s.lower!r}, {s.upper!r}, {s.env_low!r}, {s.env_high!r}, "
-                              f"{band.systolic_high!r}"))
-            vit_pairs.append(("blood_pressure_diastolic",
-                              f"{d.lower!r}, {d.upper!r}, {d.env_low!r}, {d.env_high!r}, "
-                              f"{band.diastolic_high!r}"))
-        else:
-            spec = f"{band.lower!r}, {band.upper!r}, {band.env_low!r}, {band.env_high!r}"
-            if band.hard is not None:
-                spec += f", {band.hard!r}"
-            vit_pairs.append((kind.value, spec))
-    vit_pairs.append(("glucose_profile", cfg.vitals.glucose_profile))
-    vit_pairs.append(("glucose_low_critical", repr(cfg.vitals.glucose_low_critical)))
-    sec("vitals", vit_pairs)
-
-    sec("schedule", [(k.value, cfg.schedule.periods[k]) for k in SensorKind])
-    a = cfg.amhrp
-    sec("amhrp", [("control_period", a.control_period), ("alpha_star", repr(a.alpha_star)),
-                  ("eq_windows", a.eq_windows), ("eq_window_len", a.eq_window_len)])
-    m = cfg.mattempt
-    sec("mattempt", [("temp_threshold", repr(m.temp_threshold)), ("ambient", repr(m.ambient)),
-                     ("delta_tx", repr(m.delta_tx)), ("delta_rx", repr(m.delta_rx)),
-                     ("cooling", repr(m.cooling)),
-                     ("boost_multiplier", repr(m.boost_multiplier)),
-                     ("hello_period", m.hello_period)])
-    sec("simple", [("control_period", cfg.simple.control_period)])
     return out.getvalue()

@@ -115,8 +115,7 @@ def throughput(received: int, sent: int) -> float:
     return 100.0 * received / sent
 
 
-def summarize_run(metrics: list[RoundMetrics], config: SimConfig,
-                  protocol: str | None = None, seed: int | None = None) -> RunSummary:
+def summarize_run(metrics: list[RoundMetrics], config: SimConfig) -> RunSummary:
     n = config.node_count
     sentinel = config.rounds
     stability = sentinel
@@ -134,8 +133,8 @@ def summarize_run(metrics: list[RoundMetrics], config: SimConfig,
     pct = throughput(received, sent) if sent > 0 else None
     final_residual = metrics[-1].total_residual if metrics else n * config.initial_energy
     return RunSummary(
-        protocol=protocol if protocol is not None else config.protocol,
-        seed=seed if seed is not None else config.seed,
+        protocol=config.protocol,
+        seed=config.seed,
         stability_period=stability,
         network_lifetime=lifetime,
         throughput_pct=pct,
@@ -481,8 +480,7 @@ class _Amhrp(_Scheme):
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
         sim = self.sim
-        return amhrp_select_forwarder(holder, sim.neighbors[holder.id], sim.sink, kind,
-                                      sim.d_sink)
+        return amhrp_select_forwarder(holder, sim.neighbors[holder.id], sim.d_sink, kind)
 
 
 class _Mattempt(_Scheme):
@@ -512,7 +510,7 @@ class _Mattempt(_Scheme):
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
         sim = self.sim
         return mattempt_next_hop(holder, kind, self.state, sim.neighbors[holder.id],
-                                 sim.sink, sim.d_sink)
+                                 sim.d_sink)
 
     def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
                   is_origin: bool) -> bool:
@@ -550,7 +548,7 @@ class _Simple(_Scheme):
         sim = self.sim
         if rnd % sim.cfg.simple.control_period == 0:
             sim._control_exchange()
-        self.forwarder = simple_select_forwarder(sim.nodes, sim.sink, sim.d_sink)
+        self.forwarder = simple_select_forwarder(sim.nodes, sim.d_sink)
         self.parked = 0
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:

@@ -125,6 +125,12 @@ class PressureBand:
             problems.append(f"{path}: systolic high cutoff must exceed the normal band")
         if self.diastolic_high <= self.diastolic.upper:
             problems.append(f"{path}: diastolic high cutoff must exceed the normal band")
+        # Critical readings are drawn between each high cutoff and its
+        # envelope top, so the envelope must reach the cutoff.
+        if self.systolic.env_high < self.systolic_high:
+            problems.append(f"{path}: systolic envelope must reach the high cutoff")
+        if self.diastolic.env_high < self.diastolic_high:
+            problems.append(f"{path}: diastolic envelope must reach the high cutoff")
         return problems
 
 

@@ -19,7 +19,8 @@ _CSV_FIELDS = CSV_HEADER.count(",") + 1
 
 
 class ResultFileError(ValueError):
-    """A results file that exists but does not hold what its name says."""
+    """A results file that exists but does not hold what its name says, or
+    a set of result files that cannot be compared."""
 
 
 def _fmt(value: float) -> str:
@@ -206,16 +207,17 @@ def compare_runs(summaries: list[RunSummary]) -> ComparisonReport:
     """Median-over-seeds per protocol plus pairwise improvement ratios.
 
     Only seeds shared by every protocol enter the medians, so the ratios
-    compare like with like; it is an error when no seed is common.
+    compare like with like. Fewer than two protocols, or no seed common to
+    all of them, is a ``ResultFileError``.
     """
     by_protocol: dict[str, dict[int, RunSummary]] = {}
     for s in summaries:
         by_protocol.setdefault(s.protocol, {})[s.seed] = s
     if len(by_protocol) < 2:
-        raise ValueError("comparison needs at least two protocols")
+        raise ResultFileError("comparison needs at least two protocols")
     shared = set.intersection(*(set(v) for v in by_protocol.values()))
     if not shared:
-        raise ValueError("no seed is shared by all protocols")
+        raise ResultFileError("no seed is shared by all protocols")
     seeds = tuple(sorted(shared))
 
     medians = []

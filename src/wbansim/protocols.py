@@ -44,29 +44,24 @@ class RoutingDecision:
 # AMHRP
 # ---------------------------------------------------------------------------
 
-def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode], sink: Sink,
-                           packet_kind: PacketKind = PacketKind.NORMAL,
-                           d_sink: dict[int, float] | None = None) -> RoutingDecision:
+def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
+                           d_sink: dict[int, float],
+                           packet_kind: PacketKind = PacketKind.NORMAL) -> RoutingDecision:
     """Pick the next hop for a packet held by ``node``.
 
-    ``neighbors`` must be the alive nodes within ``node.tx_range``. The
-    optional ``d_sink`` map provides precomputed node-to-sink distances.
+    ``neighbors`` must be the alive nodes within ``node.tx_range``;
+    ``d_sink`` maps node ids to their distance from the sink.
     """
-    def to_sink(n: SensorNode) -> float:
-        if d_sink is not None:
-            return d_sink[n.id]
-        return distance(n.position, sink.position)
-
-    if to_sink(node) <= node.tx_range:
+    own = d_sink[node.id]
+    if own <= node.tx_range:
         return RoutingDecision(RouteAction.SEND_TO_SINK)
 
-    own = to_sink(node)
     best = None
     best_key = None
     for nb in neighbors:
         if not nb.alive or nb.id == node.id:
             continue
-        d = to_sink(nb)
+        d = d_sink[nb.id]
         if d >= own:
             continue
         key = (-nb.residual_energy, d, nb.id)
@@ -149,11 +144,10 @@ class MattemptParams:
 @dataclass
 class MattemptState:
     hop_counts: dict[int, float]  # node id -> hops to sink, math.inf if unreachable
-    params: MattemptParams
 
 
 def mattempt_build_hopcounts(nodes: list[SensorNode], sink: Sink, tx_range: float,
-                             params: MattemptParams | None = None,
+                             params: MattemptParams,
                              adjacency: dict[int, list[int]] | None = None,
                              sink_reach: list[int] | None = None) -> MattemptState:
     """Breadth-first hop counts from the sink over the in-range adjacency.
@@ -167,7 +161,6 @@ def mattempt_build_hopcounts(nodes: list[SensorNode], sink: Sink, tx_range: floa
     ids within tx_range) and ``sink_reach`` (ids within tx_range of the sink)
     to skip recomputing pairwise distances.
     """
-    params = params or MattemptParams()
     by_id = {n.id: n for n in nodes}
     if adjacency is None:
         adjacency = {
@@ -198,19 +191,15 @@ def mattempt_build_hopcounts(nodes: list[SensorNode], sink: Sink, tx_range: floa
                     nxt.append(j)
         frontier = nxt
         level += 1
-    return MattemptState(hop_counts=hops, params=params)
+    return MattemptState(hop_counts=hops)
 
 
 def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: MattemptState,
-                      neighbors: list[SensorNode], sink: Sink,
-                      d_sink: dict[int, float] | None = None) -> RoutingDecision:
+                      neighbors: list[SensorNode],
+                      d_sink: dict[int, float]) -> RoutingDecision:
     """Critical traffic goes straight to the sink with a boosted transmission;
-    normal traffic descends the hop-count gradient."""
-    def to_sink(n: SensorNode) -> float:
-        if d_sink is not None:
-            return d_sink[n.id]
-        return distance(n.position, sink.position)
-
+    normal traffic descends the hop-count gradient, ties going to the
+    neighbour nearer the sink (``d_sink``: node id -> distance)."""
     if packet_kind is PacketKind.CRITICAL:
         return RoutingDecision(RouteAction.SEND_TO_SINK, boosted=True)
 
@@ -225,7 +214,7 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
         h = state.hop_counts.get(nb.id, math.inf)
         if h >= own:
             continue
-        key = (h, to_sink(nb), nb.id)
+        key = (h, d_sink[nb.id], nb.id)
         if best_key is None or key < best_key:
             best, best_key = nb, key
     if best is not None:
@@ -257,11 +246,12 @@ class SimpleParams:
         return []
 
 
-def simple_select_forwarder(nodes: list[SensorNode], sink: Sink,
-                            d_sink: dict[int, float] | None = None) -> int | None:
-    """Elect the round's common forwarder: argmin of distance-to-sink over
-    residual energy among alive non-ECG nodes (the ECG node always transmits
-    directly). Returns None when no node is eligible."""
+def simple_select_forwarder(nodes: list[SensorNode],
+                            d_sink: dict[int, float]) -> int | None:
+    """Elect the round's common forwarder: argmin of distance-to-sink
+    (``d_sink``: node id -> distance) over residual energy among alive
+    non-ECG nodes (the ECG node always transmits directly). Returns None
+    when no node is eligible."""
     best = None
     best_key = None
     for n in nodes:
@@ -269,8 +259,7 @@ def simple_select_forwarder(nodes: list[SensorNode], sink: Sink,
             continue
         if n.residual_energy <= 0:
             continue
-        d = d_sink[n.id] if d_sink is not None else distance(n.position, sink.position)
-        key = (d / n.residual_energy, n.id)
+        key = (d_sink[n.id] / n.residual_energy, n.id)
         if best_key is None or key < best_key:
             best, best_key = n, key
     return best.id if best is not None else None

@@ -16,7 +16,7 @@ import pytest
 from wbansim.channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from wbansim.cli import main as cli_main
 from wbansim.config import ConfigError, SimConfig, parse_config
-from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology
+from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology, distance
 from wbansim.energy import ActionCounts, EnergyWeights, round_cost
 from wbansim.engine import SINK_ID, assign_tdma, run_simulation
 from wbansim.events import poisson_pmf, sample_event_count
@@ -107,7 +107,7 @@ class TestPathLossClosedForm:
         report("path loss at d0 equals PL0 within 1e-12 dB",
                abs(at_d0 - pl0) <= 1e-12)
 
-        at_decade = path_loss(p, 10 * p.d0, LinkClass.FREE_SPACE)
+        at_decade = path_loss(replace(p, exponent_los=2.0), 10 * p.d0, LinkClass.LOS)
         report("path loss at 10*d0 with n=2 equals PL0 + 20 dB within 1e-9",
                abs(at_decade - (pl0 + 20.0)) <= 1e-9)
 
@@ -181,11 +181,12 @@ class TestRoutingInvariants:
                                     position=BodyPoint(*xy),
                                     residual_energy=float(e) + 0.01, tx_range=0.6)
                          for i, (xy, e) in enumerate(zip(coords[1:], g.random(6)))]
-            before = amhrp_select_forwarder(src, neighbors, sink)
+            d_sink = {n.id: distance(n.position, sink.position) for n in [src, *neighbors]}
+            before = amhrp_select_forwarder(src, neighbors, d_sink)
             scale = float(g.random()) * 9.9 + 0.1
             for m in neighbors:
                 m.residual_energy *= scale
-            after = amhrp_select_forwarder(src, neighbors, sink)
+            after = amhrp_select_forwarder(src, neighbors, d_sink)
             invariant &= (before.action, before.target) == (after.action, after.target)
         report("AMHRP forwarder choice invariant under uniform residual scaling "
                "(1000 cases)", invariant)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wbansim.channel import (SPEED_OF_LIGHT, ChannelParams, LinkClass,
-                             frequency_factor, path_loss, reference_path_loss)
+from wbansim.channel import (SPEED_OF_LIGHT, ChannelParams, LinkClass, path_loss,
+                             reference_path_loss)
 
 
 class TestReferencePathLoss:
@@ -33,8 +34,8 @@ class TestPathLoss:
     def test_decade_with_exponent_two(self):
         p = ChannelParams()
         expected = reference_path_loss(p) + 20.0
-        assert path_loss(p, 10 * p.d0, LinkClass.FREE_SPACE) == pytest.approx(
-            expected, abs=1e-9)
+        assert path_loss(replace(p, exponent_los=2.0), 10 * p.d0,
+                         LinkClass.LOS) == pytest.approx(expected, abs=1e-9)
 
     def test_doubling_with_nlos_74(self):
         # 10 * 7.4 * log10(2) = 22.276 dB above the reference loss
@@ -66,26 +67,6 @@ class TestPathLoss:
             path_loss(ChannelParams(), 0.0)
         with pytest.raises(ValueError):
             path_loss(ChannelParams(), -0.2)
-
-
-class TestFrequencyFactor:
-    def test_reference_is_unity(self):
-        assert frequency_factor(ChannelParams(), 2.4e9, 2.4e9) == 1.0
-
-    def test_doubling_squares_the_ratio(self):
-        # k = 1: power-domain factor is (f/f_ref)^2 = 4, about +6.02 dB
-        got = frequency_factor(ChannelParams(k_freq=1.0), 4.8e9, 2.4e9)
-        assert got == pytest.approx(4.0, abs=1e-12)
-        assert 10 * math.log10(got) == pytest.approx(6.0206, abs=1e-3)
-
-    def test_zero_k_is_flat(self):
-        p = ChannelParams(k_freq=0.0)
-        for f in (1e9, 2.4e9, 6e9):
-            assert frequency_factor(p, f, 2.4e9) == 1.0
-
-    def test_invalid_frequencies(self):
-        with pytest.raises(ValueError):
-            frequency_factor(ChannelParams(), 0.0, 2.4e9)
 
 
 class TestValidation:

@@ -75,6 +75,20 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         assert (out / "metrics_amhrp_seed1.csv").exists()
 
+    @pytest.mark.parametrize("text, path", [
+        ("[vitals]\nblood_pressure_systolic = 90, 120, 70, 130, 140\n"
+         "blood_pressure_diastolic = 60, 80, 40, 85, 90\n", "vitals.blood_pressure"),
+        ("[channel]\nexponent_free = 2.0\n", "unknown key channel.exponent_free"),
+        ("[channel]\nk_freq = 1.0\n", "unknown key channel.k_freq"),
+    ], ids=["bp_envelope_below_cutoff", "exponent_free", "k_freq"])
+    def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[sim]\nrounds = 5\n" + text)
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o"))
@@ -155,6 +169,18 @@ class TestSweepCompareAndPlots:
 
     def test_compare_on_empty_dir_exits_2(self, tmp_path):
         assert main(["compare", "--in", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("names", [
+        ("summary_amhrp_seed1.json", "summary_amhrp_seed2.json"),
+        ("summary_amhrp_seed1.json", "summary_simple_seed2.json"),
+    ], ids=["one_protocol", "no_shared_seed"])
+    def test_compare_on_incomparable_dir_exits_2(self, names, sweep_dir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in names:
+            shutil.copy(sweep_dir / name, runs / name)
+        assert main(["compare", "--in", str(runs)]) == 2
+        assert str(runs) in capsys.readouterr().err
 
     def test_out_dir_falls_back_to_config(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -1,10 +1,15 @@
-from dataclasses import replace
+import configparser
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wbansim.config import (ConfigError, SimConfig, parse_config, render_config,
-                            validate_config)
+from wbansim.channel import ChannelParams
+from wbansim.config import (PLACEMENTS, PROTOCOLS, ConfigError, SimConfig, parse_config,
+                            render_config, validate_config)
 from wbansim.core import SensorKind
+from wbansim.events import LAMBDA_MAX, SensingSchedule
 
 
 class TestDefaults:
@@ -124,6 +129,26 @@ class TestSections:
             validate_config(replace(cfg, vitals=replace(cfg.vitals, bands=bands)))
         assert "vitals.tilt: no band configured" in exc.value.violations
 
+    def test_missing_sensing_period_of_a_carried_kind_rejected(self):
+        cfg = replace(SimConfig(), schedule=SensingSchedule(periods={}))
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert "schedule.ecg: no sensing period configured" in exc.value.violations
+
+    # Envelope tops (140 and 90) that equal the defaults' high cutoffs are
+    # valid; 130 and 85 leave no room above the cutoffs for a critical reading.
+    LOW_BP_ENVELOPE = ("[vitals]\nblood_pressure_systolic = 90, 120, 70, 130, 140\n"
+                       "blood_pressure_diastolic = 60, 80, 40, 85, 90\n")
+
+    def test_blood_pressure_envelope_below_high_cutoff_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(self.LOW_BP_ENVELOPE)
+        joined = "\n".join(exc.value.violations)
+        assert "vitals.blood_pressure: systolic envelope" in joined
+        assert "vitals.blood_pressure: diastolic envelope" in joined
+        parse_config("[vitals]\nblood_pressure_systolic = 90, 120, 70, 140, 140\n"
+                     "blood_pressure_diastolic = 60, 80, 40, 90, 90\n")
+
     def test_vitals_blood_pressure_components(self):
         cfg = parse_config("[vitals]\nblood_pressure_systolic = 85, 125, 60, 230, 150\n")
         bp = cfg.vitals.bands[SensorKind.BLOOD_PRESSURE]
@@ -139,6 +164,12 @@ class TestSections:
         cfg = parse_config("[amhrp]\ncontrol_period = 5\n[mattempt]\nboost_multiplier = 3\n")
         assert cfg.amhrp.control_period == 5
         assert cfg.mattempt.boost_multiplier == 3.0
+
+    @pytest.mark.parametrize("key", ["exponent_free", "k_freq"])
+    def test_removed_channel_keys_rejected(self, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[channel]\n{key} = 2.0\n")
+        assert exc.value.violations == [f"unknown key channel.{key}"]
 
     def test_inline_comments_stripped(self):
         cfg = parse_config("[sim]\nrounds = 100  # short run\n")
@@ -161,4 +192,113 @@ class TestRoundTrip:
             "[mattempt]\nboost_multiplier = 2.5\n"
         )
         cfg = parse_config(text)
+        assert parse_config(render_config(cfg)) == cfg
+
+
+def _finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+# Every scalar field of each section (its INI key, except events.lam) with
+# values drawn from its validated range.
+SCALAR_FIELDS = {
+    "sim": {
+        "node_count": st.integers(1, 19),
+        "rounds": st.integers(0, 10**6),
+        "initial_energy": _finite(1e-6, 100.0),
+        "protocol": st.sampled_from(PROTOCOLS),
+        "seed": st.integers(0, 2**64),
+        "placement": st.sampled_from(PLACEMENTS),
+        "tx_range": _finite(1e-3, 5.0),
+        "stop_on_all_dead": st.booleans(),
+        "allow_unconstrained_weights": st.booleans(),
+        "out_dir": st.text("abcXYZ019_-./", min_size=1, max_size=20),
+    },
+    "energy": {name: _finite(0.0, 1.0) for name in ("x_s", "x_d", "x_f", "x_c", "x_t")}
+    | {"x_w": _finite(0.0, 100.0)},
+    "channel": {
+        "frequency": _finite(1e6, 1e11),
+        "d0": _finite(1e-3, 1.0),
+        "exponent_los": _finite(2.0, 4.0),
+        "exponent_nlos": _finite(5.0, 7.4),
+        "sigma_db": _finite(0.0, 8.0),
+    },
+    "events": {"lam": _finite(0.0, LAMBDA_MAX), "rounds_per_day": st.integers(1, 48)},
+    "vitals": {
+        "glucose_profile": st.sampled_from(["diabetic", "nondiabetic"]),
+        "glucose_low_critical": _finite(0.0, 110.0),
+    },
+    "amhrp": {
+        "control_period": st.integers(1, 1000),
+        "alpha_star": _finite(-10.0, 10.0),
+        "eq_windows": st.integers(1, 64),
+        "eq_window_len": st.integers(1, 1000),
+    },
+    "mattempt": {
+        "temp_threshold": _finite(30.0, 45.0),
+        "ambient": _finite(30.0, 45.0),
+        "delta_tx": _finite(0.0, 1.0),
+        "delta_rx": _finite(0.0, 1.0),
+        "cooling": _finite(0.0, 1.0, exclude_max=True),
+        "boost_multiplier": _finite(1.0, 10.0),
+        "hello_period": st.integers(1, 100),
+    },
+    "simple": {"control_period": st.integers(1, 100)},
+}
+
+
+def _scalar_fields(obj) -> set[str]:
+    return {f.name for f in fields(obj)
+            if type(getattr(obj, f.name)) in (bool, int, float, str)}
+
+
+@st.composite
+def valid_configs(draw):
+    over = {name: {f: draw(s) for f, s in strategies.items()}
+            for name, strategies in SCALAR_FIELDS.items()}
+    energy = over["energy"]
+    x_f, x_c, x_d = sorted((energy["x_f"], energy["x_c"], energy["x_d"]))
+    assume(x_f < x_c < x_d)
+    energy.update(x_f=x_f, x_c=x_c, x_d=x_d)
+    if not over["sim"]["allow_unconstrained_weights"]:
+        energy["x_w"] = 100.0 * x_d
+    n = over["sim"]["node_count"]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, max(1, n - 1))).map(
+        lambda t: (t[0], (t[0] + t[1]) % n))
+    nlos_pairs = tuple(draw(st.lists(pair, max_size=0 if n == 1 else 6)))
+    periods = draw(st.fixed_dictionaries({k: st.integers(1, 10**4) for k in SensorKind}))
+    cfg = replace(SimConfig(), **over.pop("sim"), nlos_pairs=nlos_pairs,
+                  schedule=SensingSchedule(periods))
+    cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
+    validate_config(cfg)
+    return cfg
+
+
+class TestDeclaredKeys:
+    def test_section_keys_are_the_scalar_fields(self):
+        cfg = replace(SimConfig(), nlos_pairs=((0, 1),))
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(render_config(cfg))
+        kinds = {k.value for k in SensorKind}
+        bands = kinds - {"blood_pressure"} | {"blood_pressure_systolic",
+                                              "blood_pressure_diastolic"}
+        for name in SCALAR_FIELDS:
+            obj = cfg if name == "sim" else getattr(cfg, name)
+            declared = {"lambda" if f == "lam" else f for f in _scalar_fields(obj)}
+            extra = {"channel": {"nlos_pairs"}, "vitals": bands}.get(name, set())
+            assert set(cp[name]) == declared | extra, name
+            assert set(SCALAR_FIELDS[name]) == _scalar_fields(obj), name
+        assert set(cp["schedule"]) == kinds
+        assert set(cp.sections()) == set(SCALAR_FIELDS) | {"schedule"}
+
+    def test_channel_params_settable_fields(self):
+        assert [f.name for f in fields(ChannelParams)] == [
+            "frequency", "d0", "exponent_los", "exponent_nlos", "sigma_db"]
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs())
+    def test_render_parse_round_trip(self, cfg):
         assert parse_config(render_config(cfg)) == cfg

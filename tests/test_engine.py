@@ -292,9 +292,9 @@ class TestEngineSpecializations:
                 full = [sim.nodes[j] for j in sim.adjacency[nd.id] if sim.nodes[j].alive]
                 for kind in (PacketKind.NORMAL, PacketKind.CRITICAL):
                     cached = amhrp_select_forwarder(nd, sim.neighbors[nd.id],
-                                                    sim.sink, kind, sim.d_sink)
-                    assert cached == amhrp_select_forwarder(nd, full, sim.sink, kind,
-                                                            sim.d_sink), f"round {rnd}"
+                                                    sim.d_sink, kind)
+                    assert cached == amhrp_select_forwarder(nd, full, sim.d_sink,
+                                                            kind), f"round {rnd}"
                     forwarded += cached.action is RouteAction.SEND_TO_FORWARDER
         assert forwarded
         assert sim.alive_count == 0

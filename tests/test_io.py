@@ -4,9 +4,9 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.engine import RoundMetrics, RunSummary, run_simulation
-from wbansim.io import (CSV_HEADER, compare_runs, emit_plot_series, median_series,
-                        read_metrics_csv, read_summary_json, render_comparison,
-                        write_metrics_csv, write_summary_json)
+from wbansim.io import (CSV_HEADER, ResultFileError, compare_runs, emit_plot_series,
+                        median_series, read_metrics_csv, read_summary_json,
+                        render_comparison, write_metrics_csv, write_summary_json)
 
 
 def row(r, alive=19, sent=2, received=2, loss=36.5):
@@ -197,11 +197,11 @@ class TestCompareRuns:
 
     def test_no_shared_seeds_rejected(self):
         summaries = [summary("amhrp", 1, 1, 1), summary("mattempt", 2, 1, 1)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ResultFileError):
             compare_runs(summaries)
 
     def test_single_protocol_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResultFileError):
             compare_runs([summary("amhrp", 1, 1, 1)])
 
     def test_seed_order_permutation_invariant(self):

@@ -13,6 +13,11 @@ from wbansim.protocols import (EquilibriumProfile, MattemptParams, RouteAction,
 SINK = Sink(BodyPoint(0.4, 0.9))
 
 
+def to_sink(*nodes):
+    """The ``d_sink`` map a run passes: node id -> distance to SINK."""
+    return {n.id: distance(n.position, SINK.position) for n in nodes}
+
+
 def node(nid, x, y, energy=0.5, kind=SensorKind.TOXIN, tx_range=0.5, alive=True, temp=37.0):
     return SensorNode(id=nid, kind=kind, position=BodyPoint(x, y),
                       residual_energy=energy, temperature=temp,
@@ -22,14 +27,14 @@ def node(nid, x, y, energy=0.5, kind=SensorKind.TOXIN, tx_range=0.5, alive=True,
 class TestAmhrpSelectForwarder:
     def test_sink_within_range_sends_direct(self):
         n = node(0, 0.4, 0.6)  # 0.3 m from sink, range 0.5
-        d = amhrp_select_forwarder(n, [], SINK)
+        d = amhrp_select_forwarder(n, [], to_sink(n))
         assert d.action is RouteAction.SEND_TO_SINK
 
     def test_max_residual_wins(self):
         src = node(0, 0.4, 1.7)  # 0.8 m from the sink
         a = node(1, 0.4, 1.35, energy=0.4)
         b = node(2, 0.4, 1.30, energy=0.3)
-        d = amhrp_select_forwarder(src, [a, b], SINK)
+        d = amhrp_select_forwarder(src, [a, b], to_sink(src, a, b))
         assert d.action is RouteAction.SEND_TO_FORWARDER
         assert d.target == 1
 
@@ -37,24 +42,24 @@ class TestAmhrpSelectForwarder:
         src = node(0, 0.4, 1.7)
         a = node(1, 0.4, 1.10, energy=0.4)  # 0.2 m from sink
         b = node(2, 0.4, 1.20, energy=0.4)  # 0.3 m from sink
-        d = amhrp_select_forwarder(src, [a, b], SINK)
+        d = amhrp_select_forwarder(src, [a, b], to_sink(src, a, b))
         assert d.target == 1
 
     def test_full_tie_broken_by_lowest_id(self):
         src = node(0, 0.4, 1.7)
         a = node(2, 0.3, 1.2, energy=0.4)
         b = node(1, 0.5, 1.2, energy=0.4)  # mirrored: same distance to sink
-        d = amhrp_select_forwarder(src, [a, b], SINK)
+        d = amhrp_select_forwarder(src, [a, b], to_sink(src, a, b))
         assert d.target == 1
 
     def test_no_candidates_normal_holds(self):
         src = node(0, 0.4, 1.7)
-        d = amhrp_select_forwarder(src, [], SINK, PacketKind.NORMAL)
+        d = amhrp_select_forwarder(src, [], to_sink(src), PacketKind.NORMAL)
         assert d.action is RouteAction.HOLD
 
     def test_no_candidates_critical_escalates(self):
         src = node(0, 0.4, 1.7)
-        d = amhrp_select_forwarder(src, [], SINK, PacketKind.CRITICAL)
+        d = amhrp_select_forwarder(src, [], to_sink(src), PacketKind.CRITICAL)
         assert d.action is RouteAction.SEND_TO_EXTERNAL_WSN
 
     def test_never_selects_dead_farther_or_self(self):
@@ -69,7 +74,7 @@ class TestAmhrpSelectForwarder:
             src.alive = True
             neighbors = [m for m in nodes[1:]
                          if distance(src.position, m.position) <= src.tx_range]
-            d = amhrp_select_forwarder(src, neighbors, SINK)
+            d = amhrp_select_forwarder(src, neighbors, to_sink(src, *neighbors))
             if d.action is RouteAction.SEND_TO_FORWARDER:
                 chosen = next(m for m in neighbors if m.id == d.target)
                 assert chosen.alive
@@ -85,11 +90,11 @@ class TestAmhrpSelectForwarder:
             src = node(0, float(coords[0, 0]), float(coords[0, 1]))
             neighbors = [node(i + 1, float(x), float(y), energy=float(e))
                          for i, ((x, y), e) in enumerate(zip(coords[1:], energies[1:]))]
-            before = amhrp_select_forwarder(src, neighbors, SINK)
+            before = amhrp_select_forwarder(src, neighbors, to_sink(src, *neighbors))
             scale = float(g.random()) * 10 + 0.1
             for m in neighbors:
                 m.residual_energy *= scale
-            after = amhrp_select_forwarder(src, neighbors, SINK)
+            after = amhrp_select_forwarder(src, neighbors, to_sink(src, *neighbors))
             assert before.action == after.action
             assert before.target == after.target
 
@@ -129,14 +134,14 @@ class TestEquilibrium:
 class TestMattemptHopCounts:
     def test_adjacent_to_sink_is_one_hop(self):
         nodes = [node(0, 0.4, 0.6)]
-        st = mattempt_build_hopcounts(nodes, SINK, 0.5)
+        st = mattempt_build_hopcounts(nodes, SINK, 0.5, MattemptParams())
         assert st.hop_counts[0] == 1
 
     def test_chain_gives_two_hops(self):
         # B adjacent to the sink, A adjacent only to B
         b = node(1, 0.4, 1.3)   # 0.4 m from sink
         a = node(0, 0.4, 1.7)   # 0.8 m from sink, 0.4 m from B
-        st = mattempt_build_hopcounts([a, b], SINK, 0.5)
+        st = mattempt_build_hopcounts([a, b], SINK, 0.5, MattemptParams())
         assert st.hop_counts[1] == 1
         assert st.hop_counts[0] == 2
 
@@ -151,7 +156,7 @@ class TestMattemptHopCounts:
     def test_dead_nodes_excluded(self):
         b = node(1, 0.4, 1.3, alive=False)
         a = node(0, 0.4, 1.7)
-        st = mattempt_build_hopcounts([a, b], SINK, 0.5)
+        st = mattempt_build_hopcounts([a, b], SINK, 0.5, MattemptParams())
         assert st.hop_counts[0] == math.inf
 
 
@@ -159,20 +164,21 @@ class TestMattemptNextHop:
     def setup_method(self):
         self.b = node(1, 0.4, 1.3)
         self.a = node(0, 0.4, 1.7)
-        self.state = mattempt_build_hopcounts([self.a, self.b], SINK, 0.5)
+        self.state = mattempt_build_hopcounts([self.a, self.b], SINK, 0.5, MattemptParams())
+        self.d_sink = to_sink(self.a, self.b)
 
     def test_critical_goes_direct_boosted(self):
-        d = mattempt_next_hop(self.a, PacketKind.CRITICAL, self.state, [self.b], SINK)
+        d = mattempt_next_hop(self.a, PacketKind.CRITICAL, self.state, [self.b], self.d_sink)
         assert d.action is RouteAction.SEND_TO_SINK
         assert d.boosted
 
     def test_normal_descends_hop_gradient(self):
-        d = mattempt_next_hop(self.a, PacketKind.NORMAL, self.state, [self.b], SINK)
+        d = mattempt_next_hop(self.a, PacketKind.NORMAL, self.state, [self.b], self.d_sink)
         assert d.action is RouteAction.SEND_TO_FORWARDER
         assert d.target == 1
 
     def test_one_hop_node_sends_direct(self):
-        d = mattempt_next_hop(self.b, PacketKind.NORMAL, self.state, [self.a], SINK)
+        d = mattempt_next_hop(self.b, PacketKind.NORMAL, self.state, [self.a], self.d_sink)
         assert d.action is RouteAction.SEND_TO_SINK
         assert not d.boosted
 
@@ -182,17 +188,17 @@ class TestMattemptNextHop:
         c = node(2, 0.4, 0.5)
         d_ = node(3, 0.1, 1.25)
         far = node(4, 0.4, 1.75)
-        st = mattempt_build_hopcounts([c, d_, far], SINK, 0.6)
+        st = mattempt_build_hopcounts([c, d_, far], SINK, 0.6, MattemptParams())
         assert st.hop_counts[2] == 1 and st.hop_counts[3] == 1
         assert st.hop_counts[4] == 2
-        choice = mattempt_next_hop(far, PacketKind.NORMAL, st, [c, d_], SINK)
+        choice = mattempt_next_hop(far, PacketKind.NORMAL, st, [c, d_], to_sink(far, c, d_))
         assert choice.action is RouteAction.SEND_TO_FORWARDER
         assert choice.target == 2
 
     def test_unreachable_holds(self):
         lone = node(5, 0.4, 1.8)
-        st = mattempt_build_hopcounts([lone], SINK, 0.3)
-        d = mattempt_next_hop(lone, PacketKind.NORMAL, st, [], SINK)
+        st = mattempt_build_hopcounts([lone], SINK, 0.3, MattemptParams())
+        d = mattempt_next_hop(lone, PacketKind.NORMAL, st, [], to_sink(lone))
         assert d.action is RouteAction.HOLD
 
 
@@ -227,11 +233,11 @@ class TestSimpleSelectForwarder:
         # costs: 0.5/0.5 = 1.0 and 0.4/0.2 = 2.0
         a = node(0, 0.4, 1.4, energy=0.5)   # 0.5 m from sink
         b = node(1, 0.4, 1.3, energy=0.2)   # 0.4 m from sink
-        assert simple_select_forwarder([a, b], SINK) == 0
+        assert simple_select_forwarder([a, b], to_sink(a, b)) == 0
 
     def test_single_alive_node(self):
         a = node(3, 0.2, 0.4)
-        assert simple_select_forwarder([a], SINK) == 3
+        assert simple_select_forwarder([a], to_sink(a)) == 3
 
     def test_scaling_invariance(self):
         g = np.random.Generator(np.random.PCG64(8))
@@ -239,16 +245,16 @@ class TestSimpleSelectForwarder:
             nodes = [node(i, float(x), float(y), energy=float(e) + 0.05)
                      for i, ((x, y), e) in enumerate(zip(g.random((5, 2)) * [0.8, 1.8],
                                                          g.random(5)))]
-            before = simple_select_forwarder(nodes, SINK)
+            before = simple_select_forwarder(nodes, to_sink(*nodes))
             for n in nodes:
                 n.residual_energy *= 7.5
-            assert simple_select_forwarder(nodes, SINK) == before
+            assert simple_select_forwarder(nodes, to_sink(*nodes)) == before
 
     def test_ecg_node_never_elected(self):
         a = node(0, 0.4, 1.0, energy=0.5, kind=SensorKind.ECG)
         b = node(1, 0.4, 1.7, energy=0.01)
-        assert simple_select_forwarder([a, b], SINK) == 1
+        assert simple_select_forwarder([a, b], to_sink(a, b)) == 1
 
     def test_empty_alive_set(self):
         a = node(0, 0.4, 1.0, alive=False)
-        assert simple_select_forwarder([a], SINK) is None
+        assert simple_select_forwarder([a], to_sink(a)) is None
