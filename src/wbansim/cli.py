@@ -49,8 +49,6 @@ def _base_config(args) -> SimConfig:
         cfg = load_config(args.config)
     else:
         cfg = SimConfig()
-    if getattr(args, "stop_on_all_dead", False):
-        cfg = replace(cfg, stop_on_all_dead=True)
     if getattr(args, "allow_unconstrained_weights", False):
         cfg = replace(cfg, allow_unconstrained_weights=True)
     return cfg
@@ -135,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (defaults when omitted)")
-    common.add_argument("--stop-on-all-dead", action="store_true",
-                        help="stop the round loop once every node is dead")
     common.add_argument("--allow-unconstrained-weights", action="store_true",
                         help="skip the x_w = 100*x_d and x_f < x_c < x_d checks")
 

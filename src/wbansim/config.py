@@ -25,6 +25,7 @@ from __future__ import annotations
 import configparser
 import functools
 import io
+import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -89,7 +90,6 @@ class SimConfig:
     seed: int = 1
     placement: str = "uniform"
     tx_range: float = 0.6
-    stop_on_all_dead: bool = False
     allow_unconstrained_weights: bool = False
     out_dir: str = "results"
     energy: EnergyWeights = field(default_factory=default_energy_weights)
@@ -106,10 +106,18 @@ class SimConfig:
 def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError listing every violated constraint."""
     problems = []
+    # Every range check below lets NaN through, so non-finite floats go first.
+    for name in _SECTIONS:
+        obj = _section(cfg, name)
+        for key, (attr, typ) in _scalar_keys(type(obj)).items():
+            if typ is float and not math.isfinite(getattr(obj, attr)):
+                problems.append(f"{name}.{key}: must be finite")
     if cfg.node_count < 1:
         problems.append("sim.node_count: must be >= 1")
     if cfg.rounds < 0:
         problems.append("sim.rounds: must be >= 0")
+    if cfg.seed < 0:
+        problems.append("sim.seed: must be >= 0")
     if cfg.initial_energy <= 0:
         problems.append("sim.initial_energy: must be > 0")
     if cfg.protocol not in PROTOCOLS:

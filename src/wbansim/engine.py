@@ -34,6 +34,16 @@ the metrics) is shared.
 
 Charging follows last-gasp semantics: the action a dying node paid for still
 completes, so its final transmission is delivered before it falls silent.
+
+A run always has ``rounds`` rows. Once the last node is dead the rounds are
+not walked: ``_Sim.dead_tail`` writes the remaining rows in one pass. That is
+exact: a dead node's residual is clamped to 0.0, and a dead round sends
+nothing, records no link and draws no shadowing; only the equilibrium windows
+still roll. A run that records traffic walks every round, since its log holds
+each round's events-stream counts. A flat equilibrium series (every
+coefficient 0.0, as before the first window closes and after the tail's idle
+windows roll the live ones out) scores ``a0`` at every round, so its flag is
+computed once per rebuild.
 """
 from __future__ import annotations
 
@@ -160,9 +170,9 @@ class _EquilibriumTracker:
         self.cur_sends = 0
         self.rounds_in_window = 0
         # The series over the filled windows, rebuilt when a window closes.
-        self.profile = EquilibriumProfile(a0=cfg.initial_energy, coeffs_a=(), coeffs_b=(),
-                                          L=max(1, cfg.rounds),
-                                          alpha_star=cfg.amhrp.alpha_star)
+        self._set_profile(EquilibriumProfile(a0=cfg.initial_energy, coeffs_a=(), coeffs_b=(),
+                                             L=max(1, cfg.rounds),
+                                             alpha_star=cfg.amhrp.alpha_star))
 
     def push_round(self, counts: ActionCounts) -> None:
         self.cur_total += counts.n1 + counts.n2 + counts.n3 + counts.n4 + counts.n5
@@ -173,12 +183,21 @@ class _EquilibriumTracker:
             self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
             self.cur_total = self.cur_forwards = self.cur_sends = 0
             self.rounds_in_window = 0
-            self.profile = replace(
+            self._set_profile(replace(
                 self.profile,
                 coeffs_a=tuple(f / t if t else 0.0 for f, _s, t in self.windows),
-                coeffs_b=tuple(s / t if t else 0.0 for _f, s, t in self.windows))
+                coeffs_b=tuple(s / t if t else 0.0 for _f, s, t in self.windows)))
+
+    def _set_profile(self, profile: EquilibriumProfile) -> None:
+        # A series whose coefficients are all 0.0 scores a0 at every x (each
+        # term is 0.0 times a finite sin or cos), so its flag is taken once.
+        self.profile = profile
+        flat = not any(profile.coeffs_a) and not any(profile.coeffs_b)
+        self.flat_flag = equilibrium_ok(profile, 0) if flat else None
 
     def flag(self, round_index: int) -> bool:
+        if self.flat_flag is not None:
+            return self.flat_flag
         return equilibrium_ok(self.profile, min(round_index, self.profile.L))
 
 
@@ -437,6 +456,19 @@ class _Sim:
             equilibrium_ok=self.eq.flag(rnd),
         )
 
+    def dead_tail(self, start: int) -> list[RoundMetrics]:
+        """What ``run_round`` would return for rounds ``start`` to the end
+        once no node is alive, without walking them."""
+        total = sum(nd.residual_energy for nd in self.nodes)
+        mean = total / self.n
+        idle = ActionCounts(0, 0, 0, 0, 0)
+        eq = self.eq
+        rows = []
+        for rnd in range(start, self.cfg.rounds):
+            eq.push_round(idle)
+            rows.append(RoundMetrics(rnd, 0, 0, 0, 0, total, mean, None, eq.flag(rnd)))
+        return rows
+
 
 # ---------------------------------------------------------------------------
 # Routing schemes
@@ -585,16 +617,17 @@ def run_simulation(config: SimConfig, *, record_traffic: bool = False,
                    record_links: bool = False) -> RunResult:
     """Execute ``config.rounds`` rounds and summarize the run.
 
-    Early exit after the last node dies is opt-in (``stop_on_all_dead``), off
-    by default so metric series line up across protocols for plotting.
+    Every run returns one row per round. The rounds after the last death are
+    written by ``_Sim.dead_tail`` unless the traffic log, which records each
+    round's events-stream counts, needs them walked.
     """
     sim = _Sim(config, record_traffic, record_links)
     metrics: list[RoundMetrics] = []
     for rnd in range(config.rounds):
-        row = sim.run_round(rnd)
-        metrics.append(row)
-        if config.stop_on_all_dead and row.alive_count == 0:
+        if sim.alive_count == 0 and sim.traffic_log is None:
+            metrics += sim.dead_tail(rnd)
             break
+        metrics.append(sim.run_round(rnd))
     summary = summarize_run(metrics, config)
     audit = RunAudit(drained_total=sim.drained_total,
                      traffic=sim.traffic_log, links=sim.links_log)

@@ -80,7 +80,15 @@ class TestSimulate:
          "blood_pressure_diastolic = 60, 80, 40, 85, 90\n", "vitals.blood_pressure"),
         ("[channel]\nexponent_free = 2.0\n", "unknown key channel.exponent_free"),
         ("[channel]\nk_freq = 1.0\n", "unknown key channel.k_freq"),
-    ], ids=["bp_envelope_below_cutoff", "exponent_free", "k_freq"])
+        # Lines before any header land in [sim].
+        ("stop_on_all_dead = true\n", "unknown key sim.stop_on_all_dead"),
+        ("[energy]\nx_s = nan\n", "energy.x_s: must be finite"),
+        ("initial_energy = nan\n", "sim.initial_energy: must be finite"),
+        ("[channel]\nsigma_db = nan\n", "channel.sigma_db: must be finite"),
+        ("[energy]\nx_t = inf\n", "energy.x_t: must be finite"),
+        ("seed = -1\n", "sim.seed: must be >= 0"),
+    ], ids=["bp_envelope_below_cutoff", "exponent_free", "k_freq", "stop_on_all_dead",
+            "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sim]\nrounds = 5\n" + text)

@@ -79,6 +79,26 @@ class TestViolations:
         joined = "\n".join(exc.value.violations)
         assert "rounds" in joined and "node_count" in joined and "protocol" in joined
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_key_must_be_finite(self, bad):
+        cfg = SimConfig()
+        checked = 0
+        for name in SCALAR_FIELDS:
+            obj = cfg if name == "sim" else getattr(cfg, name)
+            for f in fields(obj):
+                if type(getattr(obj, f.name)) is not float:
+                    continue
+                if name == "sim":
+                    broken = replace(cfg, **{f.name: bad})
+                else:
+                    broken = replace(cfg, **{name: replace(obj, **{f.name: bad})})
+                with pytest.raises(ConfigError) as exc:
+                    validate_config(broken)
+                key = "lambda" if f.name == "lam" else f.name
+                assert f"{name}.{key}: must be finite" in exc.value.violations
+                checked += 1
+        assert checked >= 20
+
     def test_bad_exponent_named_with_path(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[channel]\nexponent_los = 9\n")
@@ -210,7 +230,6 @@ SCALAR_FIELDS = {
         "seed": st.integers(0, 2**64),
         "placement": st.sampled_from(PLACEMENTS),
         "tx_range": _finite(1e-3, 5.0),
-        "stop_on_all_dead": st.booleans(),
         "allow_unconstrained_weights": st.booleans(),
         "out_dir": st.text("abcXYZ019_-./", min_size=1, max_size=20),
     },

@@ -1,6 +1,9 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_config import valid_configs
 
 from wbansim.config import SimConfig, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
@@ -161,10 +164,17 @@ class TestRunSimulation:
         assert res.audit.links, "expected some transmissions"
         assert all(alive for _, _, _, alive in res.audit.links)
 
-    def test_stop_on_all_dead_exits_early(self):
-        c = cfg(rounds=50, initial_energy=0.1, stop_on_all_dead=True)
+    def test_dead_network_rows_run_to_the_end(self):
+        # x_t above the initial charge: every node dies in round 0, and the
+        # run still has one row per round.
+        c = cfg(rounds=50, initial_energy=0.1)
         res = run_simulation(c)
-        assert len(res.metrics) == 1
+        assert len(res.metrics) == 50
+        assert [m.round for m in res.metrics] == list(range(50))
+        for m in res.metrics[1:]:
+            assert (m.alive_count, m.packets_sent, m.packets_received_at_sink,
+                    m.critical_received, m.total_residual, m.mean_residual,
+                    m.mean_path_loss) == (0, 0, 0, 0, 0.0, 0.0, None)
         assert res.summary.network_lifetime == 0
 
     def test_rounds_zero(self):
@@ -298,6 +308,113 @@ class TestEngineSpecializations:
                     forwarded += cached.action is RouteAction.SEND_TO_FORWARDER
         assert forwarded
         assert sim.alive_count == 0
+
+
+def _tail_config(case, protocol, seed):
+    """A run whose network dies well before its last round (except AMHRP
+    in the ``hot`` case, which keeps survivors)."""
+    base = SimConfig()
+    if case == "dying":
+        # alpha_star at a0: the flag reads the sign of the series, so it
+        # moves while live windows are in it and is False once they are out.
+        return replace(base, protocol=protocol, seed=seed, rounds=1000,
+                       initial_energy=0.482, events=replace(base.events, lam=1.0),
+                       amhrp=replace(base.amhrp, alpha_star=0.482))
+    if case == "storm":
+        return replace(base, protocol=protocol, seed=seed, rounds=2000,
+                       events=replace(base.events, lam=2.0),
+                       channel=replace(base.channel, sigma_db=4.0))
+    return replace(base, protocol=protocol, seed=seed, rounds=4500,
+                   mattempt=replace(base.mattempt, temp_threshold=37.2))
+
+
+class TestDeadTail:
+    """Once every node is dead the engine writes the remaining rows in one
+    pass; a run that records traffic walks every round and is the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
+    @pytest.mark.parametrize("case", ["dying", "storm", "hot"])
+    def test_tail_equals_full_walk(self, case, protocol, seed):
+        c = _tail_config(case, protocol, seed)
+        tail = run_simulation(c)
+        walked = run_simulation(c, record_traffic=True)
+        assert len(tail.metrics) == c.rounds
+        assert tail.metrics == walked.metrics
+        assert tail.summary == walked.summary
+        assert tail.audit.drained_total == walked.audit.drained_total
+
+    def test_dying_case_flag_moves_in_the_tail(self):
+        # Guards the test above: its flags change after the last death, so a
+        # tail that stopped rolling the windows would show.
+        res = run_simulation(_tail_config("dying", "amhrp", 1))
+        after = [m.equilibrium_ok for m in res.metrics[res.summary.network_lifetime + 1:]]
+        assert True in after and after[-1] is False
+
+    @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
+    def test_rounds_after_the_last_death_are_not_walked(self, protocol, monkeypatch):
+        from wbansim.engine import _Sim
+
+        calls = []
+        run_round = _Sim.run_round
+
+        def counted(self, rnd):
+            calls.append(rnd)
+            return run_round(self, rnd)
+
+        monkeypatch.setattr(_Sim, "run_round", counted)
+        c = _tail_config("dying", protocol, 1)
+        res = run_simulation(c)
+        lifetime = res.summary.network_lifetime
+        assert lifetime < c.rounds
+        assert calls == list(range(lifetime + 1))
+
+    def test_flat_series_flag_equals_the_series(self):
+        from wbansim.energy import ActionCounts
+        from wbansim.engine import _EquilibriumTracker
+        from wbansim.protocols import equilibrium_ok
+
+        base = SimConfig()
+        for alpha_star in (0.2, 0.5, 0.7):
+            c = replace(base, rounds=60, initial_energy=0.5,
+                        amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=2,
+                                      eq_window_len=5))
+            eq = _EquilibriumTracker(c)
+            L = eq.profile.L
+            checked = {"flat": 0, "live": 0}
+
+            def check():
+                flat = not any(eq.profile.coeffs_a + eq.profile.coeffs_b)
+                checked["flat" if flat else "live"] += 1
+                for x in range(L + 1):
+                    assert eq.flag(x) == equilibrium_ok(eq.profile, x), (alpha_star, x)
+
+            check()  # the initial profile has no windows
+            for counts in [ActionCounts(3, 2, 0, 4, 1)] * 10 + [ActionCounts()] * 15:
+                eq.push_round(counts)
+                check()
+            assert eq.profile.coeffs_a == eq.profile.coeffs_b == (0.0, 0.0)
+            assert checked["flat"] and checked["live"]
+
+
+class TestRunProperty:
+    """Run invariants over the whole valid config space (short runs, a
+    bounded event rate to keep each example small)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_configs(), st.integers(0, 400), st.floats(0.0, 5.0))
+    def test_tail_conservation_and_delivery(self, c, rounds, lam):
+        c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
+        tail = run_simulation(c)
+        walked = run_simulation(c, record_traffic=True)
+        assert tail.metrics == walked.metrics
+        assert tail.summary == walked.summary
+        assert len(tail.metrics) == rounds
+        spent = c.node_count * c.initial_energy - tail.summary.final_total_residual
+        assert spent == pytest.approx(tail.audit.drained_total, abs=1e-9)
+        for m in tail.metrics:
+            assert m.packets_received_at_sink <= m.packets_sent
+        assert tail.summary.packets_received_total <= tail.summary.packets_sent_total
 
 
 class _CountingRng:
