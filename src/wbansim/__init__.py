@@ -7,8 +7,7 @@ from .core import (BodyPoint, PacketKind, SensorKind, SensorNode, Sink, build_to
 from .energy import ActionCounts, EnergyWeights, charge, round_cost
 from .engine import (RoundMetrics, RunResult, RunSummary, assign_tdma,
                      run_simulation, summarize_run, throughput)
-from .events import (EventParams, SensingSchedule, VitalThresholds, is_critical,
-                     is_scheduled, poisson_pmf, sample_event_count, sample_reading)
+from .events import EventParams, SensingSchedule, is_scheduled, poisson_pmf, sample_event_count
 from .io import compare_runs, emit_plot_series, read_metrics_csv, write_metrics_csv
 from .protocols import (EquilibriumProfile, MattemptParams, MattemptState,
                         RouteAction, RoutingDecision, amhrp_select_forwarder,

@@ -9,14 +9,13 @@ The config format is a flat-sectioned key=value document:
     [energy]
     x_d = 7e-6
 
-Sections: sim, energy, channel, events, vitals, schedule, amhrp, mattempt,
-simple. A section's scalar keys are the bool/int/float/str fields of its
-dataclass (``[sim]``: SimConfig's own; ``events.lambda`` is the field
-``lam``), declared nowhere else; ``channel.nlos_pairs``, the vital bands and
-the schedule periods have their own syntax. Unknown sections or keys are
-hard errors, every constraint violation is reported with its key path, and
-unspecified keys take the defaults below (19 nodes, 10000 rounds, 0.5 J,
-2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
+Sections: sim, energy, channel, events, schedule, amhrp, mattempt, simple.
+A section's scalar keys are the bool/int/float/str fields of its dataclass
+(``[sim]``: SimConfig's own; ``events.lambda`` is the field ``lam``),
+declared nowhere else; ``channel.nlos_pairs`` and the schedule periods have
+their own syntax. Unknown sections or keys are hard errors, every constraint
+violation is reported with its key path, and unspecified keys take the
+defaults below (19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
 leaving it unset derives it, setting it to anything else is rejected unless
 unconstrained weights are explicitly allowed.
 """
@@ -32,9 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 from .channel import ChannelParams
 from .core import ALL_KINDS, SensorKind
 from .energy import EnergyWeights
-from .events import (EventParams, PressureBand, SensingSchedule, VitalBand,
-                     VitalThresholds, default_bands, default_schedule,
-                     has_critical_region)
+from .events import EventParams, SensingSchedule, default_schedule
 from .protocols import MattemptParams, SimpleParams
 
 PROTOCOLS = ("amhrp", "mattempt", "simple")
@@ -96,7 +93,6 @@ class SimConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     nlos_pairs: tuple[tuple[int, int], ...] = ()
     events: EventParams = field(default_factory=EventParams)
-    vitals: VitalThresholds = field(default_factory=VitalThresholds)
     schedule: SensingSchedule = field(default_factory=SensingSchedule)
     amhrp: AmhrpParams = field(default_factory=AmhrpParams)
     mattempt: MattemptParams = field(default_factory=MattemptParams)
@@ -105,13 +101,14 @@ class SimConfig:
 
 def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError listing every violated constraint."""
-    problems = []
     # Every range check below lets NaN through, so non-finite floats go first.
+    nonfinite = []
     for name in _SECTIONS:
         obj = _section(cfg, name)
         for key, (attr, typ) in _scalar_keys(type(obj)).items():
             if typ is float and not math.isfinite(getattr(obj, attr)):
-                problems.append(f"{name}.{key}: must be finite")
+                nonfinite.append(f"{name}.{key}")
+    problems = [f"{path}: must be finite" for path in nonfinite]
     if cfg.node_count < 1:
         problems.append("sim.node_count: must be >= 1")
     if cfg.rounds < 0:
@@ -133,16 +130,9 @@ def validate_config(cfg: SimConfig) -> None:
     problems += cfg.energy.validate(cfg.allow_unconstrained_weights)
     problems += cfg.channel.validate()
     problems += cfg.events.validate()
-    problems += cfg.vitals.validate()
-    # The engine never computes a reading, so a band sample_reading could not
-    # draw from is caught here, before round 0, as is a kind with no sensing
-    # period. Node i carries ALL_KINDS[i % 19].
+    # A kind with no sensing period is caught here, before round 0. Node i
+    # carries ALL_KINDS[i % 19].
     for kind in ALL_KINDS[:cfg.node_count]:
-        if kind not in cfg.vitals.bands:
-            problems.append(f"vitals.{kind.value}: no band configured")
-        elif cfg.events.lam > 0 and not has_critical_region(kind, cfg.vitals):
-            problems.append(f"vitals.{kind.value}: no out-of-band region to draw "
-                            "event readings from (events.lambda > 0)")
         if kind not in cfg.schedule.periods:
             problems.append(f"schedule.{kind.value}: no sensing period configured")
     problems += cfg.schedule.validate()
@@ -152,6 +142,9 @@ def validate_config(cfg: SimConfig) -> None:
     for a, b in cfg.nlos_pairs:
         if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
             problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
+    # One message per non-finite key: its range checks would only repeat it.
+    problems[len(nonfinite):] = [v for v in problems[len(nonfinite):]
+                                 if v.split(":", 1)[0] not in nonfinite]
     if problems:
         raise ConfigError(problems)
 
@@ -160,10 +153,9 @@ def validate_config(cfg: SimConfig) -> None:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("sim", "energy", "channel", "events", "vitals", "schedule",
-             "amhrp", "mattempt", "simple")
+_SECTIONS = ("sim", "energy", "channel", "events", "schedule", "amhrp",
+             "mattempt", "simple")
 _KIND_BY_NAME = {k.value: k for k in SensorKind}
-_BP_KEYS = ("blood_pressure_systolic", "blood_pressure_diastolic")
 _INI_KEY = {"lam": "lambda"}  # field -> INI key where they differ ("lambda" is a keyword)
 
 
@@ -220,58 +212,6 @@ def _parse_scalars(name: str, cls: type, raw: dict[str, str],
     return over
 
 
-def _parse_floats(raw: str, path: str, problems: list[str]) -> list[float]:
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(float(tok))
-        except ValueError:
-            problems.append(f"{path}: expected comma-separated numbers, got {raw!r}")
-            return []
-    return out
-
-
-def _parse_band(raw: str, path: str, problems: list[str]) -> VitalBand | None:
-    # lower, upper, env_low, env_high[, hard]
-    vals = _parse_floats(raw, path, problems)
-    if len(vals) == 4:
-        return VitalBand(vals[0], vals[1], vals[2], vals[3])
-    if len(vals) == 5:
-        return VitalBand(vals[0], vals[1], vals[2], vals[3], hard=vals[4])
-    problems.append(f"{path}: expected 'lower, upper, env_low, env_high[, hard]'")
-    return None
-
-
-def _parse_bands(raw: dict[str, str], problems: list[str]) -> dict:
-    """The default bands overridden by the ``[vitals]`` keys named after a
-    sensor kind or a blood-pressure component; those keys leave ``raw``."""
-    bands = default_bands()
-    for key in [k for k in raw if k in _KIND_BY_NAME or k in _BP_KEYS]:
-        text, path = raw.pop(key), f"vitals.{key}"
-        if key in _BP_KEYS:
-            vals = _parse_floats(text, path, problems)
-            if len(vals) != 5:
-                problems.append(f"{path}: expected 'lower, upper, env_low, env_high, high'")
-                continue
-            bp = bands[SensorKind.BLOOD_PRESSURE]
-            comp = VitalBand(vals[0], vals[1], vals[2], vals[3])
-            if key.endswith("systolic"):
-                bp = PressureBand(comp, bp.diastolic, vals[4], bp.diastolic_high)
-            else:
-                bp = PressureBand(bp.systolic, comp, bp.systolic_high, vals[4])
-            bands[SensorKind.BLOOD_PRESSURE] = bp
-        elif _KIND_BY_NAME[key] is SensorKind.BLOOD_PRESSURE:
-            problems.append(f"{path}: use blood_pressure_systolic/_diastolic")
-        else:
-            band = _parse_band(text, path, problems)
-            if band is not None:
-                bands[_KIND_BY_NAME[key]] = band
-    return bands
-
-
 def _parse_pairs(raw: str, problems: list[str]) -> tuple[tuple[int, int], ...]:
     pairs = []
     for tok in raw.split(","):
@@ -311,14 +251,12 @@ def parse_config(text: str) -> SimConfig:
     raw = {name: dict(cp[name]) if cp.has_section(name) else {} for name in _SECTIONS}
     # Keys that are not scalar fields, each with its own syntax.
     nlos_pairs = _parse_pairs(raw["channel"].pop("nlos_pairs", ""), problems)
-    bands = _parse_bands(raw["vitals"], problems)
     schedule = raw.pop("schedule")
     over = {name: _parse_scalars(name, type(_section(cfg, name)), keys, problems)
             for name, keys in raw.items()}
     energy = over["energy"]
     if "x_d" in energy and "x_w" not in energy:
         energy["x_w"] = 100.0 * energy["x_d"]
-    over["vitals"]["bands"] = bands
     cfg = replace(cfg, **over.pop("sim"), nlos_pairs=nlos_pairs)
     cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
 
@@ -345,26 +283,6 @@ def load_config(path: str) -> SimConfig:
 # Rendering (inverse of parse_config for valid configs)
 # ---------------------------------------------------------------------------
 
-def _band_pairs(bands: dict) -> list[tuple[str, str]]:
-    pairs = []
-    for kind in SensorKind:
-        band = bands[kind]
-        if kind is SensorKind.BLOOD_PRESSURE:
-            s, d = band.systolic, band.diastolic
-            pairs.append(("blood_pressure_systolic",
-                          f"{s.lower!r}, {s.upper!r}, {s.env_low!r}, {s.env_high!r}, "
-                          f"{band.systolic_high!r}"))
-            pairs.append(("blood_pressure_diastolic",
-                          f"{d.lower!r}, {d.upper!r}, {d.env_low!r}, {d.env_high!r}, "
-                          f"{band.diastolic_high!r}"))
-        else:
-            spec = f"{band.lower!r}, {band.upper!r}, {band.env_low!r}, {band.env_high!r}"
-            if band.hard is not None:
-                spec += f", {band.hard!r}"
-            pairs.append((kind.value, spec))
-    return pairs
-
-
 def render_config(cfg: SimConfig) -> str:
     """Serialize a config so that ``parse_config(render_config(cfg)) == cfg``."""
     sections = {}
@@ -375,7 +293,6 @@ def render_config(cfg: SimConfig) -> str:
     if cfg.nlos_pairs:
         sections["channel"].append(
             ("nlos_pairs", ", ".join(f"{a}-{b}" for a, b in cfg.nlos_pairs)))
-    sections["vitals"][:0] = _band_pairs(cfg.vitals.bands)
     sections["schedule"] = [(k.value, cfg.schedule.periods[k]) for k in SensorKind]
 
     out = io.StringIO()

@@ -2,10 +2,11 @@
 
 One round is a full TDMA frame: every node owns one slot, slots run in id
 order, and a node may only originate traffic in its own slot. Within a slot
-the node takes any due scheduled reading plus a Poisson-distributed number
-of emergency readings, classifies each against its vital band, and hands the
-resulting packets to the active routing protocol. Multi-hop packets traverse
-their whole path inside the originating round; there is no per-hop queue.
+the node takes any due scheduled reading (a normal packet) plus a
+Poisson-distributed number of emergency readings (one critical packet each)
+and hands the packets to the active routing protocol. Multi-hop packets
+traverse their whole path inside the originating round; there is no per-hop
+queue.
 
 Determinism: a run is a pure function of (config, seed). The master seed is
 split into independent streams per concern (topology, events, shadowing).
@@ -15,13 +16,14 @@ event, so the scheduled-sensing and event streams are identical across
 protocols under a shared seed. Metric differences between protocols are
 therefore attributable to routing alone.
 
-No run reads a reading's value, so the engine never computes one: each
-reading's uniforms (``reading_draws`` of them) are consumed from the events
-stream and skipped. The stream is served from blocks of ``EVENT_BLOCK``
-uniforms, each inverted to Poisson counts in one call; ``Generator.random(B)``
-yields the same doubles as B scalar draws, so the counts a round reads are
-those a draw-by-draw walk of the stream (counts, then ``sample_reading`` per
-reading) would give.
+A packet's kind comes from why it was sent (event or due reading), never
+from a reading's value, so the engine computes no value: each reading's
+uniforms (``reading_draws`` of them) are consumed from the events stream and
+skipped. The stream is served from blocks of ``EVENT_BLOCK`` uniforms, each
+inverted to Poisson counts in one call; ``Generator.random(B)`` yields the
+same doubles as B scalar draws, so the counts a round reads are those a
+draw-by-draw walk of the stream (the round's counts, then ``reading_draws``
+uniforms per reading) would give.
 
 The protocol is chosen once per run, from the scheme table. A scheme owns
 its state and enters the round through four hooks: ``begin_round`` (the
@@ -57,9 +59,7 @@ from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
 from .energy import ActionCounts, charge
-# sample_reading is not called here; it stays a module attribute because
-# perfbench/tracer.py wraps the events functions by name in this namespace.
-from .events import invert_poisson, poisson_cdf_table, reading_draws, sample_reading  # noqa: F401
+from .events import invert_poisson, poisson_cdf_table, reading_draws
 from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
                         RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
                         mattempt_build_hopcounts, mattempt_next_hop,
@@ -67,6 +67,10 @@ from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
 
 SINK_ID = -1  # receiver id used for node-to-sink links in audit records
 EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
+# Never called: the readings sampler is gone, but perfbench/tracer.py still
+# wraps ``wbansim.engine.sample_reading`` by name, so the name stays until the
+# benchmark's tracer drops it.
+sample_reading = None
 
 
 @dataclass

@@ -1,11 +1,11 @@
-"""Event generation, vital-sign criticality and the periodic sensing schedule.
+"""Event generation, the readings' stream contract and the sensing schedule.
 
 Emergency traffic arrives as a Poisson stream: each node sees on average
-``lam`` events per round, and every event is a threshold crossing, so event
-readings are drawn from the out-of-band region of the node's vital band.
-Routine traffic follows a per-kind sensing schedule (blood pressure every
-3 hours, glucose three times a day, ECG weekly, and so on), with one round
-equal to one hour by default.
+``lam`` events per round, and each event sends one critical packet. Routine
+traffic follows a per-kind sensing schedule (blood pressure every 3 hours,
+glucose three times a day, ECG weekly, and so on), with one round equal to
+one hour by default. Each reading consumes ``reading_draws`` uniforms from
+the events stream; its value is never computed.
 """
 from __future__ import annotations
 
@@ -87,184 +87,17 @@ def sample_event_count(lam: float, rng: np.random.Generator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vital-sign thresholds
+# Readings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VitalBand:
-    """Normal band plus the physiological envelope readings are drawn from."""
-    lower: float
-    upper: float
-    env_low: float
-    env_high: float
-    hard: float | None = None  # hard-critical bound, >= upper when present
-
-    def validate(self, path: str) -> list[str]:
-        problems = []
-        if not self.lower < self.upper:
-            problems.append(f"{path}: lower bound must be < upper bound")
-        if self.env_low > self.lower or self.env_high < self.upper:
-            problems.append(f"{path}: envelope must contain the band")
-        if self.hard is not None and self.hard < self.upper:
-            problems.append(f"{path}: hard bound must be >= upper bound")
-        return problems
-
-
-@dataclass(frozen=True)
-class PressureBand:
-    """Blood pressure is a (systolic, diastolic) pair with high-side cutoffs."""
-    systolic: VitalBand
-    diastolic: VitalBand
-    systolic_high: float = 140.0
-    diastolic_high: float = 90.0
-
-    def validate(self, path: str) -> list[str]:
-        problems = self.systolic.validate(path + ".systolic")
-        problems += self.diastolic.validate(path + ".diastolic")
-        if self.systolic_high <= self.systolic.upper:
-            problems.append(f"{path}: systolic high cutoff must exceed the normal band")
-        if self.diastolic_high <= self.diastolic.upper:
-            problems.append(f"{path}: diastolic high cutoff must exceed the normal band")
-        # Critical readings are drawn between each high cutoff and its
-        # envelope top, so the envelope must reach the cutoff.
-        if self.systolic.env_high < self.systolic_high:
-            problems.append(f"{path}: systolic envelope must reach the high cutoff")
-        if self.diastolic.env_high < self.diastolic_high:
-            problems.append(f"{path}: diastolic envelope must reach the high cutoff")
-        return problems
-
-
-def default_bands() -> dict[SensorKind, VitalBand | PressureBand]:
-    """Per-kind bands: clinical reference ranges where established ones
-    exist, normalized placeholders for the rest. All config-overridable."""
-    return {
-        SensorKind.ECG: VitalBand(60.0, 100.0, 30.0, 200.0),
-        SensorKind.BLOOD_PRESSURE: PressureBand(
-            systolic=VitalBand(90.0, 120.0, 70.0, 220.0),
-            diastolic=VitalBand(60.0, 80.0, 40.0, 140.0),
-        ),
-        SensorKind.GLUCOSE: VitalBand(110.0, 125.0, 40.0, 400.0),
-        SensorKind.INSULIN: VitalBand(5.0, 25.0, 0.0, 60.0),
-        SensorKind.EMG: VitalBand(0.0, 1.0, 0.0, 5.0),
-        SensorKind.TEMPERATURE: VitalBand(36.5, 37.5, 30.0, 45.0, hard=40.0),
-        SensorKind.SPO2: VitalBand(95.0, 100.0, 70.0, 100.0),
-        SensorKind.ENZYME_TEST: VitalBand(10.0, 40.0, 0.0, 200.0),
-        SensorKind.RESPIRATION: VitalBand(12.0, 20.0, 4.0, 50.0),
-        SensorKind.TOXIN: VitalBand(0.0, 1.0, 0.0, 10.0),
-        SensorKind.LACTIC_ACID: VitalBand(0.5, 2.2, 0.0, 15.0),
-        SensorKind.TILT: VitalBand(-30.0, 30.0, -90.0, 90.0),
-        SensorKind.PH: VitalBand(7.35, 7.45, 6.8, 7.8),
-        SensorKind.DNA_PROTEIN: VitalBand(0.0, 1.0, 0.0, 10.0),
-        SensorKind.MOTION: VitalBand(0.0, 1.5, 0.0, 8.0),
-        SensorKind.PULSE_RATE: VitalBand(60.0, 100.0, 30.0, 200.0),
-        SensorKind.HEART_RATE: VitalBand(60.0, 100.0, 30.0, 200.0),
-        SensorKind.PRESSURE: VitalBand(5.0, 15.0, 0.0, 80.0),
-        SensorKind.POSITIONING: VitalBand(0.0, 1.0, 0.0, 4.0),
-    }
-
-
-@dataclass(frozen=True)
-class VitalThresholds:
-    bands: dict[SensorKind, VitalBand | PressureBand] = field(default_factory=default_bands)
-    glucose_profile: str = "diabetic"  # or "nondiabetic"
-    glucose_low_critical: float = 70.0
-
-    def validate(self) -> list[str]:
-        problems = []
-        for kind, band in self.bands.items():
-            problems += band.validate(f"vitals.{kind.value}")
-        if self.glucose_profile not in ("diabetic", "nondiabetic"):
-            problems.append("vitals.glucose_profile: must be 'diabetic' or 'nondiabetic'")
-        return problems
-
-
-def is_critical(kind: SensorKind, reading, t: VitalThresholds) -> bool:
-    """True when a reading falls outside its kind's acceptable band.
-
-    Blood pressure readings are (systolic, diastolic) pairs; either component
-    at or above its high cutoff is critical. Glucose follows the patient
-    profile: a diabetic profile also flags readings below the hypoglycemia
-    bound, a non-diabetic one only flags the high side.
-    """
-    band = t.bands.get(kind)
-    if band is None:
-        raise KeyError(f"no vital band configured for {kind.value}")
-    if kind is SensorKind.BLOOD_PRESSURE:
-        systolic, diastolic = reading
-        return systolic >= band.systolic_high or diastolic >= band.diastolic_high
-    if kind is SensorKind.GLUCOSE:
-        if reading > band.upper:
-            return True
-        return t.glucose_profile == "diabetic" and reading < t.glucose_low_critical
-    return reading < band.lower or reading > band.upper
-
-
 def reading_draws(kind: SensorKind) -> int:
-    """Uniform variates one ``sample_reading`` call takes from its generator:
-    two for blood pressure (systolic, diastolic), one for every other kind,
-    normal or critical alike."""
+    """Uniform variates each reading of ``kind`` consumes from the events
+    stream: two for blood pressure (systolic, diastolic), one for every other
+    kind, normal or critical alike. No run reads a reading's value, so the
+    engine skips these draws without computing one; the count is a contract,
+    because it fixes where the next Poisson count falls in the stream and so
+    every metrics CSV."""
     return 2 if kind is SensorKind.BLOOD_PRESSURE else 1
-
-
-def _critical_region(kind: SensorKind, band: VitalBand,
-                     t: VitalThresholds) -> tuple[float, float, float, float]:
-    """The out-of-band region of a single-valued kind, clipped to the
-    envelope, as two intervals (lo1, width1, lo2, width2); a width may be 0."""
-    if kind is SensorKind.GLUCOSE:
-        low_hi = math.nextafter(t.glucose_low_critical, -math.inf)
-        lo1, hi1 = (band.env_low, low_hi) if t.glucose_profile == "diabetic" else (0.0, 0.0)
-    else:
-        lo1, hi1 = band.env_low, math.nextafter(band.lower, -math.inf)
-    lo2 = math.nextafter(band.upper, math.inf)
-    return lo1, max(0.0, hi1 - lo1), lo2, max(0.0, band.env_high - lo2)
-
-
-def has_critical_region(kind: SensorKind, t: VitalThresholds) -> bool:
-    """True when ``sample_reading(kind, True, t, rng)`` has a region to draw
-    from; blood pressure always has one."""
-    band = t.bands.get(kind)
-    if band is None:
-        raise KeyError(f"no vital band configured for {kind.value}")
-    if kind is SensorKind.BLOOD_PRESSURE:
-        return True
-    _, w1, _, w2 = _critical_region(kind, band, t)
-    return w1 + w2 > 0
-
-
-def sample_reading(kind: SensorKind, critical_event: bool, t: VitalThresholds,
-                   rng: np.random.Generator):
-    """Draw a synthetic reading consistent with the requested criticality.
-
-    Normal draws are uniform inside the band; critical draws are uniform over
-    the out-of-band region adjacent to the band, clipped to the physiological
-    envelope. The result always satisfies
-    ``is_critical(kind, result, t) == critical_event``. A call takes exactly
-    ``reading_draws(kind)`` uniforms from ``rng``.
-    """
-    band = t.bands.get(kind)
-    if band is None:
-        raise KeyError(f"no vital band configured for {kind.value}")
-
-    if kind is SensorKind.BLOOD_PRESSURE:
-        sb, db = band.systolic, band.diastolic
-        if critical_event:
-            systolic = sb.env_high - rng.random() * (sb.env_high - band.systolic_high)
-            diastolic = db.env_high - rng.random() * (db.env_high - band.diastolic_high)
-        else:
-            systolic = sb.lower + rng.random() * (sb.upper - sb.lower)
-            diastolic = db.lower + rng.random() * (db.upper - db.lower)
-        return (systolic, diastolic)
-
-    if not critical_event:
-        return band.lower + rng.random() * (band.upper - band.lower)
-    # One uniform draw over the union of the two intervals.
-    lo1, w1, lo2, w2 = _critical_region(kind, band, t)
-    if w1 + w2 <= 0:
-        raise ValueError("no out-of-band region available to sample")
-    u = rng.random() * (w1 + w2)
-    if u < w1:
-        return lo1 + u
-    return lo2 + (u - w1)
 
 
 # ---------------------------------------------------------------------------

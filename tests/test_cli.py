@@ -58,26 +58,8 @@ class TestSimulate:
         assert "events.lambda" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    EMPTY_HEART_RATE = "[vitals]\nheart_rate = 60, 100, 60, 100\n"
-
-    def test_empty_critical_region_exits_1_before_round_0(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[sim]\nrounds = 50\n[events]\nlambda = 2\n" + self.EMPTY_HEART_RATE)
-        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert "vitals.heart_rate" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_empty_critical_region_runs_without_events(self, tmp_path):
-        cfg = tmp_path / "quiet.ini"
-        cfg.write_text("[sim]\nrounds = 50\n[events]\nlambda = 0\n" + self.EMPTY_HEART_RATE)
-        out = tmp_path / "o"
-        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
-        assert (out / "metrics_amhrp_seed1.csv").exists()
-
     @pytest.mark.parametrize("text, path", [
-        ("[vitals]\nblood_pressure_systolic = 90, 120, 70, 130, 140\n"
-         "blood_pressure_diastolic = 60, 80, 40, 85, 90\n", "vitals.blood_pressure"),
+        ("[vitals]\nheart_rate = 60, 100, 60, 100\n", "unknown section [vitals]"),
         ("[channel]\nexponent_free = 2.0\n", "unknown key channel.exponent_free"),
         ("[channel]\nk_freq = 1.0\n", "unknown key channel.k_freq"),
         # Lines before any header land in [sim].
@@ -87,7 +69,7 @@ class TestSimulate:
         ("[channel]\nsigma_db = nan\n", "channel.sigma_db: must be finite"),
         ("[energy]\nx_t = inf\n", "energy.x_t: must be finite"),
         ("seed = -1\n", "sim.seed: must be >= 0"),
-    ], ids=["bp_envelope_below_cutoff", "exponent_free", "k_freq", "stop_on_all_dead",
+    ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
             "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

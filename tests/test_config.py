@@ -96,6 +96,7 @@ class TestViolations:
                     validate_config(broken)
                 key = "lambda" if f.name == "lam" else f.name
                 assert f"{name}.{key}: must be finite" in exc.value.violations
+                assert sum(v.startswith(f"{name}.{key}:") for v in exc.value.violations) == 1
                 checked += 1
         assert checked >= 20
 
@@ -121,60 +122,11 @@ class TestSections:
         assert cfg.schedule.periods[SensorKind.BLOOD_PRESSURE] == 6
         assert cfg.schedule.periods[SensorKind.ECG] == 336
 
-    def test_vitals_band_override(self):
-        cfg = parse_config("[vitals]\nheart_rate = 50, 110, 20, 220\n")
-        band = cfg.vitals.bands[SensorKind.HEART_RATE]
-        assert (band.lower, band.upper) == (50, 110)
-
-    EMPTY_HEART_RATE = "[vitals]\nheart_rate = 60, 100, 60, 100\n"
-
-    def test_empty_critical_region_of_an_uncarried_kind_allowed(self):
-        # Nodes 0-15 carry every kind but heart_rate (node 16).
-        parse_config("[sim]\nnode_count = 16\n" + self.EMPTY_HEART_RATE)
-        with pytest.raises(ConfigError):
-            parse_config("[sim]\nnode_count = 17\n" + self.EMPTY_HEART_RATE)
-
-    def test_empty_critical_region_follows_glucose_profile(self):
-        # Nothing above the band; the diabetic profile still has the low side.
-        band = "glucose = 110, 125, 40, 125\n"
-        parse_config("[vitals]\n" + band)
-        with pytest.raises(ConfigError) as exc:
-            parse_config("[vitals]\nglucose_profile = nondiabetic\n" + band)
-        assert any(v.startswith("vitals.glucose:") for v in exc.value.violations)
-
-    def test_missing_band_of_a_carried_kind_rejected(self):
-        cfg = SimConfig()
-        bands = {k: b for k, b in cfg.vitals.bands.items() if k is not SensorKind.TILT}
-        with pytest.raises(ConfigError) as exc:
-            validate_config(replace(cfg, vitals=replace(cfg.vitals, bands=bands)))
-        assert "vitals.tilt: no band configured" in exc.value.violations
-
     def test_missing_sensing_period_of_a_carried_kind_rejected(self):
         cfg = replace(SimConfig(), schedule=SensingSchedule(periods={}))
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert "schedule.ecg: no sensing period configured" in exc.value.violations
-
-    # Envelope tops (140 and 90) that equal the defaults' high cutoffs are
-    # valid; 130 and 85 leave no room above the cutoffs for a critical reading.
-    LOW_BP_ENVELOPE = ("[vitals]\nblood_pressure_systolic = 90, 120, 70, 130, 140\n"
-                       "blood_pressure_diastolic = 60, 80, 40, 85, 90\n")
-
-    def test_blood_pressure_envelope_below_high_cutoff_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config(self.LOW_BP_ENVELOPE)
-        joined = "\n".join(exc.value.violations)
-        assert "vitals.blood_pressure: systolic envelope" in joined
-        assert "vitals.blood_pressure: diastolic envelope" in joined
-        parse_config("[vitals]\nblood_pressure_systolic = 90, 120, 70, 140, 140\n"
-                     "blood_pressure_diastolic = 60, 80, 40, 90, 90\n")
-
-    def test_vitals_blood_pressure_components(self):
-        cfg = parse_config("[vitals]\nblood_pressure_systolic = 85, 125, 60, 230, 150\n")
-        bp = cfg.vitals.bands[SensorKind.BLOOD_PRESSURE]
-        assert bp.systolic.lower == 85
-        assert bp.systolic_high == 150
-        assert bp.diastolic_high == 90  # untouched component keeps defaults
 
     def test_nlos_pairs(self):
         cfg = parse_config("[channel]\nnlos_pairs = 0-3, 2-7\n")
@@ -190,6 +142,11 @@ class TestSections:
         with pytest.raises(ConfigError) as exc:
             parse_config(f"[channel]\n{key} = 2.0\n")
         assert exc.value.violations == [f"unknown key channel.{key}"]
+
+    def test_vitals_section_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[vitals]\nheart_rate = 60, 100, 60, 100\n")
+        assert exc.value.violations == ["unknown section [vitals]"]
 
     def test_inline_comments_stripped(self):
         cfg = parse_config("[sim]\nrounds = 100  # short run\n")
@@ -243,10 +200,6 @@ SCALAR_FIELDS = {
         "sigma_db": _finite(0.0, 8.0),
     },
     "events": {"lam": _finite(0.0, LAMBDA_MAX), "rounds_per_day": st.integers(1, 48)},
-    "vitals": {
-        "glucose_profile": st.sampled_from(["diabetic", "nondiabetic"]),
-        "glucose_low_critical": _finite(0.0, 110.0),
-    },
     "amhrp": {
         "control_period": st.integers(1, 1000),
         "alpha_star": _finite(-10.0, 10.0),
@@ -300,12 +253,10 @@ class TestDeclaredKeys:
         cp.optionxform = str
         cp.read_string(render_config(cfg))
         kinds = {k.value for k in SensorKind}
-        bands = kinds - {"blood_pressure"} | {"blood_pressure_systolic",
-                                              "blood_pressure_diastolic"}
         for name in SCALAR_FIELDS:
             obj = cfg if name == "sim" else getattr(cfg, name)
             declared = {"lambda" if f == "lam" else f for f in _scalar_fields(obj)}
-            extra = {"channel": {"nlos_pairs"}, "vitals": bands}.get(name, set())
+            extra = {"nlos_pairs"} if name == "channel" else set()
             assert set(cp[name]) == declared | extra, name
             assert set(SCALAR_FIELDS[name]) == _scalar_fields(obj), name
         assert set(cp["schedule"]) == kinds

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_config import valid_configs
 
-from wbansim.config import SimConfig, validate_config
+from wbansim.config import SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
 from wbansim.engine import (RoundMetrics, assign_tdma, run_simulation,
                             summarize_run, throughput)
@@ -409,6 +409,11 @@ class TestRunProperty:
         walked = run_simulation(c, record_traffic=True)
         assert tail.metrics == walked.metrics
         assert tail.summary == walked.summary
+        # A rerun of the rendered and re-parsed config behaves the same.
+        again = run_simulation(parse_config(render_config(c)))
+        assert again.metrics == tail.metrics
+        assert again.summary == tail.summary
+        assert again.audit.drained_total == tail.audit.drained_total
         assert len(tail.metrics) == rounds
         spent = c.node_count * c.initial_energy - tail.summary.final_total_residual
         assert spent == pytest.approx(tail.audit.drained_total, abs=1e-9)
@@ -429,16 +434,21 @@ class _CountingRng:
         return self.rng.random(size)
 
 
+# Uniforms one reading takes from the events stream, written out here rather
+# than read from ``events.reading_draws``, so the walk checks that contract.
+_BP_READING_DRAWS = 2  # systolic, diastolic
+_READING_DRAWS = 1     # every other kind
+
+
 def _walk_events_stream(c):
     """The events stream drawn call by call: each round one count per node,
-    then in id order every due reading and every event's reading through
-    ``sample_reading``. Returns the traffic log, the uniforms used and the
-    most uniforms one round used."""
+    then in id order the uniforms of every due reading and every event's
+    reading. Returns the traffic log, the uniforms used and the most uniforms
+    one round used."""
     import numpy as np
 
     from wbansim.core import build_topology
-    from wbansim.events import (invert_poisson, is_scheduled, poisson_cdf_table,
-                                sample_reading)
+    from wbansim.events import invert_poisson, is_scheduled, poisson_cdf_table
 
     topo_ss, events_ss, _ = np.random.SeedSequence(c.seed).spawn(3)
     nodes, _ = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
@@ -451,10 +461,10 @@ def _walk_events_stream(c):
         for nd, k in zip(nodes, counts):
             due = is_scheduled(nd.kind, rnd, c.schedule)
             log.append((rnd, nd.id, k, due))
-            if due:
-                sample_reading(nd.kind, False, c.vitals, rng)
-            for _ in range(k):
-                sample_reading(nd.kind, True, c.vitals, rng)
+            draws = (_BP_READING_DRAWS if nd.kind is SensorKind.BLOOD_PRESSURE
+                     else _READING_DRAWS)
+            for _ in range((due + k) * draws):
+                rng.random()
         widest = max(widest, rng.used - before)
     return log, rng.used, widest
 
@@ -463,28 +473,30 @@ class TestEventStream:
     """The engine serves the events stream from blocks and skips the
     readings' uniforms; its traffic log must equal the call-by-call walk."""
 
-    # (lambda, placement, node_count, rounds_per_day, glucose_profile, rounds)
+    # (lambda, placement, node_count, rounds_per_day, rounds); node 1 of
+    # either placement carries blood pressure, so every case mixes 2-draw
+    # and 1-draw readings.
     CASES = [
-        (0.0, "uniform", 19, 24, "diabetic", 700),
-        (0.1, "canonical", 3, 1, "nondiabetic", 2000),
-        (0.1, "uniform", 19, 24, "diabetic", 800),
-        (2.0, "uniform", 19, 24, "nondiabetic", 300),
-        (2.0, "canonical", 3, 1, "diabetic", 1200),
-        (300.0, "canonical", 19, 1, "diabetic", 6),
-        (300.0, "uniform", 3, 24, "nondiabetic", 20),
+        (0.0, "uniform", 19, 24, 700),
+        (0.1, "canonical", 3, 1, 2000),
+        (0.1, "uniform", 19, 24, 800),
+        (2.0, "uniform", 19, 24, 300),
+        (2.0, "canonical", 3, 1, 1200),
+        (300.0, "canonical", 19, 1, 6),
+        (300.0, "uniform", 3, 24, 20),
     ]
 
-    @pytest.mark.parametrize("lam,placement,n,rpd,profile,rounds", CASES)
-    def test_traffic_log_matches_call_by_call_walk(self, lam, placement, n, rpd,
-                                                   profile, rounds):
+    @pytest.mark.parametrize("lam,placement,n,rpd,rounds", CASES)
+    def test_traffic_log_matches_call_by_call_walk(self, lam, placement, n, rpd, rounds):
+        from wbansim.core import ALL_KINDS
         from wbansim.engine import EVENT_BLOCK
         from wbansim.events import SensingSchedule, default_schedule
 
+        assert SensorKind.BLOOD_PRESSURE in ALL_KINDS[:n]
         base = SimConfig()
         c = replace(base, rounds=rounds, seed=5, node_count=n, placement=placement,
                     events=replace(base.events, lam=lam, rounds_per_day=rpd),
-                    schedule=SensingSchedule(default_schedule(rpd)),
-                    vitals=replace(base.vitals, glucose_profile=profile))
+                    schedule=SensingSchedule(default_schedule(rpd)))
         log, used, widest = _walk_events_stream(c)
         assert used > 3 * EVENT_BLOCK  # the run crosses several blocks
         if lam == 300.0 and n == 19:

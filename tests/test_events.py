@@ -5,9 +5,8 @@ import pytest
 
 from wbansim.core import SensorKind
 from wbansim.events import (LAMBDA_MAX, EventParams, SensingSchedule,
-                            VitalThresholds, default_schedule, is_critical,
-                            is_scheduled, poisson_cdf_table, poisson_pmf,
-                            reading_draws, sample_event_count, sample_reading)
+                            default_schedule, is_scheduled, poisson_cdf_table,
+                            poisson_pmf, reading_draws, sample_event_count)
 
 
 def rng(seed):
@@ -91,52 +90,6 @@ class TestSampleEventCount:
         assert abs(np.var(draws) - 4.0) / 4.0 < 0.03
 
 
-class TestIsCritical:
-    def setup_method(self):
-        self.t = VitalThresholds()
-
-    def test_heart_rate_in_band(self):
-        assert not is_critical(SensorKind.HEART_RATE, 75.0, self.t)
-
-    def test_heart_rate_band_edges_are_normal(self):
-        assert not is_critical(SensorKind.HEART_RATE, 60.0, self.t)
-        assert not is_critical(SensorKind.HEART_RATE, 100.0, self.t)
-        assert is_critical(SensorKind.HEART_RATE, 59.9, self.t)
-        assert is_critical(SensorKind.HEART_RATE, 100.1, self.t)
-
-    def test_temperature_hard_limit(self):
-        assert is_critical(SensorKind.TEMPERATURE, 40.0, self.t)
-        assert not is_critical(SensorKind.TEMPERATURE, 37.0, self.t)
-
-    def test_glucose_high(self):
-        assert is_critical(SensorKind.GLUCOSE, 130.0, self.t)
-
-    def test_glucose_profile_low_side(self):
-        diabetic = VitalThresholds(glucose_profile="diabetic")
-        nondiabetic = VitalThresholds(glucose_profile="nondiabetic")
-        assert is_critical(SensorKind.GLUCOSE, 60.0, diabetic)
-        assert not is_critical(SensorKind.GLUCOSE, 60.0, nondiabetic)
-        # between the hypoglycemia bound and the band is a non-event either way
-        assert not is_critical(SensorKind.GLUCOSE, 100.0, diabetic)
-
-    def test_blood_pressure_pair(self):
-        assert is_critical(SensorKind.BLOOD_PRESSURE, (150.0, 80.0), self.t)
-        assert is_critical(SensorKind.BLOOD_PRESSURE, (120.0, 95.0), self.t)
-        assert is_critical(SensorKind.BLOOD_PRESSURE, (140.0, 90.0), self.t)
-        assert not is_critical(SensorKind.BLOOD_PRESSURE, (120.0, 80.0), self.t)
-
-    def test_monotone_further_from_band(self):
-        for r in (101.0, 120.0, 180.0):
-            assert is_critical(SensorKind.HEART_RATE, r, self.t)
-        for r in (59.0, 45.0, 31.0):
-            assert is_critical(SensorKind.HEART_RATE, r, self.t)
-
-    def test_missing_kind_is_config_error(self):
-        t = VitalThresholds(bands={})
-        with pytest.raises(KeyError):
-            is_critical(SensorKind.ECG, 70.0, t)
-
-
 class TestSchedule:
     def test_blood_pressure_every_three_rounds(self):
         s = SensingSchedule()
@@ -173,43 +126,27 @@ class TestSchedule:
             is_scheduled(SensorKind.ECG, -1, SensingSchedule())
 
 
-class TestSampleReading:
-    def setup_method(self):
-        self.t = VitalThresholds()
-
-    def test_heart_rate_normal_band(self):
-        g = rng(3)
-        for _ in range(500):
-            v = sample_reading(SensorKind.HEART_RATE, False, self.t, g)
-            assert 60.0 <= v <= 100.0
-
-    def test_heart_rate_critical_envelope(self):
-        g = rng(4)
-        for _ in range(500):
-            v = sample_reading(SensorKind.HEART_RATE, True, self.t, g)
-            assert (30.0 <= v < 60.0) or (100.0 < v <= 200.0)
-
-    def test_temperature_normal_band(self):
-        g = rng(5)
-        for _ in range(200):
-            v = sample_reading(SensorKind.TEMPERATURE, False, self.t, g)
-            assert 36.5 <= v <= 37.5
-
-    def test_round_trip_consistency_all_kinds(self):
-        g = rng(6)
-        for kind in SensorKind:
-            for critical in (False, True):
-                for _ in range(250):
-                    v = sample_reading(kind, critical, self.t, g)
-                    assert is_critical(kind, v, self.t) == critical, (kind, critical, v)
-
-    def test_round_trip_nondiabetic_glucose(self):
-        t = VitalThresholds(glucose_profile="nondiabetic")
-        g = rng(7)
-        for critical in (False, True):
-            for _ in range(300):
-                v = sample_reading(SensorKind.GLUCOSE, critical, t, g)
-                assert is_critical(SensorKind.GLUCOSE, v, t) == critical
+def sample_reading(kind, critical, profile, rng):
+    """The vital-band reading sampler the events stream was laid out with,
+    kept here as the oracle for ``reading_draws``: the engine skips the
+    uniforms it took instead of computing a reading. Normal readings are
+    uniform in the band; critical ones are uniform above each blood-pressure
+    high cutoff, or over the out-of-band region of any other kind, whose low
+    side for glucose is below the hypoglycaemia bound and only for a diabetic
+    profile. Band values other than blood pressure's and glucose's do not
+    move a draw, so every other kind uses the heart-rate band."""
+    if kind is SensorKind.BLOOD_PRESSURE:
+        # (lower, upper, high cutoff, envelope top): systolic, then diastolic
+        return tuple(top - rng.random() * (top - cut) if critical
+                     else lower + rng.random() * (upper - lower)
+                     for lower, upper, cut, top in ((90, 120, 140, 220), (60, 80, 90, 140)))
+    glucose = kind is SensorKind.GLUCOSE
+    lower, upper, env_low, env_high = (110, 125, 40, 400) if glucose else (60, 100, 30, 200)
+    if not critical:
+        return lower + rng.random() * (upper - lower)
+    low_width = 0 if glucose and profile == "nondiabetic" else (70 if glucose else lower) - env_low
+    u = rng.random() * (low_width + env_high - upper)
+    return env_low + u if u < low_width else upper + (u - low_width)
 
 
 class TestReadingDraws:
@@ -217,9 +154,8 @@ class TestReadingDraws:
     @pytest.mark.parametrize("critical", [False, True])
     @pytest.mark.parametrize("kind", list(SensorKind))
     def test_count_matches_sample_reading(self, kind, critical, profile):
-        t = VitalThresholds(glucose_profile=profile)
         drawn, skipped = rng(13), rng(13)
-        sample_reading(kind, critical, t, drawn)
+        sample_reading(kind, critical, profile, drawn)
         for _ in range(reading_draws(kind)):
             skipped.random()
         assert drawn.random() == skipped.random()
