@@ -6,7 +6,7 @@
     wbansim plots --in results/
     wbansim --dump-layout
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration or usage error, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -30,37 +30,33 @@ EXIT_IO = 2
 def _parse_seeds(spec: str) -> list[int]:
     """Accept '1..10' ranges (inclusive) and comma lists like '1,2,5'."""
     seeds: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(part))
+    except ValueError:
+        raise ValueError(f"--seeds: {spec!r} is not a list like '1..10' or '1,2,5'") from None
     if not seeds:
-        raise ValueError(f"no seeds in {spec!r}")
+        raise ValueError(f"--seeds: no seeds in {spec!r}")
     return seeds
 
 
 def _base_config(args) -> SimConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = SimConfig()
-    if getattr(args, "allow_unconstrained_weights", False):
-        cfg = replace(cfg, allow_unconstrained_weights=True)
-    return cfg
+    return load_config(args.config) if args.config else SimConfig()
 
 
-def _run_one(cfg: SimConfig, protocol: str, seed: int, out: Path) -> None:
-    cfg = replace(cfg, protocol=protocol, seed=seed)
-    validate_config(cfg)
+def _run_one(cfg: SimConfig, out: Path) -> None:
     result = run_simulation(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(result.metrics, out / f"metrics_{protocol}_seed{seed}.csv")
-    write_summary_json(result.summary, out / f"summary_{protocol}_seed{seed}.json")
+    stem = f"{cfg.protocol}_seed{cfg.seed}"
+    write_metrics_csv(result.metrics, out / f"metrics_{stem}.csv")
+    write_summary_json(result.summary, out / f"summary_{stem}.json")
 
 
 def cmd_simulate(args) -> int:
@@ -68,7 +64,7 @@ def cmd_simulate(args) -> int:
     protocol = args.protocol or cfg.protocol
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out or cfg.out_dir)
-    _run_one(cfg, protocol, seed, out)
+    _run_one(replace(cfg, protocol=protocol, seed=seed), out)
     print(f"wrote metrics_{protocol}_seed{seed}.csv to {out}")
     return EXIT_OK
 
@@ -76,12 +72,17 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _base_config(args)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    if not protocols:
+        raise ValueError(f"--protocols: no protocols in {args.protocols!r}")
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out or cfg.out_dir)
-    for protocol in protocols:
-        for seed in seeds:
-            _run_one(cfg, protocol, seed, out)
-    print(f"ran {len(protocols) * len(seeds)} simulations into {out}")
+    # The whole grid is checked before the first run writes a file.
+    grid = [replace(cfg, protocol=p, seed=s) for p in protocols for s in seeds]
+    for run_cfg in grid:
+        validate_config(run_cfg)
+    for run_cfg in grid:
+        _run_one(run_cfg, out)
+    print(f"ran {len(grid)} simulations into {out}")
     return EXIT_OK
 
 
@@ -113,11 +114,19 @@ def cmd_plots(args) -> int:
         print(f"no metrics_*.csv files in {in_dir}", file=sys.stderr)
         return EXIT_IO
     by_protocol: dict[str, list] = {}
+    rounds = None
     for p in paths:
         stem = p.stem  # metrics_<protocol>_seed<seed>
         parts = stem.split("_")
         protocol = "_".join(parts[1:-1])
-        by_protocol.setdefault(protocol, []).append(read_metrics_csv(p))
+        metrics = read_metrics_csv(p)
+        # Every run has one row per round, so a file whose count differs is damaged.
+        if rounds is None:
+            rounds = len(metrics)
+        elif len(metrics) != rounds:
+            raise ResultFileError(
+                f"{p}: {len(metrics)} rounds, but {paths[0].name} has {rounds}")
+        by_protocol.setdefault(protocol, []).append(metrics)
     runs = {protocol: median_series(by_protocol[protocol]) for protocol in sorted(by_protocol)}
     files = emit_plot_series(runs, in_dir)
     print("wrote " + ", ".join(f.name for f in files))
@@ -133,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (defaults when omitted)")
-    common.add_argument("--allow-unconstrained-weights", action="store_true",
-                        help="skip the x_w = 100*x_d and x_f < x_c < x_d checks")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run one simulation")
     p_sim.add_argument("--protocol", choices=("amhrp", "mattempt", "simple"))
@@ -162,7 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, and 2 is the
+        # I/O code here.
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     if args.dump_layout:
         print(format_layout(), end="")
         return EXIT_OK

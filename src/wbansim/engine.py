@@ -41,11 +41,9 @@ A run always has ``rounds`` rows. Once the last node is dead the rounds are
 not walked: ``_Sim.dead_tail`` writes the remaining rows in one pass. That is
 exact: a dead node's residual is clamped to 0.0, and a dead round sends
 nothing, records no link and draws no shadowing; only the equilibrium windows
-still roll. A run that records traffic walks every round, since its log holds
-each round's events-stream counts. A flat equilibrium series (every
-coefficient 0.0, as before the first window closes and after the tail's idle
-windows roll the live ones out) scores ``a0`` at every round, so its flag is
-computed once per rebuild.
+still roll. A flat equilibrium series (every coefficient 0.0, as before the
+first window closes and after the tail's idle windows roll the live ones out)
+scores ``a0`` at every round, so its flag is computed once per rebuild.
 """
 from __future__ import annotations
 
@@ -65,7 +63,7 @@ from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
                         mattempt_build_hopcounts, mattempt_next_hop,
                         mattempt_temperature_step, simple_select_forwarder)
 
-SINK_ID = -1  # receiver id used for node-to-sink links in audit records
+SINK_ID = -1  # receiver id of a node-to-sink send
 EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
 # Never called: the readings sampler is gone, but perfbench/tracer.py still
 # wraps ``wbansim.engine.sample_reading`` by name, so the name stays until the
@@ -103,8 +101,6 @@ class RunSummary:
 class RunAudit:
     """Verification extras: not part of the reported metrics."""
     drained_total: float
-    traffic: list[tuple[int, int, int, bool]] | None  # (round, node, events, due)
-    links: list[tuple[int, int, int, bool]] | None    # (round, tx, rx, tx_alive)
 
 
 class RunResult(NamedTuple):
@@ -206,7 +202,7 @@ class _EquilibriumTracker:
 
 
 class _Sim:
-    def __init__(self, cfg: SimConfig, record_traffic: bool, record_links: bool):
+    def __init__(self, cfg: SimConfig):
         validate_config(cfg)
         self.cfg = cfg
         self.w = cfg.energy
@@ -256,8 +252,6 @@ class _Sim:
         self.period_groups = list(groups.items())
         self.eq = _EquilibriumTracker(cfg)
         self.drained_total = 0.0
-        self.traffic_log: list[tuple[int, int, int, bool]] | None = [] if record_traffic else None
-        self.links_log: list[tuple[int, int, int, bool]] | None = [] if record_links else None
 
         # Per-round working state (plain ints: this is the hot loop).
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
@@ -284,11 +278,10 @@ class _Sim:
         self._deaths_pending = True
         return True
 
-    def _transmit(self, rnd: int, tx: SensorNode, rx_id: int, is_origin: bool,
+    def _transmit(self, tx: SensorNode, rx_id: int, is_origin: bool,
                   cost: float | None = None) -> None:
         """One on-body send: a destined send from the originator, a forward
-        from a relay. The link is recorded before the charge, so the log holds
-        the sender's alive flag at send time."""
+        from a relay."""
         if is_origin:
             self.c2 += 1
         else:
@@ -297,8 +290,6 @@ class _Sim:
         if rx_id != SINK_ID:
             self.heat_rx[rx_id] += 1
         self.round_pairs[(tx.id, rx_id)] = None
-        if self.links_log is not None:
-            self.links_log.append((rnd, tx.id, rx_id, tx.alive))
         if cost is None:
             cost = self.w.x_d if is_origin else self.w.x_f
         self._charge(tx, cost)
@@ -345,7 +336,7 @@ class _Sim:
 
     # -- packet routing -----------------------------------------------------
 
-    def _route_packet(self, rnd: int, origin: SensorNode, kind: PacketKind) -> None:
+    def _route_packet(self, origin: SensorNode, kind: PacketKind) -> None:
         """Walk one packet from its originator toward the sink."""
         scheme = self.scheme
         holder = origin
@@ -376,13 +367,13 @@ class _Sim:
                 cost = None
                 if decision.boosted:
                     cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
-                self._transmit(rnd, holder, SINK_ID, is_origin, cost)
+                self._transmit(holder, SINK_ID, is_origin, cost)
                 self.round_received += 1
                 if kind is PacketKind.CRITICAL:
                     self.round_critical += 1
                 return
 
-            if not scheme.hand_over(rnd, holder, target, is_origin):
+            if not scheme.hand_over(holder, target, is_origin):
                 return
             holder = target
             is_origin = False
@@ -404,8 +395,6 @@ class _Sim:
         # stream consumed is identical across protocols under a shared seed.
         counts = self._event_counts(self.n)
         due = {i for period, ids in self.period_groups if rnd % period == 0 for i in ids}
-        if self.traffic_log is not None:
-            self.traffic_log.extend((rnd, i, counts[i], i in due) for i in range(self.n))
         # Only nodes with a due reading or an event take readings, in id
         # order; slots run in id order too (assign_tdma), so this list is
         # also the transmit order. The readings' uniforms are skipped.
@@ -427,7 +416,7 @@ class _Sim:
                 self.c1 += 1
                 if self._charge(node, self.w.x_s):
                     break  # the reading completed, but a dead node sends nothing
-                self._route_packet(rnd, node, kind)
+                self._route_packet(node, kind)
                 if not node.alive:
                     break
 
@@ -495,10 +484,9 @@ class _Scheme:
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
         raise NotImplementedError
 
-    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
-                  is_origin: bool) -> bool:
+    def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
         """Send to the alive relay ``target``; True when it carries the packet on."""
-        self.sim._transmit(rnd, holder, target.id, is_origin)
+        self.sim._transmit(holder, target.id, is_origin)
         return True
 
     def end_round(self, rnd: int) -> None:
@@ -548,20 +536,19 @@ class _Mattempt(_Scheme):
         return mattempt_next_hop(holder, kind, self.state, sim.neighbors[holder.id],
                                  sim.d_sink)
 
-    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
-                  is_origin: bool) -> bool:
+    def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
         sim, p = self.sim, self.p
         # The relay's temperature including this round's traffic so far,
         # read before this send adds to it.
         hot = target.temperature + sim.heat_tx[target.id] * p.delta_tx \
             + sim.heat_rx[target.id] * p.delta_rx > p.temp_threshold
-        sim._transmit(rnd, holder, target.id, is_origin)
+        sim._transmit(holder, target.id, is_origin)
         if not hot:
             return True
         # Hotspot bounce: the overheated relay sends the packet back and the
         # sender re-routes in a later round (the next hop-count flood walks
         # around it). The packet is lost for this round.
-        sim._transmit(rnd, target, holder.id, False)
+        sim._transmit(target, holder.id, False)
         return False
 
     def end_round(self, rnd: int) -> None:
@@ -596,9 +583,8 @@ class _Simple(_Scheme):
             return RoutingDecision(RouteAction.SEND_TO_SINK)
         return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
 
-    def hand_over(self, rnd: int, holder: SensorNode, target: SensorNode,
-                  is_origin: bool) -> bool:
-        self.sim._transmit(rnd, holder, target.id, is_origin)
+    def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
+        self.sim._transmit(holder, target.id, is_origin)
         self.parked += 1  # aggregated at end of round
         return False
 
@@ -609,7 +595,7 @@ class _Simple(_Scheme):
             return  # a forwarder that died mid-round loses its parked packets
         # One destined send that carries k forwards; the packets were
         # counted as sent when parked.
-        sim._transmit(rnd, sim.nodes[fw], SINK_ID, True, sim.w.x_d + k * sim.w.x_f)
+        sim._transmit(sim.nodes[fw], SINK_ID, True, sim.w.x_d + k * sim.w.x_f)
         sim.c4 += k
         sim.round_received += k  # parked packets are all normal traffic
 
@@ -617,22 +603,18 @@ class _Simple(_Scheme):
 _SCHEMES = {"amhrp": _Amhrp, "mattempt": _Mattempt, "simple": _Simple}
 
 
-def run_simulation(config: SimConfig, *, record_traffic: bool = False,
-                   record_links: bool = False) -> RunResult:
+def run_simulation(config: SimConfig) -> RunResult:
     """Execute ``config.rounds`` rounds and summarize the run.
 
     Every run returns one row per round. The rounds after the last death are
-    written by ``_Sim.dead_tail`` unless the traffic log, which records each
-    round's events-stream counts, needs them walked.
+    written by ``_Sim.dead_tail``.
     """
-    sim = _Sim(config, record_traffic, record_links)
+    sim = _Sim(config)
     metrics: list[RoundMetrics] = []
     for rnd in range(config.rounds):
-        if sim.alive_count == 0 and sim.traffic_log is None:
+        if sim.alive_count == 0:
             metrics += sim.dead_tail(rnd)
             break
         metrics.append(sim.run_round(rnd))
     summary = summarize_run(metrics, config)
-    audit = RunAudit(drained_total=sim.drained_total,
-                     traffic=sim.traffic_log, links=sim.links_log)
-    return RunResult(metrics, summary, audit)
+    return RunResult(metrics, summary, RunAudit(drained_total=sim.drained_total))

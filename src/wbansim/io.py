@@ -108,14 +108,17 @@ def read_summary_json(path) -> RunSummary:
 # ---------------------------------------------------------------------------
 
 def median_series(series: list[list[RoundMetrics]]) -> list[RoundMetrics]:
-    """Per-round median of several runs, cut to the shortest run.
+    """Per-round median of one or more runs of equal length.
 
     Counts take the int of the median; the path loss is the median over the
     runs that transmitted (None when none did); the equilibrium flag holds
     only when it holds in every run.
     """
+    lengths = {len(s) for s in series}
+    if len(lengths) != 1:
+        raise ValueError(f"need runs of one length, got lengths {sorted(lengths)}")
     merged = []
-    for r in range(min(len(s) for s in series)):
+    for r in range(lengths.pop()):
         rows = [s[r] for s in series]
         losses = [m.mean_path_loss for m in rows if m.mean_path_loss is not None]
         merged.append(RoundMetrics(

@@ -1,0 +1,79 @@
+"""Recorded runs for the tests: the every-round walk, with its traffic and
+link logs.
+
+``walk_recorded`` drives ``_Sim.run_round`` for every round, dead rounds
+included, so it is also the reference that the engine's one-pass dead tail
+is compared against. It logs through wrappers on one ``_Sim`` instance; the
+engine itself records nothing.
+"""
+from collections import defaultdict
+from typing import NamedTuple
+
+from wbansim.engine import SINK_ID, RunAudit, RunResult, _Sim, summarize_run
+
+
+class Recording(NamedTuple):
+    result: RunResult
+    traffic: list[tuple[int, int, int, bool]]  # (round, node, events, due)
+    links: list[tuple[int, int, int, bool]]    # (round, tx, rx, tx alive at send)
+
+
+def walk_recorded(cfg) -> Recording:
+    """Run ``cfg`` round by round, logging each round's events-stream counts
+    and due flags, and every on-body send before its charge."""
+    sim = _Sim(cfg)
+    traffic: list[tuple[int, int, int, bool]] = []
+    links: list[tuple[int, int, int, bool]] = []
+    transmit, event_counts = sim._transmit, sim._event_counts
+
+    def logged_transmit(tx, rx_id, is_origin, cost=None):
+        links.append((rnd, tx.id, rx_id, tx.alive))
+        transmit(tx, rx_id, is_origin, cost)
+
+    def logged_event_counts(m):
+        counts = event_counts(m)
+        # The engine's own schedule grouping, so a test comparing this log
+        # with ``is_scheduled`` checks it.
+        due = {i for period, ids in sim.period_groups if rnd % period == 0 for i in ids}
+        traffic.extend((rnd, i, counts[i], i in due) for i in range(m))
+        return counts
+
+    sim._transmit = logged_transmit
+    sim._event_counts = logged_event_counts
+    metrics = []
+    for rnd in range(cfg.rounds):
+        metrics.append(sim.run_round(rnd))
+    result = RunResult(metrics, summarize_run(metrics, cfg),
+                       RunAudit(drained_total=sim.drained_total))
+    return Recording(result, traffic, links)
+
+
+def forwarding_acyclic(links) -> bool:
+    """True when every round's on-body forwarding graph (the logged sends,
+    sends to the sink left out) has no cycle."""
+    per_round = defaultdict(list)
+    for rnd, tx, rx, _ in links:
+        if rx != SINK_ID:
+            per_round[rnd].append((tx, rx))
+    return all(_is_acyclic(edges) for edges in per_round.values())
+
+
+def _is_acyclic(edges) -> bool:
+    graph = defaultdict(list)
+    nodes = set()
+    for a, b in edges:
+        graph[a].append(b)
+        nodes.update((a, b))
+    state = {}
+
+    def dfs(u):
+        state[u] = 1
+        for v in graph[u]:
+            if state.get(v) == 1:
+                return False
+            if state.get(v) is None and not dfs(v):
+                return False
+        state[u] = 2
+        return True
+
+    return all(state.get(u) == 2 or dfs(u) for u in nodes)

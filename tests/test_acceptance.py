@@ -7,18 +7,18 @@ The calibrated criteria use the shipped defaults (19 nodes, 10000 rounds,
 import math
 import statistics
 import time
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from recording import forwarding_acyclic, walk_recorded
 
 from wbansim.channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from wbansim.cli import main as cli_main
 from wbansim.config import ConfigError, SimConfig, parse_config
 from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology, distance
 from wbansim.energy import ActionCounts, EnergyWeights, round_cost
-from wbansim.engine import SINK_ID, assign_tdma, run_simulation
+from wbansim.engine import assign_tdma, run_simulation
 from wbansim.events import poisson_pmf, sample_event_count
 from wbansim.protocols import amhrp_select_forwarder
 
@@ -35,15 +35,23 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def sweep():
-    """Default-config runs for every protocol and seed, with audit extras."""
-    runs = {}
+def recorded_sweep():
+    """Default-config runs for every protocol and seed, and the link logs of
+    the AMHRP runs (walked by the recording helper)."""
+    runs, amhrp_links = {}, {}
     for protocol in PROTOCOLS:
         for seed in SEEDS:
             cfg = replace(SimConfig(), protocol=protocol, seed=seed)
-            runs[(protocol, seed)] = run_simulation(
-                cfg, record_links=(protocol == "amhrp"))
-    return runs
+            if protocol == "amhrp":
+                runs[(protocol, seed)], _, amhrp_links[seed] = walk_recorded(cfg)
+            else:
+                runs[(protocol, seed)] = run_simulation(cfg)
+    return runs, amhrp_links
+
+
+@pytest.fixture(scope="session")
+def sweep(recorded_sweep):
+    return recorded_sweep[0]
 
 
 def medians(runs, protocol, getter):
@@ -145,19 +153,15 @@ class TestEnergyLinearity:
 
 
 class TestRoutingInvariants:
-    def test_no_cycles_no_dead_senders_tdma_bijection(self, sweep):
+    def test_no_cycles_no_dead_senders_tdma_bijection(self, recorded_sweep):
+        _, amhrp_links = recorded_sweep
         acyclic = True
         alive_senders = True
         bijective = True
         for seed in SEEDS:
-            res = sweep[("amhrp", seed)]
-            per_round = defaultdict(list)
-            for rnd, tx, rx, alive in res.audit.links:
-                alive_senders &= alive
-                if rx != SINK_ID:
-                    per_round[rnd].append((tx, rx))
-            for edges in per_round.values():
-                acyclic &= _is_acyclic(edges)
+            links = amhrp_links[seed]
+            alive_senders &= all(alive for _, _, _, alive in links)
+            acyclic &= forwarding_acyclic(links)
             cfg = replace(SimConfig(), seed=seed)
             nodes, _ = build_topology(
                 cfg, np.random.Generator(np.random.PCG64(
@@ -190,27 +194,6 @@ class TestRoutingInvariants:
             invariant &= (before.action, before.target) == (after.action, after.target)
         report("AMHRP forwarder choice invariant under uniform residual scaling "
                "(1000 cases)", invariant)
-
-
-def _is_acyclic(edges):
-    graph = defaultdict(list)
-    nodes = set()
-    for a, b in edges:
-        graph[a].append(b)
-        nodes.update((a, b))
-    state = {}
-
-    def dfs(u):
-        state[u] = 1
-        for v in graph[u]:
-            if state.get(v) == 1:
-                return False
-            if state.get(v) is None and not dfs(v):
-                return False
-        state[u] = 2
-        return True
-
-    return all(state.get(u) == 2 or dfs(u) for u in nodes)
 
 
 class TestThroughputBounds:

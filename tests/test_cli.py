@@ -121,6 +121,9 @@ BAD_RESULT_FILES = {
     "metrics_bad_number": ("plots", "metrics_simple_seed1.csv",
                            lambda t: t.replace("\n5,", "\nfive,", 1)),
     "metrics_bad_header": ("plots", "metrics_mattempt_seed3.csv", lambda t: "x" + t),
+    # A run always has one row per round: header plus 100 of the 300 rounds.
+    "metrics_rows_cut": ("plots", "metrics_amhrp_seed2.csv",
+                         lambda t: "".join(t.splitlines(keepends=True)[:101])),
 }
 
 
@@ -193,3 +196,36 @@ class TestNoCommand:
     def test_bare_invocation_prints_help(self, capsys):
         assert main([]) == 1
         assert "simulate" in capsys.readouterr().out
+
+
+# case -> (argv, exit code, text on stderr); every case runs in an empty
+# directory and must leave it empty.
+EXIT_CODES = {
+    "help": (["--help"], 0, ""),
+    "sweep_help": (["sweep", "--help"], 0, ""),
+    "unknown_option": (["--bogus"], 1, "unrecognized arguments: --bogus"),
+    "unknown_protocol_choice": (["simulate", "--protocol", "foo", "--out", "o"], 1,
+                                "invalid choice: 'foo'"),
+    "seed_not_int": (["simulate", "--seed", "x", "--out", "o"], 1,
+                     "invalid int value: 'x'"),
+    "missing_option_value": (["compare", "--in"], 1, "expected one argument"),
+    "no_protocols": (["sweep", "--protocols", ",", "--out", "o"], 1, "--protocols"),
+    "bad_protocols_entry": (["sweep", "--protocols", "amhrp,foo", "--seeds", "1..2",
+                             "--out", "o"], 1, "sim.protocol"),
+    "bad_seeds_range": (["sweep", "--seeds", "1..x", "--out", "o"], 1, "--seeds"),
+    "no_seeds": (["sweep", "--seeds", ",", "--out", "o"], 1, "--seeds"),
+    "negative_seed_in_grid": (["sweep", "--seeds=2,-1", "--out", "o"], 1,
+                              "sim.seed: must be >= 0"),
+    "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
+    "plots_on_empty_dir": (["plots", "--in", "."], 2, "no metrics_*.csv"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(EXIT_CODES))
+    def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        argv, code, err = EXIT_CODES[case]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        assert err in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

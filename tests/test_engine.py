@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recording import forwarding_acyclic, walk_recorded
 from test_config import valid_configs
 
 from wbansim.config import SimConfig, parse_config, render_config, validate_config
@@ -155,14 +156,13 @@ class TestRunSimulation:
         base = cfg(rounds=300, seed=11)
         logs = {}
         for protocol in ("amhrp", "mattempt", "simple"):
-            res = run_simulation(replace(base, protocol=protocol), record_traffic=True)
-            logs[protocol] = res.audit.traffic
+            logs[protocol] = walk_recorded(replace(base, protocol=protocol)).traffic
         assert logs["amhrp"] == logs["mattempt"] == logs["simple"]
 
     def test_all_transmitters_were_alive(self):
-        res = run_simulation(cfg(rounds=2000, seed=4), record_links=True)
-        assert res.audit.links, "expected some transmissions"
-        assert all(alive for _, _, _, alive in res.audit.links)
+        links = walk_recorded(cfg(rounds=2000, seed=4)).links
+        assert links, "expected some transmissions"
+        assert all(alive for _, _, _, alive in links)
 
     def test_dead_network_rows_run_to_the_end(self):
         # x_t above the initial charge: every node dies in round 0, and the
@@ -229,14 +229,13 @@ class TestEngineSpecializations:
         over = {}
         if variant == "hot":
             over["mattempt"] = replace(SimConfig().mattempt, temp_threshold=37.2)
-        res = run_simulation(self._dying_config(protocol, **over),
-                             record_traffic=True, record_links=True)
+        res, traffic, links = walk_recorded(self._dying_config(protocol, **over))
         path = tmp_path / "metrics.csv"
         write_metrics_csv(res.metrics, path)
         text = "\n".join([
             path.read_text(encoding="utf-8"),
-            *(",".join(map(str, row)) for row in res.audit.traffic),
-            *(",".join(map(str, row)) for row in res.audit.links),
+            *(",".join(map(str, row)) for row in traffic),
+            *(",".join(map(str, row)) for row in links),
             repr(res.audit.drained_total),
         ])
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -257,7 +256,7 @@ class TestEngineSpecializations:
             return mattempt_build_hopcounts(*args, **kwargs)
 
         monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
-        sim = _Sim(c, record_traffic=False, record_links=False)
+        sim = _Sim(c)
         begin_round = sim.scheme.begin_round
 
         def checked_begin_round(rnd):
@@ -291,7 +290,7 @@ class TestEngineSpecializations:
         from wbansim.protocols import RouteAction, amhrp_select_forwarder
 
         c = self._dying_config("amhrp")
-        sim = _Sim(c, record_traffic=False, record_links=False)
+        sim = _Sim(c)
         forwarded = 0
         for rnd in range(c.rounds):
             row = sim.run_round(rnd)
@@ -330,7 +329,7 @@ def _tail_config(case, protocol, seed):
 
 class TestDeadTail:
     """Once every node is dead the engine writes the remaining rows in one
-    pass; a run that records traffic walks every round and is the reference."""
+    pass; the recorded walk runs every round and is the reference."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
@@ -338,7 +337,7 @@ class TestDeadTail:
     def test_tail_equals_full_walk(self, case, protocol, seed):
         c = _tail_config(case, protocol, seed)
         tail = run_simulation(c)
-        walked = run_simulation(c, record_traffic=True)
+        walked = walk_recorded(c).result
         assert len(tail.metrics) == c.rounds
         assert tail.metrics == walked.metrics
         assert tail.summary == walked.summary
@@ -406,7 +405,7 @@ class TestRunProperty:
     def test_tail_conservation_and_delivery(self, c, rounds, lam):
         c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
         tail = run_simulation(c)
-        walked = run_simulation(c, record_traffic=True)
+        walked, _, links = walk_recorded(c)
         assert tail.metrics == walked.metrics
         assert tail.summary == walked.summary
         # A rerun of the rendered and re-parsed config behaves the same.
@@ -420,6 +419,11 @@ class TestRunProperty:
         for m in tail.metrics:
             assert m.packets_received_at_sink <= m.packets_sent
         assert tail.summary.packets_received_total <= tail.summary.packets_sent_total
+        assert all(alive for _, _, _, alive in links)
+        # Each round's on-body forwarding graph is acyclic; M-ATTEMPT's
+        # hotspot bounce sends a packet back on purpose, a 2-cycle.
+        if c.protocol != "mattempt":
+            assert forwarding_acyclic(links)
 
 
 class _CountingRng:
@@ -501,7 +505,7 @@ class TestEventStream:
         assert used > 3 * EVENT_BLOCK  # the run crosses several blocks
         if lam == 300.0 and n == 19:
             assert widest > EVENT_BLOCK  # one round skips past a whole block
-        assert run_simulation(c, record_traffic=True).audit.traffic == log
+        assert walk_recorded(c).traffic == log
 
 
 class TestValidateConfig:

@@ -157,10 +157,11 @@ class TestMedianSeries:
         merged = median_series([ok, broken, ok])
         assert [m.equilibrium_ok for m in merged] == [True, False]
 
-    def test_truncated_to_shortest_run(self):
-        runs = [[row(r) for r in range(n)] for n in (5, 3, 4)]
-        merged = median_series(runs)
-        assert [m.round for m in merged] == [0, 1, 2]
+    def test_unequal_lengths_rejected(self):
+        for lengths in [(5, 3, 4), (5, 5, 4), ()]:
+            runs = [[row(r) for r in range(n)] for n in lengths]
+            with pytest.raises(ValueError):
+                median_series(runs)
 
 
 class TestCompareRuns:
