@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .core import bounded
+
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -29,28 +31,14 @@ class LinkClass(Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    frequency: float = 2.4e9
-    d0: float = 0.1
-    exponent_los: float = 3.5
-    exponent_nlos: float = 6.0
-    sigma_db: float = 0.0
+    frequency: float = bounded(2.4e9, gt=0)
+    d0: float = bounded(0.1, gt=0)
+    exponent_los: float = bounded(3.5, ge=2, le=4)
+    exponent_nlos: float = bounded(6.0, ge=5, le=7.4)
+    sigma_db: float = bounded(0.0, ge=0)
 
     def exponent(self, link: LinkClass) -> float:
         return self.exponent_los if link is LinkClass.LOS else self.exponent_nlos
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.frequency <= 0:
-            problems.append("channel.frequency: must be > 0")
-        if self.d0 <= 0:
-            problems.append("channel.d0: must be > 0")
-        if not (2.0 <= self.exponent_los <= 4.0):
-            problems.append("channel.exponent_los: must lie in [2, 4]")
-        if not (5.0 <= self.exponent_nlos <= 7.4):
-            problems.append("channel.exponent_nlos: must lie in [5, 7.4]")
-        if self.sigma_db < 0:
-            problems.append("channel.sigma_db: must be >= 0")
-        return problems
 
 
 def reference_path_loss(p: ChannelParams) -> float:

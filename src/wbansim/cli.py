@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, SimConfig, load_config, validate_config
+from .config import PROTOCOLS, ConfigError, SimConfig, load_config, validate_config
 from .core import format_layout
 from .engine import run_simulation
 from .io import (ResultFileError, compare_runs, emit_plot_series, median_series,
@@ -76,8 +76,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--protocols: no protocols in {args.protocols!r}")
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out or cfg.out_dir)
-    # The whole grid is checked before the first run writes a file.
-    grid = [replace(cfg, protocol=p, seed=s) for p in protocols for s in seeds]
+    # The whole grid is checked before the first run writes a file. A repeated
+    # protocol or seed would rewrite the same files, so each pair runs once.
+    pairs = dict.fromkeys((p, s) for p in protocols for s in seeds)
+    grid = [replace(cfg, protocol=p, seed=s) for p, s in pairs]
     for run_cfg in grid:
         validate_config(run_cfg)
     for run_cfg in grid:
@@ -144,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="configuration file (defaults when omitted)")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run one simulation")
-    p_sim.add_argument("--protocol", choices=("amhrp", "mattempt", "simple"))
+    p_sim.add_argument("--protocol", choices=PROTOCOLS)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="output directory (default: sim.out_dir)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run a protocol x seed grid")
-    p_sweep.add_argument("--protocols", default="amhrp,mattempt,simple")
+    p_sweep.add_argument("--protocols", default=",".join(PROTOCOLS))
     p_sweep.add_argument("--seeds", default="1..10",
                          help="e.g. '1..10' or '1,2,5'")
     p_sweep.add_argument("--out", help="output directory (default: sim.out_dir)")

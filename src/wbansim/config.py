@@ -11,10 +11,11 @@ The config format is a flat-sectioned key=value document:
 
 Sections: sim, energy, channel, events, schedule, amhrp, mattempt, simple.
 A section's scalar keys are the bool/int/float/str fields of its dataclass
-(``[sim]``: SimConfig's own; ``events.lambda`` is the field ``lam``),
-declared nowhere else; ``channel.nlos_pairs`` and the schedule periods have
-their own syntax. Unknown sections or keys are hard errors, every constraint
-violation is reported with its key path, and unspecified keys take the
+(``[sim]``: SimConfig's own; ``events.lambda`` is the field ``lam``), each
+with its allowed values (``core.bounded``), declared nowhere else;
+``channel.nlos_pairs`` and the schedule periods have their own syntax.
+Unknown sections or keys are hard errors, every constraint violation is
+reported with its key path, and unspecified keys take the
 defaults below (19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
 leaving it unset derives it, setting it to anything else is rejected unless
 unconstrained weights are explicitly allowed.
@@ -29,7 +30,7 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
-from .core import ALL_KINDS, SensorKind
+from .core import ALL_KINDS, Bound, SensorKind, bounded
 from .energy import EnergyWeights
 from .events import EventParams, SensingSchedule, default_schedule
 from .protocols import MattemptParams, SimpleParams
@@ -48,20 +49,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AmhrpParams:
-    control_period: int = 10   # rounds between residual-energy beacon exchanges
-    alpha_star: float = 0.0    # equilibrium diagnostic threshold
-    eq_windows: int = 8        # series length l: number of logged traffic windows
-    eq_window_len: int = 50    # rounds per window
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.control_period < 1:
-            problems.append("amhrp.control_period: must be >= 1")
-        if self.eq_windows < 1:
-            problems.append("amhrp.eq_windows: must be >= 1")
-        if self.eq_window_len < 1:
-            problems.append("amhrp.eq_window_len: must be >= 1")
-        return problems
+    control_period: int = bounded(10, ge=1)  # rounds between residual-energy beacon exchanges
+    alpha_star: float = 0.0                  # equilibrium diagnostic threshold
+    eq_windows: int = bounded(8, ge=1)       # series length l: number of logged traffic windows
+    eq_window_len: int = bounded(50, ge=1)   # rounds per window
 
 
 def default_energy_weights() -> EnergyWeights:
@@ -80,13 +71,13 @@ def default_energy_weights() -> EnergyWeights:
 
 @dataclass(frozen=True)
 class SimConfig:
-    node_count: int = 19
-    rounds: int = 10000
-    initial_energy: float = 0.5
-    protocol: str = "amhrp"
-    seed: int = 1
-    placement: str = "uniform"
-    tx_range: float = 0.6
+    node_count: int = bounded(19, ge=1)
+    rounds: int = bounded(10000, ge=0)
+    initial_energy: float = bounded(0.5, gt=0)
+    protocol: str = bounded("amhrp", choices=PROTOCOLS)
+    seed: int = bounded(1, ge=0)
+    placement: str = bounded("uniform", choices=PLACEMENTS)
+    tx_range: float = bounded(0.6, gt=0)
     allow_unconstrained_weights: bool = False
     out_dir: str = "results"
     energy: EnergyWeights = field(default_factory=default_energy_weights)
@@ -100,51 +91,43 @@ class SimConfig:
 
 
 def validate_config(cfg: SimConfig) -> None:
-    """Raise ConfigError listing every violated constraint."""
-    # Every range check below lets NaN through, so non-finite floats go first.
-    nonfinite = []
+    """Raise ConfigError listing every violated constraint.
+
+    Each scalar key is checked for finiteness, then against the bound its
+    field declares; a rule relating several keys is skipped when one of them
+    is non-finite, so every bad value gets one message.
+    """
+    problems = []
     for name in _SECTIONS:
         obj = _section(cfg, name)
-        for key, (attr, typ) in _scalar_keys(type(obj)).items():
-            if typ is float and not math.isfinite(getattr(obj, attr)):
-                nonfinite.append(f"{name}.{key}")
-    problems = [f"{path}: must be finite" for path in nonfinite]
-    if cfg.node_count < 1:
-        problems.append("sim.node_count: must be >= 1")
-    if cfg.rounds < 0:
-        problems.append("sim.rounds: must be >= 0")
-    if cfg.seed < 0:
-        problems.append("sim.seed: must be >= 0")
-    if cfg.initial_energy <= 0:
-        problems.append("sim.initial_energy: must be > 0")
-    if cfg.protocol not in PROTOCOLS:
-        problems.append(f"sim.protocol: must be one of {', '.join(PROTOCOLS)}")
-    if cfg.placement not in PLACEMENTS:
-        problems.append(f"sim.placement: must be one of {', '.join(PLACEMENTS)}")
-    if cfg.tx_range <= 0:
-        problems.append("sim.tx_range: must be > 0")
+        for key, (attr, typ, bound) in _scalar_keys(type(obj)).items():
+            value = getattr(obj, attr)
+            if typ is float and not math.isfinite(value):
+                problems.append(f"{name}.{key}: must be finite")
+            elif bound and (why := bound.violation(value)):
+                problems.append(f"{name}.{key}: {why}")
     if cfg.placement == "canonical" and cfg.node_count > len(ALL_KINDS):
         problems.append(
             f"sim.node_count: canonical placement supports at most {len(ALL_KINDS)} nodes"
         )
-    problems += cfg.energy.validate(cfg.allow_unconstrained_weights)
-    problems += cfg.channel.validate()
-    problems += cfg.events.validate()
+    e = cfg.energy
+    if not cfg.allow_unconstrained_weights:
+        if (math.isfinite(e.x_w) and math.isfinite(e.x_d)
+                and abs(e.x_w - 100.0 * e.x_d) > 1e-12 * max(1.0, abs(e.x_w))):
+            problems.append(
+                f"energy.x_w: must equal 100 * x_d ({100.0 * e.x_d!r}), got {e.x_w!r}")
+        if all(map(math.isfinite, (e.x_f, e.x_c, e.x_d))) and not e.x_f < e.x_c < e.x_d:
+            problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
     # A kind with no sensing period is caught here, before round 0. Node i
     # carries ALL_KINDS[i % 19].
     for kind in ALL_KINDS[:cfg.node_count]:
         if kind not in cfg.schedule.periods:
             problems.append(f"schedule.{kind.value}: no sensing period configured")
-    problems += cfg.schedule.validate()
-    problems += cfg.amhrp.validate()
-    problems += cfg.mattempt.validate()
-    problems += cfg.simple.validate()
+    problems += [f"schedule.{kind.value}: period must be >= 1"
+                 for kind, period in cfg.schedule.periods.items() if period < 1]
     for a, b in cfg.nlos_pairs:
         if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
             problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
-    # One message per non-finite key: its range checks would only repeat it.
-    problems[len(nonfinite):] = [v for v in problems[len(nonfinite):]
-                                 if v.split(":", 1)[0] not in nonfinite]
     if problems:
         raise ConfigError(problems)
 
@@ -165,11 +148,12 @@ def _section(cfg: SimConfig, name: str):
 
 
 @functools.cache
-def _scalar_keys(cls: type) -> dict[str, tuple[str, type]]:
-    """INI key -> (field, type) for each bool, int, float or str field of a
-    section dataclass, in declaration order: exactly the section's scalar keys."""
+def _scalar_keys(cls: type) -> dict[str, tuple[str, type, Bound | None]]:
+    """INI key -> (field, type, declared bound) for each bool, int, float or
+    str field of a section dataclass, in declaration order: exactly the
+    section's scalar keys."""
     hints = typing.get_type_hints(cls)
-    return {_INI_KEY.get(f.name, f.name): (f.name, hints[f.name])
+    return {_INI_KEY.get(f.name, f.name): (f.name, hints[f.name], f.metadata.get("bound"))
             for f in fields(cls) if hints[f.name] in (bool, int, float, str)}
 
 
@@ -207,7 +191,7 @@ def _parse_scalars(name: str, cls: type, raw: dict[str, str],
         if key not in keys:
             problems.append(f"unknown key {name}.{key}")
             continue
-        attr, typ = keys[key]
+        attr, typ, _ = keys[key]
         over[attr] = _parse_scalar(text, typ, f"{name}.{key}", problems)
     return over
 
@@ -289,7 +273,7 @@ def render_config(cfg: SimConfig) -> str:
     for name in _SECTIONS:
         obj = _section(cfg, name)
         sections[name] = [(key, getattr(obj, attr))
-                          for key, (attr, _) in _scalar_keys(type(obj)).items()]
+                          for key, (attr, _, _) in _scalar_keys(type(obj)).items()]
     if cfg.nlos_pairs:
         sections["channel"].append(
             ("nlos_pairs", ", ".join(f"{a}-{b}" for a, b in cfg.nlos_pairs)))

@@ -9,13 +9,45 @@ standing adult (head, trunk, limbs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 PLANE_WIDTH = 0.8
 PLANE_HEIGHT = 1.8
+
+
+class Bound(NamedTuple):
+    """The allowed values of one config key: an interval from ``lo`` up to
+    ``hi`` (unbounded above when None), or one of ``choices``."""
+    lo: float | None
+    hi: float | None
+    lo_open: bool
+    hi_open: bool
+    choices: tuple[str, ...]
+
+    def violation(self, v) -> str | None:
+        """Why ``v`` is not allowed, or None when it is."""
+        if self.choices:
+            return None if v in self.choices else "must be one of " + ", ".join(self.choices)
+        if ((v > self.lo if self.lo_open else v >= self.lo)
+                and (self.hi is None or (v < self.hi if self.hi_open else v <= self.hi))):
+            return None
+        if self.hi is None:
+            return f"must be {'>' if self.lo_open else '>='} {self.lo:g}"
+        return (f"must lie in {'(' if self.lo_open else '['}{self.lo:g}, "
+                f"{self.hi:g}{')' if self.hi_open else ']'}")
+
+
+def bounded(default=MISSING, *, ge=None, gt=None, le=None, lt=None, choices=()):
+    """A config dataclass field with its allowed values declared beside it:
+    at least ``ge`` or above ``gt``, at most ``le`` or below ``lt``, or one
+    of ``choices``. ``validate_config`` checks every such field."""
+    bound = Bound(gt if ge is None else ge, lt if le is None else le,
+                  gt is not None, lt is not None, tuple(choices))
+    return field(default=default, metadata={"bound": bound})
 
 
 class SensorKind(Enum):

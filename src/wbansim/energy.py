@@ -10,32 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SensorNode
+from .core import SensorNode, bounded
 
 
 @dataclass(frozen=True)
 class EnergyWeights:
-    x_s: float  # self-computation / sensing
-    x_d: float  # send to destined node (forwarder or sink)
-    x_w: float  # send to external WSN gateway
-    x_f: float  # forward one packet at a relay
-    x_c: float  # control-packet exchange
-    x_t: float  # death threshold: a node dies when residual would not stay above it
-
-    def validate(self, allow_unconstrained: bool = False) -> list[str]:
-        """Return the list of violated constraints (empty when valid)."""
-        problems = []
-        for name in ("x_s", "x_d", "x_w", "x_f", "x_c", "x_t"):
-            if getattr(self, name) < 0:
-                problems.append(f"energy.{name}: must be >= 0")
-        if not allow_unconstrained:
-            if abs(self.x_w - 100.0 * self.x_d) > 1e-12 * max(1.0, abs(self.x_w)):
-                problems.append(
-                    f"energy.x_w: must equal 100 * x_d ({100.0 * self.x_d!r}), got {self.x_w!r}"
-                )
-            if not (self.x_f < self.x_c < self.x_d):
-                problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
-        return problems
+    x_s: float = bounded(ge=0)  # self-computation / sensing
+    x_d: float = bounded(ge=0)  # send to destined node (forwarder or sink)
+    x_w: float = bounded(ge=0)  # send to external WSN gateway
+    x_f: float = bounded(ge=0)  # forward one packet at a relay
+    x_c: float = bounded(ge=0)  # control-packet exchange
+    x_t: float = bounded(ge=0)  # death threshold: a node dies when residual would not stay above it
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SensorKind
+from .core import SensorKind, bounded
 
 
 # Largest accepted ``lam``: its CDF table has about 1430 entries, and every
@@ -25,16 +25,8 @@ LAMBDA_MAX = 1000.0
 
 @dataclass(frozen=True)
 class EventParams:
-    lam: float = 0.1  # expected events per round per node
-    rounds_per_day: int = 24
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not 0 <= self.lam <= LAMBDA_MAX:  # also rejects inf and nan
-            problems.append(f"events.lambda: must be a number in [0, {LAMBDA_MAX:g}]")
-        if self.rounds_per_day < 1:
-            problems.append("events.rounds_per_day: must be >= 1")
-        return problems
+    lam: float = bounded(0.1, ge=0, le=LAMBDA_MAX)  # expected events per round per node
+    rounds_per_day: int = bounded(24, ge=1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +123,6 @@ def default_schedule(rounds_per_day: int = 24) -> dict[SensorKind, int]:
 @dataclass(frozen=True)
 class SensingSchedule:
     periods: dict[SensorKind, int] = field(default_factory=default_schedule)
-
-    def validate(self) -> list[str]:
-        return [
-            f"schedule.{kind.value}: period must be >= 1"
-            for kind, period in self.periods.items()
-            if period < 1
-        ]
 
 
 def is_scheduled(kind: SensorKind, round_index: int, s: SensingSchedule) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .engine import RoundMetrics, RunSummary
@@ -70,18 +70,7 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
 
 
 def write_summary_json(summary: RunSummary, path) -> None:
-    payload = {
-        "protocol": summary.protocol,
-        "seed": summary.seed,
-        "stability_period": summary.stability_period,
-        "network_lifetime": summary.network_lifetime,
-        "throughput_pct": summary.throughput_pct,
-        "final_total_residual": summary.final_total_residual,
-        "residual_pct_at_end": summary.residual_pct_at_end,
-        "packets_sent_total": summary.packets_sent_total,
-        "packets_received_total": summary.packets_received_total,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(summary), indent=2) + "\n", encoding="utf-8")
 
 
 def read_summary_json(path) -> RunSummary:
@@ -292,18 +281,7 @@ def write_comparison(report: ComparisonReport, out_dir) -> tuple[Path, Path]:
     txt = out / "comparison.txt"
     txt.write_text(render_comparison(report), encoding="utf-8", newline="\n")
     payload = {
-        "medians": [
-            {
-                "protocol": m.protocol,
-                "seeds": list(m.seeds),
-                "stability_period": m.stability_period,
-                "network_lifetime": m.network_lifetime,
-                "throughput_pct": m.throughput_pct,
-                "residual_pct_at_end": m.residual_pct_at_end,
-                "packets_received_total": m.packets_received_total,
-            }
-            for m in report.medians
-        ],
+        "medians": [asdict(m) for m in report.medians],
         "pairwise": {
             f"{a}_vs_{b}": vals for (a, b), vals in report.pairwise.items()
         },

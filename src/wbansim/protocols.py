@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import PacketKind, SensorKind, SensorNode, Sink, distance
+from .core import PacketKind, SensorKind, SensorNode, Sink, bounded, distance
 
 
 class RouteAction(Enum):
@@ -122,23 +122,11 @@ def equilibrium_ok(p: EquilibriumProfile, x: float) -> bool:
 class MattemptParams:
     temp_threshold: float = 38.5
     ambient: float = 37.0
-    delta_tx: float = 0.05
-    delta_rx: float = 0.03
-    cooling: float = 0.1  # fraction of the above-ambient excess shed per round
-    boost_multiplier: float = 2.0
-    hello_period: int = 1
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not 0 <= self.cooling < 1:
-            problems.append("mattempt.cooling: must lie in [0, 1)")
-        if self.boost_multiplier < 1:
-            problems.append("mattempt.boost_multiplier: must be >= 1")
-        if self.hello_period < 1:
-            problems.append("mattempt.hello_period: must be >= 1")
-        if self.delta_tx < 0 or self.delta_rx < 0:
-            problems.append("mattempt.delta_tx/delta_rx: must be >= 0")
-        return problems
+    delta_tx: float = bounded(0.05, ge=0)
+    delta_rx: float = bounded(0.03, ge=0)
+    cooling: float = bounded(0.1, ge=0, lt=1)  # fraction of the above-ambient excess shed per round
+    boost_multiplier: float = bounded(2.0, ge=1)
+    hello_period: int = bounded(1, ge=1)
 
 
 @dataclass
@@ -238,12 +226,7 @@ def mattempt_temperature_step(params: MattemptParams, temperature: float,
 
 @dataclass(frozen=True)
 class SimpleParams:
-    control_period: int = 1
-
-    def validate(self) -> list[str]:
-        if self.control_period < 1:
-            return ["simple.control_period: must be >= 1"]
-        return []
+    control_period: int = bounded(1, ge=1)
 
 
 def simple_select_forwarder(nodes: list[SensorNode],

@@ -15,7 +15,7 @@ from recording import forwarding_acyclic, walk_recorded
 
 from wbansim.channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from wbansim.cli import main as cli_main
-from wbansim.config import ConfigError, SimConfig, parse_config
+from wbansim.config import ConfigError, SimConfig, parse_config, validate_config
 from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology, distance
 from wbansim.energy import ActionCounts, EnergyWeights, round_cost
 from wbansim.engine import assign_tdma, run_simulation
@@ -131,7 +131,7 @@ class TestEnergyLinearity:
         # so additivity can be asserted with no tolerance at all.
         w = EnergyWeights(x_s=2.0**-20, x_d=2.0**-17, x_w=100.0 * 2.0**-17,
                           x_f=2.0**-22, x_c=2.0**-19, x_t=0.0)
-        assert w.validate() == []
+        validate_config(replace(SimConfig(), energy=w))
         g = np.random.Generator(np.random.PCG64(99))
         exact = True
         for _ in range(1000):

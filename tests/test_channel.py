@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_config import violations
 
 from wbansim.channel import (SPEED_OF_LIGHT, ChannelParams, LinkClass, path_loss,
                              reference_path_loss)
+from wbansim.config import SimConfig
 
 
 class TestReferencePathLoss:
@@ -69,13 +71,17 @@ class TestPathLoss:
             path_loss(ChannelParams(), -0.2)
 
 
+def channel_violations(**over) -> list[str]:
+    return violations(replace(SimConfig(), channel=ChannelParams(**over)))
+
+
 class TestValidation:
     def test_default_params_valid(self):
-        assert ChannelParams().validate() == []
+        assert channel_violations() == []
 
     def test_exponent_ranges(self):
-        assert any("exponent_los" in p for p in ChannelParams(exponent_los=5.0).validate())
-        assert any("exponent_nlos" in p for p in ChannelParams(exponent_nlos=4.0).validate())
+        assert any("exponent_los" in p for p in channel_violations(exponent_los=5.0))
+        assert any("exponent_nlos" in p for p in channel_violations(exponent_nlos=4.0))
 
     def test_negative_sigma(self):
-        assert any("sigma_db" in p for p in ChannelParams(sigma_db=-1.0).validate())
+        assert any("sigma_db" in p for p in channel_violations(sigma_db=-1.0))

@@ -191,6 +191,16 @@ class TestSweepCompareAndPlots:
         assert (out / "metrics_amhrp_seed2.csv").exists()
         assert (out / "metrics_amhrp_seed4.csv").exists()
 
+    def test_repeated_grid_entries_run_once(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[sim]\nrounds = 20\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--protocols", "amhrp,amhrp",
+                     "--seeds", "1,1", "--out", str(out)]) == 0
+        assert f"ran 1 simulations into {out}" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics_amhrp_seed1.csv", "summary_amhrp_seed1.json"]
+
 
 class TestNoCommand:
     def test_bare_invocation_prints_help(self, capsys):

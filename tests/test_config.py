@@ -1,4 +1,5 @@
 import configparser
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -52,6 +53,54 @@ class TestEnergySection:
         assert any("x_f" in v for v in exc.value.violations)
 
 
+def violations(cfg: SimConfig) -> list[str]:
+    """What ``validate_config`` rejects ``cfg`` for; empty when it accepts it."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+# Every bounded or choice key: values on its bound (accepted) and the nearest
+# values outside it (rejected), written out here rather than read from the
+# declarations they check.
+BOUNDARIES = [
+    ("sim.node_count", [1], [0]),
+    ("sim.rounds", [0], [-1]),
+    ("sim.seed", [0], [-1]),
+    ("sim.initial_energy", [_above(0.0)], [0.0]),
+    ("sim.tx_range", [_above(0.0)], [0.0]),
+    ("sim.protocol", ["amhrp", "mattempt", "simple"], ["", "AMHRP"]),
+    ("sim.placement", ["uniform", "canonical"], ["", "Uniform"]),
+    *((f"energy.{k}", [0.0], [_below(0.0)]) for k in ("x_s", "x_d", "x_w", "x_f", "x_c", "x_t")),
+    ("channel.frequency", [_above(0.0)], [0.0]),
+    ("channel.d0", [_above(0.0)], [0.0]),
+    ("channel.exponent_los", [2.0, 4.0], [_below(2.0), _above(4.0)]),
+    ("channel.exponent_nlos", [5.0, 7.4], [_below(5.0), _above(7.4)]),
+    ("channel.sigma_db", [0.0], [_below(0.0)]),
+    ("events.lambda", [0.0, 1000.0], [_below(0.0), _above(1000.0)]),
+    ("events.rounds_per_day", [1], [0]),
+    ("amhrp.control_period", [1], [0]),
+    ("amhrp.eq_windows", [1], [0]),
+    ("amhrp.eq_window_len", [1], [0]),
+    ("mattempt.cooling", [0.0, _below(1.0)], [_below(0.0), 1.0]),
+    ("mattempt.boost_multiplier", [1.0], [_below(1.0)]),
+    ("mattempt.hello_period", [1], [0]),
+    ("mattempt.delta_tx", [0.0], [_below(0.0)]),
+    ("mattempt.delta_rx", [0.0], [_below(0.0)]),
+    ("simple.control_period", [1], [0]),
+]
+
+
 class TestViolations:
     def test_negative_rounds_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -92,13 +141,31 @@ class TestViolations:
                     broken = replace(cfg, **{f.name: bad})
                 else:
                     broken = replace(cfg, **{name: replace(obj, **{f.name: bad})})
-                with pytest.raises(ConfigError) as exc:
-                    validate_config(broken)
                 key = "lambda" if f.name == "lam" else f.name
-                assert f"{name}.{key}: must be finite" in exc.value.violations
-                assert sum(v.startswith(f"{name}.{key}:") for v in exc.value.violations) == 1
+                assert violations(broken) == [f"{name}.{key}: must be finite"]
                 checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("path,accepted,rejected", BOUNDARIES,
+                             ids=[case[0] for case in BOUNDARIES])
+    def test_boundary(self, path, accepted, rejected):
+        name, key = path.split(".")
+        attr = "lam" if key == "lambda" else key
+        base = SimConfig()
+        if name == "energy":
+            # Free the weights so the x_w pin and the ordering cannot fire.
+            base = replace(base, allow_unconstrained_weights=True)
+
+        def with_value(value):
+            if name == "sim":
+                return replace(base, **{attr: value})
+            return replace(base, **{name: replace(getattr(base, name), **{attr: value})})
+
+        for value in accepted:
+            assert violations(with_value(value)) == [], value
+        for value in rejected:
+            found = violations(with_value(value))
+            assert len(found) == 1 and found[0].startswith(f"{path}:"), (value, found)
 
     def test_bad_exponent_named_with_path(self):
         with pytest.raises(ConfigError) as exc:

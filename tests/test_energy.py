@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_config import violations
 
+from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, SensorKind, SensorNode
 from wbansim.energy import ActionCounts, EnergyWeights, charge, round_cost
 
@@ -41,22 +45,27 @@ class TestRoundCost:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def weight_violations(w: EnergyWeights, allow_unconstrained: bool = False) -> list[str]:
+    return violations(replace(SimConfig(), energy=w,
+                              allow_unconstrained_weights=allow_unconstrained))
+
+
 class TestWeightValidation:
     def test_constraint_holds_for_defaults(self):
-        assert make_weights().validate() == []
+        assert weight_violations(make_weights()) == []
 
     def test_x_w_ratio_violation(self):
         w = make_weights(x_w=1e-3)
-        assert any("x_w" in p for p in w.validate())
-        assert w.validate(allow_unconstrained=True) == []
+        assert any("x_w" in p for p in weight_violations(w))
+        assert weight_violations(w, allow_unconstrained=True) == []
 
     def test_ordering_violation(self):
         w = make_weights(x_f=3e-5)  # x_f > x_c
-        assert any("x_f" in p for p in w.validate())
+        assert any("x_f" in p for p in weight_violations(w))
 
     def test_negative_weight(self):
         w = make_weights(x_s=-1.0)
-        assert any("x_s" in p for p in w.validate())
+        assert any("x_s" in p for p in weight_violations(w))
 
 
 class TestCharge:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from recording import forwarding_acyclic, walk_recorded
 from test_config import valid_configs
 
-from wbansim.config import SimConfig, parse_config, render_config, validate_config
+from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.engine import (RoundMetrics, assign_tdma, run_simulation,
+from wbansim.engine import (_SCHEMES, RoundMetrics, assign_tdma, run_simulation,
                             summarize_run, throughput)
 
 
@@ -511,6 +511,9 @@ class TestEventStream:
 class TestValidateConfig:
     def test_default_is_valid(self):
         validate_config(SimConfig())
+
+    def test_every_protocol_has_a_scheme(self):
+        assert set(_SCHEMES) == set(PROTOCOLS)
 
     def test_all_violations_reported_together(self):
         from wbansim.config import ConfigError

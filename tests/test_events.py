@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_config import violations
 
+from wbansim.config import SimConfig
 from wbansim.core import SensorKind
 from wbansim.events import (LAMBDA_MAX, EventParams, SensingSchedule,
                             default_schedule, is_scheduled, poisson_cdf_table,
@@ -161,20 +164,24 @@ class TestReadingDraws:
         assert drawn.random() == skipped.random()
 
 
+def event_violations(**over) -> list[str]:
+    return violations(replace(SimConfig(), events=EventParams(**over)))
+
+
 class TestEventParams:
     def test_defaults(self):
         p = EventParams()
         assert p.lam == 0.1
         assert p.rounds_per_day == 24
-        assert p.validate() == []
+        assert event_violations() == []
 
     def test_negative_lambda_flagged(self):
-        assert any("lambda" in v for v in EventParams(lam=-1).validate())
+        assert any("lambda" in v for v in event_violations(lam=-1))
 
     def test_lambda_bound(self):
-        assert EventParams(lam=LAMBDA_MAX).validate() == []
-        assert any("events.lambda" in v for v in EventParams(lam=LAMBDA_MAX * 1.01).validate())
-        assert any("events.lambda" in v for v in EventParams(lam=1e300).validate())
+        assert event_violations(lam=LAMBDA_MAX) == []
+        assert any("events.lambda" in v for v in event_violations(lam=LAMBDA_MAX * 1.01))
+        assert any("events.lambda" in v for v in event_violations(lam=1e300))
 
     def test_table_at_lambda_bound_is_finite_and_small(self):
         table = poisson_cdf_table(LAMBDA_MAX)
