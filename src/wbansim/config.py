@@ -210,16 +210,17 @@ def _parse_pairs(raw: str, problems: list[str]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def parse_config(text: str) -> SimConfig:
+def parse_config(text: str, source: str = "<string>") -> SimConfig:
     """Parse a configuration document; unspecified keys take the defaults.
 
     Strict mode: unknown sections or keys are errors, and all violations are
-    reported together with their key paths.
+    reported together with their key paths. ``source`` names the document in
+    syntax errors.
     """
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     cp.optionxform = str
     try:
-        cp.read_string(text)
+        cp.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError([f"parse error: {exc}"]) from exc
 
@@ -259,8 +260,12 @@ def parse_config(text: str) -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text: {exc}"]) from exc
+    return parse_config(text, source=str(path))
 
 
 # ---------------------------------------------------------------------------

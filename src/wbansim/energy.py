@@ -31,15 +31,6 @@ class ActionCounts:
     n4: int = 0  # forwards
     n5: int = 0  # control exchanges
 
-    def __add__(self, other: "ActionCounts") -> "ActionCounts":
-        return ActionCounts(
-            self.n1 + other.n1,
-            self.n2 + other.n2,
-            self.n3 + other.n3,
-            self.n4 + other.n4,
-            self.n5 + other.n5,
-        )
-
 
 def round_cost(w: EnergyWeights, c: ActionCounts) -> float:
     """Energy for one accounting window: n1*x_s + n2*x_d + n3*x_w + n4*x_f + n5*x_c."""

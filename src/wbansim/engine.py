@@ -44,11 +44,20 @@ nothing, records no link and draws no shadowing; only the equilibrium windows
 still roll. A flat equilibrium series (every coefficient 0.0, as before the
 first window closes and after the tail's idle windows roll the live ones out)
 scores ``a0`` at every round, so its flag is computed once per rebuild.
+Otherwise the tracker keeps the series' ``(n, a_n, b_n)`` terms from the
+rebuild and each round sums them with ``protocols.equilibrium_series``, the
+same floats ``equilibrium_ok`` gives, without its range check.
+
+The hot loop builds nothing it does not keep: routing rules return shared
+verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), the tracker
+takes a round's action counts as five ints, and only the round's metrics row
+is a new object.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -56,12 +65,12 @@ import numpy as np
 from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
-from .energy import ActionCounts, charge
+from .energy import charge
 from .events import invert_poisson, poisson_cdf_table, reading_draws
-from .protocols import (EquilibriumProfile, MattemptState, RouteAction,
+from .protocols import (TO_SINK, EquilibriumProfile, MattemptState, RouteAction,
                         RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
-                        mattempt_build_hopcounts, mattempt_next_hop,
-                        mattempt_temperature_step, simple_select_forwarder)
+                        equilibrium_series, mattempt_build_hopcounts, mattempt_next_hop,
+                        mattempt_temperature_step, simple_select_forwarder, to_forwarder)
 
 SINK_ID = -1  # receiver id of a node-to-sink send
 EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
@@ -69,9 +78,13 @@ EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
 # wraps ``wbansim.engine.sample_reading`` by name, so the name stays until the
 # benchmark's tracer drops it.
 sample_reading = None
+# Hot-loop helpers: a slot's packet kinds are built by tuple repetition.
+_NORMAL = (PacketKind.NORMAL,)
+_CRITICAL = (PacketKind.CRITICAL,)
+_residual = attrgetter("residual_energy")
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundMetrics:
     round: int
     alive_count: int
@@ -174,10 +187,11 @@ class _EquilibriumTracker:
                                              L=max(1, cfg.rounds),
                                              alpha_star=cfg.amhrp.alpha_star))
 
-    def push_round(self, counts: ActionCounts) -> None:
-        self.cur_total += counts.n1 + counts.n2 + counts.n3 + counts.n4 + counts.n5
-        self.cur_forwards += counts.n4
-        self.cur_sends += counts.n2
+    def push_round(self, n1: int, n2: int, n3: int, n4: int, n5: int) -> None:
+        """Add one round's action counts (as in ``energy.ActionCounts``)."""
+        self.cur_total += n1 + n2 + n3 + n4 + n5
+        self.cur_forwards += n4
+        self.cur_sends += n2
         self.rounds_in_window += 1
         if self.rounds_in_window >= self.window_len:
             self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
@@ -191,14 +205,17 @@ class _EquilibriumTracker:
     def _set_profile(self, profile: EquilibriumProfile) -> None:
         # A series whose coefficients are all 0.0 scores a0 at every x (each
         # term is 0.0 times a finite sin or cos), so its flag is taken once.
+        # Otherwise ``flag`` sums the stored terms.
         self.profile = profile
         flat = not any(profile.coeffs_a) and not any(profile.coeffs_b)
         self.flat_flag = equilibrium_ok(profile, 0) if flat else None
+        self.terms = profile.terms
 
     def flag(self, round_index: int) -> bool:
         if self.flat_flag is not None:
             return self.flat_flag
-        return equilibrium_ok(self.profile, min(round_index, self.profile.L))
+        p = self.profile
+        return equilibrium_series(p.a0, self.terms, min(round_index, p.L), p.L) > p.alpha_star
 
 
 class _Sim:
@@ -412,7 +429,7 @@ class _Sim:
         for node, is_due, k in originators:
             if not node.alive:
                 continue
-            for kind in [PacketKind.NORMAL] * is_due + [PacketKind.CRITICAL] * k:
+            for kind in _NORMAL * is_due + _CRITICAL * k:
                 self.c1 += 1
                 if self._charge(node, self.w.x_s):
                     break  # the reading completed, but a dead node sends nothing
@@ -422,7 +439,7 @@ class _Sim:
 
         self.scheme.end_round(rnd)
 
-        self.eq.push_round(ActionCounts(self.c1, self.c2, self.c3, self.c4, self.c5))
+        self.eq.push_round(self.c1, self.c2, self.c3, self.c4, self.c5)
 
         losses = []
         if self.cfg.channel.sigma_db > 0:
@@ -436,7 +453,7 @@ class _Sim:
                 continue  # degenerate zero-length link
             losses.append(base + (float(shadows[idx]) if shadows is not None else 0.0))
 
-        total_residual = sum(nd.residual_energy for nd in self.nodes)
+        total_residual = sum(map(_residual, self.nodes))
         return RoundMetrics(
             round=rnd,
             alive_count=self.alive_count,
@@ -452,13 +469,12 @@ class _Sim:
     def dead_tail(self, start: int) -> list[RoundMetrics]:
         """What ``run_round`` would return for rounds ``start`` to the end
         once no node is alive, without walking them."""
-        total = sum(nd.residual_energy for nd in self.nodes)
+        total = sum(map(_residual, self.nodes))
         mean = total / self.n
-        idle = ActionCounts(0, 0, 0, 0, 0)
         eq = self.eq
         rows = []
         for rnd in range(start, self.cfg.rounds):
-            eq.push_round(idle)
+            eq.push_round(0, 0, 0, 0, 0)
             rows.append(RoundMetrics(rnd, 0, 0, 0, 0, total, mean, None, eq.flag(rnd)))
         return rows
 
@@ -580,8 +596,8 @@ class _Simple(_Scheme):
         fw = self.forwarder
         if (kind is PacketKind.CRITICAL or holder.kind is SensorKind.ECG
                 or fw is None or fw == holder.id or not self.sim.nodes[fw].alive):
-            return RoutingDecision(RouteAction.SEND_TO_SINK)
-        return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
+            return TO_SINK
+        return to_forwarder(fw)
 
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
         self.sim._transmit(holder, target.id, is_origin)

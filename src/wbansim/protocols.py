@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .core import PacketKind, SensorKind, SensorNode, Sink, bounded, distance
 
@@ -40,6 +41,21 @@ class RoutingDecision:
     boosted: bool = False
 
 
+# The fixed verdicts, built once: a rule returns these rather than a new
+# (frozen, so slow to build) decision per packet.
+TO_SINK = RoutingDecision(RouteAction.SEND_TO_SINK)
+TO_SINK_BOOSTED = RoutingDecision(RouteAction.SEND_TO_SINK, boosted=True)
+TO_EXTERNAL_WSN = RoutingDecision(RouteAction.SEND_TO_EXTERNAL_WSN)
+HOLD = RoutingDecision(RouteAction.HOLD)
+
+
+@cache
+def to_forwarder(target: int) -> RoutingDecision:
+    """The verdict "send to node ``target``", one shared instance per id (the
+    cache holds one small immutable entry per node id ever chosen)."""
+    return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=target)
+
+
 # ---------------------------------------------------------------------------
 # AMHRP
 # ---------------------------------------------------------------------------
@@ -54,7 +70,7 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
     """
     own = d_sink[node.id]
     if own <= node.tx_range:
-        return RoutingDecision(RouteAction.SEND_TO_SINK)
+        return TO_SINK
 
     best = None
     best_key = None
@@ -68,10 +84,10 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
         if best_key is None or key < best_key:
             best, best_key = nb, key
     if best is not None:
-        return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=best.id)
+        return to_forwarder(best.id)
     if packet_kind is PacketKind.CRITICAL:
-        return RoutingDecision(RouteAction.SEND_TO_EXTERNAL_WSN)
-    return RoutingDecision(RouteAction.HOLD)
+        return TO_EXTERNAL_WSN
+    return HOLD
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +115,28 @@ class EquilibriumProfile:
         if self.L < 1:
             raise ValueError("L must be >= 1")
 
+    @property
+    def terms(self) -> tuple[tuple[int, float, float], ...]:
+        """The series' terms ``(n, coeffs_a[n-1], coeffs_b[n-1])``, n from 1."""
+        return tuple((n, ca, cb)
+                     for n, (ca, cb) in enumerate(zip(self.coeffs_a, self.coeffs_b), start=1))
+
+
+def equilibrium_series(a0: float, terms: tuple[tuple[int, float, float], ...],
+                       x: float, L: int) -> float:
+    """a0 + sum of ca*sin(n*pi*x/L) + cb*cos(n*pi*x/L) over ``terms``, added
+    in order; ``x`` is not range-checked (``equilibrium_score`` does that)."""
+    base = math.pi * x / L
+    total = a0
+    for n, ca, cb in terms:
+        total += ca * math.sin(n * base) + cb * math.cos(n * base)
+    return total
+
 
 def equilibrium_score(p: EquilibriumProfile, x: float) -> float:
     if not 0 <= x <= p.L:
         raise ValueError(f"x must lie in [0, {p.L}], got {x}")
-    base = math.pi * x / p.L
-    total = p.a0
-    for n, (ca, cb) in enumerate(zip(p.coeffs_a, p.coeffs_b), start=1):
-        total += ca * math.sin(n * base) + cb * math.cos(n * base)
-    return total
+    return equilibrium_series(p.a0, p.terms, x, p.L)
 
 
 def equilibrium_ok(p: EquilibriumProfile, x: float) -> bool:
@@ -189,11 +218,11 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
     normal traffic descends the hop-count gradient, ties going to the
     neighbour nearer the sink (``d_sink``: node id -> distance)."""
     if packet_kind is PacketKind.CRITICAL:
-        return RoutingDecision(RouteAction.SEND_TO_SINK, boosted=True)
+        return TO_SINK_BOOSTED
 
     own = state.hop_counts.get(node.id, math.inf)
     if own == 1:
-        return RoutingDecision(RouteAction.SEND_TO_SINK)
+        return TO_SINK
     best = None
     best_key = None
     for nb in neighbors:
@@ -206,8 +235,8 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
         if best_key is None or key < best_key:
             best, best_key = nb, key
     if best is not None:
-        return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=best.id)
-    return RoutingDecision(RouteAction.HOLD)
+        return to_forwarder(best.id)
+    return HOLD
 
 
 def mattempt_temperature_step(params: MattemptParams, temperature: float,

@@ -135,9 +135,10 @@ class TestEnergyLinearity:
         g = np.random.Generator(np.random.PCG64(99))
         exact = True
         for _ in range(1000):
-            c1 = ActionCounts(*(int(v) for v in g.integers(0, 1000, size=5)))
-            c2 = ActionCounts(*(int(v) for v in g.integers(0, 1000, size=5)))
-            exact &= round_cost(w, c1 + c2) == round_cost(w, c1) + round_cost(w, c2)
+            v1, v2 = g.integers(0, 1000, size=5), g.integers(0, 1000, size=5)
+            c1, c2 = ActionCounts(*map(int, v1)), ActionCounts(*map(int, v2))
+            exact &= round_cost(w, ActionCounts(*map(int, v1 + v2))) \
+                == round_cost(w, c1) + round_cost(w, c2)
         report("round_cost additivity exact over 1000 random count pairs", exact)
 
         derived = parse_config("[energy]\nx_d = 1e-3\nx_s = 1e-4\nx_f = 1e-5\nx_c = 5e-4\n")

@@ -79,6 +79,16 @@ class TestSimulate:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe[sim]\nrounds = 5\n", b"rounds = 5\n"],
+                             ids=["not_utf8", "no_section_header"])
+    def test_unreadable_config_names_its_file(self, data, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(data)
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o"))

@@ -38,9 +38,9 @@ class TestRoundCost:
         g = np.random.Generator(np.random.PCG64(7))
         w = make_weights()
         for _ in range(200):
-            c1 = ActionCounts(*(int(v) for v in g.integers(0, 50, size=5)))
-            c2 = ActionCounts(*(int(v) for v in g.integers(0, 50, size=5)))
-            lhs = round_cost(w, c1 + c2)
+            v1, v2 = g.integers(0, 50, size=5), g.integers(0, 50, size=5)
+            c1, c2 = ActionCounts(*map(int, v1)), ActionCounts(*map(int, v2))
+            lhs = round_cost(w, ActionCounts(*map(int, v1 + v2)))
             rhs = round_cost(w, c1) + round_cost(w, c2)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 

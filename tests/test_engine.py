@@ -369,7 +369,6 @@ class TestDeadTail:
         assert calls == list(range(lifetime + 1))
 
     def test_flat_series_flag_equals_the_series(self):
-        from wbansim.energy import ActionCounts
         from wbansim.engine import _EquilibriumTracker
         from wbansim.protocols import equilibrium_ok
 
@@ -389,11 +388,34 @@ class TestDeadTail:
                     assert eq.flag(x) == equilibrium_ok(eq.profile, x), (alpha_star, x)
 
             check()  # the initial profile has no windows
-            for counts in [ActionCounts(3, 2, 0, 4, 1)] * 10 + [ActionCounts()] * 15:
-                eq.push_round(counts)
+            for counts in [(3, 2, 0, 4, 1)] * 10 + [(0, 0, 0, 0, 0)] * 15:
+                eq.push_round(*counts)
                 check()
             assert eq.profile.coeffs_a == eq.profile.coeffs_b == (0.0, 0.0)
             assert checked["flat"] and checked["live"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(st.just((0, 0, 0, 0, 0)), st.tuples(*[st.integers(0, 6)] * 5)),
+                    max_size=40),
+           st.floats(-1.0, 2.0), st.integers(1, 5), st.integers(1, 6), st.integers(1, 60))
+    def test_flag_equals_the_series(self, rounds_counts, alpha_star, eq_windows,
+                                    eq_window_len, rounds):
+        """The tracker's folded flag is ``equilibrium_ok`` on its profile, at
+        every round, after every pushed round (zero-total windows included)."""
+        from wbansim.engine import _EquilibriumTracker
+        from wbansim.protocols import equilibrium_ok
+
+        base = SimConfig()
+        c = replace(base, rounds=rounds, initial_energy=0.5,
+                    amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=eq_windows,
+                                  eq_window_len=eq_window_len))
+        eq = _EquilibriumTracker(c)
+        L = eq.profile.L
+        for counts in [None] + rounds_counts:
+            if counts is not None:
+                eq.push_round(*counts)
+            for x in range(L + 3):
+                assert eq.flag(x) == equilibrium_ok(eq.profile, min(x, L)), x
 
 
 class TestRunProperty:

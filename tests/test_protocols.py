@@ -1,14 +1,18 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
-from wbansim.protocols import (EquilibriumProfile, MattemptParams, RouteAction,
-                               amhrp_select_forwarder, equilibrium_ok,
+from wbansim.engine import _Sim
+from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
+                               EquilibriumProfile, MattemptParams, RouteAction,
+                               RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
                                equilibrium_score, mattempt_build_hopcounts,
                                mattempt_next_hop, mattempt_temperature_step,
-                               simple_select_forwarder)
+                               simple_select_forwarder, to_forwarder)
 
 SINK = Sink(BodyPoint(0.4, 0.9))
 
@@ -258,3 +262,42 @@ class TestSimpleSelectForwarder:
     def test_empty_alive_set(self):
         a = node(0, 0.4, 1.0, alive=False)
         assert simple_select_forwarder([a], to_sink(a)) is None
+
+
+class TestSharedVerdicts:
+    def test_shared_verdicts_are_frozen_and_equal_fresh_ones(self):
+        for verdict in (TO_SINK, TO_SINK_BOOSTED, TO_EXTERNAL_WSN, HOLD, to_forwarder(1)):
+            for name, value in (("action", RouteAction.HOLD), ("target", 7), ("boosted", True)):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(verdict, name, value)
+        assert to_forwarder(1) is to_forwarder(1)
+
+        sink = RoutingDecision(RouteAction.SEND_TO_SINK)
+        boosted = RoutingDecision(RouteAction.SEND_TO_SINK, boosted=True)
+        forward_1 = RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=1)
+        wsn = RoutingDecision(RouteAction.SEND_TO_EXTERNAL_WSN)
+        hold = RoutingDecision(RouteAction.HOLD)
+
+        near, src, relay = node(3, 0.4, 0.6), node(0, 0.4, 1.7), node(1, 0.4, 1.35)
+        d_sink = to_sink(near, src, relay)
+        assert amhrp_select_forwarder(near, [], d_sink) == sink
+        assert amhrp_select_forwarder(src, [relay], d_sink) == forward_1
+        assert amhrp_select_forwarder(src, [], d_sink, PacketKind.CRITICAL) == wsn
+        assert amhrp_select_forwarder(src, [], d_sink, PacketKind.NORMAL) == hold
+
+        state = mattempt_build_hopcounts([src, relay], SINK, 0.5, MattemptParams())
+        assert mattempt_next_hop(src, PacketKind.CRITICAL, state, [relay], d_sink) == boosted
+        assert mattempt_next_hop(relay, PacketKind.NORMAL, state, [src], d_sink) == sink
+        assert mattempt_next_hop(src, PacketKind.NORMAL, state, [relay], d_sink) == forward_1
+        lone = mattempt_build_hopcounts([src], SINK, 0.3, MattemptParams())
+        assert mattempt_next_hop(src, PacketKind.NORMAL, lone, [], d_sink) == hold
+
+        sim = _Sim(replace(SimConfig(), protocol="simple", rounds=1))
+        simple = sim.scheme
+        simple.begin_round(0)
+        fw = simple.forwarder
+        holder = next(nd for nd in sim.nodes if nd.kind is not SensorKind.ECG and nd.id != fw)
+        assert simple.decide(holder, PacketKind.NORMAL) == \
+            RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
+        assert simple.decide(holder, PacketKind.CRITICAL) == sink
+        assert simple.decide(sim.nodes[fw], PacketKind.NORMAL) == sink
