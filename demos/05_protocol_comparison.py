@@ -10,7 +10,8 @@ from pathlib import Path
 
 from wbansim.config import SimConfig
 from wbansim.engine import run_simulation
-from wbansim.io import compare_runs, emit_plot_series, render_comparison
+from wbansim.io import (ALIVE, PATH_LOSS, RECEIVED, TOTAL_RESIDUAL, compare_runs,
+                        emit_plot_series, metrics_table, render_comparison)
 
 HERE = Path(__file__).parent
 PROTOCOLS = ("amhrp", "mattempt", "simple")
@@ -24,7 +25,7 @@ for protocol in PROTOCOLS:
         result = run_simulation(cfg)
         summaries.append(result.summary)
         if seed == SEEDS[0]:
-            first_seed_metrics[protocol] = result.metrics
+            first_seed_metrics[protocol] = metrics_table(result.metrics)
         print(f"  {protocol:9s} seed {seed}: stability={result.summary.stability_period:5d} "
               f"lifetime={result.summary.network_lifetime:5d} "
               f"residual={result.summary.residual_pct_at_end:5.1f}%")
@@ -44,25 +45,16 @@ except ImportError:
     print("matplotlib not available; skipping the PNG rendering")
 else:
     fig, axes = plt.subplots(2, 2, figsize=(11, 7))
-    rounds = range(len(first_seed_metrics["amhrp"]))
     panels = (
-        ("alive nodes", lambda m: m.alive_count),
-        ("cumulative packets at sink", None),
-        ("total residual energy [J]", lambda m: m.total_residual),
-        ("mean path loss [dB]", lambda m: m.mean_path_loss),
+        ("alive nodes", lambda t: t[:, ALIVE]),
+        ("cumulative packets at sink", lambda t: t[:, RECEIVED].cumsum()),
+        ("total residual energy [J]", lambda t: t[:, TOTAL_RESIDUAL]),
+        ("mean path loss [dB]", lambda t: t[:, PATH_LOSS]),
     )
-    for ax, (title, getter) in zip(axes.flat, panels):
+    for ax, (title, column) in zip(axes.flat, panels):
         for protocol in PROTOCOLS:
-            series = first_seed_metrics[protocol]
-            if getter is None:
-                total = 0
-                ys = []
-                for m in series:
-                    total += m.packets_received_at_sink
-                    ys.append(total)
-            else:
-                ys = [getter(m) for m in series]
-            ax.plot(list(rounds), ys, label=protocol, linewidth=1.0)
+            ys = column(first_seed_metrics[protocol])
+            ax.plot(range(len(ys)), ys, label=protocol, linewidth=1.0)
         ax.set_title(title)
         ax.set_xlabel("round")
         ax.legend()

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -115,20 +116,22 @@ def cmd_plots(args) -> int:
     if not paths:
         print(f"no metrics_*.csv files in {in_dir}", file=sys.stderr)
         return EXIT_IO
+    name_pattern = re.compile(rf"metrics_({'|'.join(PROTOCOLS)})_seed[0-9]+\.csv")
     by_protocol: dict[str, list] = {}
     rounds = None
     for p in paths:
-        stem = p.stem  # metrics_<protocol>_seed<seed>
-        parts = stem.split("_")
-        protocol = "_".join(parts[1:-1])
-        metrics = read_metrics_csv(p)
+        name = name_pattern.fullmatch(p.name)
+        if name is None:
+            raise ResultFileError(f"{p}: not a metrics_<protocol>_seed<int>.csv name "
+                                  f"(protocols: {', '.join(PROTOCOLS)})")
+        table = read_metrics_csv(p)
         # Every run has one row per round, so a file whose count differs is damaged.
         if rounds is None:
-            rounds = len(metrics)
-        elif len(metrics) != rounds:
+            rounds = len(table)
+        elif len(table) != rounds:
             raise ResultFileError(
-                f"{p}: {len(metrics)} rounds, but {paths[0].name} has {rounds}")
-        by_protocol.setdefault(protocol, []).append(metrics)
+                f"{p}: {len(table)} rounds, but {paths[0].name} has {rounds}")
+        by_protocol.setdefault(name[1], []).append(table)
     runs = {protocol: median_series(by_protocol[protocol]) for protocol in sorted(by_protocol)}
     files = emit_plot_series(runs, in_dir)
     print("wrote " + ", ".join(f.name for f in files))

@@ -261,7 +261,7 @@ def parse_config(text: str, source: str = "<string>") -> SimConfig:
 
 def load_config(path: str) -> SimConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text: {exc}"]) from exc

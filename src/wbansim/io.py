@@ -3,19 +3,39 @@
 All numeric fields are written with full round-trip precision (repr), lines
 end with LF, and every file ends with a trailing newline, so identical runs
 produce byte-identical files.
+
+The ``plots`` path carries a run as one table: a ``(rounds, 9)`` float64
+array whose columns follow the CSV header (``ROUND`` ... ``EQUILIBRIUM``).
+A round with no transmissions holds NaN in ``PATH_LOSS``, and the
+equilibrium flag is 0 or 1. ``read_metrics_csv`` parses a file into a
+table, ``median_series`` merges the tables of several seeds, and
+``emit_plot_series`` writes the figure files column by column.
+``metrics_table`` converts an engine run's rows to the same table.
 """
 from __future__ import annotations
 
+import io
 import json
 import statistics
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .engine import RoundMetrics, RunSummary
 
 CSV_HEADER = ("round,alive,sent,received,critical_received,"
               "total_residual_j,mean_residual_j,mean_path_loss_db,equilibrium_ok")
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
+
+# Table columns, in CSV order.
+(ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
+ TOTAL_RESIDUAL, MEAN_RESIDUAL, PATH_LOSS, EQUILIBRIUM) = range(_CSV_FIELDS)
+# How each CSV field parses; the flag is an int, 1 meaning the flag holds.
+_FIELD_TYPES = (int,) * 5 + (float,) * 3 + (int,)
+_CSV_DTYPE = np.dtype([(f"f{i}", np.int64 if t is int else np.float64)
+                       for i, t in enumerate(_FIELD_TYPES)])
 
 
 class ResultFileError(ValueError):
@@ -41,32 +61,61 @@ def write_metrics_csv(metrics: list[RoundMetrics], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_metrics_csv(path) -> list[RoundMetrics]:
-    """Inverse of write_metrics_csv."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ResultFileError(f"{path}: not a metrics CSV (unexpected header)")
-    out = []
+def metrics_table(metrics: list[RoundMetrics]) -> np.ndarray:
+    """An engine run's rows as the table ``read_metrics_csv`` returns for
+    the CSV that ``write_metrics_csv`` writes from them."""
+    return np.array(
+        [(m.round, m.alive_count, m.packets_sent, m.packets_received_at_sink,
+          m.critical_received, m.total_residual, m.mean_residual,
+          np.nan if m.mean_path_loss is None else m.mean_path_loss, m.equilibrium_ok)
+         for m in metrics], dtype=np.float64).reshape(-1, _CSV_FIELDS)
+
+
+def _raise_bad_line(path, lines: list[str]) -> None:
+    """Parse the rows one by one with int and float, and name the first
+    that does not parse; called once the fast parse has failed."""
     for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
         try:
             if len(f) != _CSV_FIELDS:
                 raise ValueError(f"{len(f)} fields, expected {_CSV_FIELDS}")
-            out.append(RoundMetrics(
-                round=int(f[0]),
-                alive_count=int(f[1]),
-                packets_sent=int(f[2]),
-                packets_received_at_sink=int(f[3]),
-                critical_received=int(f[4]),
-                total_residual=float(f[5]),
-                mean_residual=float(f[6]),
-                mean_path_loss=None if f[7] == "" else float(f[7]),
-                equilibrium_ok=f[8] == "1",
-            ))
+            for col, (value, parse) in enumerate(zip(f, _FIELD_TYPES)):
+                if value or col != PATH_LOSS:
+                    parse(value)
         except ValueError as exc:
             raise ResultFileError(f"{path}: line {lineno}: {exc}") from None
-    return out
+
+
+def read_metrics_csv(path) -> np.ndarray:
+    """Inverse of write_metrics_csv, as a table (see the module docstring)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResultFileError(f"{path}: not UTF-8 text: {exc}") from None
+    header, _, body = text.partition("\n")
+    if header != CSV_HEADER:
+        raise ResultFileError(f"{path}: not a metrics CSV (unexpected header)")
+    lines = text.splitlines()
+    if len(lines) == 1:
+        return np.empty((0, _CSV_FIELDS))
+    # Only the path-loss field, next to the flag, may be empty; loadtxt
+    # takes no empty number, so it gets a spelled-out NaN.
+    body = (body + "\n").replace(",,0\n", ",nan,0\n").replace(",,1\n", ",nan,1\n")
+    try:
+        with warnings.catch_warnings():  # "no data" when every row is blank
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(io.StringIO(body), dtype=_CSV_DTYPE, delimiter=",",
+                              comments=None, ndmin=1)
+        # loadtxt skips blank lines, and splitlines also breaks at \f, \x85 and
+        # the like, which loadtxt reads as blanks inside a field.
+        if len(rows) != len(lines) - 1:
+            raise ValueError(f"{len(rows)} rows parsed from {len(lines) - 1} lines")
+    except ValueError as exc:
+        _raise_bad_line(path, lines)
+        raise ResultFileError(f"{path}: {exc}") from None
+    table = np.column_stack([rows[name] for name in _CSV_DTYPE.names])
+    table[:, EQUILIBRIUM] = rows[_CSV_DTYPE.names[EQUILIBRIUM]] == 1
+    return table
 
 
 def write_summary_json(summary: RunSummary, path) -> None:
@@ -96,42 +145,36 @@ def read_summary_json(path) -> RunSummary:
 # Plot series (one file per figure family, one column per protocol)
 # ---------------------------------------------------------------------------
 
-def median_series(series: list[list[RoundMetrics]]) -> list[RoundMetrics]:
-    """Per-round median of one or more runs of equal length.
+def median_series(tables: list[np.ndarray]) -> np.ndarray:
+    """Per-round median of the tables of one or more runs of equal length.
 
-    Counts take the int of the median; the path loss is the median over the
-    runs that transmitted (None when none did); the equilibrium flag holds
-    only when it holds in every run.
+    Each cell is ``statistics.median`` over the runs whose value is a
+    number: the middle value, or the mean of the two middle values. Counts
+    take the int of the median; the path loss is NaN where no run
+    transmitted; the equilibrium flag holds only when it holds in every run.
     """
-    lengths = {len(s) for s in series}
+    lengths = {len(t) for t in tables}
     if len(lengths) != 1:
         raise ValueError(f"need runs of one length, got lengths {sorted(lengths)}")
-    merged = []
-    for r in range(lengths.pop()):
-        rows = [s[r] for s in series]
-        losses = [m.mean_path_loss for m in rows if m.mean_path_loss is not None]
-        merged.append(RoundMetrics(
-            round=r,
-            alive_count=int(statistics.median(m.alive_count for m in rows)),
-            packets_sent=int(statistics.median(m.packets_sent for m in rows)),
-            packets_received_at_sink=int(
-                statistics.median(m.packets_received_at_sink for m in rows)),
-            critical_received=int(statistics.median(m.critical_received for m in rows)),
-            total_residual=statistics.median(m.total_residual for m in rows),
-            mean_residual=statistics.median(m.mean_residual for m in rows),
-            mean_path_loss=statistics.median(losses) if losses else None,
-            equilibrium_ok=all(m.equilibrium_ok for m in rows),
-        ))
+    runs = np.sort(np.stack(tables), axis=0)  # NaN sorts last
+    k = np.count_nonzero(~np.isnan(runs), axis=0)[np.newaxis]
+    # Where k == 0 the index -1 picks the last run, NaN like every run there.
+    lo = np.take_along_axis(runs, (k - 1) // 2, axis=0)[0]
+    hi = np.take_along_axis(runs, k // 2, axis=0)[0]
+    merged = np.where(k[0] % 2 == 1, lo, (lo + hi) / 2)
+    merged[:, ROUND] = np.arange(len(merged))
+    merged[:, ALIVE:CRITICAL + 1] = np.trunc(merged[:, ALIVE:CRITICAL + 1])
+    merged[:, EQUILIBRIUM] = runs[0, :, EQUILIBRIUM]  # the smallest flag
     return merged
 
 PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
 
 
-def emit_plot_series(runs: dict[str, list[RoundMetrics]], out_dir) -> list[Path]:
+def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
     """Write the four figure series: alive nodes, cumulative packets received,
     total residual energy, and per-round mean path loss versus round.
 
-    ``runs`` maps protocol name to its per-round metrics; column order follows
+    ``runs`` maps protocol name to its metrics table; column order follows
     the mapping's order. Rounds with no transmissions emit ``nan`` in the
     path-loss file (gnuplot-friendly missing marker).
     """
@@ -141,35 +184,31 @@ def emit_plot_series(runs: dict[str, list[RoundMetrics]], out_dir) -> list[Path]
     lengths = {len(m) for m in runs.values()}
     if len(lengths) != 1:
         raise ValueError(f"round counts differ across runs: {sorted(lengths)}")
-    rounds = lengths.pop()
+    rounds = [str(r) for r in range(lengths.pop())]
+    tables = list(runs.values())
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = "# round " + " ".join(protocols)
 
-    def series(fname: str, value) -> Path:
-        lines = [header]
-        for r in range(rounds):
-            row = [str(r)]
-            for p in protocols:
-                row.append(value(runs[p][r], p))
-            lines.append(" ".join(row))
+    def series(fname: str, columns) -> Path:
+        lines = [header, *map(" ".join, zip(rounds, *columns))]
         path = out / fname
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         return path
 
-    cumulative: dict[str, int] = {p: 0 for p in protocols}
+    def ints(values: np.ndarray):
+        return map(str, values.astype(np.int64).tolist())
 
-    def cum_received(m: RoundMetrics, p: str) -> str:
-        cumulative[p] += m.packets_received_at_sink
-        return str(cumulative[p])
+    def floats(values: np.ndarray):
+        return map(repr, values.tolist())
 
+    lifetime, throughput, residual, pathloss = PLOT_FILES
     return [
-        series("lifetime.dat", lambda m, p: str(m.alive_count)),
-        series("throughput.dat", cum_received),
-        series("residual.dat", lambda m, p: _fmt(m.total_residual)),
-        series("pathloss.dat",
-               lambda m, p: "nan" if m.mean_path_loss is None else _fmt(m.mean_path_loss)),
+        series(lifetime, [ints(t[:, ALIVE]) for t in tables]),
+        series(throughput, [ints(np.cumsum(t[:, RECEIVED])) for t in tables]),
+        series(residual, [floats(t[:, TOTAL_RESIDUAL]) for t in tables]),
+        series(pathloss, [floats(t[:, PATH_LOSS]) for t in tables]),
     ]
 
 

@@ -4,6 +4,7 @@ prints one PASS line per criterion (run with -s or -v to see them).
 The calibrated criteria use the shipped defaults (19 nodes, 10000 rounds,
 0.5 J, 2.4 GHz), seeds 1 through 10, and compare protocol medians.
 """
+import hashlib
 import math
 import statistics
 import time
@@ -268,6 +269,16 @@ class TestCalibratedReproduction:
                f"amhrp {a_loss:.2f} dB vs mattempt {m_loss:.2f} / simple {s_loss:.2f}")
 
 
+# sha256 of the plot series of the default 3 x 10 sweep (per-round medians
+# over seeds 1-10), recorded before the plots path moved to numpy tables.
+SWEEP_SERIES = {
+    "lifetime.dat": "824d4f0c3d6e7faa2a18b0a3af523633735b5e42f628c9f83e95a5dc21888e96",
+    "throughput.dat": "90f7479c84abf17a5e223c760cb2886bbf4dfa1e68dd8fea3b6ec66ce3495ece",
+    "residual.dat": "ab8a733f091ce004ad61fa08379d4c7b1c1c88148aaee31bfaedfe3f147bd6a4",
+    "pathloss.dat": "6ac546a4abda73eed4e401193ecb72f158d3994d6a10d9b106e97c5398a37b2e",
+}
+
+
 class TestSweepWallClock:
     def test_full_sweep_report_and_plots_under_60s(self, tmp_path):
         out = tmp_path / "runs"
@@ -279,3 +290,5 @@ class TestSweepWallClock:
         elapsed = time.perf_counter() - t0
         report("3-protocol x 10-seed sweep + report + plots under 60 s",
                elapsed < 60.0, f"{elapsed:.1f}s")
+        for name, digest in SWEEP_SERIES.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

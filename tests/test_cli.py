@@ -1,9 +1,11 @@
 import json
 import shutil
+import warnings
 
 import pytest
 
 from wbansim.cli import main
+from wbansim.config import load_config
 
 
 def run_cli(*args):
@@ -78,6 +80,14 @@ class TestSimulate:
         assert code == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = b"[sim]\nrounds = 7\nseed = 4\n[channel]\nsigma_db = 1.5\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config(str(marked)) == load_config(str(plain))
+        assert load_config(str(marked)).rounds == 7
 
     @pytest.mark.parametrize("data", [b"\xff\xfe[sim]\nrounds = 5\n", b"rounds = 5\n"],
                              ids=["not_utf8", "no_section_header"])
@@ -169,6 +179,30 @@ class TestSweepCompareAndPlots:
             lines = series.read_text().strip().split("\n")
             assert len(lines) == 301  # header + 300 rounds
             assert lines[0] == "# round amhrp mattempt simple"
+
+    @pytest.mark.parametrize("stray", ["metrics_backup.csv", "metrics_amhrp_seedX.csv",
+                                       "metrics_foo_seed1.csv", "metrics__seed1.csv"])
+    def test_plots_rejects_a_stray_file_name(self, stray, sweep_dir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs, ignore=shutil.ignore_patterns("*.dat"))
+        shutil.copy(runs / "metrics_amhrp_seed1.csv", runs / stray)
+        assert main(["plots", "--in", str(runs)]) == 2
+        assert stray in capsys.readouterr().err
+        assert not (runs / "lifetime.dat").exists()
+
+    def test_plots_on_zero_round_sweep_writes_headers_only(self, tmp_path, capfd):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[sim]\nrounds = 0\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--protocols", "amhrp,simple",
+                     "--seeds", "1,2", "--out", str(out)]) == 0
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plots", "--in", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        for name in ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat"):
+            assert (out / name).read_text() == "# round amhrp simple\n"
 
     def test_compare_on_empty_dir_exits_2(self, tmp_path):
         assert main(["compare", "--in", str(tmp_path)]) == 2

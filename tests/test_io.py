@@ -1,11 +1,18 @@
+import math
+import statistics
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
 from wbansim.engine import RoundMetrics, RunSummary, run_simulation
-from wbansim.io import (CSV_HEADER, ResultFileError, compare_runs, emit_plot_series,
-                        median_series, read_metrics_csv, read_summary_json,
+from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND, SENT,
+                        TOTAL_RESIDUAL, ResultFileError, compare_runs, emit_plot_series,
+                        median_series, metrics_table, read_metrics_csv, read_summary_json,
                         render_comparison, write_metrics_csv, write_summary_json)
 
 
@@ -14,6 +21,10 @@ def row(r, alive=19, sent=2, received=2, loss=36.5):
                         packets_received_at_sink=received, critical_received=1,
                         total_residual=9.5 - 0.001 * r, mean_residual=(9.5 - 0.001 * r) / 19,
                         mean_path_loss=loss, equilibrium_ok=True)
+
+
+def table(*rows):
+    return metrics_table(list(rows))
 
 
 def summary(protocol, seed, stability, lifetime, tp=100.0, residual_pct=80.0):
@@ -37,7 +48,10 @@ class TestMetricsCsv:
         metrics = [row(0), row(1, loss=None), row(2, alive=18)]
         path = tmp_path / "m.csv"
         write_metrics_csv(metrics, path)
-        assert read_metrics_csv(path) == metrics
+        got = read_metrics_csv(path)
+        assert got.shape == (3, 9) and got.dtype == np.float64
+        assert np.array_equal(got, metrics_table(metrics), equal_nan=True)
+        assert math.isnan(got[1, PATH_LOSS])
 
     def test_quiescent_round_serializes_empty_loss_field(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -65,6 +79,69 @@ class TestMetricsCsv:
         with pytest.raises(ValueError):
             read_metrics_csv(path)
 
+    # case -> (line to write as line 3, or None for the header case; the
+    # line number the message names, or None)
+    BAD_FILES = {
+        "wrong_header": (None, None),
+        "eight_fields": ("1,19,2,2,1,9.5,0.5,36.5", 3),
+        "ten_fields": ("1,19,2,2,1,9.5,0.5,36.5,1,1", 3),
+        "fraction_in_int_column": ("1,1.5,2,2,1,9.5,0.5,36.5,1", 3),
+        "float_in_int_column": ("1,19,2,2,1.0,9.5,0.5,36.5,1", 3),
+        "empty_total_residual": ("1,19,2,2,1,,0.5,36.5,1", 3),
+        "empty_mean_residual": ("1,19,2,2,1,9.5,,36.5,1", 3),
+        "empty_residuals_and_loss": ("1,19,2,2,1,9.5,,,1", 3),
+        "junk_token": ("1,19,2,2,1,9.5,0.5,abc,1", 3),
+        "blank_line": ("", 3),
+        "blank_line_with_spaces": ("   ", 3),
+        "form_feed_inside_row": ("1,19,2,2\f,1,9.5,0.5,36.5,1", 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_bad_file_rejected_naming_file_and_line(self, case, tmp_path):
+        bad_line, lineno = self.BAD_FILES[case]
+        path = tmp_path / "m.csv"
+        write_metrics_csv([row(0), row(1), row(2)], path)
+        lines = path.read_text().split("\n")
+        if bad_line is None:
+            lines[0] = lines[0].replace("alive", "alive_count")
+        else:
+            lines[2] = bad_line
+        path.write_text("\n".join(lines), newline="")
+        with pytest.raises(ResultFileError) as err:
+            read_metrics_csv(path)
+        assert str(path) in str(err.value)
+        if lineno is not None:
+            assert f": line {lineno}: " in str(err.value)
+
+    def test_only_blank_rows_rejected_without_a_warning(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResultFileError, match=": line 2: 1 fields"):
+                read_metrics_csv(path)
+
+    def test_flag_must_be_an_int(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics_csv([row(0)], path)
+        path.write_text(path.read_text().replace(",1\n", ",yes\n"))
+        with pytest.raises(ResultFileError, match=": line 2: "):
+            read_metrics_csv(path)
+
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics_csv([row(0)], path)
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(ResultFileError, match="not UTF-8"):
+            read_metrics_csv(path)
+
+    def test_crlf_file_and_missing_final_newline_still_read(self, tmp_path):
+        metrics = [row(0), row(1, loss=None)]
+        path = tmp_path / "m.csv"
+        write_metrics_csv(metrics, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n").replace(b"\n", b"\r\n"))
+        assert np.array_equal(read_metrics_csv(path), metrics_table(metrics), equal_nan=True)
+
 
 class TestSummaryJson:
     def test_round_trip(self, tmp_path):
@@ -84,8 +161,8 @@ class TestPlotSeries:
     def make_runs(self, rounds=4):
         runs = {}
         for i, proto in enumerate(("amhrp", "mattempt", "simple")):
-            runs[proto] = [row(r, alive=19 - i, loss=None if r == 0 else 40.0 + i)
-                           for r in range(rounds)]
+            runs[proto] = table(*(row(r, alive=19 - i, loss=None if r == 0 else 40.0 + i)
+                                  for r in range(rounds)))
         return runs
 
     def test_four_files_with_expected_shape(self, tmp_path):
@@ -117,7 +194,7 @@ class TestPlotSeries:
 
     def test_alive_column_non_increasing_for_real_run(self, tmp_path):
         res = run_simulation(replace(SimConfig(), rounds=500))
-        files = emit_plot_series({"amhrp": res.metrics}, tmp_path)
+        files = emit_plot_series({"amhrp": metrics_table(res.metrics)}, tmp_path)
         alive = [int(line.split()[1])
                  for line in files[0].read_text().strip().split("\n")[1:]]
         assert all(b <= a for a, b in zip(alive, alive[1:]))
@@ -129,39 +206,84 @@ class TestPlotSeries:
             emit_plot_series(runs, tmp_path)
 
 
+def median_oracle(tables):
+    """The per-round merge with statistics.median, one round at a time."""
+    merged = []
+    for r in range(len(tables[0])):
+        rows = [t[r] for t in tables]
+        losses = [m[PATH_LOSS] for m in rows if not math.isnan(m[PATH_LOSS])]
+        merged.append([r]
+                      + [int(statistics.median(m[c] for m in rows))
+                         for c in range(ALIVE, TOTAL_RESIDUAL)]
+                      + [statistics.median(m[c] for m in rows)
+                         for c in range(TOTAL_RESIDUAL, PATH_LOSS)]
+                      + [statistics.median(losses) if losses else math.nan,
+                         all(m[EQUILIBRIUM] == 1 for m in rows)])
+    return np.array(merged, dtype=np.float64).reshape(-1, 9)
+
+
+def same_bits(a, b):
+    """Equal shape, NaN in the same cells, every other cell bit for bit."""
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(nan_a, nan_b)
+            and np.array_equal(np.where(nan_a, 0.0, a).view(np.int64),
+                               np.where(nan_b, 0.0, b).view(np.int64)))
+
+
+@st.composite
+def run_tables(draw):
+    """1-5 runs of one length (0-6 rounds), with quiet rounds and mixed flags."""
+    n_runs, rounds = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    quiet = draw(st.lists(st.booleans(), min_size=rounds, max_size=rounds))
+    counts = st.integers(0, 40)
+    energy = st.floats(0.0, 9.5, allow_nan=False)
+    tables = []
+    for _ in range(n_runs):
+        rows = [(r, *(draw(counts) for _ in range(4)), draw(energy), draw(energy),
+                 math.nan if quiet[r] or draw(st.booleans()) else draw(st.floats(20.0, 120.0)),
+                 draw(st.booleans()))
+                for r in range(rounds)]
+        tables.append(np.array(rows, dtype=np.float64).reshape(-1, 9))
+    return tables
+
+
 class TestMedianSeries:
     def test_field_medians(self):
-        runs = [[row(0, alive=19, sent=4, received=3, loss=30.0)],
-                [row(0, alive=17, sent=1, received=1, loss=40.0)],
-                [row(0, alive=18, sent=9, received=8, loss=35.5)]]
+        runs = [table(row(0, alive=19, sent=4, received=3, loss=30.0)),
+                table(row(0, alive=17, sent=1, received=1, loss=40.0)),
+                table(row(0, alive=18, sent=9, received=8, loss=35.5))]
         (m,) = median_series(runs)
-        assert (m.round, m.alive_count, m.packets_sent,
-                m.packets_received_at_sink) == (0, 18, 4, 3)
-        assert m.mean_path_loss == 35.5
-        assert m.total_residual == row(0).total_residual
+        assert (m[ROUND], m[ALIVE], m[SENT], m[RECEIVED]) == (0, 18, 4, 3)
+        assert m[PATH_LOSS] == 35.5
+        assert m[TOTAL_RESIDUAL] == row(0).total_residual
 
     def test_even_count_median_truncated_to_int(self):
-        (m,) = median_series([[row(0, alive=19)], [row(0, alive=18)]])
-        assert m.alive_count == 18  # int(18.5)
+        (m,) = median_series([table(row(0, alive=19)), table(row(0, alive=18))])
+        assert m[ALIVE] == 18  # int(18.5)
 
     def test_path_loss_over_transmitting_runs_only(self):
-        quiet = [row(0, loss=None), row(1, loss=None)]
-        loud = [row(0, loss=None), row(1, loss=42.0)]
+        quiet = table(row(0, loss=None), row(1, loss=None))
+        loud = table(row(0, loss=None), row(1, loss=42.0))
         merged = median_series([quiet, quiet, loud])
-        assert merged[0].mean_path_loss is None
-        assert merged[1].mean_path_loss == 42.0
+        assert math.isnan(merged[0, PATH_LOSS])
+        assert merged[1, PATH_LOSS] == 42.0
 
     def test_equilibrium_flag_anded_across_runs(self):
-        ok = [row(0), row(1)]
-        broken = [row(0), replace(row(1), equilibrium_ok=False)]
+        ok = table(row(0), row(1))
+        broken = table(row(0), replace(row(1), equilibrium_ok=False))
         merged = median_series([ok, broken, ok])
-        assert [m.equilibrium_ok for m in merged] == [True, False]
+        assert merged[:, EQUILIBRIUM].tolist() == [1.0, 0.0]
 
     def test_unequal_lengths_rejected(self):
         for lengths in [(5, 3, 4), (5, 5, 4), ()]:
-            runs = [[row(r) for r in range(n)] for n in lengths]
+            runs = [table(*(row(r) for r in range(n))) for n in lengths]
             with pytest.raises(ValueError):
                 median_series(runs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_tables())
+    def test_equals_the_statistics_median_oracle(self, tables):
+        assert same_bits(median_series(tables), median_oracle(tables))
 
 
 class TestCompareRuns:
