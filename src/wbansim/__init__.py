@@ -10,10 +10,8 @@ from .engine import (RoundMetrics, RunResult, RunSummary, assign_tdma,
 from .events import EventParams, SensingSchedule, is_scheduled, poisson_pmf, sample_event_count
 from .io import (compare_runs, emit_plot_series, metrics_table, read_metrics_csv,
                  write_metrics_csv)
-from .protocols import (EquilibriumProfile, MattemptParams, MattemptState,
-                        RouteAction, RoutingDecision, amhrp_select_forwarder,
-                        equilibrium_ok, equilibrium_score, mattempt_build_hopcounts,
-                        mattempt_next_hop, mattempt_temperature_step,
-                        simple_select_forwarder)
+from .protocols import (MattemptParams, MattemptState, RouteAction, RoutingDecision,
+                        amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,
+                        mattempt_temperature_step, simple_select_forwarder)
 
 __version__ = "0.1.0"

@@ -148,50 +148,26 @@ def format_layout() -> str:
     return "\n".join(lines) + "\n"
 
 
-class TopologyError(ValueError):
-    """Raised when a topology cannot be built from the given configuration."""
-
-
 def build_topology(config, rng: np.random.Generator) -> tuple[list[SensorNode], Sink]:
     """Place ``config.node_count`` sensor nodes on the body plane.
 
     ``uniform`` placement draws positions from the given random stream and is
     a pure function of the stream state; ``canonical`` uses the fixed layout
-    table. Kinds are assigned in layout-table order either way, so node i
-    always carries the same sensor kind across placements and seeds.
+    table (``validate_config`` caps its node count at the table's length).
+    Kinds are assigned in layout-table order either way, so node i always
+    carries the same sensor kind across placements and seeds.
     """
     n = config.node_count
-    if config.placement == "canonical" and n > len(CANONICAL_LAYOUT):
-        raise TopologyError(
-            f"canonical placement supports at most {len(CANONICAL_LAYOUT)} nodes, got {n}"
-        )
-
-    sink = Sink(sink_position())
+    canonical = config.placement == "canonical"
+    coords = None if canonical else rng.random((n, 2))
     nodes: list[SensorNode] = []
-    if config.placement == "canonical":
-        for i in range(n):
-            kind, x, y = CANONICAL_LAYOUT[i]
-            nodes.append(
-                SensorNode(
-                    id=i,
-                    kind=kind,
-                    position=BodyPoint(x, y),
-                    residual_energy=config.initial_energy,
-                    tx_range=config.tx_range,
-                )
-            )
-    else:
-        coords = rng.random((n, 2))
-        for i in range(n):
-            kind = ALL_KINDS[i % len(ALL_KINDS)]
+    for i in range(n):
+        if canonical:
+            _, x, y = CANONICAL_LAYOUT[i]
+            pos = BodyPoint(x, y)
+        else:
             pos = BodyPoint(coords[i, 0] * PLANE_WIDTH, coords[i, 1] * PLANE_HEIGHT)
-            nodes.append(
-                SensorNode(
-                    id=i,
-                    kind=kind,
-                    position=pos,
-                    residual_energy=config.initial_energy,
-                    tx_range=config.tx_range,
-                )
-            )
-    return nodes, sink
+        nodes.append(SensorNode(id=i, kind=ALL_KINDS[i % len(ALL_KINDS)], position=pos,
+                                residual_energy=config.initial_energy,
+                                tx_range=config.tx_range))
+    return nodes, Sink(sink_position())

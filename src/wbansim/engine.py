@@ -41,12 +41,9 @@ A run always has ``rounds`` rows. Once the last node is dead the rounds are
 not walked: ``_Sim.dead_tail`` writes the remaining rows in one pass. That is
 exact: a dead node's residual is clamped to 0.0, and a dead round sends
 nothing, records no link and draws no shadowing; only the equilibrium windows
-still roll. A flat equilibrium series (every coefficient 0.0, as before the
-first window closes and after the tail's idle windows roll the live ones out)
-scores ``a0`` at every round, so its flag is computed once per rebuild.
-Otherwise the tracker keeps the series' ``(n, a_n, b_n)`` terms from the
-rebuild and each round sums them with ``protocols.equilibrium_series``, the
-same floats ``equilibrium_ok`` gives, without its range check.
+still roll. Each round the equilibrium tracker sums the series terms kept at
+the last window close, leaving out the terms whose coefficients are both 0.0
+(they add only a signed zero), so a flat series is the empty sum ``a0``.
 
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), the tracker
@@ -55,8 +52,10 @@ is a new object.
 """
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -67,9 +66,8 @@ from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
 from .energy import charge
 from .events import invert_poisson, poisson_cdf_table, reading_draws
-from .protocols import (TO_SINK, EquilibriumProfile, MattemptState, RouteAction,
-                        RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
-                        equilibrium_series, mattempt_build_hopcounts, mattempt_next_hop,
+from .protocols import (TO_SINK, MattemptState, RouteAction, RoutingDecision,
+                        amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,
                         mattempt_temperature_step, simple_select_forwarder, to_forwarder)
 
 SINK_ID = -1  # receiver id of a node-to-sink send
@@ -172,20 +170,36 @@ def summarize_run(metrics: list[RoundMetrics], config: SimConfig) -> RunSummary:
 # Per-run state
 # ---------------------------------------------------------------------------
 
+def equilibrium_series(a0: float, terms: tuple[tuple[int, float, float], ...],
+                       x: float, L: int) -> float:
+    """a0 + sum of a_n*sin(n*pi*x/L) + b_n*cos(n*pi*x/L) over the
+    ``(n, a_n, b_n)`` in ``terms``, added in order."""
+    base = math.pi * x / L
+    total = a0
+    for n, ca, cb in terms:
+        total += ca * math.sin(n * base) + cb * math.cos(n * base)
+    return total
+
+
 class _EquilibriumTracker:
-    """Rolls the last l traffic-mix windows into the diagnostic series."""
+    """Rolls the last l traffic-mix windows into the diagnostic series:
+    a_n is window n's forward share, b_n its destined-send share, and the
+    round's flag is ``equilibrium_series(a0, terms, x, L) > alpha_star``."""
 
     def __init__(self, cfg: SimConfig):
+        self.a0 = cfg.initial_energy
+        self.L = max(1, cfg.rounds)
+        self.alpha_star = cfg.amhrp.alpha_star
         self.window_len = cfg.amhrp.eq_window_len
-        self.windows: deque[tuple[int, int, int]] = deque(maxlen=cfg.amhrp.eq_windows)
+        # A run closes at most rounds // eq_window_len windows, so capping
+        # the length at the largest one deque takes reads the same.
+        self.windows: deque[tuple[int, int, int]] = deque(
+            maxlen=min(cfg.amhrp.eq_windows, sys.maxsize))
         self.cur_total = 0
         self.cur_forwards = 0
         self.cur_sends = 0
         self.rounds_in_window = 0
-        # The series over the filled windows, rebuilt when a window closes.
-        self._set_profile(EquilibriumProfile(a0=cfg.initial_energy, coeffs_a=(), coeffs_b=(),
-                                             L=max(1, cfg.rounds),
-                                             alpha_star=cfg.amhrp.alpha_star))
+        self.terms: tuple[tuple[int, float, float], ...] = ()
 
     def push_round(self, n1: int, n2: int, n3: int, n4: int, n5: int) -> None:
         """Add one round's action counts (as in ``energy.ActionCounts``)."""
@@ -197,25 +211,13 @@ class _EquilibriumTracker:
             self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
             self.cur_total = self.cur_forwards = self.cur_sends = 0
             self.rounds_in_window = 0
-            self._set_profile(replace(
-                self.profile,
-                coeffs_a=tuple(f / t if t else 0.0 for f, _s, t in self.windows),
-                coeffs_b=tuple(s / t if t else 0.0 for _f, s, t in self.windows)))
-
-    def _set_profile(self, profile: EquilibriumProfile) -> None:
-        # A series whose coefficients are all 0.0 scores a0 at every x (each
-        # term is 0.0 times a finite sin or cos), so its flag is taken once.
-        # Otherwise ``flag`` sums the stored terms.
-        self.profile = profile
-        flat = not any(profile.coeffs_a) and not any(profile.coeffs_b)
-        self.flat_flag = equilibrium_ok(profile, 0) if flat else None
-        self.terms = profile.terms
+            self.terms = tuple((n, f / t, s / t)
+                               for n, (f, s, t) in enumerate(self.windows, start=1)
+                               if t and (f or s))
 
     def flag(self, round_index: int) -> bool:
-        if self.flat_flag is not None:
-            return self.flat_flag
-        p = self.profile
-        return equilibrium_series(p.a0, self.terms, min(round_index, p.L), p.L) > p.alpha_star
+        L = self.L
+        return equilibrium_series(self.a0, self.terms, min(round_index, L), L) > self.alpha_star
 
 
 class _Sim:

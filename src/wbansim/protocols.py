@@ -91,59 +91,6 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquilibriumProfile:
-    """Truncated trigonometric series over logged traffic-mix windows.
-
-    coeffs_a[n] is the forward fraction of window n, coeffs_b[n] the send
-    fraction; a0 anchors the series at the initial per-node energy. The
-    score is evaluated at the current round and compared against alpha_star
-    as a per-round diagnostic flag (never a routing input).
-    """
-    a0: float
-    coeffs_a: tuple[float, ...]
-    coeffs_b: tuple[float, ...]
-    L: int
-    alpha_star: float = 0.0
-
-    def __post_init__(self):
-        if len(self.coeffs_a) != len(self.coeffs_b):
-            raise ValueError("coefficient series must have equal length")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-
-    @property
-    def terms(self) -> tuple[tuple[int, float, float], ...]:
-        """The series' terms ``(n, coeffs_a[n-1], coeffs_b[n-1])``, n from 1."""
-        return tuple((n, ca, cb)
-                     for n, (ca, cb) in enumerate(zip(self.coeffs_a, self.coeffs_b), start=1))
-
-
-def equilibrium_series(a0: float, terms: tuple[tuple[int, float, float], ...],
-                       x: float, L: int) -> float:
-    """a0 + sum of ca*sin(n*pi*x/L) + cb*cos(n*pi*x/L) over ``terms``, added
-    in order; ``x`` is not range-checked (``equilibrium_score`` does that)."""
-    base = math.pi * x / L
-    total = a0
-    for n, ca, cb in terms:
-        total += ca * math.sin(n * base) + cb * math.cos(n * base)
-    return total
-
-
-def equilibrium_score(p: EquilibriumProfile, x: float) -> float:
-    if not 0 <= x <= p.L:
-        raise ValueError(f"x must lie in [0, {p.L}], got {x}")
-    return equilibrium_series(p.a0, p.terms, x, p.L)
-
-
-def equilibrium_ok(p: EquilibriumProfile, x: float) -> bool:
-    return equilibrium_score(p, x) > p.alpha_star
-
-
-# ---------------------------------------------------------------------------
 # M-ATTEMPT
 # ---------------------------------------------------------------------------
 

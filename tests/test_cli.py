@@ -99,6 +99,13 @@ class TestSimulate:
         assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_huge_window_count_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[amhrp]\neq_windows = 99999999999999999999\n[sim]\nrounds = 0\n")
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                        "--out", str(tmp_path / "o"))

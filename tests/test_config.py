@@ -172,6 +172,13 @@ class TestViolations:
             parse_config("[channel]\nexponent_los = 9\n")
         assert any("channel.exponent_los" in v for v in exc.value.violations)
 
+    def test_canonical_too_many_nodes(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[sim]\nplacement = canonical\nnode_count = 20\n")
+        assert any(v.startswith("sim.node_count:") for v in exc.value.violations)
+        cfg = parse_config("[sim]\nplacement = canonical\nnode_count = 19\n")
+        assert cfg.node_count == 19
+
 
 class TestSections:
     def test_events_lambda_key(self):

@@ -5,8 +5,8 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import (ALL_KINDS, CANONICAL_LAYOUT, PLANE_HEIGHT, PLANE_WIDTH,
-                          BodyPoint, PacketKind, SensorKind, TopologyError,
-                          build_topology, distance, format_layout)
+                          BodyPoint, PacketKind, SensorKind, build_topology,
+                          distance, format_layout)
 
 
 def rng(seed):
@@ -79,11 +79,6 @@ class TestBuildTopology:
         kind, x, y = CANONICAL_LAYOUT[0]
         assert nodes[0].kind is kind
         assert nodes[0].position == BodyPoint(x, y)
-
-    def test_canonical_too_many_nodes(self):
-        cfg = replace(SimConfig(), placement="canonical", node_count=20)
-        with pytest.raises(TopologyError):
-            build_topology(cfg, rng(1))
 
 
 class TestPacket:

@@ -8,8 +8,8 @@ from test_config import valid_configs
 
 from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.engine import (_SCHEMES, RoundMetrics, assign_tdma, run_simulation,
-                            summarize_run, throughput)
+from wbansim.engine import (_SCHEMES, RoundMetrics, _EquilibriumTracker, assign_tdma,
+                            equilibrium_series, run_simulation, summarize_run, throughput)
 
 
 def cfg(**over):
@@ -369,29 +369,27 @@ class TestDeadTail:
         assert calls == list(range(lifetime + 1))
 
     def test_flat_series_flag_equals_the_series(self):
-        from wbansim.engine import _EquilibriumTracker
-        from wbansim.protocols import equilibrium_ok
-
         base = SimConfig()
         for alpha_star in (0.2, 0.5, 0.7):
             c = replace(base, rounds=60, initial_energy=0.5,
                         amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=2,
                                       eq_window_len=5))
             eq = _EquilibriumTracker(c)
-            L = eq.profile.L
+            L = eq.L
             checked = {"flat": 0, "live": 0}
 
             def check():
-                flat = not any(eq.profile.coeffs_a + eq.profile.coeffs_b)
+                terms = all_terms(eq)
+                flat = not any(a or b for _n, a, b in terms)
                 checked["flat" if flat else "live"] += 1
                 for x in range(L + 1):
-                    assert eq.flag(x) == equilibrium_ok(eq.profile, x), (alpha_star, x)
+                    assert eq.flag(x) == series_flag(eq, terms, x), (alpha_star, x)
 
-            check()  # the initial profile has no windows
+            check()  # the initial tracker has no windows
             for counts in [(3, 2, 0, 4, 1)] * 10 + [(0, 0, 0, 0, 0)] * 15:
                 eq.push_round(*counts)
                 check()
-            assert eq.profile.coeffs_a == eq.profile.coeffs_b == (0.0, 0.0)
+            assert all_terms(eq) == ((1, 0.0, 0.0), (2, 0.0, 0.0))
             assert checked["flat"] and checked["live"]
 
     @settings(max_examples=80, deadline=None)
@@ -400,22 +398,41 @@ class TestDeadTail:
            st.floats(-1.0, 2.0), st.integers(1, 5), st.integers(1, 6), st.integers(1, 60))
     def test_flag_equals_the_series(self, rounds_counts, alpha_star, eq_windows,
                                     eq_window_len, rounds):
-        """The tracker's folded flag is ``equilibrium_ok`` on its profile, at
-        every round, after every pushed round (zero-total windows included)."""
-        from wbansim.engine import _EquilibriumTracker
-        from wbansim.protocols import equilibrium_ok
-
+        """The tracker's flag, which skips zero terms, is the full series over
+        its windows, at every round, after every pushed round (zero-total
+        windows included)."""
         base = SimConfig()
         c = replace(base, rounds=rounds, initial_energy=0.5,
                     amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=eq_windows,
                                   eq_window_len=eq_window_len))
         eq = _EquilibriumTracker(c)
-        L = eq.profile.L
         for counts in [None] + rounds_counts:
             if counts is not None:
                 eq.push_round(*counts)
-            for x in range(L + 3):
-                assert eq.flag(x) == equilibrium_ok(eq.profile, min(x, L)), x
+            terms = all_terms(eq)
+            for x in range(eq.L + 3):
+                assert eq.flag(x) == series_flag(eq, terms, x), x
+
+    def test_huge_window_count_reads_as_any_count_above_the_closes(self):
+        # 200 rounds close 4 windows of 50, so any eq_windows >= 4 keeps them
+        # all; 10**20 exceeds what a deque's length can hold.
+        base = SimConfig()
+        runs = [run_simulation(replace(base, rounds=200,
+                                       amhrp=replace(base.amhrp, alpha_star=0.51,
+                                                     eq_windows=windows, eq_window_len=50)))
+                for windows in (4, 10**20)]
+        assert runs[0] == runs[1]
+        assert len({m.equilibrium_ok for m in runs[0].metrics}) == 2
+
+
+def all_terms(eq):
+    """Every window's ``(n, a_n, b_n)``, the 0.0 coefficients included."""
+    return tuple((n, f / t if t else 0.0, s / t if t else 0.0)
+                 for n, (f, s, t) in enumerate(eq.windows, start=1))
+
+
+def series_flag(eq, terms, x):
+    return equilibrium_series(eq.a0, terms, min(x, eq.L), eq.L) > eq.alpha_star
 
 
 class TestRunProperty:

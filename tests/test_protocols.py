@@ -6,11 +6,10 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
-from wbansim.engine import _Sim
+from wbansim.engine import _EquilibriumTracker, _Sim, equilibrium_series
 from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
-                               EquilibriumProfile, MattemptParams, RouteAction,
-                               RoutingDecision, amhrp_select_forwarder, equilibrium_ok,
-                               equilibrium_score, mattempt_build_hopcounts,
+                               MattemptParams, RouteAction, RoutingDecision,
+                               amhrp_select_forwarder, mattempt_build_hopcounts,
                                mattempt_next_hop, mattempt_temperature_step,
                                simple_select_forwarder, to_forwarder)
 
@@ -105,34 +104,21 @@ class TestAmhrpSelectForwarder:
 
 class TestEquilibrium:
     def test_zero_coefficients_give_a0(self):
-        p = EquilibriumProfile(a0=0.5, coeffs_a=(0.0,), coeffs_b=(0.0,), L=10)
-        assert equilibrium_score(p, 3.0) == 0.5
+        assert equilibrium_series(0.5, ((1, 0.0, 0.0),), 3.0, 10) == 0.5
 
     def test_sine_term_at_half_period(self):
-        p = EquilibriumProfile(a0=0.5, coeffs_a=(1.0,), coeffs_b=(0.0,), L=10)
-        assert equilibrium_score(p, 5.0) == pytest.approx(1.5, abs=1e-12)
+        assert equilibrium_series(0.5, ((1, 1.0, 0.0),), 5.0, 10) == pytest.approx(1.5, abs=1e-12)
 
     def test_x_zero_is_a0_plus_sum_b(self):
-        p = EquilibriumProfile(a0=0.2, coeffs_a=(0.4, 0.1, 0.7),
-                               coeffs_b=(0.3, 0.2, 0.1), L=100)
-        assert equilibrium_score(p, 0.0) == pytest.approx(0.2 + 0.6, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        p = EquilibriumProfile(a0=0.0, coeffs_a=(), coeffs_b=(), L=10)
-        with pytest.raises(ValueError):
-            equilibrium_score(p, -0.1)
-        with pytest.raises(ValueError):
-            equilibrium_score(p, 10.1)
+        terms = ((1, 0.4, 0.3), (2, 0.1, 0.2), (3, 0.7, 0.1))
+        assert equilibrium_series(0.2, terms, 0.0, 100) == pytest.approx(0.2 + 0.6, abs=1e-12)
 
     @pytest.mark.parametrize("alpha,expected", [(0.4, True), (0.5, False), (0.6, False)])
     def test_threshold_is_strict(self, alpha, expected):
-        p = EquilibriumProfile(a0=0.5, coeffs_a=(0.0,), coeffs_b=(0.0,),
-                               L=10, alpha_star=alpha)
-        assert equilibrium_ok(p, 2.0) is expected
-
-    def test_mismatched_series_rejected(self):
-        with pytest.raises(ValueError):
-            EquilibriumProfile(a0=0.0, coeffs_a=(1.0,), coeffs_b=(), L=10)
+        base = SimConfig()
+        c = replace(base, rounds=10, initial_energy=0.5,
+                    amhrp=replace(base.amhrp, alpha_star=alpha))
+        assert _EquilibriumTracker(c).flag(2) is expected
 
 
 class TestMattemptHopCounts:
