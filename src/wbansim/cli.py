@@ -6,14 +6,18 @@
     wbansim plots --in results/
     wbansim --dump-layout
 
-Exit codes: 0 success, 1 configuration or usage error, 2 I/O error.
+Exit codes: 0 success, 1 configuration or usage error, 2 I/O error (or a
+sweep worker process that ended abruptly).
 """
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import PROTOCOLS, ConfigError, SimConfig, load_config, validate_config
@@ -52,6 +56,14 @@ def _base_config(args) -> SimConfig:
     return load_config(args.config) if args.config else SimConfig()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so ``taskset`` limits it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_one(cfg: SimConfig, out: Path) -> None:
     result = run_simulation(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -83,8 +95,26 @@ def cmd_sweep(args) -> int:
     grid = [replace(cfg, protocol=p, seed=s) for p, s in pairs]
     for run_cfg in grid:
         validate_config(run_cfg)
-    for run_cfg in grid:
-        _run_one(run_cfg, out)
+    out.mkdir(parents=True, exist_ok=True)
+    # Imported here, so that ``import wbansim.cli``, which every command pays
+    # for at start-up, does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # Each run is a pure function of its config and writes its own two files,
+    # so the workers share nothing and return nothing. Forked workers start
+    # with numpy already imported. With fork the pool starts every worker
+    # before its own thread, so no other Python thread runs at the fork.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(min(len(grid), _usable_cpus()), mp_context=context) as pool:
+        try:
+            for _ in pool.map(partial(_run_one, out=out), grid):
+                pass
+        except BrokenProcessPool:
+            print("error: a simulation worker ended abruptly (killed, or out of memory)",
+                  file=sys.stderr)
+            return EXIT_IO
     print(f"ran {len(grid)} simulations into {out}")
     return EXIT_OK
 
@@ -117,22 +147,31 @@ def cmd_plots(args) -> int:
         print(f"no metrics_*.csv files in {in_dir}", file=sys.stderr)
         return EXIT_IO
     name_pattern = re.compile(rf"metrics_({'|'.join(PROTOCOLS)})_seed[0-9]+\.csv")
-    by_protocol: dict[str, list] = {}
-    rounds = None
-    for p in paths:
+
+    def protocol_of(p: Path) -> str:
         name = name_pattern.fullmatch(p.name)
         if name is None:
             raise ResultFileError(f"{p}: not a metrics_<protocol>_seed<int>.csv name "
                                   f"(protocols: {', '.join(PROTOCOLS)})")
-        table = read_metrics_csv(p)
-        # Every run has one row per round, so a file whose count differs is damaged.
-        if rounds is None:
-            rounds = len(table)
-        elif len(table) != rounds:
-            raise ResultFileError(
-                f"{p}: {len(table)} rounds, but {paths[0].name} has {rounds}")
-        by_protocol.setdefault(name[1], []).append(table)
-    runs = {protocol: median_series(by_protocol[protocol]) for protocol in sorted(by_protocol)}
+        return name[1]
+
+    runs = {}
+    rounds = None
+    # Sorted names keep each protocol's files together, in protocol order, so
+    # each protocol is merged as soon as its files are read and its per-seed
+    # tables dropped.
+    for protocol, group in itertools.groupby(paths, key=protocol_of):
+        tables = []
+        for p in group:
+            table = read_metrics_csv(p)
+            # Every run has one row per round, so a file whose count differs is damaged.
+            if rounds is None:
+                rounds = len(table)
+            elif len(table) != rounds:
+                raise ResultFileError(
+                    f"{p}: {len(table)} rounds, but {paths[0].name} has {rounds}")
+            tables.append(table)
+        runs[protocol] = median_series(tables)
     files = emit_plot_series(runs, in_dir)
     print("wrote " + ", ".join(f.name for f in files))
     return EXIT_OK

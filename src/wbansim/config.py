@@ -71,8 +71,11 @@ def default_energy_weights() -> EnergyWeights:
 
 @dataclass(frozen=True)
 class SimConfig:
-    node_count: int = bounded(19, ge=1)
-    rounds: int = bounded(10000, ge=0)
+    # The caps keep one run, the other keys at their defaults, within 1 GB
+    # and 10 minutes: the path-loss table grows as node_count**2, and the
+    # run holds one metrics row per round in memory.
+    node_count: int = bounded(19, ge=1, le=1000)
+    rounds: int = bounded(10000, ge=0, le=1_000_000)
     initial_energy: float = bounded(0.5, gt=0)
     protocol: str = bounded("amhrp", choices=PROTOCOLS)
     seed: int = bounded(1, ge=0)

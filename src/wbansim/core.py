@@ -36,9 +36,14 @@ class Bound(NamedTuple):
                 and (self.hi is None or (v < self.hi if self.hi_open else v <= self.hi))):
             return None
         if self.hi is None:
-            return f"must be {'>' if self.lo_open else '>='} {self.lo:g}"
-        return (f"must lie in {'(' if self.lo_open else '['}{self.lo:g}, "
-                f"{self.hi:g}{')' if self.hi_open else ']'}")
+            return f"must be {'>' if self.lo_open else '>='} {_number(self.lo)}"
+        return (f"must lie in {'(' if self.lo_open else '['}{_number(self.lo)}, "
+                f"{_number(self.hi)}{')' if self.hi_open else ']'}")
+
+
+def _number(x) -> str:
+    """An int bound in full (1000000, not 1e+06), a float one in short form."""
+    return str(x) if isinstance(x, int) else f"{x:g}"
 
 
 def bounded(default=MISSING, *, ge=None, gt=None, le=None, lt=None, choices=()):

@@ -1,9 +1,16 @@
 import json
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import wbansim
+import wbansim.cli
 from wbansim.cli import main
 from wbansim.config import load_config
 
@@ -71,8 +78,10 @@ class TestSimulate:
         ("[channel]\nsigma_db = nan\n", "channel.sigma_db: must be finite"),
         ("[energy]\nx_t = inf\n", "energy.x_t: must be finite"),
         ("seed = -1\n", "sim.seed: must be >= 0"),
+        ("node_count = 1001\n", "sim.node_count: must lie in [1, 1000]"),
     ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
-            "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed"])
+            "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed",
+            "node_count_over_cap"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sim]\nrounds = 5\n" + text)
@@ -251,6 +260,72 @@ class TestSweepCompareAndPlots:
         assert f"ran 1 simulations into {out}" in capsys.readouterr().out
         assert sorted(p.name for p in out.iterdir()) == [
             "metrics_amhrp_seed1.csv", "summary_amhrp_seed1.json"]
+
+
+class TestSweepPool:
+    """``sweep`` runs its grid on a process pool of one worker per usable CPU."""
+
+    @pytest.fixture
+    def short_config(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[sim]\nrounds = 60\n")
+        return cfg
+
+    def sweep(self, cfg, out):
+        return main(["sweep", "--config", str(cfg), "--protocols", "amhrp,mattempt,simple",
+                     "--seeds", "1..2", "--out", str(out)])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_files_match_simulate_for_any_worker_count(self, cpus, short_config,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: cpus)
+        swept, alone = tmp_path / "swept", tmp_path / "alone"
+        assert self.sweep(short_config, swept) == 0
+        assert multiprocessing.active_children() == []
+        for protocol in ("amhrp", "mattempt", "simple"):
+            for seed in (1, 2):
+                assert main(["simulate", "--config", str(short_config), "--protocol",
+                             protocol, "--seed", str(seed), "--out", str(alone)]) == 0
+        names = sorted(p.name for p in swept.iterdir())
+        assert names == sorted(p.name for p in alone.iterdir())
+        assert len(names) == 12
+        for name in names:
+            assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_killed_worker_exits_2_without_traceback(self, short_config, tmp_path,
+                                                     monkeypatch, capfd):
+        run = wbansim.cli.run_simulation
+
+        def dies_on_seed_2(cfg):
+            if cfg.seed == 2:
+                os._exit(3)
+            return run(cfg)
+
+        monkeypatch.setattr(wbansim.cli, "run_simulation", dies_on_seed_2)
+        assert self.sweep(short_config, tmp_path / "o") == 2
+        err = capfd.readouterr().err
+        assert "a simulation worker ended abruptly" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_worker_io_error_names_the_file(self, short_config, tmp_path, capfd):
+        out = tmp_path / "o"
+        (out / "metrics_simple_seed2.csv").mkdir(parents=True)
+        assert self.sweep(short_config, out) == 2
+        err = capfd.readouterr().err
+        assert f"i/o error: [Errno 21] Is a directory: '{out / 'metrics_simple_seed2.csv'}'" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_importing_the_cli_leaves_the_pool_modules_out(self):
+        # ``sweep`` imports them itself; at module level they would add to
+        # the start-up time of every command.
+        code = ("import sys, wbansim.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(wbansim.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestNoCommand:

@@ -74,8 +74,8 @@ def _above(x):
 # values outside it (rejected), written out here rather than read from the
 # declarations they check.
 BOUNDARIES = [
-    ("sim.node_count", [1], [0]),
-    ("sim.rounds", [0], [-1]),
+    ("sim.node_count", [1, 1000], [0, 1001]),
+    ("sim.rounds", [0, 1_000_000], [-1, 1_000_001]),
     ("sim.seed", [0], [-1]),
     ("sim.initial_energy", [_above(0.0)], [0.0]),
     ("sim.tx_range", [_above(0.0)], [0.0]),
