@@ -30,11 +30,16 @@ from .io import (ResultFileError, compare_runs, emit_plot_series, median_series,
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
+# Seeds one sweep may name. The whole grid is built and validated before the
+# first run: at this cap, the three protocols' 300000 configs took about
+# 0.1 GB and 11 s on a 2-vCPU Xeon host before any simulation started.
+MAX_SEEDS = 100_000
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accept '1..10' ranges (inclusive) and comma lists like '1,2,5'."""
-    seeds: list[int] = []
+    """Accept '1..10' ranges (inclusive) and comma lists like '1,2,5', naming
+    at most ``MAX_SEEDS`` seeds (repeats counted) before any range is expanded."""
+    spans: list[tuple[int, int]] = []  # inclusive (first, last) per part
     try:
         for part in spec.split(","):
             part = part.strip()
@@ -42,14 +47,17 @@ def _parse_seeds(spec: str) -> list[int]:
                 continue
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                spans.append((int(lo), int(hi)))
             else:
-                seeds.append(int(part))
+                spans.append((int(part), int(part)))
     except ValueError:
         raise ValueError(f"--seeds: {spec!r} is not a list like '1..10' or '1,2,5'") from None
-    if not seeds:
+    count = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    if count > MAX_SEEDS:
+        raise ValueError(f"--seeds: {spec!r} names {count} seeds, more than {MAX_SEEDS}")
+    if not count:
         raise ValueError(f"--seeds: no seeds in {spec!r}")
-    return seeds
+    return [seed for lo, hi in spans for seed in range(lo, hi + 1)]
 
 
 def _base_config(args) -> SimConfig:

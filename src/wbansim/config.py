@@ -248,7 +248,11 @@ def parse_config(text: str, source: str = "<string>") -> SimConfig:
     cfg = replace(cfg, **over.pop("sim"), nlos_pairs=nlos_pairs)
     cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
 
-    periods = default_schedule(cfg.events.rounds_per_day)
+    try:
+        periods = default_schedule(cfg.events.rounds_per_day)
+    except OverflowError:  # a day past the float range has no periods in rounds
+        problems.append("events.rounds_per_day: too large to derive the sensing periods")
+        periods = default_schedule()
     for key, text in schedule.items():
         if key not in _KIND_BY_NAME:
             problems.append(f"unknown key schedule.{key}")

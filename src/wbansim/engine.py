@@ -25,14 +25,14 @@ same doubles as B scalar draws, so the counts a round reads are those a
 draw-by-draw walk of the stream (the round's counts, then ``reading_draws``
 uniforms per reading) would give.
 
-The protocol is chosen once per run, from the scheme table. A scheme owns
-its state and enters the round through four hooks: ``begin_round`` (the
-control exchange; M-ATTEMPT also rebuilds its hop counts, SIMPLE elects its
-forwarder), ``decide`` (the public rule in ``protocols``), ``hand_over`` (the
-send to an alive relay: M-ATTEMPT's hotspot bounce, SIMPLE's parking) and
-``end_round`` (M-ATTEMPT's temperature step, SIMPLE's aggregated uplink).
-Everything else (the transmit bookkeeping, charging, the control exchange,
-the metrics) is shared.
+A run is one object: ``_SCHEMES`` maps each protocol to its subclass of
+``_Sim``, which keeps the protocol's state and overrides the round's four
+hooks: ``begin_round`` (the control exchange; M-ATTEMPT also rebuilds its hop
+counts, SIMPLE elects its forwarder), ``decide`` (the public rule in
+``protocols``), ``hand_over`` (the send to an alive relay: M-ATTEMPT's
+hotspot bounce, SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature
+step, SIMPLE's aggregated uplink). Everything else (the transmit bookkeeping,
+charging, the control exchange, the metrics) is the base class's and shared.
 
 Charging follows last-gasp semantics: the action a dying node paid for still
 completes, so its final transmission is delivered before it falls silent.
@@ -221,8 +221,15 @@ class _EquilibriumTracker:
 
 
 class _Sim:
+    """One run: the shared round loop and its bookkeeping. A subclass per
+    protocol fills in the four routing hooks.
+
+    The rule functions are looked up as this module's globals at call time,
+    so code that wraps them here also sees the engine's calls.
+    """
+    closer_only = False  # neighbor lists keep only nodes strictly closer to the sink
+
     def __init__(self, cfg: SimConfig):
-        validate_config(cfg)
         self.cfg = cfg
         self.w = cfg.energy
         root = np.random.SeedSequence(cfg.seed)
@@ -257,6 +264,14 @@ class _Sim:
             for nd in self.nodes if self.d_sink[nd.id] > 0
         }
         self.sink_reach = [nd.id for nd in self.nodes if self.d_sink[nd.id] <= cfg.tx_range]
+        # Per node, the in-range neighbors a routing rule may pick; for a
+        # closer-only protocol (AMHRP) only those strictly closer to the sink,
+        # the only ones its rule accepts. The rules skip dead neighbors.
+        nodes, d = self.nodes, self.d_sink
+        self.neighbors = [
+            [nodes[j] for j in self.adjacency[i] if not (self.closer_only and d[j] >= d[i])]
+            for i in range(self.n)
+        ]
 
         self.poisson_cdf = poisson_cdf_table(cfg.events.lam)
         # The events stream as Poisson counts, one block at a time; the
@@ -278,13 +293,26 @@ class _Sim:
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
-        # Transmissions per node this round; only M-ATTEMPT's thermal model
-        # reads (and resets) them.
+        # On-body sends and receptions per node this round; only M-ATTEMPT's
+        # thermal model reads (and resets) them.
         self.heat_tx = [0] * self.n
         self.heat_rx = [0] * self.n
 
-        self.scheme = _SCHEMES[cfg.protocol](self)
-        self._refresh_neighbor_cache()
+    # -- routing hooks ------------------------------------------------------
+
+    def begin_round(self, rnd: int) -> None:
+        """Control phase, before the first slot."""
+
+    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+        raise NotImplementedError
+
+    def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
+        """Send to the alive relay ``target``; True when it carries the packet on."""
+        self._transmit(holder, target.id, is_origin)
+        return True
+
+    def end_round(self, rnd: int) -> None:
+        """After the last slot."""
 
     # -- shared bookkeeping -------------------------------------------------
 
@@ -294,7 +322,6 @@ class _Sim:
         if node.alive:
             return False
         self.alive_count -= 1
-        self._deaths_pending = True
         return True
 
     def _transmit(self, tx: SensorNode, rx_id: int, is_origin: bool,
@@ -338,30 +365,14 @@ class _Sim:
                 self._event_pos = pos
                 return counts
 
-    def _refresh_neighbor_cache(self) -> None:
-        """Per node, the alive in-range neighbors a routing rule may pick;
-        for a closer-only scheme (AMHRP) only those strictly closer to the
-        sink, the only ones its rule accepts. Refreshed at round start after
-        deaths, so mid-round it is a superset of the live candidates (the
-        select functions re-check aliveness)."""
-        nodes, d = self.nodes, self.d_sink
-        closer_only = self.scheme.closer_only
-        self.neighbors = [
-            [nodes[j] for j in self.adjacency[i]
-             if nodes[j].alive and not (closer_only and d[j] >= d[i])]
-            for i in range(self.n)
-        ]
-        self._deaths_pending = False
-
     # -- packet routing -----------------------------------------------------
 
     def _route_packet(self, origin: SensorNode, kind: PacketKind) -> None:
         """Walk one packet from its originator toward the sink."""
-        scheme = self.scheme
         holder = origin
         is_origin = True
         for _hop in range(self.n + 2):
-            decision = scheme.decide(holder, kind)
+            decision = self.decide(holder, kind)
             act = decision.action
 
             if act is RouteAction.HOLD:
@@ -378,7 +389,6 @@ class _Sim:
             if act is RouteAction.SEND_TO_EXTERNAL_WSN:
                 # Off-body receiver: no on-body link pair to record.
                 self.c3 += 1
-                self.heat_tx[holder.id] += 1
                 self._charge(holder, self.w.x_w)
                 return
 
@@ -392,7 +402,7 @@ class _Sim:
                     self.round_critical += 1
                 return
 
-            if not scheme.hand_over(holder, target, is_origin):
+            if not self.hand_over(holder, target, is_origin):
                 return
             holder = target
             is_origin = False
@@ -406,9 +416,6 @@ class _Sim:
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
-
-        if self._deaths_pending:
-            self._refresh_neighbor_cache()
 
         # Event counts are drawn for every node id, dead or alive, so the
         # stream consumed is identical across protocols under a shared seed.
@@ -426,7 +433,7 @@ class _Sim:
                 skip += (is_due + k) * self.draws_per_reading[i]
         self._event_pos += skip
 
-        self.scheme.begin_round(rnd)
+        self.begin_round(rnd)
 
         for node, is_due, k in originators:
             if not node.alive:
@@ -439,7 +446,7 @@ class _Sim:
                 if not node.alive:
                     break
 
-        self.scheme.end_round(rnd)
+        self.end_round(rnd)
 
         self.eq.push_round(self.c1, self.c2, self.c3, self.c4, self.c5)
 
@@ -482,114 +489,84 @@ class _Sim:
 
 
 # ---------------------------------------------------------------------------
-# Routing schemes
+# Routing protocols
 # ---------------------------------------------------------------------------
 
-class _Scheme:
-    """One routing scheme's state and its four hooks into the round.
-
-    The rule functions are looked up as this module's globals at call time,
-    so code that wraps them here also sees the engine's calls.
-    """
-    closer_only = False  # neighbor lists keep only nodes strictly closer to the sink
-
-    def __init__(self, sim: _Sim):
-        self.sim = sim
-
-    def begin_round(self, rnd: int) -> None:
-        """Control phase, before the first slot."""
-
-    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        raise NotImplementedError
-
-    def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
-        """Send to the alive relay ``target``; True when it carries the packet on."""
-        self.sim._transmit(holder, target.id, is_origin)
-        return True
-
-    def end_round(self, rnd: int) -> None:
-        """After the last slot."""
-
-
-class _Amhrp(_Scheme):
+class _Amhrp(_Sim):
     closer_only = True
 
     def begin_round(self, rnd: int) -> None:
         # Nodes start knowing each other's location, so the first
         # residual-energy beacon exchange happens a full period in.
-        if rnd > 0 and rnd % self.sim.cfg.amhrp.control_period == 0:
-            self.sim._control_exchange()
+        if rnd > 0 and rnd % self.cfg.amhrp.control_period == 0:
+            self._control_exchange()
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        sim = self.sim
-        return amhrp_select_forwarder(holder, sim.neighbors[holder.id], sim.d_sink, kind)
+        return amhrp_select_forwarder(holder, self.neighbors[holder.id], self.d_sink, kind)
 
 
-class _Mattempt(_Scheme):
-    def __init__(self, sim: _Sim):
-        super().__init__(sim)
-        self.p = sim.cfg.mattempt
+class _Mattempt(_Sim):
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
+        self.p = cfg.mattempt
         self.state: MattemptState | None = None
         self._usable: list[bool] | None = None  # usable flags state was built from
-        for nd in sim.nodes:
+        for nd in self.nodes:
             nd.temperature = self.p.ambient
 
     def begin_round(self, rnd: int) -> None:
         if rnd % self.p.hello_period:
             return
-        sim = self.sim
-        sim._control_exchange()
+        self._control_exchange()
         # The hop counts are a pure function of the usable set (the
         # adjacency is static): rebuild only when that set changed.
         threshold = self.p.temp_threshold
-        usable = [nd.alive and nd.temperature <= threshold for nd in sim.nodes]
+        usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
         if usable != self._usable:
             self._usable = usable
             self.state = mattempt_build_hopcounts(
-                sim.nodes, sim.sink, sim.cfg.tx_range, self.p,
-                adjacency=sim.adjacency, sink_reach=sim.sink_reach)
+                self.nodes, self.sink, self.cfg.tx_range, self.p,
+                adjacency=self.adjacency, sink_reach=self.sink_reach)
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        sim = self.sim
-        return mattempt_next_hop(holder, kind, self.state, sim.neighbors[holder.id],
-                                 sim.d_sink)
+        return mattempt_next_hop(holder, kind, self.state, self.neighbors[holder.id],
+                                 self.d_sink)
 
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
-        sim, p = self.sim, self.p
+        p = self.p
         # The relay's temperature including this round's traffic so far,
         # read before this send adds to it.
-        hot = target.temperature + sim.heat_tx[target.id] * p.delta_tx \
-            + sim.heat_rx[target.id] * p.delta_rx > p.temp_threshold
-        sim._transmit(holder, target.id, is_origin)
+        hot = target.temperature + self.heat_tx[target.id] * p.delta_tx \
+            + self.heat_rx[target.id] * p.delta_rx > p.temp_threshold
+        self._transmit(holder, target.id, is_origin)
         if not hot:
             return True
         # Hotspot bounce: the overheated relay sends the packet back and the
         # sender re-routes in a later round (the next hop-count flood walks
         # around it). The packet is lost for this round.
-        sim._transmit(target, holder.id, False)
+        self._transmit(target, holder.id, False)
         return False
 
     def end_round(self, rnd: int) -> None:
-        sim, p = self.sim, self.p
-        for nd in sim.nodes:
+        p, heat_tx, heat_rx = self.p, self.heat_tx, self.heat_rx
+        for nd in self.nodes:
             if nd.alive:
                 nd.temperature = mattempt_temperature_step(
-                    p, nd.temperature, sim.heat_tx[nd.id], sim.heat_rx[nd.id])
-        sim.heat_tx = [0] * sim.n
-        sim.heat_rx = [0] * sim.n
+                    p, nd.temperature, heat_tx[nd.id], heat_rx[nd.id])
+        self.heat_tx = [0] * self.n
+        self.heat_rx = [0] * self.n
 
 
-class _Simple(_Scheme):
-    def __init__(self, sim: _Sim):
-        super().__init__(sim)
+class _Simple(_Sim):
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
         self.forwarder: int | None = None
         self.parked = 0
 
     def begin_round(self, rnd: int) -> None:
-        sim = self.sim
-        if rnd % sim.cfg.simple.control_period == 0:
-            sim._control_exchange()
-        self.forwarder = simple_select_forwarder(sim.nodes, sim.d_sink)
+        if rnd % self.cfg.simple.control_period == 0:
+            self._control_exchange()
+        self.forwarder = simple_select_forwarder(self.nodes, self.d_sink)
         self.parked = 0
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
@@ -597,25 +574,25 @@ class _Simple(_Scheme):
         # everything else goes to the round's elected forwarder.
         fw = self.forwarder
         if (kind is PacketKind.CRITICAL or holder.kind is SensorKind.ECG
-                or fw is None or fw == holder.id or not self.sim.nodes[fw].alive):
+                or fw is None or fw == holder.id or not self.nodes[fw].alive):
             return TO_SINK
         return to_forwarder(fw)
 
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
-        self.sim._transmit(holder, target.id, is_origin)
+        self._transmit(holder, target.id, is_origin)
         self.parked += 1  # aggregated at end of round
         return False
 
     def end_round(self, rnd: int) -> None:
         """The elected forwarder aggregates parked packets into one uplink."""
-        sim, fw, k = self.sim, self.forwarder, self.parked
-        if fw is None or k == 0 or not sim.nodes[fw].alive:
+        fw, k = self.forwarder, self.parked
+        if fw is None or k == 0 or not self.nodes[fw].alive:
             return  # a forwarder that died mid-round loses its parked packets
         # One destined send that carries k forwards; the packets were
         # counted as sent when parked.
-        sim._transmit(sim.nodes[fw], SINK_ID, True, sim.w.x_d + k * sim.w.x_f)
-        sim.c4 += k
-        sim.round_received += k  # parked packets are all normal traffic
+        self._transmit(self.nodes[fw], SINK_ID, True, self.w.x_d + k * self.w.x_f)
+        self.c4 += k
+        self.round_received += k  # parked packets are all normal traffic
 
 
 _SCHEMES = {"amhrp": _Amhrp, "mattempt": _Mattempt, "simple": _Simple}
@@ -627,7 +604,8 @@ def run_simulation(config: SimConfig) -> RunResult:
     Every run returns one row per round. The rounds after the last death are
     written by ``_Sim.dead_tail``.
     """
-    sim = _Sim(config)
+    validate_config(config)
+    sim = _SCHEMES[config.protocol](config)
     metrics: list[RoundMetrics] = []
     for rnd in range(config.rounds):
         if sim.alive_count == 0:

@@ -65,8 +65,8 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
                            packet_kind: PacketKind = PacketKind.NORMAL) -> RoutingDecision:
     """Pick the next hop for a packet held by ``node``.
 
-    ``neighbors`` must be the alive nodes within ``node.tx_range``;
-    ``d_sink`` maps node ids to their distance from the sink.
+    ``neighbors`` are the nodes within ``node.tx_range`` (dead ones are
+    skipped); ``d_sink`` maps node ids to their distance from the sink.
     """
     own = d_sink[node.id]
     if own <= node.tx_range:
@@ -163,7 +163,11 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
                       d_sink: dict[int, float]) -> RoutingDecision:
     """Critical traffic goes straight to the sink with a boosted transmission;
     normal traffic descends the hop-count gradient, ties going to the
-    neighbour nearer the sink (``d_sink``: node id -> distance)."""
+    neighbour nearer the sink (``d_sink``: node id -> distance).
+
+    ``neighbors`` are the nodes within ``node.tx_range`` (dead ones are
+    skipped).
+    """
     if packet_kind is PacketKind.CRITICAL:
         return TO_SINK_BOOSTED
 

@@ -9,7 +9,7 @@ engine itself records nothing.
 from collections import defaultdict
 from typing import NamedTuple
 
-from wbansim.engine import SINK_ID, RunAudit, RunResult, _Sim, summarize_run
+from wbansim.engine import _SCHEMES, SINK_ID, RunAudit, RunResult, summarize_run
 
 
 class Recording(NamedTuple):
@@ -21,7 +21,7 @@ class Recording(NamedTuple):
 def walk_recorded(cfg) -> Recording:
     """Run ``cfg`` round by round, logging each round's events-stream counts
     and due flags, and every on-body send before its charge."""
-    sim = _Sim(cfg)
+    sim = _SCHEMES[cfg.protocol](cfg)
     traffic: list[tuple[int, int, int, bool]] = []
     links: list[tuple[int, int, int, bool]] = []
     transmit, event_counts = sim._transmit, sim._event_counts

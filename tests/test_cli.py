@@ -4,15 +4,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wbansim
 import wbansim.cli
-from wbansim.cli import main
-from wbansim.config import load_config
+from wbansim import config
+from wbansim.cli import _parse_seeds, main
+from wbansim.config import PROTOCOLS, SimConfig, load_config
+from wbansim.core import SensorKind
 
 
 def run_cli(*args):
@@ -79,9 +84,11 @@ class TestSimulate:
         ("[energy]\nx_t = inf\n", "energy.x_t: must be finite"),
         ("seed = -1\n", "sim.seed: must be >= 0"),
         ("node_count = 1001\n", "sim.node_count: must lie in [1, 1000]"),
+        ("[events]\nrounds_per_day = 1" + "0" * 400 + "\n",
+         "events.rounds_per_day: too large"),
     ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
             "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed",
-            "node_count_over_cap"])
+            "node_count_over_cap", "rounds_per_day_past_float_range"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sim]\nrounds = 5\n" + text)
@@ -349,6 +356,7 @@ EXIT_CODES = {
     "bad_protocols_entry": (["sweep", "--protocols", "amhrp,foo", "--seeds", "1..2",
                              "--out", "o"], 1, "sim.protocol"),
     "bad_seeds_range": (["sweep", "--seeds", "1..x", "--out", "o"], 1, "--seeds"),
+    "seeds_over_cap": (["sweep", "--seeds", "1..1000000000000", "--out", "o"], 1, "--seeds"),
     "no_seeds": (["sweep", "--seeds", ",", "--out", "o"], 1, "--seeds"),
     "negative_seed_in_grid": (["sweep", "--seeds=2,-1", "--out", "o"], 1,
                               "sim.seed: must be >= 0"),
@@ -365,3 +373,107 @@ class TestExitCodes:
         assert main(argv) == code
         assert err in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSeedCap:
+    def test_cap_is_inclusive(self):
+        assert _parse_seeds("1..100000") == list(range(1, 100001))
+
+    @pytest.mark.parametrize("spec", ["1..100001", "1..60000,1..60000"])
+    def test_over_cap_is_rejected_before_expanding(self, spec):
+        with pytest.raises(ValueError, match="--seeds: .* more than 100000"):
+            _parse_seeds(spec)
+
+
+# Each INI section's keys with their default values, ``sim.rounds`` left out:
+# every file the fuzz writes sets it to at most 5, so no drawn command runs long.
+def _scalar_defaults(section) -> dict[str, str]:
+    return {key: str(getattr(section, attr))
+            for key, (attr, _, _) in config._scalar_keys(type(section)).items()}
+
+
+_DEFAULTS = {name: _scalar_defaults(config._section(SimConfig(), name))
+             for name in config._SECTIONS if name != "schedule"}
+del _DEFAULTS["sim"]["rounds"]
+_DEFAULTS["channel"]["nlos_pairs"] = "0-1"
+_DEFAULTS["schedule"] = {kind.value: "5" for kind in SensorKind}
+_JUNK = st.one_of(
+    st.integers(-2, 25).map(str),
+    st.sampled_from(["0.5", "7e-6", "nan", "inf", "-inf", "1e999", "1" + "0" * 400,
+                     "-" + "9" * 400, "9" * 5000, "", "x", "true", "no", "amhrp",
+                     "canonical", "1-2, 3-4", "0-0", "0x10"]))
+_SECTION = st.sampled_from([*_DEFAULTS, "vitals"]).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.sampled_from([*_DEFAULTS.get(name, {}), "bogus"]).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(
+            st.just(_DEFAULTS.get(name, {}).get(key, "1")), _JUNK))),
+        max_size=4, unique_by=lambda entry: entry[0])))
+_STRAY = st.one_of(st.binary(max_size=6),
+                   st.sampled_from([b"\xff", b"\x00", b"[", b"[sim]", b"=", b"%(x)s",
+                                    b" indented", b"\xef\xbb\xbf"]))
+
+
+@st.composite
+def _ini(draw) -> bytes:
+    """[sim] with a short run, drawn sections, maybe a repeated section or
+    key, and stray bytes between lines."""
+    sections = dict(draw(st.lists(_SECTION, max_size=4, unique_by=lambda s: s[0])))
+    lines = [b"[sim]", b"rounds = %d" % draw(st.integers(0, 5))]
+    for name, entries in [("", sections.pop("sim", [])), *sections.items()]:
+        if name:
+            lines.append(f"[{name}]".encode())
+        lines += [f"{key} = {value}".encode() for key, value in entries]
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from([b"[sim]", b"rounds = 1"])))
+    for pos, stray in draw(st.lists(st.tuples(st.integers(0, 40), _STRAY), max_size=2)):
+        lines.insert(pos, stray)
+    return b"\n".join(lines)
+
+
+_SEED_SPECS = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda r: f"{r[0]}..{r[1]}"),
+    st.lists(st.integers(-1, 3), max_size=3).map(lambda s: ",".join(map(str, s))),
+    st.sampled_from(["1..100001", "1..1000000000000", "1..60000,1..60000",
+                     "x", "1..", "..", "1..x", "1e3", " 2 , 3 "]))
+_OPTION = st.one_of(
+    st.sampled_from(["exp.ini", "nope.ini", ".", "exp.ini/x"]).map(lambda p: ["--config", p]),
+    st.sampled_from([*PROTOCOLS, "foo", ""]).map(lambda p: ["--protocol", p]),
+    st.sampled_from(["0", "3", "-1", "x", "1" + "0" * 30]).map(lambda s: ["--seed", s]),
+    st.lists(st.sampled_from([*PROTOCOLS, "foo", ""]), max_size=3).map(
+        lambda ps: ["--protocols", ",".join(ps)]),
+    _SEED_SPECS.map(lambda s: ["--seeds", s]),
+    st.sampled_from(["o", "", "exp.ini", "exp.ini/o", "o/p", "o\x00"]).map(
+        lambda p: ["--out", p]),
+    st.sampled_from([".", "o", "nope", "exp.ini"]).map(lambda p: ["--in", p]),
+    st.sampled_from(["--bogus", "-", "--", "x", "--seed", "--out", "-h"]).map(lambda t: [t]))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command, its options and junk; ``simulate`` and ``sweep`` read the
+    drawn INI file unless a later ``--config`` names another."""
+    command = draw(st.sampled_from(["simulate", "sweep", "compare", "plots",
+                                    "--dump-layout", "bogus"]))
+    argv = [command]
+    if command in ("simulate", "sweep"):
+        argv += ["--config", "exp.ini"]
+    for option in draw(st.lists(_OPTION, max_size=4)):
+        argv += option
+    return argv
+
+
+class TestCliFuzz:
+    """``main`` maps any command line and config file to an exit code."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(commands=st.lists(_argv(), min_size=1, max_size=3), ini=_ini())
+    def test_any_input_gives_an_exit_code(self, commands, ini, tmp_path, monkeypatch):
+        # One worker: a sweep's runs are a few rounds each.
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: 1)
+        # The commands share a directory, so compare and plots may read a
+        # sweep's files.
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        Path("exp.ini").write_bytes(ini)
+        for argv in commands:
+            assert main(argv) in (0, 1, 2), argv

@@ -187,6 +187,10 @@ class TestRunSimulation:
         with pytest.raises(ConfigError) as exc:
             run_simulation(cfg(rounds=-5))
         assert any("rounds" in v for v in exc.value.violations)
+        # Validated before the protocol table is read: not a KeyError.
+        with pytest.raises(ConfigError) as exc:
+            run_simulation(cfg(protocol="foo"))
+        assert any("sim.protocol" in v for v in exc.value.violations)
 
     def test_equilibrium_flag_present_each_round(self):
         res = run_simulation(cfg(rounds=120))
@@ -243,7 +247,6 @@ class TestEngineSpecializations:
 
     def test_hopcount_cache_matches_fresh_bfs(self, monkeypatch):
         import wbansim.engine as engine
-        from wbansim.engine import _Sim
         from wbansim.protocols import mattempt_build_hopcounts
 
         base = SimConfig()
@@ -256,15 +259,15 @@ class TestEngineSpecializations:
             return mattempt_build_hopcounts(*args, **kwargs)
 
         monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
-        sim = _Sim(c)
-        begin_round = sim.scheme.begin_round
+        sim = _SCHEMES["mattempt"](c)
+        begin_round = sim.begin_round
 
         def checked_begin_round(rnd):
             begin_round(rnd)
             fresh = mattempt_build_hopcounts(sim.nodes, sim.sink, c.tx_range, c.mattempt)
-            assert sim.scheme.state.hop_counts == fresh.hop_counts, f"round {rnd}"
+            assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
-        sim.scheme.begin_round = checked_begin_round
+        sim.begin_round = checked_begin_round
         threshold = c.mattempt.temp_threshold
         heated = cooled = 0
         prev = [True] * sim.n
@@ -286,11 +289,10 @@ class TestEngineSpecializations:
 
     def test_amhrp_closer_lists_match_full_neighbor_lists(self):
         from wbansim.core import PacketKind
-        from wbansim.engine import _Sim
         from wbansim.protocols import RouteAction, amhrp_select_forwarder
 
         c = self._dying_config("amhrp")
-        sim = _Sim(c)
+        sim = _SCHEMES["amhrp"](c)
         forwarded = 0
         for rnd in range(c.rounds):
             row = sim.run_round(rnd)

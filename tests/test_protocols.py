@@ -6,7 +6,7 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
-from wbansim.engine import _EquilibriumTracker, _Sim, equilibrium_series
+from wbansim.engine import _SCHEMES, _EquilibriumTracker, equilibrium_series
 from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
                                MattemptParams, RouteAction, RoutingDecision,
                                amhrp_select_forwarder, mattempt_build_hopcounts,
@@ -278,12 +278,11 @@ class TestSharedVerdicts:
         lone = mattempt_build_hopcounts([src], SINK, 0.3, MattemptParams())
         assert mattempt_next_hop(src, PacketKind.NORMAL, lone, [], d_sink) == hold
 
-        sim = _Sim(replace(SimConfig(), protocol="simple", rounds=1))
-        simple = sim.scheme
-        simple.begin_round(0)
-        fw = simple.forwarder
+        sim = _SCHEMES["simple"](replace(SimConfig(), protocol="simple", rounds=1))
+        sim.begin_round(0)
+        fw = sim.forwarder
         holder = next(nd for nd in sim.nodes if nd.kind is not SensorKind.ECG and nd.id != fw)
-        assert simple.decide(holder, PacketKind.NORMAL) == \
+        assert sim.decide(holder, PacketKind.NORMAL) == \
             RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
-        assert simple.decide(holder, PacketKind.CRITICAL) == sink
-        assert simple.decide(sim.nodes[fw], PacketKind.NORMAL) == sink
+        assert sim.decide(holder, PacketKind.CRITICAL) == sink
+        assert sim.decide(sim.nodes[fw], PacketKind.NORMAL) == sink
