@@ -4,11 +4,13 @@
 network lifetime, throughput, residual energy) and writes the per-round
 metrics CSV next to this script.
 """
+import math
 from pathlib import Path
 
 from wbansim.config import SimConfig
 from wbansim.engine import run_simulation
-from wbansim.io import write_metrics_csv
+from wbansim.io import (ALIVE, PATH_LOSS, RECEIVED, ROUND, SENT, TOTAL_RESIDUAL,
+                        write_metrics_csv)
 
 cfg = SimConfig()  # defaults: 19 nodes, 10000 rounds, 0.5 J, AMHRP, seed 1
 result = run_simulation(cfg)
@@ -25,10 +27,10 @@ print(f"residual energy at round {cfg.rounds}: {s.residual_pct_at_end:.1f}% of i
 checkpoints = [0, 2000, 4000, 6000, 8000, 9999]
 print(f"\n{'round':>6} {'alive':>6} {'sent':>5} {'recv':>5} {'residual J':>11} {'loss dB':>8}")
 for r in checkpoints:
-    m = result.metrics[r]
-    loss = f"{m.mean_path_loss:.2f}" if m.mean_path_loss is not None else "-"
-    print(f"{m.round:>6} {m.alive_count:>6} {m.packets_sent:>5} "
-          f"{m.packets_received_at_sink:>5} {m.total_residual:>11.4f} {loss:>8}")
+    m = result.metrics[r]  # one row of the run's table, columns as in the CSV
+    loss = "-" if math.isnan(m[PATH_LOSS]) else f"{m[PATH_LOSS]:.2f}"
+    print(f"{m[ROUND]:>6.0f} {m[ALIVE]:>6.0f} {m[SENT]:>5.0f} "
+          f"{m[RECEIVED]:>5.0f} {m[TOTAL_RESIDUAL]:>11.4f} {loss:>8}")
 
 out = Path(__file__).parent / "single_run_metrics.csv"
 write_metrics_csv(result.metrics, out)

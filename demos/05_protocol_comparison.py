@@ -11,7 +11,7 @@ from pathlib import Path
 from wbansim.config import SimConfig
 from wbansim.engine import run_simulation
 from wbansim.io import (ALIVE, PATH_LOSS, RECEIVED, TOTAL_RESIDUAL, compare_runs,
-                        emit_plot_series, metrics_table, render_comparison)
+                        emit_plot_series, render_comparison)
 
 HERE = Path(__file__).parent
 PROTOCOLS = ("amhrp", "mattempt", "simple")
@@ -25,7 +25,7 @@ for protocol in PROTOCOLS:
         result = run_simulation(cfg)
         summaries.append(result.summary)
         if seed == SEEDS[0]:
-            first_seed_metrics[protocol] = metrics_table(result.metrics)
+            first_seed_metrics[protocol] = result.metrics
         print(f"  {protocol:9s} seed {seed}: stability={result.summary.stability_period:5d} "
               f"lifetime={result.summary.network_lifetime:5d} "
               f"residual={result.summary.residual_pct_at_end:5.1f}%")

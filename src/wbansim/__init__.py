@@ -5,11 +5,9 @@ from .config import ConfigError, SimConfig, load_config, parse_config, render_co
 from .core import (BodyPoint, PacketKind, SensorKind, SensorNode, Sink, build_topology,
                    distance)
 from .energy import ActionCounts, EnergyWeights, charge, round_cost
-from .engine import (RoundMetrics, RunResult, RunSummary, assign_tdma,
-                     run_simulation, summarize_run, throughput)
+from .engine import RunResult, RunSummary, assign_tdma, run_simulation, summarize_run, throughput
 from .events import EventParams, SensingSchedule, is_scheduled, poisson_pmf, sample_event_count
-from .io import (compare_runs, emit_plot_series, metrics_table, read_metrics_csv,
-                 write_metrics_csv)
+from .io import compare_runs, emit_plot_series, read_metrics_csv, write_metrics_csv
 from .protocols import (MattemptParams, MattemptState, RouteAction, RoutingDecision,
                         amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,
                         mattempt_temperature_step, simple_select_forwarder)

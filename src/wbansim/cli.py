@@ -72,9 +72,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _make_out_dir(args, cfg: SimConfig) -> Path:
+    """Make the output directory (``--out``, else ``sim.out_dir``) before any
+    run starts, so that a bad one costs no run."""
+    out = Path(args.out or cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # such as an embedded null byte
+        raise ValueError(f"{'--out' if args.out else 'sim.out_dir'}: {exc}") from None
+    return out
+
+
 def _run_one(cfg: SimConfig, out: Path) -> None:
+    """One run into ``out``, which exists."""
     result = run_simulation(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.protocol}_seed{cfg.seed}"
     write_metrics_csv(result.metrics, out / f"metrics_{stem}.csv")
     write_summary_json(result.summary, out / f"summary_{stem}.json")
@@ -84,8 +95,10 @@ def cmd_simulate(args) -> int:
     cfg = _base_config(args)
     protocol = args.protocol or cfg.protocol
     seed = args.seed if args.seed is not None else cfg.seed
-    out = Path(args.out or cfg.out_dir)
-    _run_one(replace(cfg, protocol=protocol, seed=seed), out)
+    run_cfg = replace(cfg, protocol=protocol, seed=seed)
+    validate_config(run_cfg)
+    out = _make_out_dir(args, cfg)
+    _run_one(run_cfg, out)
     print(f"wrote metrics_{protocol}_seed{seed}.csv to {out}")
     return EXIT_OK
 
@@ -96,14 +109,13 @@ def cmd_sweep(args) -> int:
     if not protocols:
         raise ValueError(f"--protocols: no protocols in {args.protocols!r}")
     seeds = _parse_seeds(args.seeds)
-    out = Path(args.out or cfg.out_dir)
     # The whole grid is checked before the first run writes a file. A repeated
     # protocol or seed would rewrite the same files, so each pair runs once.
     pairs = dict.fromkeys((p, s) for p in protocols for s in seeds)
     grid = [replace(cfg, protocol=p, seed=s) for p, s in pairs]
     for run_cfg in grid:
         validate_config(run_cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args, cfg)
     # Imported here, so that ``import wbansim.cli``, which every command pays
     # for at start-up, does not load them.
     import multiprocessing

@@ -37,24 +37,25 @@ charging, the control exchange, the metrics) is the base class's and shared.
 Charging follows last-gasp semantics: the action a dying node paid for still
 completes, so its final transmission is delivered before it falls silent.
 
-A run always has ``rounds`` rows. Once the last node is dead the rounds are
-not walked: ``_Sim.dead_tail`` writes the remaining rows in one pass. That is
-exact: a dead node's residual is clamped to 0.0, and a dead round sends
-nothing, records no link and draws no shadowing; only the equilibrium windows
-still roll. Each round the equilibrium tracker sums the series terms kept at
-the last window close, leaving out the terms whose coefficients are both 0.0
-(they add only a signed zero), so a flat series is the empty sum ``a0``.
+A run is one table: ``RunResult.metrics`` is a ``(rounds, 9)`` float64 array
+with one row per round, its columns in the metrics CSV's order (``ROUND`` ...
+``EQUILIBRIUM``). ``PATH_LOSS`` is NaN in a round with no transmissions, and
+the equilibrium flag is 0 or 1. Each walked round appends its row to one flat
+buffer, with the round's five action counts after it; ``_Sim.table``
+assembles the table from it. Once the last node is dead the rounds are not
+walked: their rows are filled column by column. That is exact: a dead node's
+residual is clamped to 0.0, and a dead round sends nothing, records no link,
+draws no shadowing and counts no action. The flag column is computed once
+per run from the count columns (``equilibrium_flags``).
 
 The hot loop builds nothing it does not keep: routing rules return shared
-verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), the tracker
-takes a round's action counts as five ints, and only the round's metrics row
-is a new object.
+verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
+metrics and counts go to the buffer as plain numbers.
 """
 from __future__ import annotations
 
 import math
-import sys
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -81,18 +82,12 @@ _NORMAL = (PacketKind.NORMAL,)
 _CRITICAL = (PacketKind.CRITICAL,)
 _residual = attrgetter("residual_energy")
 
-
-@dataclass(slots=True)
-class RoundMetrics:
-    round: int
-    alive_count: int
-    packets_sent: int
-    packets_received_at_sink: int
-    critical_received: int
-    total_residual: float
-    mean_residual: float
-    mean_path_loss: float | None  # None when nothing transmitted this round
-    equilibrium_ok: bool
+# The run table's columns, in the metrics CSV's order.
+(ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
+ TOTAL_RESIDUAL, MEAN_RESIDUAL, PATH_LOSS, EQUILIBRIUM) = range(9)
+# A walked round's entry in ``_Sim.rows``: the columns before the flag, then
+# the round's action counts c1..c5 (as in ``energy.ActionCounts``).
+_ROW = EQUILIBRIUM + 5
 
 
 @dataclass
@@ -115,7 +110,7 @@ class RunAudit:
 
 
 class RunResult(NamedTuple):
-    metrics: list[RoundMetrics]
+    metrics: np.ndarray  # the run's (rounds, 9) table
     summary: RunSummary
     audit: RunAudit
 
@@ -136,28 +131,24 @@ def throughput(received: int, sent: int) -> float:
     return 100.0 * received / sent
 
 
-def summarize_run(metrics: list[RoundMetrics], config: SimConfig) -> RunSummary:
+def summarize_run(table: np.ndarray, config: SimConfig) -> RunSummary:
     n = config.node_count
-    sentinel = config.rounds
-    stability = sentinel
-    lifetime = sentinel
-    for m in metrics:
-        if m.alive_count < n:
-            stability = m.round
-            break
-    for m in metrics:
-        if m.alive_count == 0:
-            lifetime = m.round
-            break
-    sent = sum(m.packets_sent for m in metrics)
-    received = sum(m.packets_received_at_sink for m in metrics)
+
+    def first_round(hit: np.ndarray) -> int:
+        """The round of the first row where ``hit`` holds; sentinel = rounds."""
+        return int(table[hit.argmax(), ROUND]) if hit.any() else config.rounds
+
+    alive = table[:, ALIVE]
+    sent = int(table[:, SENT].sum())
+    received = int(table[:, RECEIVED].sum())
     pct = throughput(received, sent) if sent > 0 else None
-    final_residual = metrics[-1].total_residual if metrics else n * config.initial_energy
+    final_residual = (float(table[-1, TOTAL_RESIDUAL]) if len(table)
+                      else n * config.initial_energy)
     return RunSummary(
         protocol=config.protocol,
         seed=config.seed,
-        stability_period=stability,
-        network_lifetime=lifetime,
+        stability_period=first_round(alive < n),
+        network_lifetime=first_round(alive == 0),
         throughput_pct=pct,
         final_total_residual=final_residual,
         residual_pct_at_end=100.0 * final_residual / (n * config.initial_energy),
@@ -181,43 +172,52 @@ def equilibrium_series(a0: float, terms: tuple[tuple[int, float, float], ...],
     return total
 
 
-class _EquilibriumTracker:
-    """Rolls the last l traffic-mix windows into the diagnostic series:
-    a_n is window n's forward share, b_n its destined-send share, and the
-    round's flag is ``equilibrium_series(a0, terms, x, L) > alpha_star``."""
+def equilibrium_flags(counts: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """The equilibrium flag of each round, from the ``(rounds, 5)`` integer
+    action counts ``c1..c5`` of the rounds so far.
 
-    def __init__(self, cfg: SimConfig):
-        self.a0 = cfg.initial_energy
-        self.L = max(1, cfg.rounds)
-        self.alpha_star = cfg.amhrp.alpha_star
-        self.window_len = cfg.amhrp.eq_window_len
-        # A run closes at most rounds // eq_window_len windows, so capping
-        # the length at the largest one deque takes reads the same.
-        self.windows: deque[tuple[int, int, int]] = deque(
-            maxlen=min(cfg.amhrp.eq_windows, sys.maxsize))
-        self.cur_total = 0
-        self.cur_forwards = 0
-        self.cur_sends = 0
-        self.rounds_in_window = 0
-        self.terms: tuple[tuple[int, float, float], ...] = ()
-
-    def push_round(self, n1: int, n2: int, n3: int, n4: int, n5: int) -> None:
-        """Add one round's action counts (as in ``energy.ActionCounts``)."""
-        self.cur_total += n1 + n2 + n3 + n4 + n5
-        self.cur_forwards += n4
-        self.cur_sends += n2
-        self.rounds_in_window += 1
-        if self.rounds_in_window >= self.window_len:
-            self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
-            self.cur_total = self.cur_forwards = self.cur_sends = 0
-            self.rounds_in_window = 0
-            self.terms = tuple((n, f / t, s / t)
-                               for n, (f, s, t) in enumerate(self.windows, start=1)
-                               if t and (f or s))
-
-    def flag(self, round_index: int) -> bool:
-        L = self.L
-        return equilibrium_series(self.a0, self.terms, min(round_index, L), L) > self.alpha_star
+    Windows of ``eq_window_len`` rounds close in turn. At round r the series
+    holds the last ``eq_windows`` windows closed by then, oldest first as
+    n = 1, 2, ...: a_n is window n's forward share (c4 over all actions) and
+    b_n its destined-send share (c2), both 0.0 in a window without actions.
+    The flag is ``equilibrium_series(a0, terms, min(r, L), L) > alpha_star``
+    with a0 = ``initial_energy`` and L = max(1, ``rounds``).
+    """
+    a0, alpha_star = cfg.initial_energy, cfg.amhrp.alpha_star
+    L, W = max(1, cfg.rounds), cfg.amhrp.eq_window_len
+    rows = len(counts)
+    closes = rows // W
+    windows = counts[:closes * W].reshape(closes, W, 5).sum(axis=1)
+    actions = np.maximum(windows.sum(axis=1), 1)  # a window without any has 0 / 1
+    # The shares, then one 0.0 for the terms a round lacks.
+    a = np.append(windows[:, 3] / actions, 0.0)
+    b = np.append(windows[:, 1] / actions, 0.0)
+    # At most ``closes`` windows ever close, so a longer series reads the same.
+    l = min(cfg.amhrp.eq_windows, closes)
+    closed = np.arange(1, rows + 1) // W
+    first = np.maximum(closed - l, 0)
+    base = math.pi * np.minimum(np.arange(rows), L) / L
+    # Term by term over every round at once, in the series' order. A term a
+    # round lacks, or one whose shares are 0.0, adds a signed zero, which
+    # moves no flag.
+    total = np.full(rows, a0)
+    for n in range(1, l + 1):
+        j = first + (n - 1)
+        j[j >= closed] = closes
+        total += a[j] * np.sin(n * base) + b[j] * np.cos(n * base)
+    flags = total > alpha_star
+    # np.sin and np.cos may differ from math.sin and math.cos in the last
+    # bits. A term's two shares add up to at most 1, so over m terms the sum
+    # moves by about m such errors plus the rounding of its 3m operations,
+    # far inside this band. A round in the band is summed again with math,
+    # so every flag is the series' own.
+    m = closed - first
+    near = np.abs(total - alpha_star) <= 2.0**-30 * m * (1.0 + abs(a0) + m)
+    for i in np.flatnonzero(near).tolist():
+        terms = tuple((n, float(a[j]), float(b[j]))
+                      for n, j in enumerate(range(first[i], closed[i]), start=1))
+        flags[i] = equilibrium_series(a0, terms, min(i, L), L) > alpha_star
+    return flags
 
 
 class _Sim:
@@ -284,7 +284,7 @@ class _Sim:
         for nd in self.nodes:
             groups.setdefault(cfg.schedule.periods[nd.kind], []).append(nd.id)
         self.period_groups = list(groups.items())
-        self.eq = _EquilibriumTracker(cfg)
+        self.rows = array("d")  # one _ROW-wide entry per walked round
         self.drained_total = 0.0
 
         # Per-round working state (plain ints: this is the hot loop).
@@ -410,7 +410,7 @@ class _Sim:
 
     # -- one round ----------------------------------------------------------
 
-    def run_round(self, rnd: int) -> RoundMetrics:
+    def run_round(self, rnd: int) -> None:
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
         self.round_pairs = {}
         self.round_sent = 0
@@ -448,8 +448,6 @@ class _Sim:
 
         self.end_round(rnd)
 
-        self.eq.push_round(self.c1, self.c2, self.c3, self.c4, self.c5)
-
         losses = []
         if self.cfg.channel.sigma_db > 0:
             shadows = self.shadow_rng.normal(0.0, self.cfg.channel.sigma_db,
@@ -463,29 +461,26 @@ class _Sim:
             losses.append(base + (float(shadows[idx]) if shadows is not None else 0.0))
 
         total_residual = sum(map(_residual, self.nodes))
-        return RoundMetrics(
-            round=rnd,
-            alive_count=self.alive_count,
-            packets_sent=self.round_sent,
-            packets_received_at_sink=self.round_received,
-            critical_received=self.round_critical,
-            total_residual=total_residual,
-            mean_residual=total_residual / self.n,
-            mean_path_loss=(sum(losses) / len(losses)) if losses else None,
-            equilibrium_ok=self.eq.flag(rnd),
-        )
+        self.rows.extend((rnd, self.alive_count, self.round_sent, self.round_received,
+                          self.round_critical, total_residual, total_residual / self.n,
+                          sum(losses) / len(losses) if losses else math.nan,
+                          self.c1, self.c2, self.c3, self.c4, self.c5))
 
-    def dead_tail(self, start: int) -> list[RoundMetrics]:
-        """What ``run_round`` would return for rounds ``start`` to the end
-        once no node is alive, without walking them."""
+    def table(self) -> np.ndarray:
+        """The run's ``(rounds, 9)`` table: the walked rounds' rows, then the
+        rows of the rounds not walked, which only a dead network skips (see
+        the module docstring), then the flag column."""
+        walked = np.frombuffer(self.rows).reshape(-1, _ROW)
+        done, rounds = len(walked), self.cfg.rounds
+        table = np.empty((rounds, EQUILIBRIUM + 1))
+        table[:done, :EQUILIBRIUM] = walked[:, :EQUILIBRIUM]
+        counts = np.zeros((rounds, 5), dtype=np.int64)
+        counts[:done] = walked[:, EQUILIBRIUM:]
         total = sum(map(_residual, self.nodes))
-        mean = total / self.n
-        eq = self.eq
-        rows = []
-        for rnd in range(start, self.cfg.rounds):
-            eq.push_round(0, 0, 0, 0, 0)
-            rows.append(RoundMetrics(rnd, 0, 0, 0, 0, total, mean, None, eq.flag(rnd)))
-        return rows
+        table[done:, ROUND] = np.arange(done, rounds)
+        table[done:, ALIVE:EQUILIBRIUM] = (0, 0, 0, 0, total, total / self.n, math.nan)
+        table[:, EQUILIBRIUM] = equilibrium_flags(counts, self.cfg)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +596,15 @@ _SCHEMES = {"amhrp": _Amhrp, "mattempt": _Mattempt, "simple": _Simple}
 def run_simulation(config: SimConfig) -> RunResult:
     """Execute ``config.rounds`` rounds and summarize the run.
 
-    Every run returns one row per round. The rounds after the last death are
-    written by ``_Sim.dead_tail``.
+    Every run's table has one row per round. The rounds after the last death
+    are not walked; ``_Sim.table`` fills their rows.
     """
     validate_config(config)
     sim = _SCHEMES[config.protocol](config)
-    metrics: list[RoundMetrics] = []
     for rnd in range(config.rounds):
         if sim.alive_count == 0:
-            metrics += sim.dead_tail(rnd)
             break
-        metrics.append(sim.run_round(rnd))
-    summary = summarize_run(metrics, config)
-    return RunResult(metrics, summary, RunAudit(drained_total=sim.drained_total))
+        sim.run_round(rnd)
+    table = sim.table()
+    return RunResult(table, summarize_run(table, config),
+                     RunAudit(drained_total=sim.drained_total))

@@ -4,13 +4,13 @@ All numeric fields are written with full round-trip precision (repr), lines
 end with LF, and every file ends with a trailing newline, so identical runs
 produce byte-identical files.
 
-The ``plots`` path carries a run as one table: a ``(rounds, 9)`` float64
-array whose columns follow the CSV header (``ROUND`` ... ``EQUILIBRIUM``).
-A round with no transmissions holds NaN in ``PATH_LOSS``, and the
-equilibrium flag is 0 or 1. ``read_metrics_csv`` parses a file into a
-table, ``median_series`` merges the tables of several seeds, and
+A run is one table, as the engine returns it in ``RunResult.metrics``: a
+``(rounds, 9)`` float64 array whose columns follow the CSV header (``ROUND``
+... ``EQUILIBRIUM``). A round with no transmissions holds NaN in
+``PATH_LOSS``, and the equilibrium flag is 0 or 1. ``write_metrics_csv``
+writes a table, ``read_metrics_csv`` parses a file back into the same table,
+``median_series`` merges the tables of several seeds, and
 ``emit_plot_series`` writes the figure files column by column.
-``metrics_table`` converts an engine run's rows to the same table.
 """
 from __future__ import annotations
 
@@ -23,16 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import RoundMetrics, RunSummary
+# The table's columns are the engine's, which builds the table.
+from .engine import (ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS, RECEIVED,
+                     ROUND, SENT, TOTAL_RESIDUAL, RunSummary)
 
 CSV_HEADER = ("round,alive,sent,received,critical_received,"
               "total_residual_j,mean_residual_j,mean_path_loss_db,equilibrium_ok")
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
-
-# Table columns, in CSV order.
-(ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
- TOTAL_RESIDUAL, MEAN_RESIDUAL, PATH_LOSS, EQUILIBRIUM) = range(_CSV_FIELDS)
-# How each CSV field parses; the flag is an int, 1 meaning the flag holds.
+# Rows formatted at a time: bounds the text a write holds in memory.
+_CSV_CHUNK = 2048
+# How each CSV field parses and prints; the flag is an int, 1 meaning it holds.
 _FIELD_TYPES = (int,) * 5 + (float,) * 3 + (int,)
 _CSV_DTYPE = np.dtype([(f"f{i}", np.int64 if t is int else np.float64)
                        for i, t in enumerate(_FIELD_TYPES)])
@@ -43,32 +43,19 @@ class ResultFileError(ValueError):
     a set of result files that cannot be compared."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_metrics_csv(metrics: list[RoundMetrics], path) -> None:
-    """One row per round under the fixed header; a round with no
-    transmissions serializes its mean path loss as an empty field."""
-    lines = [CSV_HEADER]
-    for m in metrics:
-        loss = "" if m.mean_path_loss is None else _fmt(m.mean_path_loss)
-        lines.append(
-            f"{m.round},{m.alive_count},{m.packets_sent},{m.packets_received_at_sink},"
-            f"{m.critical_received},{_fmt(m.total_residual)},{_fmt(m.mean_residual)},"
-            f"{loss},{1 if m.equilibrium_ok else 0}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def metrics_table(metrics: list[RoundMetrics]) -> np.ndarray:
-    """An engine run's rows as the table ``read_metrics_csv`` returns for
-    the CSV that ``write_metrics_csv`` writes from them."""
-    return np.array(
-        [(m.round, m.alive_count, m.packets_sent, m.packets_received_at_sink,
-          m.critical_received, m.total_residual, m.mean_residual,
-          np.nan if m.mean_path_loss is None else m.mean_path_loss, m.equilibrium_ok)
-         for m in metrics], dtype=np.float64).reshape(-1, _CSV_FIELDS)
+def write_metrics_csv(table: np.ndarray, path) -> None:
+    """One row per round of a run's table under the fixed header, formatted
+    column by column: counts and the flag as ints, the rest with repr, and
+    a NaN path loss (a round with no transmissions) as an empty field."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(CSV_HEADER + "\n")
+        for start in range(0, len(table), _CSV_CHUNK):
+            chunk = table[start:start + _CSV_CHUNK].T
+            fields = [map(str, col.astype(np.int64).tolist()) if parse is int
+                      else map(repr, col.tolist())
+                      for col, parse in zip(chunk, _FIELD_TYPES)]
+            fields[PATH_LOSS] = ("" if v != v else repr(v) for v in chunk[PATH_LOSS].tolist())
+            out.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def _raise_bad_line(path, lines: list[str]) -> None:

@@ -2,8 +2,8 @@
 link logs.
 
 ``walk_recorded`` drives ``_Sim.run_round`` for every round, dead rounds
-included, so it is also the reference that the engine's one-pass dead tail
-is compared against. It logs through wrappers on one ``_Sim`` instance; the
+included, so it is also the reference that the engine's filled dead tail is
+compared against; it builds its table through the engine's ``_Sim.table``. It logs through wrappers on one ``_Sim`` instance; the
 engine itself records nothing.
 """
 from collections import defaultdict
@@ -40,10 +40,10 @@ def walk_recorded(cfg) -> Recording:
 
     sim._transmit = logged_transmit
     sim._event_counts = logged_event_counts
-    metrics = []
     for rnd in range(cfg.rounds):
-        metrics.append(sim.run_round(rnd))
-    result = RunResult(metrics, summarize_run(metrics, cfg),
+        sim.run_round(rnd)
+    table = sim.table()
+    result = RunResult(table, summarize_run(table, cfg),
                        RunAudit(drained_total=sim.drained_total))
     return Recording(result, traffic, links)
 

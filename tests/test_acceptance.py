@@ -19,7 +19,8 @@ from wbansim.cli import main as cli_main
 from wbansim.config import ConfigError, SimConfig, parse_config, validate_config
 from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology, distance
 from wbansim.energy import ActionCounts, EnergyWeights, round_cost
-from wbansim.engine import assign_tdma, run_simulation
+from wbansim.engine import (ALIVE, PATH_LOSS, RECEIVED, SENT, TOTAL_RESIDUAL, assign_tdma,
+                            run_simulation)
 from wbansim.events import poisson_pmf, sample_event_count
 from wbansim.protocols import amhrp_select_forwarder
 
@@ -86,7 +87,7 @@ class TestEnergyConservation:
         worst = 0.0
         for (protocol, seed), res in sweep.items():
             cfg_total = 19 * 0.5
-            final = res.metrics[-1].total_residual
+            final = res.metrics[-1, TOTAL_RESIDUAL]
             gap = abs((cfg_total - final) - res.audit.drained_total)
             worst = max(worst, gap)
         report("energy conservation within 1e-9 J on every run", worst <= 1e-9,
@@ -203,8 +204,7 @@ class TestThroughputBounds:
         per_round_ok = True
         pct_ok = True
         for res in sweep.values():
-            for m in res.metrics:
-                per_round_ok &= m.packets_received_at_sink <= m.packets_sent
+            per_round_ok &= bool(all(res.metrics[:, RECEIVED] <= res.metrics[:, SENT]))
             pct = res.summary.throughput_pct
             pct_ok &= pct is not None and 0.0 <= pct <= 100.0
         report("received <= sent every round on every run", per_round_ok)
@@ -240,13 +240,13 @@ class TestCalibratedReproduction:
 
     def test_orderings_at_round_10000(self, sweep):
         def alive_end(r):
-            return r.metrics[-1].alive_count
+            return r.metrics[-1, ALIVE]
 
         def received_total(r):
             return r.summary.packets_received_total
 
         def run_mean_loss(r):
-            losses = [m.mean_path_loss for m in r.metrics if m.mean_path_loss is not None]
+            losses = [v for v in r.metrics[:, PATH_LOSS].tolist() if not math.isnan(v)]
             return sum(losses) / len(losses)
 
         a_alive = medians(sweep, "amhrp", alive_end)

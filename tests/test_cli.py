@@ -342,7 +342,7 @@ class TestNoCommand:
 
 
 # case -> (argv, exit code, text on stderr); every case runs in an empty
-# directory and must leave it empty.
+# directory, must leave it empty and must start no run.
 EXIT_CODES = {
     "help": (["--help"], 0, ""),
     "sweep_help": (["sweep", "--help"], 0, ""),
@@ -361,8 +361,16 @@ EXIT_CODES = {
     "negative_seed_in_grid": (["sweep", "--seeds=2,-1", "--out", "o"], 1,
                               "sim.seed: must be >= 0"),
     "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
+    "out_null_byte": (["simulate", "--out", "o\x00"], 1, "--out: embedded null byte"),
     "plots_on_empty_dir": (["plots", "--in", "."], 2, "no metrics_*.csv"),
 }
+
+
+def _no_runs(monkeypatch) -> list:
+    """Record, instead of running, every simulation the CLI starts."""
+    runs = []
+    monkeypatch.setattr(wbansim.cli, "run_simulation", runs.append)
+    return runs
 
 
 class TestExitCodes:
@@ -370,9 +378,19 @@ class TestExitCodes:
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
         argv, code, err = EXIT_CODES[case]
         monkeypatch.chdir(tmp_path)
+        runs = _no_runs(monkeypatch)
         assert main(argv) == code
         assert err in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        assert runs == []
+
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        runs = _no_runs(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", "--out", str(taken)]) == 2
+        assert str(taken) in capsys.readouterr().err
+        assert runs == []
 
 
 class TestSeedCap:

@@ -76,6 +76,10 @@ def _above(x):
 BOUNDARIES = [
     ("sim.node_count", [1, 1000], [0, 1001]),
     ("sim.rounds", [0, 1_000_000], [-1, 1_000_001]),
+    # The joint cap: a value is a dict of [sim] keys.
+    ("sim.node_count*rounds", [{"node_count": 20, "rounds": 1_000_000},
+                               {"node_count": 1000, "rounds": 20_000}],
+     [{"node_count": 21, "rounds": 1_000_000}, {"node_count": 1000, "rounds": 20_001}]),
     ("sim.seed", [0], [-1]),
     ("sim.initial_energy", [_above(0.0)], [0.0]),
     ("sim.tx_range", [_above(0.0)], [0.0]),
@@ -157,6 +161,8 @@ class TestViolations:
             base = replace(base, allow_unconstrained_weights=True)
 
         def with_value(value):
+            if isinstance(value, dict):
+                return replace(base, **value)
             if name == "sim":
                 return replace(base, **{attr: value})
             return replace(base, **{name: replace(getattr(base, name), **{attr: value})})

@@ -1,5 +1,9 @@
+import math
+import sys
+from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +12,10 @@ from test_config import valid_configs
 
 from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.engine import (_SCHEMES, RoundMetrics, _EquilibriumTracker, assign_tdma,
-                            equilibrium_series, run_simulation, summarize_run, throughput)
+from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
+                            RECEIVED, ROUND, SENT, TOTAL_RESIDUAL, assign_tdma,
+                            equilibrium_flags, equilibrium_series, run_simulation,
+                            summarize_run, throughput)
 
 
 def cfg(**over):
@@ -17,10 +23,15 @@ def cfg(**over):
 
 
 def metrics_row(r, alive, sent=0, received=0):
-    return RoundMetrics(round=r, alive_count=alive, packets_sent=sent,
-                        packets_received_at_sink=received, critical_received=0,
-                        total_residual=1.0, mean_residual=1.0 / 19,
-                        mean_path_loss=None, equilibrium_ok=True)
+    return (r, alive, sent, received, 0, 1.0, 1.0 / 19, math.nan, 1)
+
+
+def table(rows):
+    return np.array(rows, dtype=np.float64).reshape(-1, EQUILIBRIUM + 1)
+
+
+def same_table(a, b):
+    return np.array_equal(a, b, equal_nan=True)
 
 
 class TestAssignTdma:
@@ -64,23 +75,23 @@ class TestThroughput:
 class TestSummarizeRun:
     def test_first_death_at_index_two(self):
         rows = [metrics_row(0, 19), metrics_row(1, 19), metrics_row(2, 18)]
-        s = summarize_run(rows, cfg(rounds=3))
+        s = summarize_run(table(rows), cfg(rounds=3))
         assert s.stability_period == 2
 
     def test_no_deaths_gives_sentinels(self):
         rows = [metrics_row(r, 19, sent=1, received=1) for r in range(5)]
-        s = summarize_run(rows, cfg(rounds=5))
+        s = summarize_run(table(rows), cfg(rounds=5))
         assert s.stability_period == 5
         assert s.network_lifetime == 5
         assert s.throughput_pct == 100.0
 
     def test_lifetime_when_network_empties(self):
         rows = [metrics_row(r, 19 if r < 9000 else 0) for r in range(10000)]
-        s = summarize_run(rows, cfg())
+        s = summarize_run(table(rows), cfg())
         assert s.network_lifetime == 9000
 
     def test_rounds_zero_degenerate(self):
-        s = summarize_run([], cfg(rounds=0))
+        s = summarize_run(table([]), cfg(rounds=0))
         assert s.stability_period == 0
         assert s.network_lifetime == 0
         assert s.throughput_pct is None
@@ -94,10 +105,10 @@ class TestRunSimulation:
         row1 = res.metrics[1]
         # No sensing period of 1 exists, so round 1 is silent; AMHRP's first
         # beacon exchange is not due yet either.
-        assert row1.packets_sent == 0
-        assert row1.packets_received_at_sink == 0
-        assert row1.mean_path_loss is None
-        assert row1.total_residual == res.metrics[0].total_residual
+        assert row1[SENT] == 0
+        assert row1[RECEIVED] == 0
+        assert math.isnan(row1[PATH_LOSS])
+        assert row1[TOTAL_RESIDUAL] == res.metrics[0, TOTAL_RESIDUAL]
 
     def test_single_node_charge_trace(self):
         # One canonical node 0.35 m from the sink: the round-0 reading costs
@@ -106,51 +117,51 @@ class TestRunSimulation:
                 events=replace(SimConfig().events, lam=0.0))
         res = run_simulation(c)
         row = res.metrics[0]
-        assert row.packets_sent == 1
-        assert row.packets_received_at_sink == 1
+        assert row[SENT] == 1
+        assert row[RECEIVED] == 1
         w = c.energy
         expected = c.initial_energy - (w.x_s + w.x_d)
-        assert row.total_residual == pytest.approx(expected, abs=1e-15)
+        assert row[TOTAL_RESIDUAL] == pytest.approx(expected, abs=1e-15)
 
     def test_all_dead_is_absorbing(self):
         # x_t above the initial charge kills every node on its first action.
         c = cfg(rounds=3, initial_energy=0.1)
         res = run_simulation(c)
-        assert res.metrics[0].alive_count == 0
-        assert res.metrics[1].alive_count == 0
-        assert res.metrics[1].packets_sent == 0
-        assert res.metrics[2].packets_sent == 0
+        assert res.metrics[0, ALIVE] == 0
+        assert res.metrics[1, ALIVE] == 0
+        assert res.metrics[1, SENT] == 0
+        assert res.metrics[2, SENT] == 0
 
     def test_determinism_same_seed(self):
         c = cfg(rounds=400)
         a = run_simulation(c)
         b = run_simulation(c)
-        assert a.metrics == b.metrics
+        assert same_table(a.metrics, b.metrics)
         assert a.summary == b.summary
 
     def test_seed_changes_outcome(self):
         a = run_simulation(cfg(rounds=300, seed=1))
         b = run_simulation(cfg(rounds=300, seed=2))
-        assert a.metrics != b.metrics
+        assert not same_table(a.metrics, b.metrics)
 
     @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
     def test_conservation(self, protocol):
         c = cfg(rounds=1500, protocol=protocol)
         res = run_simulation(c)
-        spent = c.node_count * c.initial_energy - res.metrics[-1].total_residual
+        spent = c.node_count * c.initial_energy - res.metrics[-1, TOTAL_RESIDUAL]
         assert spent == pytest.approx(res.audit.drained_total, abs=1e-9)
 
     @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
     def test_monotone_alive_and_residual(self, protocol):
         res = run_simulation(cfg(rounds=1200, protocol=protocol, seed=5))
         for a, b in zip(res.metrics, res.metrics[1:]):
-            assert b.alive_count <= a.alive_count
-            assert b.total_residual <= a.total_residual + 1e-15
+            assert b[ALIVE] <= a[ALIVE]
+            assert b[TOTAL_RESIDUAL] <= a[TOTAL_RESIDUAL] + 1e-15
 
     def test_received_never_exceeds_sent_per_round(self):
         res = run_simulation(cfg(rounds=1000, protocol="simple", seed=3))
         for m in res.metrics:
-            assert m.packets_received_at_sink <= m.packets_sent
+            assert m[RECEIVED] <= m[SENT]
 
     def test_cross_protocol_event_streams_identical(self):
         base = cfg(rounds=300, seed=11)
@@ -170,16 +181,16 @@ class TestRunSimulation:
         c = cfg(rounds=50, initial_energy=0.1)
         res = run_simulation(c)
         assert len(res.metrics) == 50
-        assert [m.round for m in res.metrics] == list(range(50))
+        assert res.metrics[:, ROUND].tolist() == list(range(50))
         for m in res.metrics[1:]:
-            assert (m.alive_count, m.packets_sent, m.packets_received_at_sink,
-                    m.critical_received, m.total_residual, m.mean_residual,
-                    m.mean_path_loss) == (0, 0, 0, 0, 0.0, 0.0, None)
+            assert m[[ALIVE, SENT, RECEIVED, CRITICAL, TOTAL_RESIDUAL,
+                      MEAN_RESIDUAL]].tolist() == [0, 0, 0, 0, 0.0, 0.0]
+            assert math.isnan(m[PATH_LOSS])
         assert res.summary.network_lifetime == 0
 
     def test_rounds_zero(self):
         res = run_simulation(cfg(rounds=0))
-        assert res.metrics == []
+        assert res.metrics.shape == (0, EQUILIBRIUM + 1)
         assert res.summary.stability_period == 0
 
     def test_invalid_config_rejected(self):
@@ -194,9 +205,9 @@ class TestRunSimulation:
 
     def test_equilibrium_flag_present_each_round(self):
         res = run_simulation(cfg(rounds=120))
-        assert all(isinstance(m.equilibrium_ok, bool) for m in res.metrics)
+        assert set(res.metrics[:, EQUILIBRIUM].tolist()) <= {0.0, 1.0}
         # default alpha_star = 0 and a0 = 0.5 keep the diagnostic green here
-        assert all(m.equilibrium_ok for m in res.metrics)
+        assert all(res.metrics[:, EQUILIBRIUM] == 1)
 
 
 class TestEngineSpecializations:
@@ -271,10 +282,12 @@ class TestEngineSpecializations:
         threshold = c.mattempt.temp_threshold
         heated = cooled = 0
         prev = [True] * sim.n
+        alive_log = []
         for rnd in range(c.rounds):
-            row = sim.run_round(rnd)
+            sim.run_round(rnd)
             alive = sum(nd.alive for nd in sim.nodes)
-            assert sim.alive_count == row.alive_count == alive, f"round {rnd}"
+            assert sim.alive_count == alive, f"round {rnd}"
+            alive_log.append(alive)
             cool = [nd.temperature <= threshold for nd in sim.nodes]
             for nd, was, now in zip(sim.nodes, prev, cool):
                 if nd.alive:
@@ -285,6 +298,7 @@ class TestEngineSpecializations:
         # still skipped most rebuilds.
         assert heated and cooled
         assert sim.alive_count == 0
+        assert sim.table()[:, ALIVE].tolist() == alive_log
         assert len(builds) < c.rounds // 4
 
     def test_amhrp_closer_lists_match_full_neighbor_lists(self):
@@ -294,9 +308,11 @@ class TestEngineSpecializations:
         c = self._dying_config("amhrp")
         sim = _SCHEMES["amhrp"](c)
         forwarded = 0
+        alive_log = []
         for rnd in range(c.rounds):
-            row = sim.run_round(rnd)
-            assert sim.alive_count == row.alive_count == sum(nd.alive for nd in sim.nodes)
+            sim.run_round(rnd)
+            assert sim.alive_count == sum(nd.alive for nd in sim.nodes)
+            alive_log.append(sim.alive_count)
             for nd in sim.nodes:
                 if not nd.alive:
                     continue
@@ -309,6 +325,7 @@ class TestEngineSpecializations:
                     forwarded += cached.action is RouteAction.SEND_TO_FORWARDER
         assert forwarded
         assert sim.alive_count == 0
+        assert sim.table()[:, ALIVE].tolist() == alive_log
 
 
 def _tail_config(case, protocol, seed):
@@ -341,7 +358,7 @@ class TestDeadTail:
         tail = run_simulation(c)
         walked = walk_recorded(c).result
         assert len(tail.metrics) == c.rounds
-        assert tail.metrics == walked.metrics
+        assert same_table(tail.metrics, walked.metrics)
         assert tail.summary == walked.summary
         assert tail.audit.drained_total == walked.audit.drained_total
 
@@ -349,8 +366,8 @@ class TestDeadTail:
         # Guards the test above: its flags change after the last death, so a
         # tail that stopped rolling the windows would show.
         res = run_simulation(_tail_config("dying", "amhrp", 1))
-        after = [m.equilibrium_ok for m in res.metrics[res.summary.network_lifetime + 1:]]
-        assert True in after and after[-1] is False
+        after = res.metrics[res.summary.network_lifetime + 1:, EQUILIBRIUM].tolist()
+        assert 1.0 in after and after[-1] == 0.0
 
     @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
     def test_rounds_after_the_last_death_are_not_walked(self, protocol, monkeypatch):
@@ -372,11 +389,13 @@ class TestDeadTail:
 
     def test_flat_series_flag_equals_the_series(self):
         base = SimConfig()
+        pushed = [(3, 2, 0, 4, 1)] * 10 + [(0, 0, 0, 0, 0)] * 15
         for alpha_star in (0.2, 0.5, 0.7):
             c = replace(base, rounds=60, initial_energy=0.5,
                         amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=2,
                                       eq_window_len=5))
-            eq = _EquilibriumTracker(c)
+            flags = equilibrium_flags(np.array(pushed), c)
+            eq = EquilibriumTracker(c)
             L = eq.L
             checked = {"flat": 0, "live": 0}
 
@@ -386,11 +405,12 @@ class TestDeadTail:
                 checked["flat" if flat else "live"] += 1
                 for x in range(L + 1):
                     assert eq.flag(x) == series_flag(eq, terms, x), (alpha_star, x)
+                return terms
 
             check()  # the initial tracker has no windows
-            for counts in [(3, 2, 0, 4, 1)] * 10 + [(0, 0, 0, 0, 0)] * 15:
+            for r, counts in enumerate(pushed):
                 eq.push_round(*counts)
-                check()
+                assert flags[r] == series_flag(eq, check(), r), (alpha_star, r)
             assert all_terms(eq) == ((1, 0.0, 0.0), (2, 0.0, 0.0))
             assert checked["flat"] and checked["live"]
 
@@ -400,20 +420,60 @@ class TestDeadTail:
            st.floats(-1.0, 2.0), st.integers(1, 5), st.integers(1, 6), st.integers(1, 60))
     def test_flag_equals_the_series(self, rounds_counts, alpha_star, eq_windows,
                                     eq_window_len, rounds):
-        """The tracker's flag, which skips zero terms, is the full series over
-        its windows, at every round, after every pushed round (zero-total
-        windows included)."""
+        """Each round's flag from drawn count columns, which leaves out zero
+        terms, is the full series over the windows closed by then (zero-total
+        windows included); so is the tracker's flag at every x after every
+        pushed round."""
         base = SimConfig()
         c = replace(base, rounds=rounds, initial_energy=0.5,
                     amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=eq_windows,
                                   eq_window_len=eq_window_len))
-        eq = _EquilibriumTracker(c)
-        for counts in [None] + rounds_counts:
+        flags = equilibrium_flags(np.array(rounds_counts, dtype=np.int64).reshape(-1, 5), c)
+        assert flags.shape == (len(rounds_counts),)
+        eq = EquilibriumTracker(c)
+        for r, counts in enumerate([None] + rounds_counts, start=-1):
             if counts is not None:
                 eq.push_round(*counts)
             terms = all_terms(eq)
             for x in range(eq.L + 3):
                 assert eq.flag(x) == series_flag(eq, terms, x), x
+            if counts is not None:
+                assert flags[r] == series_flag(eq, terms, r), r
+
+    @pytest.mark.parametrize("toward", [math.inf, -math.inf])
+    def test_flags_hold_when_sin_and_cos_are_two_ulp_off(self, toward, monkeypatch):
+        """np.sin and np.cos may round otherwise than math.sin and math.cos.
+        alpha_star is set to one live round's exact sum (or the float just
+        below it), where sines and cosines 2 ulp off move the sum across
+        alpha_star; the flags still equal the tracker's."""
+        c = _tail_config("dying", "amhrp", 1)
+        sim = _SCHEMES["amhrp"](c)
+        for rnd in range(c.rounds):
+            sim.run_round(rnd)
+        # Each walked round's entry ends with its action counts c1..c5.
+        counts = np.frombuffer(sim.rows).reshape(c.rounds, -1)[:, -5:].astype(np.int64)
+
+        def off(f):
+            return lambda v: np.nextafter(np.nextafter(f(v), toward), toward)
+
+        eq = EquilibriumTracker(c)
+        exact, moved = [], []
+        for r, row in enumerate(counts.tolist()):
+            eq.push_round(*row)
+            exact.append(equilibrium_series(eq.a0, eq.terms, r, eq.L))
+            base = math.pi * r / eq.L
+            moved.append(eq.a0 + sum(a * off(math.sin)(n * base) + b * off(math.cos)(n * base)
+                                     for n, a, b in eq.terms))
+        r = next(r for r in range(c.rounds) if moved[r] != exact[r])
+        alpha_star = exact[r] if toward > 0 else math.nextafter(exact[r], -math.inf)
+        c = replace(c, amhrp=replace(c.amhrp, alpha_star=alpha_star))
+        want = [x > alpha_star for x in exact]
+        assert (moved[r] > alpha_star) != want[r]
+
+        monkeypatch.setattr(np, "sin", off(np.sin))
+        monkeypatch.setattr(np, "cos", off(np.cos))
+        assert equilibrium_flags(counts, c).tolist() == want
+        assert run_simulation(c).metrics[:, EQUILIBRIUM].tolist() == want
 
     def test_huge_window_count_reads_as_any_count_above_the_closes(self):
         # 200 rounds close 4 windows of 50, so any eq_windows >= 4 keeps them
@@ -423,8 +483,49 @@ class TestDeadTail:
                                        amhrp=replace(base.amhrp, alpha_star=0.51,
                                                      eq_windows=windows, eq_window_len=50)))
                 for windows in (4, 10**20)]
-        assert runs[0] == runs[1]
-        assert len({m.equilibrium_ok for m in runs[0].metrics}) == 2
+        assert same_table(runs[0].metrics, runs[1].metrics)
+        assert runs[0].summary == runs[1].summary and runs[0].audit == runs[1].audit
+        assert len(set(runs[0].metrics[:, EQUILIBRIUM].tolist())) == 2
+
+
+class EquilibriumTracker:
+    """The reference for ``equilibrium_flags``: rolls the last l
+    traffic-mix windows into the diagnostic series one round at a time.
+    a_n is window n's forward share, b_n its destined-send share, and the
+    round's flag is ``equilibrium_series(a0, terms, x, L) > alpha_star``."""
+
+    def __init__(self, cfg: SimConfig):
+        self.a0 = cfg.initial_energy
+        self.L = max(1, cfg.rounds)
+        self.alpha_star = cfg.amhrp.alpha_star
+        self.window_len = cfg.amhrp.eq_window_len
+        # A run closes at most rounds // eq_window_len windows, so capping
+        # the length at the largest one deque takes reads the same.
+        self.windows: deque[tuple[int, int, int]] = deque(
+            maxlen=min(cfg.amhrp.eq_windows, sys.maxsize))
+        self.cur_total = 0
+        self.cur_forwards = 0
+        self.cur_sends = 0
+        self.rounds_in_window = 0
+        self.terms: tuple[tuple[int, float, float], ...] = ()
+
+    def push_round(self, n1: int, n2: int, n3: int, n4: int, n5: int) -> None:
+        """Add one round's action counts (as in ``energy.ActionCounts``)."""
+        self.cur_total += n1 + n2 + n3 + n4 + n5
+        self.cur_forwards += n4
+        self.cur_sends += n2
+        self.rounds_in_window += 1
+        if self.rounds_in_window >= self.window_len:
+            self.windows.append((self.cur_forwards, self.cur_sends, self.cur_total))
+            self.cur_total = self.cur_forwards = self.cur_sends = 0
+            self.rounds_in_window = 0
+            self.terms = tuple((n, f / t, s / t)
+                               for n, (f, s, t) in enumerate(self.windows, start=1)
+                               if t and (f or s))
+
+    def flag(self, round_index: int) -> bool:
+        L = self.L
+        return equilibrium_series(self.a0, self.terms, min(round_index, L), L) > self.alpha_star
 
 
 def all_terms(eq):
@@ -447,24 +548,35 @@ class TestRunProperty:
         c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
         tail = run_simulation(c)
         walked, _, links = walk_recorded(c)
-        assert tail.metrics == walked.metrics
+        assert same_table(tail.metrics, walked.metrics)
         assert tail.summary == walked.summary
         # A rerun of the rendered and re-parsed config behaves the same.
         again = run_simulation(parse_config(render_config(c)))
-        assert again.metrics == tail.metrics
+        assert same_table(again.metrics, tail.metrics)
         assert again.summary == tail.summary
         assert again.audit.drained_total == tail.audit.drained_total
         assert len(tail.metrics) == rounds
         spent = c.node_count * c.initial_energy - tail.summary.final_total_residual
         assert spent == pytest.approx(tail.audit.drained_total, abs=1e-9)
-        for m in tail.metrics:
-            assert m.packets_received_at_sink <= m.packets_sent
+        assert all(tail.metrics[:, RECEIVED] <= tail.metrics[:, SENT])
         assert tail.summary.packets_received_total <= tail.summary.packets_sent_total
         assert all(alive for _, _, _, alive in links)
         # Each round's on-body forwarding graph is acyclic; M-ATTEMPT's
         # hotspot bounce sends a packet back on purpose, a 2-cycle.
         if c.protocol != "mattempt":
             assert forwarding_acyclic(links)
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_configs(), st.integers(0, 150), st.integers(1, 150), st.floats(0.0, 5.0))
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, c, rounds, more, lam):
+        """No round reads the run's length, so a run of R rounds is the first
+        R rows of a longer run. The flag is left out: its series spans
+        L = rounds."""
+        c = replace(c, rounds=rounds + more, events=replace(c.events, lam=lam))
+        longer = run_simulation(c).metrics
+        shorter = run_simulation(replace(c, rounds=rounds)).metrics
+        assert np.array_equal(shorter[:, :EQUILIBRIUM], longer[:rounds, :EQUILIBRIUM],
+                              equal_nan=True)
 
 
 class _CountingRng:

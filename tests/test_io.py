@@ -9,22 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
-from wbansim.engine import RoundMetrics, RunSummary, run_simulation
+from wbansim.engine import RunSummary, run_simulation
 from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND, SENT,
                         TOTAL_RESIDUAL, ResultFileError, compare_runs, emit_plot_series,
-                        median_series, metrics_table, read_metrics_csv, read_summary_json,
+                        median_series, read_metrics_csv, read_summary_json,
                         render_comparison, write_metrics_csv, write_summary_json)
 
 
-def row(r, alive=19, sent=2, received=2, loss=36.5):
-    return RoundMetrics(round=r, alive_count=alive, packets_sent=sent,
-                        packets_received_at_sink=received, critical_received=1,
-                        total_residual=9.5 - 0.001 * r, mean_residual=(9.5 - 0.001 * r) / 19,
-                        mean_path_loss=loss, equilibrium_ok=True)
+def row(r, alive=19, sent=2, received=2, loss=36.5, flag=1):
+    """One table row; ``loss=None`` is a round with no transmissions."""
+    return (r, alive, sent, received, 1, 9.5 - 0.001 * r, (9.5 - 0.001 * r) / 19,
+            math.nan if loss is None else loss, flag)
 
 
 def table(*rows):
-    return metrics_table(list(rows))
+    return np.array(rows, dtype=np.float64).reshape(-1, 9)
 
 
 def summary(protocol, seed, stability, lifetime, tp=100.0, residual_pct=80.0):
@@ -38,24 +37,28 @@ def summary(protocol, seed, stability, lifetime, tp=100.0, residual_pct=80.0):
 class TestMetricsCsv:
     def test_three_rounds_four_lines(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(r) for r in range(3)], path)
+        write_metrics_csv(table(*(row(r) for r in range(3))), path)
         lines = path.read_text().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5  # header + 3 rows + trailing newline
         assert lines[-1] == ""
 
     def test_round_trip(self, tmp_path):
-        metrics = [row(0), row(1, loss=None), row(2, alive=18)]
+        metrics = table(row(0), row(1, loss=None), row(2, alive=18))
         path = tmp_path / "m.csv"
         write_metrics_csv(metrics, path)
         got = read_metrics_csv(path)
         assert got.shape == (3, 9) and got.dtype == np.float64
-        assert np.array_equal(got, metrics_table(metrics), equal_nan=True)
+        assert np.array_equal(got, metrics, equal_nan=True)
         assert math.isnan(got[1, PATH_LOSS])
+        # An engine run, whose rows the writer formats in several chunks.
+        run = run_simulation(replace(SimConfig(), rounds=5000)).metrics
+        write_metrics_csv(run, path)
+        assert np.array_equal(read_metrics_csv(path), run, equal_nan=True)
 
     def test_quiescent_round_serializes_empty_loss_field(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(0, sent=0, received=0, loss=None)], path)
+        write_metrics_csv(table(row(0, sent=0, received=0, loss=None)), path)
         data_line = path.read_text().split("\n")[1]
         fields = data_line.split(",")
         assert fields[7] == ""
@@ -63,7 +66,7 @@ class TestMetricsCsv:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(0)], path)
+        write_metrics_csv(table(row(0)), path)
         assert b"\r" not in path.read_bytes()
 
     def test_byte_identical_across_reruns(self, tmp_path):
@@ -100,7 +103,7 @@ class TestMetricsCsv:
     def test_bad_file_rejected_naming_file_and_line(self, case, tmp_path):
         bad_line, lineno = self.BAD_FILES[case]
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(0), row(1), row(2)], path)
+        write_metrics_csv(table(row(0), row(1), row(2)), path)
         lines = path.read_text().split("\n")
         if bad_line is None:
             lines[0] = lines[0].replace("alive", "alive_count")
@@ -123,24 +126,24 @@ class TestMetricsCsv:
 
     def test_flag_must_be_an_int(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(0)], path)
+        write_metrics_csv(table(row(0)), path)
         path.write_text(path.read_text().replace(",1\n", ",yes\n"))
         with pytest.raises(ResultFileError, match=": line 2: "):
             read_metrics_csv(path)
 
     def test_non_utf8_file_rejected_naming_it(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv([row(0)], path)
+        write_metrics_csv(table(row(0)), path)
         path.write_bytes(path.read_bytes() + b"\xff")
         with pytest.raises(ResultFileError, match="not UTF-8"):
             read_metrics_csv(path)
 
     def test_crlf_file_and_missing_final_newline_still_read(self, tmp_path):
-        metrics = [row(0), row(1, loss=None)]
+        metrics = table(row(0), row(1, loss=None))
         path = tmp_path / "m.csv"
         write_metrics_csv(metrics, path)
         path.write_bytes(path.read_bytes().rstrip(b"\n").replace(b"\n", b"\r\n"))
-        assert np.array_equal(read_metrics_csv(path), metrics_table(metrics), equal_nan=True)
+        assert np.array_equal(read_metrics_csv(path), metrics, equal_nan=True)
 
 
 class TestSummaryJson:
@@ -194,7 +197,7 @@ class TestPlotSeries:
 
     def test_alive_column_non_increasing_for_real_run(self, tmp_path):
         res = run_simulation(replace(SimConfig(), rounds=500))
-        files = emit_plot_series({"amhrp": metrics_table(res.metrics)}, tmp_path)
+        files = emit_plot_series({"amhrp": res.metrics}, tmp_path)
         alive = [int(line.split()[1])
                  for line in files[0].read_text().strip().split("\n")[1:]]
         assert all(b <= a for a, b in zip(alive, alive[1:]))
@@ -255,7 +258,7 @@ class TestMedianSeries:
         (m,) = median_series(runs)
         assert (m[ROUND], m[ALIVE], m[SENT], m[RECEIVED]) == (0, 18, 4, 3)
         assert m[PATH_LOSS] == 35.5
-        assert m[TOTAL_RESIDUAL] == row(0).total_residual
+        assert m[TOTAL_RESIDUAL] == row(0)[TOTAL_RESIDUAL]
 
     def test_even_count_median_truncated_to_int(self):
         (m,) = median_series([table(row(0, alive=19)), table(row(0, alive=18))])
@@ -270,7 +273,7 @@ class TestMedianSeries:
 
     def test_equilibrium_flag_anded_across_runs(self):
         ok = table(row(0), row(1))
-        broken = table(row(0), replace(row(1), equilibrium_ok=False))
+        broken = table(row(0), row(1, flag=0))
         merged = median_series([ok, broken, ok])
         assert merged[:, EQUILIBRIUM].tolist() == [1.0, 0.0]
 

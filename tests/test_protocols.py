@@ -6,7 +6,7 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
-from wbansim.engine import _SCHEMES, _EquilibriumTracker, equilibrium_series
+from wbansim.engine import _SCHEMES, equilibrium_flags, equilibrium_series
 from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
                                MattemptParams, RouteAction, RoutingDecision,
                                amhrp_select_forwarder, mattempt_build_hopcounts,
@@ -118,7 +118,8 @@ class TestEquilibrium:
         base = SimConfig()
         c = replace(base, rounds=10, initial_energy=0.5,
                     amhrp=replace(base.amhrp, alpha_star=alpha))
-        assert _EquilibriumTracker(c).flag(2) is expected
+        # No window has closed by round 2, so the series is a0 = 0.5.
+        assert equilibrium_flags(np.zeros((3, 5), dtype=np.int64), c).tolist()[2] is expected
 
 
 class TestMattemptHopCounts:
