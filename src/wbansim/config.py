@@ -32,15 +32,31 @@ from dataclasses import dataclass, field, fields, replace
 from .channel import ChannelParams
 from .core import ALL_KINDS, Bound, SensorKind, bounded
 from .energy import EnergyWeights
-from .events import EventParams, SensingSchedule, default_schedule
+from .events import LAMBDA_MAX, EventParams, SensingSchedule, default_schedule
 from .protocols import MattemptParams, SimpleParams
 
 PROTOCOLS = ("amhrp", "mattempt", "simple")
 PLACEMENTS = ("uniform", "canonical")
-# The cap on node_count * rounds. A live 1000-node M-ATTEMPT run, the dearest
-# per node and round, took 17 ms per round and 164 MB on a 2-vCPU Xeon host,
-# so 20000 rounds of it take under 6 minutes; 19 nodes may run 10**6 rounds.
+# The cap on a run's work, in node-rounds. A live 1000-node M-ATTEMPT run,
+# the dearest per node and round at the default event rate, took 17 ms per
+# round and 164 MB on a 2-vCPU Xeon host, so 20000 rounds of it take under 6
+# minutes; 19 nodes may run 10**6 rounds.
 MAX_NODE_ROUNDS = 20_000_000
+# At a high event rate a node-round weighs more: each event is a packet, and
+# routing it scans up to node_count neighbours per hop. AMHRP, the dearest
+# per packet, measured 2.6-3.5 us a packet at 19 live nodes, 6.6 at 100 and
+# 23 at 1000 (same host), all under 0.0182 * (node_count + 260) us. Taking
+# one node-round as 50 us, a node-round at rate lambda weighs
+# lambda * (node_count + 260) / 2750 when that exceeds 1. The unit keeps the
+# default 19-node, 10000-round run valid at the largest lambda, 1000.
+_PACKET_NODES = 260
+_PACKET_UNITS = 2750
+
+
+def node_round_weight(node_count: int, lam: float) -> float:
+    """How many node-rounds of ``MAX_NODE_ROUNDS`` one node-round at event
+    rate ``lam`` counts as: 1, or more when its packets dominate."""
+    return max(1.0, lam * (node_count + _PACKET_NODES) / _PACKET_UNITS)
 
 
 class ConfigError(ValueError):
@@ -75,9 +91,10 @@ def default_energy_weights() -> EnergyWeights:
 
 @dataclass(frozen=True)
 class SimConfig:
-    # The caps, with MAX_NODE_ROUNDS on their product, keep one run, the other
-    # keys at their defaults, within 1 GB and 10 minutes: the path-loss table
-    # grows as node_count**2, and the run holds its table in memory.
+    # The caps, with MAX_NODE_ROUNDS on their product weighted by the event
+    # rate, keep one run within 1 GB, and on the host measured above within
+    # 10 minutes at the default rate and 17 at any: the path-loss table grows
+    # as node_count**2, and the run holds its table in memory.
     node_count: int = bounded(19, ge=1, le=1000)
     rounds: int = bounded(10000, ge=0, le=1_000_000)
     initial_energy: float = bounded(0.5, gt=0)
@@ -113,9 +130,16 @@ def validate_config(cfg: SimConfig) -> None:
                 problems.append(f"{name}.{key}: must be finite")
             elif bound and (why := bound.violation(value)):
                 problems.append(f"{name}.{key}: {why}")
-    if cfg.node_count * cfg.rounds > MAX_NODE_ROUNDS:
-        problems.append(f"sim.node_count*rounds: must be <= {MAX_NODE_ROUNDS}, "
-                        f"got {cfg.node_count} * {cfg.rounds}")
+    lam = cfg.events.lam
+    weight = node_round_weight(cfg.node_count, lam) if 0 <= lam <= LAMBDA_MAX else 1.0
+    if cfg.node_count * cfg.rounds * weight > MAX_NODE_ROUNDS:
+        got = f"got {cfg.node_count} * {cfg.rounds}"
+        if weight == 1.0:
+            problems.append(f"sim.node_count*rounds: must be <= {MAX_NODE_ROUNDS}, {got}")
+        else:
+            problems.append(
+                f"sim.node_count*rounds*lambda: node_count * rounds must be <= "
+                f"{int(MAX_NODE_ROUNDS / weight)} at events.lambda = {lam!r}, {got}")
     if cfg.placement == "canonical" and cfg.node_count > len(ALL_KINDS):
         problems.append(
             f"sim.node_count: canonical placement supports at most {len(ALL_KINDS)} nodes"

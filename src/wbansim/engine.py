@@ -34,8 +34,19 @@ hotspot bounce, SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature
 step, SIMPLE's aggregated uplink). Everything else (the transmit bookkeeping,
 charging, the control exchange, the metrics) is the base class's and shared.
 
-Charging follows last-gasp semantics: the action a dying node paid for still
-completes, so its final transmission is delivered before it falls silent.
+The per-send path: ``_route_packet`` asks ``decide`` once per hop, tests the
+verdict's action once (a forward first, the commonest), and a forward goes
+through ``hand_over``. Every on-body send, a relay's bounce and SIMPLE's
+uplink included, goes through ``_transmit``, which counts it, records its
+link and calls ``energy.charge`` directly. Only M-ATTEMPT's thermal model
+reads the per-node send and receive counts (``heat_tx``, ``heat_rx``), so
+only ``_Mattempt._transmit`` counts them.
+
+``energy.charge`` is the one death rule. Each charge (sensing, send,
+escalation, control exchange) calls it and then, if the node died, takes one
+off ``alive_count``. Charging follows last-gasp semantics: the action a
+dying node paid for still completes, so its final transmission is delivered
+before it falls silent.
 
 A run is one table: ``RunResult.metrics`` is a ``(rounds, 9)`` float64 array
 with one row per round, its columns in the metrics CSV's order (``ROUND`` ...
@@ -81,6 +92,9 @@ sample_reading = None
 _NORMAL = (PacketKind.NORMAL,)
 _CRITICAL = (PacketKind.CRITICAL,)
 _residual = attrgetter("residual_energy")
+_TO_FORWARDER = RouteAction.SEND_TO_FORWARDER
+_TO_SINK = RouteAction.SEND_TO_SINK
+_HOLD = RouteAction.HOLD
 
 # The run table's columns, in the metrics CSV's order.
 (ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
@@ -88,6 +102,7 @@ _residual = attrgetter("residual_energy")
 # A walked round's entry in ``_Sim.rows``: the columns before the flag, then
 # the round's action counts c1..c5 (as in ``energy.ActionCounts``).
 _ROW = EQUILIBRIUM + 5
+_FLAG_CHUNK = 1 << 16  # rounds per step of ``equilibrium_flags``
 
 
 @dataclass
@@ -172,9 +187,11 @@ def equilibrium_series(a0: float, terms: tuple[tuple[int, float, float], ...],
     return total
 
 
-def equilibrium_flags(counts: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """The equilibrium flag of each round, from the ``(rounds, 5)`` integer
-    action counts ``c1..c5`` of the rounds so far.
+def equilibrium_flags(counts: np.ndarray, cfg: SimConfig,
+                      rows: int | None = None) -> np.ndarray:
+    """The equilibrium flag of each of ``rows`` rounds (default
+    ``len(counts)``), from the ``(k, 5)`` integer action counts ``c1..c5``
+    of the first k rounds; the rounds after them count no action.
 
     Windows of ``eq_window_len`` rounds close in turn. At round r the series
     holds the last ``eq_windows`` windows closed by then, oldest first as
@@ -185,38 +202,49 @@ def equilibrium_flags(counts: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """
     a0, alpha_star = cfg.initial_energy, cfg.amhrp.alpha_star
     L, W = max(1, cfg.rounds), cfg.amhrp.eq_window_len
-    rows = len(counts)
+    if rows is None:
+        rows = len(counts)
     closes = rows // W
-    windows = counts[:closes * W].reshape(closes, W, 5).sum(axis=1)
+    counted = counts[:closes * W]  # the counted rounds of the windows that close
+    windows = np.zeros((closes, 5), dtype=counts.dtype)
+    starts = np.arange(0, len(counted), W)
+    if len(starts):
+        windows[:len(starts)] = np.add.reduceat(counted, starts, axis=0)
     actions = np.maximum(windows.sum(axis=1), 1)  # a window without any has 0 / 1
     # The shares, then one 0.0 for the terms a round lacks.
     a = np.append(windows[:, 3] / actions, 0.0)
     b = np.append(windows[:, 1] / actions, 0.0)
     # At most ``closes`` windows ever close, so a longer series reads the same.
     l = min(cfg.amhrp.eq_windows, closes)
-    closed = np.arange(1, rows + 1) // W
-    first = np.maximum(closed - l, 0)
-    base = math.pi * np.minimum(np.arange(rows), L) / L
-    # Term by term over every round at once, in the series' order. A term a
-    # round lacks, or one whose shares are 0.0, adds a signed zero, which
-    # moves no flag.
-    total = np.full(rows, a0)
-    for n in range(1, l + 1):
-        j = first + (n - 1)
-        j[j >= closed] = closes
-        total += a[j] * np.sin(n * base) + b[j] * np.cos(n * base)
-    flags = total > alpha_star
-    # np.sin and np.cos may differ from math.sin and math.cos in the last
-    # bits. A term's two shares add up to at most 1, so over m terms the sum
-    # moves by about m such errors plus the rounding of its 3m operations,
-    # far inside this band. A round in the band is summed again with math,
-    # so every flag is the series' own.
-    m = closed - first
-    near = np.abs(total - alpha_star) <= 2.0**-30 * m * (1.0 + abs(a0) + m)
-    for i in np.flatnonzero(near).tolist():
-        terms = tuple((n, float(a[j]), float(b[j]))
-                      for n, j in enumerate(range(first[i], closed[i]), start=1))
-        flags[i] = equilibrium_series(a0, terms, min(i, L), L) > alpha_star
+    flags = np.empty(rows, dtype=bool)
+    # Each round's flag depends only on its own inputs, so the rounds go in
+    # chunks of _FLAG_CHUNK, which bounds the temporaries below.
+    for start in range(0, rows, _FLAG_CHUNK):
+        r = np.arange(start, min(rows, start + _FLAG_CHUNK))
+        closed = (r + 1) // W
+        first = np.maximum(closed - l, 0)
+        base = math.pi * np.minimum(r, L) / L
+        # Term by term over the chunk's rounds, in the series' order. A term a
+        # round lacks, or one whose shares are 0.0, adds a signed zero, which
+        # moves no flag.
+        total = np.full(len(r), a0)
+        for n in range(1, l + 1):
+            j = first + (n - 1)
+            j[j >= closed] = closes
+            total += a[j] * np.sin(n * base) + b[j] * np.cos(n * base)
+        chunk = flags[start:start + len(r)]
+        np.greater(total, alpha_star, out=chunk)
+        # np.sin and np.cos may differ from math.sin and math.cos in the last
+        # bits. A term's two shares add up to at most 1, so over m terms the
+        # sum moves by about m such errors plus the rounding of its 3m
+        # operations, far inside this band. A round in the band is summed
+        # again with math, so every flag is the series' own.
+        m = closed - first
+        near = np.abs(total - alpha_star) <= 2.0**-30 * m * (1.0 + abs(a0) + m)
+        for i in np.flatnonzero(near).tolist():
+            terms = tuple((n, float(a[j]), float(b[j]))
+                          for n, j in enumerate(range(first[i], closed[i]), start=1))
+            chunk[i] = equilibrium_series(a0, terms, min(start + i, L), L) > alpha_star
     return flags
 
 
@@ -239,7 +267,7 @@ class _Sim:
 
         self.nodes, self.sink = build_topology(cfg, np.random.Generator(np.random.PCG64(topo_ss)))
         self.n = cfg.node_count
-        self.alive_count = self.n  # decremented by _charge on each death
+        self.alive_count = self.n  # decremented on each death a charge causes
 
         # Static geometry caches.
         self.d_sink = {nd.id: distance(nd.position, self.sink.position) for nd in self.nodes}
@@ -293,10 +321,6 @@ class _Sim:
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
-        # On-body sends and receptions per node this round; only M-ATTEMPT's
-        # thermal model reads (and resets) them.
-        self.heat_tx = [0] * self.n
-        self.heat_rx = [0] * self.n
 
     # -- routing hooks ------------------------------------------------------
 
@@ -316,37 +340,34 @@ class _Sim:
 
     # -- shared bookkeeping -------------------------------------------------
 
-    def _charge(self, node: SensorNode, cost: float) -> bool:
-        """energy.charge plus the run's tallies; returns True on death."""
-        self.drained_total += charge(node, cost, self.w)
-        if node.alive:
-            return False
-        self.alive_count -= 1
-        return True
-
     def _transmit(self, tx: SensorNode, rx_id: int, is_origin: bool,
                   cost: float | None = None) -> None:
         """One on-body send: a destined send from the originator, a forward
-        from a relay."""
+        from a relay. Every on-body send goes through here."""
+        w = self.w
         if is_origin:
             self.c2 += 1
+            if cost is None:
+                cost = w.x_d
         else:
             self.c4 += 1
-        self.heat_tx[tx.id] += 1
-        if rx_id != SINK_ID:
-            self.heat_rx[rx_id] += 1
+            if cost is None:
+                cost = w.x_f
         self.round_pairs[(tx.id, rx_id)] = None
-        if cost is None:
-            cost = self.w.x_d if is_origin else self.w.x_f
-        self._charge(tx, cost)
+        self.drained_total += charge(tx, cost, w)
+        if not tx.alive:
+            self.alive_count -= 1
 
     def _control_exchange(self) -> None:
         """Every alive node pays one control-packet exchange."""
-        x_c = self.w.x_c
+        w = self.w
+        x_c = w.x_c
         for nd in self.nodes:
             if nd.alive:
                 self.c5 += 1
-                self._charge(nd, x_c)
+                self.drained_total += charge(nd, x_c, w)
+                if not nd.alive:
+                    self.alive_count -= 1
 
     def _event_counts(self, m: int) -> list[int]:
         """The next m entries of the events stream as Poisson counts,
@@ -369,30 +390,25 @@ class _Sim:
 
     def _route_packet(self, origin: SensorNode, kind: PacketKind) -> None:
         """Walk one packet from its originator toward the sink."""
+        decide, hand_over, nodes = self.decide, self.hand_over, self.nodes
         holder = origin
         is_origin = True
         for _hop in range(self.n + 2):
-            decision = self.decide(holder, kind)
+            decision = decide(holder, kind)
             act = decision.action
-
-            if act is RouteAction.HOLD:
-                # Origin: nothing transmitted. Relay: packet already counted
-                # as sent; it is dropped here (no queueing across rounds).
-                return
-            if act is RouteAction.SEND_TO_FORWARDER:
-                target = self.nodes[decision.target]
+            if act is _TO_FORWARDER:
+                target = nodes[decision.target]
                 if not target.alive:
                     return  # stale choice of a mid-round casualty: packet dropped
-            if is_origin:
-                self.round_sent += 1  # counted once, when the originator transmits
-
-            if act is RouteAction.SEND_TO_EXTERNAL_WSN:
-                # Off-body receiver: no on-body link pair to record.
-                self.c3 += 1
-                self._charge(holder, self.w.x_w)
-                return
-
-            if act is RouteAction.SEND_TO_SINK:
+                if is_origin:
+                    self.round_sent += 1  # counted once, when the originator transmits
+                if not hand_over(holder, target, is_origin):
+                    return
+                holder = target
+                is_origin = False
+            elif act is _TO_SINK:
+                if is_origin:
+                    self.round_sent += 1
                 cost = None
                 if decision.boosted:
                     cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
@@ -401,11 +417,20 @@ class _Sim:
                 if kind is PacketKind.CRITICAL:
                     self.round_critical += 1
                 return
-
-            if not self.hand_over(holder, target, is_origin):
+            elif act is _HOLD:
+                # Origin: nothing transmitted. Relay: packet already counted
+                # as sent; it is dropped here (no queueing across rounds).
                 return
-            holder = target
-            is_origin = False
+            else:
+                # Escalation to the external WSN gateway, an off-body
+                # receiver: no on-body link pair to record.
+                if is_origin:
+                    self.round_sent += 1
+                self.c3 += 1
+                self.drained_total += charge(holder, self.w.x_w, self.w)
+                if not holder.alive:
+                    self.alive_count -= 1
+                return
         raise RuntimeError("routing did not terminate (engine bug)")
 
     # -- one round ----------------------------------------------------------
@@ -435,14 +460,20 @@ class _Sim:
 
         self.begin_round(rnd)
 
+        w = self.w
+        x_s = w.x_s
+        route = self._route_packet
         for node, is_due, k in originators:
             if not node.alive:
                 continue
             for kind in _NORMAL * is_due + _CRITICAL * k:
                 self.c1 += 1
-                if self._charge(node, self.w.x_s):
-                    break  # the reading completed, but a dead node sends nothing
-                self._route_packet(node, kind)
+                self.drained_total += charge(node, x_s, w)
+                if not node.alive:
+                    # The reading completed, but a dead node sends nothing.
+                    self.alive_count -= 1
+                    break
+                route(node, kind)
                 if not node.alive:
                     break
 
@@ -474,12 +505,10 @@ class _Sim:
         done, rounds = len(walked), self.cfg.rounds
         table = np.empty((rounds, EQUILIBRIUM + 1))
         table[:done, :EQUILIBRIUM] = walked[:, :EQUILIBRIUM]
-        counts = np.zeros((rounds, 5), dtype=np.int64)
-        counts[:done] = walked[:, EQUILIBRIUM:]
         total = sum(map(_residual, self.nodes))
         table[done:, ROUND] = np.arange(done, rounds)
         table[done:, ALIVE:EQUILIBRIUM] = (0, 0, 0, 0, total, total / self.n, math.nan)
-        table[:, EQUILIBRIUM] = equilibrium_flags(counts, self.cfg)
+        table[:, EQUILIBRIUM] = equilibrium_flags(walked[:, EQUILIBRIUM:], self.cfg, rounds)
         return table
 
 
@@ -508,6 +537,17 @@ class _Mattempt(_Sim):
         self._usable: list[bool] | None = None  # usable flags state was built from
         for nd in self.nodes:
             nd.temperature = self.p.ambient
+        # On-body sends and receptions per node this round, for the thermal
+        # model; only this protocol counts them.
+        self.heat_tx = [0] * self.n
+        self.heat_rx = [0] * self.n
+
+    def _transmit(self, tx: SensorNode, rx_id: int, is_origin: bool,
+                  cost: float | None = None) -> None:
+        self.heat_tx[tx.id] += 1
+        if rx_id != SINK_ID:
+            self.heat_rx[rx_id] += 1
+        super()._transmit(tx, rx_id, is_origin, cost)
 
     def begin_round(self, rnd: int) -> None:
         if rnd % self.p.hello_period:
@@ -519,9 +559,8 @@ class _Mattempt(_Sim):
         usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
         if usable != self._usable:
             self._usable = usable
-            self.state = mattempt_build_hopcounts(
-                self.nodes, self.sink, self.cfg.tx_range, self.p,
-                adjacency=self.adjacency, sink_reach=self.sink_reach)
+            self.state = mattempt_build_hopcounts(self.nodes, self.p, self.adjacency,
+                                                  self.sink_reach)
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
         return mattempt_next_hop(holder, kind, self.state, self.neighbors[holder.id],

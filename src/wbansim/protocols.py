@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .core import PacketKind, SensorKind, SensorNode, Sink, bounded, distance
+from .core import PacketKind, SensorKind, SensorNode, bounded
 
 
 class RouteAction(Enum):
@@ -72,17 +72,20 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
     if own <= node.tx_range:
         return TO_SINK
 
+    # The key is (-residual, d, id): residuals are compared first, and the
+    # (d, id) tie-break is built only on an exact tie.
     best = None
-    best_key = None
+    best_r = best_d = 0.0
     for nb in neighbors:
         if not nb.alive or nb.id == node.id:
             continue
         d = d_sink[nb.id]
         if d >= own:
             continue
-        key = (-nb.residual_energy, d, nb.id)
-        if best_key is None or key < best_key:
-            best, best_key = nb, key
+        r = nb.residual_energy
+        if (best is None or r > best_r
+                or (r == best_r and (d, nb.id) < (best_d, best.id))):
+            best, best_r, best_d = nb, r, d
     if best is not None:
         return to_forwarder(best.id)
     if packet_kind is PacketKind.CRITICAL:
@@ -110,32 +113,21 @@ class MattemptState:
     hop_counts: dict[int, float]  # node id -> hops to sink, math.inf if unreachable
 
 
-def mattempt_build_hopcounts(nodes: list[SensorNode], sink: Sink, tx_range: float,
-                             params: MattemptParams,
-                             adjacency: dict[int, list[int]] | None = None,
-                             sink_reach: list[int] | None = None) -> MattemptState:
-    """Breadth-first hop counts from the sink over the in-range adjacency.
+def mattempt_build_hopcounts(nodes: list[SensorNode], params: MattemptParams,
+                             adjacency: dict[int, list[int]],
+                             sink_reach: list[int]) -> MattemptState:
+    """Breadth-first hop counts from the sink over the static in-range
+    ``adjacency`` (node id to the ids within tx_range of it), starting from
+    ``sink_reach`` (the ids within tx_range of the sink).
 
     Dead nodes and nodes above the temperature threshold are excluded, which
     cuts every path through them; anything left unreachable gets an infinite
     hop count and will hold (or escalate) its traffic. For fixed positions
     the result is a pure function of the usable set (the nodes alive and at
     or below ``temp_threshold``), so a caller may keep it until that set
-    changes. Callers can pass the static in-range ``adjacency`` (node id to
-    ids within tx_range) and ``sink_reach`` (ids within tx_range of the sink)
-    to skip recomputing pairwise distances.
+    changes.
     """
     by_id = {n.id: n for n in nodes}
-    if adjacency is None:
-        adjacency = {
-            n.id: [
-                m.id for m in nodes
-                if m.id != n.id and distance(n.position, m.position) <= tx_range
-            ]
-            for n in nodes
-        }
-    if sink_reach is None:
-        sink_reach = [n.id for n in nodes if distance(n.position, sink.position) <= tx_range]
 
     def usable(i: int) -> bool:
         n = by_id[i]

@@ -3,19 +3,24 @@ link logs.
 
 ``walk_recorded`` drives ``_Sim.run_round`` for every round, dead rounds
 included, so it is also the reference that the engine's filled dead tail is
-compared against; it builds its table through the engine's ``_Sim.table``. It logs through wrappers on one ``_Sim`` instance; the
-engine itself records nothing.
+compared against; it builds its table through the engine's ``_Sim.table``.
+It logs through wrappers on one ``_Sim`` instance; the engine itself records
+nothing.
 """
 from collections import defaultdict
 from typing import NamedTuple
 
-from wbansim.engine import _SCHEMES, SINK_ID, RunAudit, RunResult, summarize_run
+import numpy as np
+
+from wbansim.engine import (_ROW, _SCHEMES, EQUILIBRIUM, SINK_ID, RunAudit, RunResult,
+                            summarize_run)
 
 
 class Recording(NamedTuple):
     result: RunResult
     traffic: list[tuple[int, int, int, bool]]  # (round, node, events, due)
     links: list[tuple[int, int, int, bool]]    # (round, tx, rx, tx alive at send)
+    actions: np.ndarray  # (rounds, 5): each round's action counts c1..c5
 
 
 def walk_recorded(cfg) -> Recording:
@@ -45,7 +50,17 @@ def walk_recorded(cfg) -> Recording:
     table = sim.table()
     result = RunResult(table, summarize_run(table, cfg),
                        RunAudit(drained_total=sim.drained_total))
-    return Recording(result, traffic, links)
+    # Each walked round's entry in ``sim.rows`` ends with its action counts.
+    actions = np.frombuffer(sim.rows).reshape(-1, _ROW)[:, EQUILIBRIUM:].astype(np.int64)
+    return Recording(result, traffic, links, actions)
+
+
+def sends_per_round(links, rounds: int) -> list[int]:
+    """The number of logged on-body sends in each round."""
+    per_round = [0] * rounds
+    for rnd, *_ in links:
+        per_round[rnd] += 1
+    return per_round
 
 
 def forwarding_acyclic(links) -> bool:

@@ -45,7 +45,8 @@ def recorded_sweep():
         for seed in SEEDS:
             cfg = replace(SimConfig(), protocol=protocol, seed=seed)
             if protocol == "amhrp":
-                runs[(protocol, seed)], _, amhrp_links[seed] = walk_recorded(cfg)
+                rec = walk_recorded(cfg)
+                runs[(protocol, seed)], amhrp_links[seed] = rec.result, rec.links
             else:
                 runs[(protocol, seed)] = run_simulation(cfg)
     return runs, amhrp_links

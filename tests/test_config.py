@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wbansim.channel import ChannelParams
-from wbansim.config import (PLACEMENTS, PROTOCOLS, ConfigError, SimConfig, parse_config,
-                            render_config, validate_config)
+from wbansim.config import (MAX_NODE_ROUNDS, PLACEMENTS, PROTOCOLS, ConfigError, SimConfig,
+                            node_round_weight, parse_config, render_config, validate_config)
 from wbansim.core import SensorKind
-from wbansim.events import LAMBDA_MAX, SensingSchedule
+from wbansim.events import LAMBDA_MAX, EventParams, SensingSchedule
 
 
 class TestDefaults:
@@ -80,6 +80,15 @@ BOUNDARIES = [
     ("sim.node_count*rounds", [{"node_count": 20, "rounds": 1_000_000},
                                {"node_count": 1000, "rounds": 20_000}],
      [{"node_count": 21, "rounds": 1_000_000}, {"node_count": 1000, "rounds": 20_001}]),
+    # The same cap weighted by the event rate: from lambda * (node_count +
+    # 260) / 2750 > 1 on, a node-round counts as that many.
+    ("sim.node_count*rounds*lambda",
+     [{"node_count": 1000, "rounds": 20_000, "events": EventParams(lam=2.0)},
+      {"node_count": 1000, "rounds": 436, "events": EventParams(lam=100.0)},
+      {"node_count": 19, "rounds": 10_375, "events": EventParams(lam=1000.0)}],
+     [{"node_count": 1000, "rounds": 20_000, "events": EventParams(lam=2.5)},
+      {"node_count": 1000, "rounds": 437, "events": EventParams(lam=100.0)},
+      {"node_count": 19, "rounds": 10_376, "events": EventParams(lam=1000.0)}]),
     ("sim.seed", [0], [-1]),
     ("sim.initial_energy", [_above(0.0)], [0.0]),
     ("sim.tx_range", [_above(0.0)], [0.0]),
@@ -322,6 +331,10 @@ def valid_configs(draw):
     cfg = replace(SimConfig(), **over.pop("sim"), nlos_pairs=nlos_pairs,
                   schedule=SensingSchedule(periods))
     cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
+    # The work cap ties rounds to node_count and the event rate.
+    weight = node_round_weight(cfg.node_count, cfg.events.lam)
+    while cfg.node_count * cfg.rounds * weight > MAX_NODE_ROUNDS:
+        cfg = replace(cfg, rounds=cfg.rounds // 2)
     validate_config(cfg)
     return cfg
 

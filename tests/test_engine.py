@@ -2,14 +2,17 @@ import math
 import sys
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recording import forwarding_acyclic, walk_recorded
+from recording import forwarding_acyclic, sends_per_round, walk_recorded
 from test_config import valid_configs
+from test_protocols import in_range_tables
 
+from wbansim import engine
 from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
 from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
@@ -175,6 +178,21 @@ class TestRunSimulation:
         assert links, "expected some transmissions"
         assert all(alive for _, _, _, alive in links)
 
+    @pytest.mark.parametrize("protocol,over", [
+        ("amhrp", {}),
+        ("mattempt", {"mattempt": replace(SimConfig().mattempt, temp_threshold=37.2)})],
+        ids=["amhrp", "mattempt_hot"])
+    def test_links_log_sees_every_send(self, protocol, over):
+        """The no-dead-sender and acyclic-forwarding checks read the links
+        log, so every on-body send must reach it: each round's logged sends
+        are its destined sends plus its forwards (c2 + c4). The M-ATTEMPT
+        run's low threshold makes hotspot bounces."""
+        c = cfg(rounds=2000, seed=4, protocol=protocol, **over)
+        _, _, links, actions = walk_recorded(c)
+        counted = (actions[:, 1] + actions[:, 3]).tolist()
+        assert sum(counted) > 0
+        assert sends_per_round(links, c.rounds) == counted
+
     def test_dead_network_rows_run_to_the_end(self):
         # x_t above the initial charge: every node dies in round 0, and the
         # run still has one row per round.
@@ -244,7 +262,7 @@ class TestEngineSpecializations:
         over = {}
         if variant == "hot":
             over["mattempt"] = replace(SimConfig().mattempt, temp_threshold=37.2)
-        res, traffic, links = walk_recorded(self._dying_config(protocol, **over))
+        res, traffic, links, _ = walk_recorded(self._dying_config(protocol, **over))
         path = tmp_path / "metrics.csv"
         write_metrics_csv(res.metrics, path)
         text = "\n".join([
@@ -257,7 +275,6 @@ class TestEngineSpecializations:
         assert digest == self.AUDIT_FINGERPRINTS[case]
 
     def test_hopcount_cache_matches_fresh_bfs(self, monkeypatch):
-        import wbansim.engine as engine
         from wbansim.protocols import mattempt_build_hopcounts
 
         base = SimConfig()
@@ -275,7 +292,8 @@ class TestEngineSpecializations:
 
         def checked_begin_round(rnd):
             begin_round(rnd)
-            fresh = mattempt_build_hopcounts(sim.nodes, sim.sink, c.tx_range, c.mattempt)
+            fresh = mattempt_build_hopcounts(sim.nodes, c.mattempt,
+                                             *in_range_tables(sim.nodes, sim.sink, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
         sim.begin_round = checked_begin_round
@@ -440,6 +458,24 @@ class TestDeadTail:
             if counts is not None:
                 assert flags[r] == series_flag(eq, terms, r), r
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 6)] * 5), max_size=40), st.integers(0, 30),
+           st.integers(1, 7), st.integers(1, 5), st.integers(1, 6))
+    def test_chunks_and_uncounted_rounds_change_no_flag(self, rounds_counts, uncounted, chunk,
+                                                        eq_windows, eq_window_len):
+        """Flags taken ``chunk`` rounds at a time, with the last rounds given
+        as uncounted rather than as zero counts, are the flags of one pass."""
+        base = SimConfig()
+        rows = len(rounds_counts) + uncounted
+        c = replace(base, rounds=rows, initial_energy=0.5,
+                    amhrp=replace(base.amhrp, alpha_star=0.55, eq_windows=eq_windows,
+                                  eq_window_len=eq_window_len))
+        counts = np.array(rounds_counts, dtype=np.int64).reshape(-1, 5)
+        padded = np.vstack([counts, np.zeros((uncounted, 5), dtype=np.int64)])
+        with mock.patch.object(engine, "_FLAG_CHUNK", chunk):
+            chunked = equilibrium_flags(counts, c, rows)
+        assert chunked.tolist() == equilibrium_flags(padded, c).tolist()
+
     @pytest.mark.parametrize("toward", [math.inf, -math.inf])
     def test_flags_hold_when_sin_and_cos_are_two_ulp_off(self, toward, monkeypatch):
         """np.sin and np.cos may round otherwise than math.sin and math.cos.
@@ -547,7 +583,7 @@ class TestRunProperty:
     def test_tail_conservation_and_delivery(self, c, rounds, lam):
         c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
         tail = run_simulation(c)
-        walked, _, links = walk_recorded(c)
+        walked, _, links, actions = walk_recorded(c)
         assert same_table(tail.metrics, walked.metrics)
         assert tail.summary == walked.summary
         # A rerun of the rendered and re-parsed config behaves the same.
@@ -561,6 +597,8 @@ class TestRunProperty:
         assert all(tail.metrics[:, RECEIVED] <= tail.metrics[:, SENT])
         assert tail.summary.packets_received_total <= tail.summary.packets_sent_total
         assert all(alive for _, _, _, alive in links)
+        if c.protocol != "simple":  # SIMPLE's uplink is one send for c4 parked packets
+            assert sends_per_round(links, rounds) == (actions[:, 1] + actions[:, 3]).tolist()
         # Each round's on-body forwarding graph is acyclic; M-ATTEMPT's
         # hotspot bounce sends a packet back on purpose, a 2-cycle.
         if c.protocol != "mattempt":

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
@@ -19,6 +21,15 @@ SINK = Sink(BodyPoint(0.4, 0.9))
 def to_sink(*nodes):
     """The ``d_sink`` map a run passes: node id -> distance to SINK."""
     return {n.id: distance(n.position, SINK.position) for n in nodes}
+
+
+def in_range_tables(nodes, sink, tx_range):
+    """The static tables a run passes to ``mattempt_build_hopcounts``, from
+    the positions: each node's in-range ids, and the ids in range of the sink."""
+    adjacency = {n.id: [m.id for m in nodes
+                        if m.id != n.id and distance(n.position, m.position) <= tx_range]
+                 for n in nodes}
+    return adjacency, [n.id for n in nodes if distance(n.position, sink.position) <= tx_range]
 
 
 def node(nid, x, y, energy=0.5, kind=SensorKind.TOXIN, tx_range=0.5, alive=True, temp=37.0):
@@ -102,6 +113,45 @@ class TestAmhrpSelectForwarder:
             assert before.target == after.target
 
 
+def amhrp_by_tuple_key(node, neighbors, d_sink, packet_kind):
+    """AMHRP's rule as the key it ranks by: among the alive neighbours
+    strictly closer to the sink, the least (-residual, distance, id)."""
+    own = d_sink[node.id]
+    if own <= node.tx_range:
+        return TO_SINK
+    keys = [(-nb.residual_energy, d_sink[nb.id], nb.id) for nb in neighbors
+            if nb.alive and nb.id != node.id and d_sink[nb.id] < own]
+    if keys:
+        return to_forwarder(min(keys)[2])
+    return TO_EXTERNAL_WSN if packet_kind is PacketKind.CRITICAL else HOLD
+
+
+# Few distinct values, so residuals and distances tie often; -0.0 ties 0.0.
+_RESIDUALS = st.sampled_from([-0.0, 0.0, 0.1, 0.25, 0.4]) | st.floats(0.0, 0.5)
+_DISTANCES = st.sampled_from([0.2, 0.3, 0.45, 0.8, 1.0])
+
+
+class TestAmhrpTieBreakProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_RESIDUALS, _DISTANCES, st.booleans()), max_size=8),
+           st.sampled_from([0.3, 0.8]), st.booleans(), st.sampled_from(list(PacketKind)),
+           st.randoms(use_true_random=False))
+    def test_same_verdict_as_the_tuple_key(self, drawn, own, holder_listed, kind, rng):
+        """Tied residuals, tied distances, dead neighbours, neighbours not
+        closer than the holder (distance 0.8 or 1.0 against 0.8) and the
+        holder itself, in any order and under any ids: the rule picks what
+        the tuple key picks."""
+        ids = rng.sample(range(1, 40), len(drawn))
+        holder = node(0, 0.4, 1.7)
+        neighbors = [node(i, 0.4, 1.0, energy=r, alive=alive)
+                     for i, (r, _, alive) in zip(ids, drawn)]
+        d_sink = {0: own} | {i: d for i, (_, d, _) in zip(ids, drawn)}
+        if holder_listed:
+            neighbors.insert(rng.randrange(len(neighbors) + 1), holder)
+        assert amhrp_select_forwarder(holder, neighbors, d_sink, kind) == \
+            amhrp_by_tuple_key(holder, neighbors, d_sink, kind)
+
+
 class TestEquilibrium:
     def test_zero_coefficients_give_a0(self):
         assert equilibrium_series(0.5, ((1, 0.0, 0.0),), 3.0, 10) == 0.5
@@ -125,29 +175,31 @@ class TestEquilibrium:
 class TestMattemptHopCounts:
     def test_adjacent_to_sink_is_one_hop(self):
         nodes = [node(0, 0.4, 0.6)]
-        st = mattempt_build_hopcounts(nodes, SINK, 0.5, MattemptParams())
+        st = mattempt_build_hopcounts(nodes, MattemptParams(), *in_range_tables(nodes, SINK, 0.5))
         assert st.hop_counts[0] == 1
 
     def test_chain_gives_two_hops(self):
         # B adjacent to the sink, A adjacent only to B
         b = node(1, 0.4, 1.3)   # 0.4 m from sink
         a = node(0, 0.4, 1.7)   # 0.8 m from sink, 0.4 m from B
-        st = mattempt_build_hopcounts([a, b], SINK, 0.5, MattemptParams())
+        st = mattempt_build_hopcounts([a, b], MattemptParams(),
+                                      *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[1] == 1
         assert st.hop_counts[0] == 2
 
     def test_overheated_relay_breaks_the_path(self):
         b = node(1, 0.4, 1.3, temp=39.5)
         a = node(0, 0.4, 1.7)
-        st = mattempt_build_hopcounts([a, b], SINK, 0.5,
-                                      MattemptParams(temp_threshold=38.5))
+        st = mattempt_build_hopcounts([a, b], MattemptParams(temp_threshold=38.5),
+                                      *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[1] == math.inf
         assert st.hop_counts[0] == math.inf
 
     def test_dead_nodes_excluded(self):
         b = node(1, 0.4, 1.3, alive=False)
         a = node(0, 0.4, 1.7)
-        st = mattempt_build_hopcounts([a, b], SINK, 0.5, MattemptParams())
+        st = mattempt_build_hopcounts([a, b], MattemptParams(),
+                                      *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[0] == math.inf
 
 
@@ -155,7 +207,8 @@ class TestMattemptNextHop:
     def setup_method(self):
         self.b = node(1, 0.4, 1.3)
         self.a = node(0, 0.4, 1.7)
-        self.state = mattempt_build_hopcounts([self.a, self.b], SINK, 0.5, MattemptParams())
+        self.state = mattempt_build_hopcounts([self.a, self.b], MattemptParams(),
+                                              *in_range_tables([self.a, self.b], SINK, 0.5))
         self.d_sink = to_sink(self.a, self.b)
 
     def test_critical_goes_direct_boosted(self):
@@ -179,7 +232,8 @@ class TestMattemptNextHop:
         c = node(2, 0.4, 0.5)
         d_ = node(3, 0.1, 1.25)
         far = node(4, 0.4, 1.75)
-        st = mattempt_build_hopcounts([c, d_, far], SINK, 0.6, MattemptParams())
+        st = mattempt_build_hopcounts([c, d_, far], MattemptParams(),
+                                      *in_range_tables([c, d_, far], SINK, 0.6))
         assert st.hop_counts[2] == 1 and st.hop_counts[3] == 1
         assert st.hop_counts[4] == 2
         choice = mattempt_next_hop(far, PacketKind.NORMAL, st, [c, d_], to_sink(far, c, d_))
@@ -188,7 +242,8 @@ class TestMattemptNextHop:
 
     def test_unreachable_holds(self):
         lone = node(5, 0.4, 1.8)
-        st = mattempt_build_hopcounts([lone], SINK, 0.3, MattemptParams())
+        st = mattempt_build_hopcounts([lone], MattemptParams(),
+                                      *in_range_tables([lone], SINK, 0.3))
         d = mattempt_next_hop(lone, PacketKind.NORMAL, st, [], to_sink(lone))
         assert d.action is RouteAction.HOLD
 
@@ -272,11 +327,13 @@ class TestSharedVerdicts:
         assert amhrp_select_forwarder(src, [], d_sink, PacketKind.CRITICAL) == wsn
         assert amhrp_select_forwarder(src, [], d_sink, PacketKind.NORMAL) == hold
 
-        state = mattempt_build_hopcounts([src, relay], SINK, 0.5, MattemptParams())
+        state = mattempt_build_hopcounts([src, relay], MattemptParams(),
+                                         *in_range_tables([src, relay], SINK, 0.5))
         assert mattempt_next_hop(src, PacketKind.CRITICAL, state, [relay], d_sink) == boosted
         assert mattempt_next_hop(relay, PacketKind.NORMAL, state, [src], d_sink) == sink
         assert mattempt_next_hop(src, PacketKind.NORMAL, state, [relay], d_sink) == forward_1
-        lone = mattempt_build_hopcounts([src], SINK, 0.3, MattemptParams())
+        lone = mattempt_build_hopcounts([src], MattemptParams(),
+                                        *in_range_tables([src], SINK, 0.3))
         assert mattempt_next_hop(src, PacketKind.NORMAL, lone, [], d_sink) == hold
 
         sim = _SCHEMES["simple"](replace(SimConfig(), protocol="simple", rounds=1))
