@@ -56,8 +56,24 @@ buffer, with the round's five action counts after it; ``_Sim.table``
 assembles the table from it. Once the last node is dead the rounds are not
 walked: their rows are filled column by column. That is exact: a dead node's
 residual is clamped to 0.0, and a dead round sends nothing, records no link,
-draws no shadowing and counts no action. The flag column is computed once
-per run from the count columns (``equilibrium_flags``).
+draws no shadowing and counts no action. The residuals are added one by one
+from 0.0 in id order, never with ``sum()``, whose float result depends on the
+Python version (compensated from 3.12). The flag column is computed once per
+run from the count columns (``equilibrium_flags``).
+
+The path-loss column is computed in blocks of rounds, from the link log: each
+walked round appends its distinct links, in first-send order, to one flat
+array as codes ``tx * (n + 1) + rx + 1`` (``rx`` is ``SINK_ID`` for a send
+to the sink), and its link count to another. Every ``_LOSS_CHUNK`` rounds,
+and once more in ``_Sim.table``, ``_Sim.fill_path_losses`` empties the log:
+it calls ``channel.path_loss`` once per distinct link the run had not sent
+on before, draws the block's shadowing in one call (one Normal(0,
+``sigma_db``) value per logged link, none when ``sigma_db`` is 0), and adds
+each round's losses one by one from 0.0, in first-send order. One
+``Generator.normal`` call of k1 + k2 + ... values yields what calls of k1,
+k2, ... values would, so the draws are those a round-by-round walk would
+take. A zero-length link (two nodes, or a node and the sink, at one point)
+takes its draw but is left out of the round's mean.
 
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
@@ -68,7 +84,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -91,7 +106,6 @@ sample_reading = None
 # Hot-loop helpers: a slot's packet kinds are built by tuple repetition.
 _NORMAL = (PacketKind.NORMAL,)
 _CRITICAL = (PacketKind.CRITICAL,)
-_residual = attrgetter("residual_energy")
 _TO_FORWARDER = RouteAction.SEND_TO_FORWARDER
 _TO_SINK = RouteAction.SEND_TO_SINK
 _HOLD = RouteAction.HOLD
@@ -103,6 +117,7 @@ _HOLD = RouteAction.HOLD
 # the round's action counts c1..c5 (as in ``energy.ActionCounts``).
 _ROW = EQUILIBRIUM + 5
 _FLAG_CHUNK = 1 << 16  # rounds per step of ``equilibrium_flags``
+_LOSS_CHUNK = 1 << 10  # rounds the link log holds before ``_Sim.fill_path_losses``
 
 
 @dataclass
@@ -272,25 +287,12 @@ class _Sim:
         # Static geometry caches.
         self.d_sink = {nd.id: distance(nd.position, self.sink.position) for nd in self.nodes}
         self.adjacency: dict[int, list[int]] = {nd.id: [] for nd in self.nodes}
-        nlos = {frozenset(p) for p in cfg.nlos_pairs}
-        self.loss_pair: dict[tuple[int, int], float] = {}
+        self.nlos = {frozenset(p) for p in cfg.nlos_pairs}
         for a in self.nodes:
             for b in self.nodes:
-                if a.id >= b.id:
-                    continue
-                d = distance(a.position, b.position)
-                if d <= cfg.tx_range:
+                if a.id < b.id and distance(a.position, b.position) <= cfg.tx_range:
                     self.adjacency[a.id].append(b.id)
                     self.adjacency[b.id].append(a.id)
-                if d > 0:
-                    link = LinkClass.NLOS if frozenset((a.id, b.id)) in nlos else LinkClass.LOS
-                    loss = path_loss(cfg.channel, d, link)
-                    self.loss_pair[(a.id, b.id)] = loss
-                    self.loss_pair[(b.id, a.id)] = loss
-        self.loss_sink = {
-            nd.id: path_loss(cfg.channel, self.d_sink[nd.id], LinkClass.LOS)
-            for nd in self.nodes if self.d_sink[nd.id] > 0
-        }
         self.sink_reach = [nd.id for nd in self.nodes if self.d_sink[nd.id] <= cfg.tx_range]
         # Per node, the in-range neighbors a routing rule may pick; for a
         # closer-only protocol (AMHRP) only those strictly closer to the sink,
@@ -313,11 +315,22 @@ class _Sim:
             groups.setdefault(cfg.schedule.periods[nd.kind], []).append(nd.id)
         self.period_groups = list(groups.items())
         self.rows = array("d")  # one _ROW-wide entry per walked round
+        # The link log (see the module docstring): the distinct link codes of
+        # each walked round not yet filled, and how many there were. C ints
+        # hold both: a code is below n * (n + 1), and node_count <= 1000.
+        self.links = array("i")
+        self.link_counts = array("i")
+        # Link code -> unshadowed loss, valid where link_known. A large
+        # table's pages stay unmapped until a run sends on a link they hold.
+        self.link_loss = np.zeros(self.n * (self.n + 1))
+        self.link_known = np.zeros(self.n * (self.n + 1), dtype=bool)
+        # Node i's link to receiver j has code link_code[i] + j.
+        self.link_code = [i * (self.n + 1) + 1 for i in range(self.n)]
         self.drained_total = 0.0
 
         # Per-round working state (plain ints: this is the hot loop).
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
-        self.round_pairs: dict[tuple[int, int], None] = {}
+        self.round_links: dict[int, None] = {}  # this round's link codes, first send first
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
@@ -353,7 +366,7 @@ class _Sim:
             self.c4 += 1
             if cost is None:
                 cost = w.x_f
-        self.round_pairs[(tx.id, rx_id)] = None
+        self.round_links[self.link_code[tx.id] + rx_id] = None
         self.drained_total += charge(tx, cost, w)
         if not tx.alive:
             self.alive_count -= 1
@@ -437,7 +450,7 @@ class _Sim:
 
     def run_round(self, rnd: int) -> None:
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
-        self.round_pairs = {}
+        self.round_links = {}
         self.round_sent = 0
         self.round_received = 0
         self.round_critical = 0
@@ -479,33 +492,71 @@ class _Sim:
 
         self.end_round(rnd)
 
-        losses = []
-        if self.cfg.channel.sigma_db > 0:
-            shadows = self.shadow_rng.normal(0.0, self.cfg.channel.sigma_db,
-                                             size=len(self.round_pairs))
-        else:
-            shadows = None
-        for idx, (tx, rx) in enumerate(self.round_pairs):
-            base = self.loss_sink.get(tx) if rx == SINK_ID else self.loss_pair.get((tx, rx))
-            if base is None:
-                continue  # degenerate zero-length link
-            losses.append(base + (float(shadows[idx]) if shadows is not None else 0.0))
-
-        total_residual = sum(map(_residual, self.nodes))
+        total_residual = self._total_residual()
+        # PATH_LOSS stays NaN until ``fill_path_losses`` writes it.
         self.rows.extend((rnd, self.alive_count, self.round_sent, self.round_received,
                           self.round_critical, total_residual, total_residual / self.n,
-                          sum(losses) / len(losses) if losses else math.nan,
-                          self.c1, self.c2, self.c3, self.c4, self.c5))
+                          math.nan, self.c1, self.c2, self.c3, self.c4, self.c5))
+        self.links.extend(self.round_links)
+        self.link_counts.append(len(self.round_links))
+        if len(self.link_counts) == _LOSS_CHUNK:
+            self.fill_path_losses()
+
+    def _total_residual(self) -> float:
+        """The residuals added one by one from 0.0, in id order."""
+        total = 0.0
+        for nd in self.nodes:
+            total += nd.residual_energy
+        return total
+
+    def _base_loss(self, code: int) -> float:
+        """The unshadowed loss of the link with code ``code``; NaN for a
+        zero-length link."""
+        tx, rx = divmod(code, self.n + 1)
+        rx -= 1
+        if rx == SINK_ID:
+            d, link = self.d_sink[tx], LinkClass.LOS
+        else:
+            d = distance(self.nodes[tx].position, self.nodes[rx].position)
+            link = LinkClass.NLOS if frozenset((tx, rx)) in self.nlos else LinkClass.LOS
+        return path_loss(self.cfg.channel, d, link) if d > 0 else math.nan
+
+    def fill_path_losses(self) -> None:
+        """Write the mean path loss of each round in the link log into its
+        row (see the module docstring), and empty the log. A round without a
+        link of nonzero length keeps its NaN."""
+        counts = np.frombuffer(self.link_counts, dtype=np.intc)
+        codes = np.frombuffer(self.links, dtype=np.intc)
+        for c in dict.fromkeys(codes[~self.link_known[codes]].tolist()):
+            self.link_loss[c] = self._base_loss(c)
+            self.link_known[c] = True
+        loss = self.link_loss[codes]
+        sigma = self.cfg.channel.sigma_db
+        if sigma > 0:
+            loss += self.shadow_rng.normal(0.0, sigma, size=len(codes))
+        rnd = np.repeat(np.arange(len(counts)), counts)  # each link's round in the log
+        kept = ~np.isnan(loss)
+        rnd, loss = rnd[kept], loss[kept]
+        # bincount adds each round's weights one by one, from 0.0, in the
+        # order given: the links' first-send order.
+        total = np.bincount(rnd, weights=loss, minlength=len(counts))
+        links = np.bincount(rnd, minlength=len(counts))
+        rows = np.frombuffer(self.rows).reshape(-1, _ROW)
+        np.divide(total, links, out=rows[len(rows) - len(counts):, PATH_LOSS], where=links > 0)
+        self.links = array("i")
+        self.link_counts = array("i")
 
     def table(self) -> np.ndarray:
-        """The run's ``(rounds, 9)`` table: the walked rounds' rows, then the
-        rows of the rounds not walked, which only a dead network skips (see
-        the module docstring), then the flag column."""
+        """The run's ``(rounds, 9)`` table: the walked rounds' rows with
+        their path losses, then the rows of the rounds not walked, which
+        only a dead network skips (see the module docstring), then the flag
+        column."""
+        self.fill_path_losses()
         walked = np.frombuffer(self.rows).reshape(-1, _ROW)
         done, rounds = len(walked), self.cfg.rounds
         table = np.empty((rounds, EQUILIBRIUM + 1))
         table[:done, :EQUILIBRIUM] = walked[:, :EQUILIBRIUM]
-        total = sum(map(_residual, self.nodes))
+        total = self._total_residual()
         table[done:, ROUND] = np.arange(done, rounds)
         table[done:, ALIVE:EQUILIBRIUM] = (0, 0, 0, 0, total, total / self.n, math.nan)
         table[:, EQUILIBRIUM] = equilibrium_flags(walked[:, EQUILIBRIUM:], self.cfg, rounds)

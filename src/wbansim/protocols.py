@@ -166,17 +166,23 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
     own = state.hop_counts.get(node.id, math.inf)
     if own == 1:
         return TO_SINK
+    # The key is (h, d, id): hop counts are compared first, and the (d, id)
+    # tie-break is built only on an exact tie.
+    hop_counts = state.hop_counts
     best = None
-    best_key = None
+    best_h = best_d = 0.0
     for nb in neighbors:
         if not nb.alive or nb.id == node.id:
             continue
-        h = state.hop_counts.get(nb.id, math.inf)
+        h = hop_counts.get(nb.id, math.inf)
         if h >= own:
             continue
-        key = (h, d_sink[nb.id], nb.id)
-        if best_key is None or key < best_key:
-            best, best_key = nb, key
+        if best is None or h < best_h:
+            best, best_h, best_d = nb, h, d_sink[nb.id]
+        elif h == best_h:
+            d = d_sink[nb.id]
+            if (d, nb.id) < (best_d, best.id):
+                best, best_d = nb, d
     if best is not None:
         return to_forwarder(best.id)
     return HOLD
@@ -207,14 +213,17 @@ def simple_select_forwarder(nodes: list[SensorNode],
     (``d_sink``: node id -> distance) over residual energy among alive
     non-ECG nodes (the ECG node always transmits directly). Returns None
     when no node is eligible."""
+    # The key is (ratio, id): ratios are compared first, and the id
+    # tie-break is read only on an exact tie.
     best = None
-    best_key = None
+    best_q = 0.0
     for n in nodes:
         if not n.alive or n.kind is SensorKind.ECG:
             continue
-        if n.residual_energy <= 0:
+        r = n.residual_energy
+        if r <= 0:
             continue
-        key = (d_sink[n.id] / n.residual_energy, n.id)
-        if best_key is None or key < best_key:
-            best, best_key = n, key
+        q = d_sink[n.id] / r
+        if best is None or q < best_q or (q == best_q and n.id < best.id):
+            best, best_q = n, q
     return best.id if best is not None else None

@@ -15,8 +15,9 @@ from test_protocols import in_range_tables
 from wbansim import engine
 from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
+from wbansim.channel import path_loss
 from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
-                            RECEIVED, ROUND, SENT, TOTAL_RESIDUAL, assign_tdma,
+                            RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL, assign_tdma,
                             equilibrium_flags, equilibrium_series, run_simulation,
                             summarize_run, throughput)
 
@@ -697,6 +698,107 @@ class TestEventStream:
         if lam == 300.0 and n == 19:
             assert widest > EVENT_BLOCK  # one round skips past a whole block
         assert walk_recorded(c).traffic == log
+
+
+def path_loss_oracle(c, links):
+    """Each round's mean path loss rebuilt from a links log: the round's
+    distinct links in first-send order, each one's ``channel.path_loss``
+    plus its value from one draw per round on the run's shadowing stream,
+    added one by one from 0.0. A zero-length link takes its draw and is left
+    out; a round with no link left reads NaN."""
+    from wbansim.channel import LinkClass
+    from wbansim.core import distance
+
+    topo_ss, _, shadow_ss = np.random.SeedSequence(c.seed).spawn(3)
+    # The engine's own name, so a test that moves the nodes moves them here.
+    nodes, sink = engine.build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
+    shadow = np.random.Generator(np.random.PCG64(shadow_ss))
+    nlos = {frozenset(p) for p in c.nlos_pairs}
+    per_round = [{} for _ in range(c.rounds)]
+    for rnd, tx, rx, _ in links:
+        per_round[rnd][(tx, rx)] = None
+    sigma = c.channel.sigma_db
+    means = []
+    for pairs in per_round:
+        draws = shadow.normal(0.0, sigma, size=len(pairs)) if sigma > 0 else [0.0] * len(pairs)
+        total, used = 0.0, 0
+        for (tx, rx), x in zip(pairs, draws):
+            if rx == SINK_ID:
+                d, link = distance(nodes[tx].position, sink.position), LinkClass.LOS
+            else:
+                d = distance(nodes[tx].position, nodes[rx].position)
+                link = LinkClass.NLOS if frozenset((tx, rx)) in nlos else LinkClass.LOS
+            if d > 0:
+                total += path_loss(c.channel, d, link) + float(x)
+                used += 1
+        means.append(total / used if used else math.nan)
+    return np.array(means, dtype=np.float64)
+
+
+class TestPathLoss:
+    """The path-loss column is computed from the link log, a block of
+    rounds at a time; a round-by-round rebuild from the recorded sends is
+    the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_configs(), st.sampled_from(PROTOCOLS), st.integers(0, 300),
+           st.floats(0.0, 5.0), st.floats(0.1, 8.0), st.integers(1, 50))
+    def test_column_equals_the_round_by_round_rebuild(self, c, protocol, rounds, lam,
+                                                      sigma, chunk):
+        """Bit for bit, over any valid config (its NLOS pairs included),
+        each protocol, and the link log filled every 1 to 50 rounds."""
+        c = replace(c, protocol=protocol, rounds=rounds, events=replace(c.events, lam=lam),
+                    channel=replace(c.channel, sigma_db=sigma))
+        with mock.patch.object(engine, "_LOSS_CHUNK", chunk):
+            got = run_simulation(c).metrics[:, PATH_LOSS]
+            links = walk_recorded(c).links
+        assert got.tobytes() == path_loss_oracle(c, links).tobytes()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_zero_length_link_takes_its_draw(self, protocol, monkeypatch):
+        """Node 2 sits on the sink and node 4 on node 3: their links have
+        length 0. Node 2 always reaches the sink directly (and is SIMPLE's
+        forwarder while it lives)."""
+        build = engine.build_topology
+
+        def collapsed(config, rng):
+            nodes, sink = build(config, rng)
+            nodes[2].position = sink.position
+            nodes[4].position = nodes[3].position
+            return nodes, sink
+
+        monkeypatch.setattr(engine, "build_topology", collapsed)
+        c = cfg(protocol=protocol, rounds=400, seed=2, placement="canonical",
+                channel=replace(SimConfig().channel, sigma_db=3.0))
+        links = walk_recorded(c).links
+        assert any(tx == 2 and rx == SINK_ID for _, tx, rx, _ in links)
+        got = run_simulation(c).metrics[:, PATH_LOSS]
+        assert got.tobytes() == path_loss_oracle(c, links).tobytes()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_one_path_loss_call_per_distinct_link_a_run_sends_on(self, protocol,
+                                                                monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return path_loss(*args)
+
+        monkeypatch.setattr(engine, "path_loss", counted)
+        c = cfg(protocol=protocol, rounds=2 * engine._LOSS_CHUNK + 100, seed=3,
+                nlos_pairs=((0, 1), (4, 5)))
+        _SCHEMES[protocol](c)
+        assert calls == []  # set-up computes no loss
+        links = walk_recorded(c).links
+        assert len(calls) == len({(tx, rx) for _, tx, rx, _ in links}) > 0
+
+    def test_table_bytes_hold_under_a_compensated_sum(self, monkeypatch):
+        """From Python 3.12 ``sum()`` of floats is compensated. With
+        ``math.fsum`` standing in for it, every byte of the table stays."""
+        c = cfg(rounds=3000, seed=1, channel=replace(SimConfig().channel, sigma_db=4.0))
+        plain = run_simulation(c).metrics
+        monkeypatch.setattr(engine, "sum", math.fsum, raising=False)
+        assert run_simulation(c).metrics.tobytes() == plain.tobytes()
 
 
 class TestValidateConfig:

@@ -10,7 +10,7 @@ from wbansim.config import SimConfig
 from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
 from wbansim.engine import _SCHEMES, equilibrium_flags, equilibrium_series
 from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
-                               MattemptParams, RouteAction, RoutingDecision,
+                               MattemptParams, MattemptState, RouteAction, RoutingDecision,
                                amhrp_select_forwarder, mattempt_build_hopcounts,
                                mattempt_next_hop, mattempt_temperature_step,
                                simple_select_forwarder, to_forwarder)
@@ -248,6 +248,48 @@ class TestMattemptNextHop:
         assert d.action is RouteAction.HOLD
 
 
+def mattempt_by_tuple_key(node, packet_kind, state, neighbors, d_sink):
+    """M-ATTEMPT's rule as the key it ranks by: critical traffic goes to the
+    sink boosted; otherwise, among the alive neighbours with fewer hops than
+    the holder, the least (hops, distance, id)."""
+    if packet_kind is PacketKind.CRITICAL:
+        return TO_SINK_BOOSTED
+    own = state.hop_counts.get(node.id, math.inf)
+    if own == 1:
+        return TO_SINK
+    keys = [(h, d_sink[nb.id], nb.id) for nb in neighbors
+            if nb.alive and nb.id != node.id
+            for h in [state.hop_counts.get(nb.id, math.inf)] if h < own]
+    return to_forwarder(min(keys)[2]) if keys else HOLD
+
+
+# Few distinct values, so hop counts and distances tie often; a neighbour
+# drawn with None has no hop count at all (read as unreachable).
+_HOPS = st.sampled_from([1, 2, 3, math.inf, None])
+
+
+class TestMattemptTieBreakProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_HOPS, _DISTANCES, st.booleans()), max_size=8),
+           st.sampled_from([1, 2, 3, math.inf]), st.booleans(),
+           st.sampled_from(list(PacketKind)), st.randoms(use_true_random=False))
+    def test_same_verdict_as_the_tuple_key(self, drawn, own, holder_listed, kind, rng):
+        """Tied hop counts, tied distances, dead neighbours, neighbours no
+        nearer in hops than the holder, unreachable ones and the holder
+        itself, in any order and under any ids: the rule picks what the
+        tuple key picks."""
+        ids = rng.sample(range(1, 40), len(drawn))
+        holder = node(0, 0.4, 1.7)
+        neighbors = [node(i, 0.4, 1.0, alive=alive) for i, (_, _, alive) in zip(ids, drawn)]
+        hops = {0: own} | {i: h for i, (h, _, _) in zip(ids, drawn) if h is not None}
+        d_sink = {0: 1.0} | {i: d for i, (_, d, _) in zip(ids, drawn)}
+        if holder_listed:
+            neighbors.insert(rng.randrange(len(neighbors) + 1), holder)
+        state = MattemptState(hop_counts=hops)
+        assert mattempt_next_hop(holder, kind, state, neighbors, d_sink) == \
+            mattempt_by_tuple_key(holder, kind, state, neighbors, d_sink)
+
+
 class TestMattemptTemperature:
     def setup_method(self):
         self.p = MattemptParams()
@@ -304,6 +346,32 @@ class TestSimpleSelectForwarder:
     def test_empty_alive_set(self):
         a = node(0, 0.4, 1.0, alive=False)
         assert simple_select_forwarder([a], to_sink(a)) is None
+
+
+def simple_by_tuple_key(nodes, d_sink):
+    """SIMPLE's election as the key it ranks by: among the alive non-ECG
+    nodes with residual energy left, the least (distance / residual, id)."""
+    keys = [(d_sink[n.id] / n.residual_energy, n.id) for n in nodes
+            if n.alive and n.kind is not SensorKind.ECG and n.residual_energy > 0]
+    return min(keys)[1] if keys else None
+
+
+class TestSimpleTieBreakProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_RESIDUALS, st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.8]),
+                              st.booleans(), st.booleans()), max_size=8),
+           st.randoms(use_true_random=False))
+    def test_same_forwarder_as_the_tuple_key(self, drawn, rng):
+        """Tied ratios (0.1 / 0.1 against 0.2 / 0.2, and a node at the sink
+        against another), dead nodes, ECG nodes and residual 0.0, under any
+        ids and in any order: the election picks what the tuple key picks."""
+        ids = rng.sample(range(40), len(drawn))
+        nodes = [node(i, 0.4, 1.0, energy=r, alive=alive,
+                      kind=SensorKind.ECG if ecg else SensorKind.TOXIN)
+                 for i, (r, _, alive, ecg) in zip(ids, drawn)]
+        d_sink = {i: d for i, (_, d, _, _) in zip(ids, drawn)}
+        rng.shuffle(nodes)
+        assert simple_select_forwarder(nodes, d_sink) == simple_by_tuple_key(nodes, d_sink)
 
 
 class TestSharedVerdicts:
