@@ -77,7 +77,14 @@ takes its draw but is left out of the round's mean.
 
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
-metrics and counts go to the buffer as plain numbers.
+metrics and counts go to the buffer as plain numbers. Two more rules keep
+its constant costs down. Code that runs per node, packet or round reads an
+Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``, ...), never
+as ``PacketKind.CRITICAL``: a member read costs several times a global's.
+And a per-node rule is one call per round over all the nodes
+(``mattempt_temperature_step``, ``simple_select_forwarder``), not one call
+per node; a round's derived state (M-ATTEMPT's usable set) is re-read only
+when such a call, or a death, signals that it may have changed.
 """
 from __future__ import annotations
 
@@ -103,12 +110,17 @@ EVENT_BLOCK = 4096  # events-stream uniforms drawn and inverted per refill
 # wraps ``wbansim.engine.sample_reading`` by name, so the name stays until the
 # benchmark's tracer drops it.
 sample_reading = None
-# Hot-loop helpers: a slot's packet kinds are built by tuple repetition.
-_NORMAL = (PacketKind.NORMAL,)
-_CRITICAL = (PacketKind.CRITICAL,)
+# Hot-loop helpers: Enum members as module aliases (see the module
+# docstring), and a slot's packet kinds, built by tuple repetition.
+_CRITICAL = PacketKind.CRITICAL
+_ECG = SensorKind.ECG
 _TO_FORWARDER = RouteAction.SEND_TO_FORWARDER
 _TO_SINK = RouteAction.SEND_TO_SINK
 _HOLD = RouteAction.HOLD
+_LOS = LinkClass.LOS
+_NLOS = LinkClass.NLOS
+_NORMAL_SLOT = (PacketKind.NORMAL,)
+_CRITICAL_SLOT = (_CRITICAL,)
 
 # The run table's columns, in the metrics CSV's order.
 (ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
@@ -375,9 +387,9 @@ class _Sim:
         """Every alive node pays one control-packet exchange."""
         w = self.w
         x_c = w.x_c
+        self.c5 += self.alive_count  # one each, a node its own charge kills included
         for nd in self.nodes:
             if nd.alive:
-                self.c5 += 1
                 self.drained_total += charge(nd, x_c, w)
                 if not nd.alive:
                     self.alive_count -= 1
@@ -427,7 +439,7 @@ class _Sim:
                     cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
                 self._transmit(holder, SINK_ID, is_origin, cost)
                 self.round_received += 1
-                if kind is PacketKind.CRITICAL:
+                if kind is _CRITICAL:
                     self.round_critical += 1
                 return
             elif act is _HOLD:
@@ -479,7 +491,7 @@ class _Sim:
         for node, is_due, k in originators:
             if not node.alive:
                 continue
-            for kind in _NORMAL * is_due + _CRITICAL * k:
+            for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
                 self.c1 += 1
                 self.drained_total += charge(node, x_s, w)
                 if not node.alive:
@@ -515,10 +527,10 @@ class _Sim:
         tx, rx = divmod(code, self.n + 1)
         rx -= 1
         if rx == SINK_ID:
-            d, link = self.d_sink[tx], LinkClass.LOS
+            d, link = self.d_sink[tx], _LOS
         else:
             d = distance(self.nodes[tx].position, self.nodes[rx].position)
-            link = LinkClass.NLOS if frozenset((tx, rx)) in self.nlos else LinkClass.LOS
+            link = _NLOS if frozenset((tx, rx)) in self.nlos else _LOS
         return path_loss(self.cfg.channel, d, link) if d > 0 else math.nan
 
     def fill_path_losses(self) -> None:
@@ -586,6 +598,11 @@ class _Mattempt(_Sim):
         self.p = cfg.mattempt
         self.state: MattemptState | None = None
         self._usable: list[bool] | None = None  # usable flags state was built from
+        # The usable set changes only when a node dies or an alive node's
+        # temperature crosses temp_threshold. These record both since the
+        # flags were last read; the first hello round reads them.
+        self._crossed = True
+        self._usable_alive = self.n
         for nd in self.nodes:
             nd.temperature = self.p.ambient
         # On-body sends and receptions per node this round, for the thermal
@@ -598,14 +615,20 @@ class _Mattempt(_Sim):
         self.heat_tx[tx.id] += 1
         if rx_id != SINK_ID:
             self.heat_rx[rx_id] += 1
-        super()._transmit(tx, rx_id, is_origin, cost)
+        _Sim._transmit(self, tx, rx_id, is_origin, cost)
 
     def begin_round(self, rnd: int) -> None:
         if rnd % self.p.hello_period:
             return
         self._control_exchange()
         # The hop counts are a pure function of the usable set (the
-        # adjacency is static): rebuild only when that set changed.
+        # adjacency is static): rebuild only when that set changed. The flags
+        # are read only after a death or a crossing: a node that crossed and
+        # crossed back leaves the set as it was, so it is still compared.
+        if not self._crossed and self.alive_count == self._usable_alive:
+            return
+        self._crossed = False
+        self._usable_alive = self.alive_count
         threshold = self.p.temp_threshold
         usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
         if usable != self._usable:
@@ -633,11 +656,8 @@ class _Mattempt(_Sim):
         return False
 
     def end_round(self, rnd: int) -> None:
-        p, heat_tx, heat_rx = self.p, self.heat_tx, self.heat_rx
-        for nd in self.nodes:
-            if nd.alive:
-                nd.temperature = mattempt_temperature_step(
-                    p, nd.temperature, heat_tx[nd.id], heat_rx[nd.id])
+        if mattempt_temperature_step(self.p, self.nodes, self.heat_tx, self.heat_rx):
+            self._crossed = True
         self.heat_tx = [0] * self.n
         self.heat_rx = [0] * self.n
 
@@ -658,7 +678,7 @@ class _Simple(_Sim):
         # Critical packets and the ECG node go straight to the sink,
         # everything else goes to the round's elected forwarder.
         fw = self.forwarder
-        if (kind is PacketKind.CRITICAL or holder.kind is SensorKind.ECG
+        if (kind is _CRITICAL or holder.kind is _ECG
                 or fw is None or fw == holder.id or not self.nodes[fw].alive):
             return TO_SINK
         return to_forwarder(fw)

@@ -34,6 +34,13 @@ class RouteAction(Enum):
     HOLD = "hold"
 
 
+# Enum members read through module aliases: a member read (``Kind.MEMBER``)
+# costs several times a global's, and the rules below run per packet.
+_FORWARD = RouteAction.SEND_TO_FORWARDER
+_CRITICAL = PacketKind.CRITICAL
+_ECG = SensorKind.ECG
+
+
 @dataclass(frozen=True)
 class RoutingDecision:
     action: RouteAction
@@ -53,7 +60,7 @@ HOLD = RoutingDecision(RouteAction.HOLD)
 def to_forwarder(target: int) -> RoutingDecision:
     """The verdict "send to node ``target``", one shared instance per id (the
     cache holds one small immutable entry per node id ever chosen)."""
-    return RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=target)
+    return RoutingDecision(_FORWARD, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +95,7 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
             best, best_r, best_d = nb, r, d
     if best is not None:
         return to_forwarder(best.id)
-    if packet_kind is PacketKind.CRITICAL:
+    if packet_kind is _CRITICAL:
         return TO_EXTERNAL_WSN
     return HOLD
 
@@ -160,7 +167,7 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
     ``neighbors`` are the nodes within ``node.tx_range`` (dead ones are
     skipped).
     """
-    if packet_kind is PacketKind.CRITICAL:
+    if packet_kind is _CRITICAL:
         return TO_SINK_BOOSTED
 
     own = state.hop_counts.get(node.id, math.inf)
@@ -188,14 +195,31 @@ def mattempt_next_hop(node: SensorNode, packet_kind: PacketKind, state: Mattempt
     return HOLD
 
 
-def mattempt_temperature_step(params: MattemptParams, temperature: float,
-                              tx_count: int, rx_count: int) -> float:
-    """End-of-round temperature update: exponential relaxation toward ambient
-    plus per-transmission and per-reception heating."""
-    if tx_count < 0 or rx_count < 0:
+def mattempt_temperature_step(params: MattemptParams, nodes: list[SensorNode],
+                              tx_counts: list[int], rx_counts: list[int]) -> bool:
+    """End-of-round temperature update of every alive node in ``nodes``:
+    exponential relaxation toward ambient plus per-transmission and
+    per-reception heating, where ``nodes[i]`` sent ``tx_counts[i]`` and
+    received ``rx_counts[i]`` packets this round. Dead nodes keep their
+    temperature.
+
+    Returns True when some alive node's side of ``temp_threshold`` changed
+    (it crossed above the threshold, or fell back to or below it), the only
+    way a step changes M-ATTEMPT's usable set.
+    """
+    if nodes and (min(tx_counts) < 0 or min(rx_counts) < 0):
         raise ValueError("activity counts must be >= 0")
-    relaxed = params.ambient + (temperature - params.ambient) * (1.0 - params.cooling)
-    return relaxed + tx_count * params.delta_tx + rx_count * params.delta_rx
+    ambient, threshold = params.ambient, params.temp_threshold
+    keep, delta_tx, delta_rx = 1.0 - params.cooling, params.delta_tx, params.delta_rx
+    crossed = False
+    for nd, tx, rx in zip(nodes, tx_counts, rx_counts):
+        if nd.alive:
+            t = nd.temperature
+            new = ambient + (t - ambient) * keep + tx * delta_tx + rx * delta_rx
+            nd.temperature = new
+            if (t <= threshold) != (new <= threshold):
+                crossed = True
+    return crossed
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +242,7 @@ def simple_select_forwarder(nodes: list[SensorNode],
     best = None
     best_q = 0.0
     for n in nodes:
-        if not n.alive or n.kind is SensorKind.ECG:
+        if not n.alive or n.kind is _ECG:
             continue
         r = n.residual_energy
         if r <= 0:

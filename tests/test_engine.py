@@ -320,6 +320,56 @@ class TestEngineSpecializations:
         assert sim.table()[:, ALIVE].tolist() == alive_log
         assert len(builds) < c.rounds // 4
 
+    @pytest.mark.parametrize("threshold", [37.2, 38.0])
+    @pytest.mark.parametrize("hello_period", [1, 2, 3, 4, 5])
+    def test_hopcount_rebuilds_follow_the_usable_set(self, hello_period, threshold,
+                                                     monkeypatch):
+        """Between hello rounds the usable set moves by deaths and by
+        crossings of a hot threshold: at 37.2 mostly by crossings, at 38.0
+        also by deaths of nodes that no crossing made unusable. At every
+        hello round the hop counts are a fresh BFS's, and they were rebuilt
+        exactly when the usable set differs from the one of the last build."""
+        from wbansim.protocols import mattempt_build_hopcounts
+
+        base = SimConfig()
+        c = self._dying_config("mattempt", mattempt=replace(
+            base.mattempt, temp_threshold=threshold, hello_period=hello_period))
+        builds = []
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return mattempt_build_hopcounts(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
+        sim = _SCHEMES["mattempt"](c)
+        begin_round = sim.begin_round
+        built_from = [None]  # the usable set of the last build
+        hello_rounds = []
+
+        def checked_begin_round(rnd):
+            before = len(builds)
+            begin_round(rnd)
+            if rnd % hello_period:
+                assert len(builds) == before, f"round {rnd}"
+                return
+            hello_rounds.append(rnd)
+            usable = [nd.alive and nd.temperature <= threshold for nd in sim.nodes]
+            changed = usable != built_from[0]
+            assert len(builds) - before == changed, f"round {rnd}"
+            if changed:
+                built_from[0] = usable
+            fresh = mattempt_build_hopcounts(sim.nodes, c.mattempt,
+                                             *in_range_tables(sim.nodes, sim.sink, c.tx_range))
+            assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
+
+        sim.begin_round = checked_begin_round
+        for rnd in range(c.rounds):
+            if sim.alive_count == 0:
+                break
+            sim.run_round(rnd)
+        assert sim.alive_count == 0
+        assert 1 < len(builds) < len(hello_rounds)
+
     def test_amhrp_closer_lists_match_full_neighbor_lists(self):
         from wbansim.core import PacketKind
         from wbansim.protocols import RouteAction, amhrp_select_forwarder
@@ -345,6 +395,54 @@ class TestEngineSpecializations:
         assert forwarded
         assert sim.alive_count == 0
         assert sim.table()[:, ALIVE].tolist() == alive_log
+
+
+_ENUMS = {"PacketKind", "SensorKind", "RouteAction", "LinkClass"}
+
+
+def enum_member_reads(source):
+    """The ``Enum.MEMBER`` reads inside function bodies of ``source``, as
+    (function name, line, expression). A default argument, a decorator or a
+    module-level alias is outside every body, so it is not listed."""
+    import ast
+
+    reads = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for stmt in fn.body:
+            for expr in ast.walk(stmt):
+                if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                        and expr.value.id in _ENUMS):
+                    reads.append((fn.name, expr.lineno, f"{expr.value.id}.{expr.attr}"))
+    return reads
+
+
+class TestHotLoopRules:
+    """The engine's hot-loop rules (see its module docstring) that a static
+    check can hold."""
+
+    @pytest.mark.parametrize("module", ["engine", "protocols"])
+    def test_no_enum_member_read_in_a_function_body(self, module):
+        import importlib
+        from pathlib import Path
+
+        path = Path(importlib.import_module(f"wbansim.{module}").__file__)
+        assert enum_member_reads(path.read_text(encoding="utf-8")) == []
+
+    def test_the_check_sees_reads_in_nested_bodies(self):
+        source = (
+            "X = PacketKind.CRITICAL\n"
+            "def f(k=PacketKind.NORMAL):\n"
+            "    return k is X\n"
+            "class C:\n"
+            "    def g(self, k):\n"
+            "        if k:\n"
+            "            return lambda: LinkClass.LOS\n"
+            "        return [n for n in k if n is SensorKind.ECG]\n"
+        )
+        assert enum_member_reads(source) == [("g", 7, "LinkClass.LOS"),
+                                             ("g", 8, "SensorKind.ECG")]
 
 
 def _tail_config(case, protocol, seed):

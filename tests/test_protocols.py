@@ -290,30 +290,79 @@ class TestMattemptTieBreakProperty:
             mattempt_by_tuple_key(holder, kind, state, neighbors, d_sink)
 
 
+def temperature_step_oracle(params, temperature, tx_count, rx_count):
+    """M-ATTEMPT's thermal step for one node, as a scalar: exponential
+    relaxation toward ambient plus per-transmission and per-reception
+    heating."""
+    if tx_count < 0 or rx_count < 0:
+        raise ValueError("activity counts must be >= 0")
+    relaxed = params.ambient + (temperature - params.ambient) * (1.0 - params.cooling)
+    return relaxed + tx_count * params.delta_tx + rx_count * params.delta_rx
+
+
+def step_one(params, temperature, tx_count, rx_count):
+    """The per-round rule on a one-node list: that node's new temperature."""
+    nd = node(0, 0.4, 1.0, temp=temperature)
+    mattempt_temperature_step(params, [nd], [tx_count], [rx_count])
+    return nd.temperature
+
+
 class TestMattemptTemperature:
     def setup_method(self):
         self.p = MattemptParams()
 
     def test_fixed_point_at_ambient(self):
-        assert mattempt_temperature_step(self.p, 37.0, 0, 0) == pytest.approx(37.0)
+        assert step_one(self.p, 37.0, 0, 0) == pytest.approx(37.0)
 
     def test_cooling_decreases_toward_ambient(self):
-        t = mattempt_temperature_step(self.p, 39.0, 0, 0)
+        t = step_one(self.p, 39.0, 0, 0)
         assert 37.0 < t < 39.0
 
     def test_one_transmission_from_ambient(self):
-        t = mattempt_temperature_step(self.p, 37.0, 1, 0)
+        t = step_one(self.p, 37.0, 1, 0)
         assert t == pytest.approx(37.0 + self.p.delta_tx, abs=1e-12)
 
     def test_converges_to_ambient(self):
         t = 42.0
         for _ in range(1000):
-            t = mattempt_temperature_step(self.p, t, 0, 0)
+            t = step_one(self.p, t, 0, 0)
         assert t == pytest.approx(37.0, abs=1e-9)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            mattempt_temperature_step(self.p, 37.0, -1, 0)
+            step_one(self.p, 37.0, -1, 0)
+
+
+# Temperatures below, at and above the default threshold (38.5): a step from
+# 38.5 with no heat cools below it, and small heat can lift one across.
+_TEMPERATURES = st.sampled_from([37.0, 38.4, 38.5, 38.6, 40.0]) | st.floats(36.0, 41.0)
+_HEAT = st.sampled_from([0, 0, 1, 5]) | st.integers(0, 40)
+
+
+class TestMattemptTemperatureProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_TEMPERATURES, _HEAT, _HEAT, st.booleans()), max_size=10),
+           st.sampled_from([37.2, 38.5, 39.0]))
+    def test_matches_the_scalar_oracle(self, drawn, threshold):
+        """Alive and dead nodes, zero and nonzero heat, temperatures on both
+        sides of the threshold and exactly at it: each alive node takes the
+        scalar step, a dead one keeps its temperature, and the rule reports
+        a crossing exactly when an alive node changed side."""
+        p = replace(MattemptParams(), temp_threshold=threshold)
+        nodes = [node(i, 0.4, 1.0, temp=t, alive=alive)
+                 for i, (t, _, _, alive) in enumerate(drawn)]
+        tx = [h for _, h, _, _ in drawn]
+        rx = [h for _, _, h, _ in drawn]
+        crossed = mattempt_temperature_step(p, nodes, tx, rx)
+        expected = False
+        for nd, (t, h_tx, h_rx, alive) in zip(nodes, drawn):
+            if not alive:
+                assert nd.temperature == t
+                continue
+            new = temperature_step_oracle(p, t, h_tx, h_rx)
+            assert nd.temperature == new
+            expected |= (t <= threshold) != (new <= threshold)
+        assert crossed is expected
 
 
 class TestSimpleSelectForwarder:
