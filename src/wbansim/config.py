@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 from .channel import ChannelParams
 from .core import ALL_KINDS, Bound, SensorKind, bounded
 from .energy import EnergyWeights
-from .events import LAMBDA_MAX, EventParams, SensingSchedule, default_schedule
+from .events import EventParams, SensingSchedule, default_schedule
 from .protocols import MattemptParams, SimpleParams
 
 PROTOCOLS = ("amhrp", "mattempt", "simple")
@@ -118,39 +118,44 @@ def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError listing every violated constraint.
 
     Each scalar key is checked for finiteness, then against the bound its
-    field declares; a rule relating several keys is skipped when one of them
-    is non-finite, so every bad value gets one message.
+    field declares; a rule relating several keys runs only when each of its
+    keys passed its own check, so every bad value gets one message.
     """
     problems = []
+    failed = set()  # the keys that failed their own check
     for name in _SECTIONS:
         obj = _section(cfg, name)
         for key, (attr, typ, bound) in _scalar_keys(type(obj)).items():
             value = getattr(obj, attr)
-            if typ is float and not math.isfinite(value):
-                problems.append(f"{name}.{key}: must be finite")
-            elif bound and (why := bound.violation(value)):
+            why = ("must be finite" if typ is float and not math.isfinite(value)
+                   else bound and bound.violation(value))
+            if why:
                 problems.append(f"{name}.{key}: {why}")
-    lam = cfg.events.lam
-    weight = node_round_weight(cfg.node_count, lam) if 0 <= lam <= LAMBDA_MAX else 1.0
-    if cfg.node_count * cfg.rounds * weight > MAX_NODE_ROUNDS:
-        got = f"got {cfg.node_count} * {cfg.rounds}"
-        if weight == 1.0:
-            problems.append(f"sim.node_count*rounds: must be <= {MAX_NODE_ROUNDS}, {got}")
-        else:
-            problems.append(
-                f"sim.node_count*rounds*lambda: node_count * rounds must be <= "
-                f"{int(MAX_NODE_ROUNDS / weight)} at events.lambda = {lam!r}, {got}")
-    if cfg.placement == "canonical" and cfg.node_count > len(ALL_KINDS):
+                failed.add(f"{name}.{key}")
+    if failed.isdisjoint(("sim.node_count", "sim.rounds", "events.lambda")):
+        lam = cfg.events.lam
+        weight = node_round_weight(cfg.node_count, lam)
+        if cfg.node_count * cfg.rounds * weight > MAX_NODE_ROUNDS:
+            got = f"got {cfg.node_count} * {cfg.rounds}"
+            if weight == 1.0:
+                problems.append(f"sim.node_count*rounds: must be <= {MAX_NODE_ROUNDS}, {got}")
+            else:
+                problems.append(
+                    f"sim.node_count*rounds*lambda: node_count * rounds must be <= "
+                    f"{int(MAX_NODE_ROUNDS / weight)} at events.lambda = {lam!r}, {got}")
+    if (failed.isdisjoint(("sim.node_count", "sim.placement"))
+            and cfg.placement == "canonical" and cfg.node_count > len(ALL_KINDS)):
         problems.append(
             f"sim.node_count: canonical placement supports at most {len(ALL_KINDS)} nodes"
         )
     e = cfg.energy
     if not cfg.allow_unconstrained_weights:
-        if (math.isfinite(e.x_w) and math.isfinite(e.x_d)
+        if (failed.isdisjoint(("energy.x_w", "energy.x_d"))
                 and abs(e.x_w - 100.0 * e.x_d) > 1e-12 * max(1.0, abs(e.x_w))):
             problems.append(
                 f"energy.x_w: must equal 100 * x_d ({100.0 * e.x_d!r}), got {e.x_w!r}")
-        if all(map(math.isfinite, (e.x_f, e.x_c, e.x_d))) and not e.x_f < e.x_c < e.x_d:
+        if (failed.isdisjoint(("energy.x_f", "energy.x_c", "energy.x_d"))
+                and not e.x_f < e.x_c < e.x_d):
             problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
     # A kind with no sensing period is caught here, before round 0. Node i
     # carries ALL_KINDS[i % 19].

@@ -1,16 +1,18 @@
-"""Weighted per-action energy budget and per-node accounting.
+"""Weighted per-action energy budget.
 
 Every chargeable action has a fixed cost in joules: self-computation,
 a send to the destined node, a send to the external WSN gateway, a packet
 forward, and a control-packet exchange. A round's budget is the weighted
 sum of action frequencies. Energy never couples to transmission distance;
-path loss is a reported metric, not an energy input.
+path loss is a reported metric, not an energy input. The engine's
+``_Sim.charge`` debits each action's cost from its node and applies the
+death threshold ``x_t``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SensorNode, bounded
+from .core import bounded
 
 
 @dataclass(frozen=True)
@@ -35,25 +37,3 @@ class ActionCounts:
 def round_cost(w: EnergyWeights, c: ActionCounts) -> float:
     """Energy for one accounting window: n1*x_s + n2*x_d + n3*x_w + n4*x_f + n5*x_c."""
     return c.n1 * w.x_s + c.n2 * w.x_d + c.n3 * w.x_w + c.n4 * w.x_f + c.n5 * w.x_c
-
-
-def charge(node: SensorNode, cost: float, w: EnergyWeights) -> float:
-    """Deduct ``cost`` joules from a live node; return the joules drained.
-
-    If the deduction would leave the node at or below the death threshold,
-    the node dies: its residual clamps to zero and it is marked dead, and
-    the drain is what it had left. The action the charge paid for still
-    counts as performed (last-gasp), so a dying node's final transmission
-    completes.
-    """
-    if not node.alive:
-        raise RuntimeError(f"charge on dead node {node.id} (engine bug)")
-    if cost < 0:
-        raise ValueError("charge cost must be >= 0")
-    if node.residual_energy - cost > w.x_t:
-        node.residual_energy -= cost
-        return cost
-    drained = node.residual_energy
-    node.residual_energy = 0.0
-    node.alive = False
-    return drained

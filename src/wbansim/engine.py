@@ -38,15 +38,18 @@ The per-send path: ``_route_packet`` asks ``decide`` once per hop, tests the
 verdict's action once (a forward first, the commonest), and a forward goes
 through ``hand_over``. Every on-body send, a relay's bounce and SIMPLE's
 uplink included, goes through ``_transmit``, which counts it, records its
-link and calls ``energy.charge`` directly. Only M-ATTEMPT's thermal model
-reads the per-node send and receive counts (``heat_tx``, ``heat_rx``), so
-only ``_Mattempt._transmit`` counts them.
+link and charges the sender. Only M-ATTEMPT's thermal model reads the
+per-node send and receive counts (``heat_tx``, ``heat_rx``), so only
+``_Mattempt._transmit`` counts them.
 
-``energy.charge`` is the one death rule. Each charge (sensing, send,
-escalation, control exchange) calls it and then, if the node died, takes one
-off ``alive_count``. Charging follows last-gasp semantics: the action a
-dying node paid for still completes, so its final transmission is delivered
-before it falls silent.
+``_Sim.charge`` is the one death rule, and the only code that writes a
+node's residual or alive flag, ``alive_count`` or ``drained_total``. Each
+charge (sensing, send, escalation, control exchange) is one call to it. It
+debits the node, or, when the debit would not leave it above ``x_t``, writes
+it off to 0.0 and takes one off ``alive_count``; either way it adds the
+joules drained to ``drained_total``. Charging follows last-gasp semantics:
+the action a dying node paid for still completes, so its final transmission
+is delivered before it falls silent.
 
 A run is one table: ``RunResult.metrics`` is a ``(rounds, 9)`` float64 array
 with one row per round, its columns in the metrics CSV's order (``ROUND`` ...
@@ -98,7 +101,6 @@ import numpy as np
 from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
 from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
-from .energy import charge
 from .events import invert_poisson, poisson_cdf_table, reading_draws
 from .protocols import (TO_SINK, MattemptState, RouteAction, RoutingDecision,
                         amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,
@@ -228,9 +230,11 @@ def equilibrium_flags(counts: np.ndarray, cfg: SimConfig,
     with a0 = ``initial_energy`` and L = max(1, ``rounds``).
     """
     a0, alpha_star = cfg.initial_energy, cfg.amhrp.alpha_star
-    L, W = max(1, cfg.rounds), cfg.amhrp.eq_window_len
     if rows is None:
         rows = len(counts)
+    # A window longer than the run never closes, so any length past ``rows``
+    # reads as rows + 1, which keeps ``(r + 1) // W`` within int64.
+    L, W = max(1, cfg.rounds), min(cfg.amhrp.eq_window_len, rows + 1)
     closes = rows // W
     counted = counts[:closes * W]  # the counted rounds of the windows that close
     windows = np.zeros((closes, 5), dtype=counts.dtype)
@@ -379,20 +383,33 @@ class _Sim:
             if cost is None:
                 cost = w.x_f
         self.round_links[self.link_code[tx.id] + rx_id] = None
-        self.drained_total += charge(tx, cost, w)
-        if not tx.alive:
-            self.alive_count -= 1
+        self.charge(tx, cost)
+
+    def charge(self, node: SensorNode, cost: float) -> None:
+        """Deduct ``cost`` joules from the live ``node`` (the death rule, see
+        the module docstring): a node the debit would not leave above
+        ``x_t`` dies, its residual written off to 0.0."""
+        if not node.alive:
+            raise RuntimeError(f"charge on dead node {node.id} (engine bug)")
+        if cost < 0:
+            raise ValueError("charge cost must be >= 0")
+        residual = node.residual_energy
+        if residual - cost > self.w.x_t:
+            node.residual_energy = residual - cost
+            self.drained_total += cost
+            return
+        node.residual_energy = 0.0
+        node.alive = False
+        self.drained_total += residual
+        self.alive_count -= 1
 
     def _control_exchange(self) -> None:
         """Every alive node pays one control-packet exchange."""
-        w = self.w
-        x_c = w.x_c
+        charge, x_c = self.charge, self.w.x_c
         self.c5 += self.alive_count  # one each, a node its own charge kills included
         for nd in self.nodes:
             if nd.alive:
-                self.drained_total += charge(nd, x_c, w)
-                if not nd.alive:
-                    self.alive_count -= 1
+                charge(nd, x_c)
 
     def _event_counts(self, m: int) -> list[int]:
         """The next m entries of the events stream as Poisson counts,
@@ -452,9 +469,7 @@ class _Sim:
                 if is_origin:
                     self.round_sent += 1
                 self.c3 += 1
-                self.drained_total += charge(holder, self.w.x_w, self.w)
-                if not holder.alive:
-                    self.alive_count -= 1
+                self.charge(holder, self.w.x_w)
                 return
         raise RuntimeError("routing did not terminate (engine bug)")
 
@@ -485,19 +500,16 @@ class _Sim:
 
         self.begin_round(rnd)
 
-        w = self.w
-        x_s = w.x_s
+        charge, x_s = self.charge, self.w.x_s
         route = self._route_packet
         for node, is_due, k in originators:
             if not node.alive:
                 continue
             for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
                 self.c1 += 1
-                self.drained_total += charge(node, x_s, w)
+                charge(node, x_s)
                 if not node.alive:
-                    # The reading completed, but a dead node sends nothing.
-                    self.alive_count -= 1
-                    break
+                    break  # the reading completed, but a dead node sends nothing
                 route(node, kind)
                 if not node.alive:
                     break
@@ -633,8 +645,7 @@ class _Mattempt(_Sim):
         usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
         if usable != self._usable:
             self._usable = usable
-            self.state = mattempt_build_hopcounts(self.nodes, self.p, self.adjacency,
-                                                  self.sink_reach)
+            self.state = mattempt_build_hopcounts(usable, self.adjacency, self.sink_reach)
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
         return mattempt_next_hop(holder, kind, self.state, self.neighbors[holder.id],

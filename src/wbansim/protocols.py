@@ -120,28 +120,21 @@ class MattemptState:
     hop_counts: dict[int, float]  # node id -> hops to sink, math.inf if unreachable
 
 
-def mattempt_build_hopcounts(nodes: list[SensorNode], params: MattemptParams,
-                             adjacency: dict[int, list[int]],
+def mattempt_build_hopcounts(usable: list[bool], adjacency: dict[int, list[int]],
                              sink_reach: list[int]) -> MattemptState:
     """Breadth-first hop counts from the sink over the static in-range
     ``adjacency`` (node id to the ids within tx_range of it), starting from
     ``sink_reach`` (the ids within tx_range of the sink).
 
-    Dead nodes and nodes above the temperature threshold are excluded, which
-    cuts every path through them; anything left unreachable gets an infinite
-    hop count and will hold (or escalate) its traffic. For fixed positions
-    the result is a pure function of the usable set (the nodes alive and at
-    or below ``temp_threshold``), so a caller may keep it until that set
-    changes.
+    ``usable[i]`` says whether node i may carry traffic: M-ATTEMPT's usable
+    set is the nodes alive and at or below ``temp_threshold``. The others are
+    excluded, which cuts every path through them; anything left unreachable
+    gets an infinite hop count and will hold (or escalate) its traffic. For
+    fixed positions the result is a pure function of ``usable``, so a caller
+    may keep it until the flags change.
     """
-    by_id = {n.id: n for n in nodes}
-
-    def usable(i: int) -> bool:
-        n = by_id[i]
-        return n.alive and n.temperature <= params.temp_threshold
-
-    hops: dict[int, float] = {n.id: math.inf for n in nodes}
-    frontier = [i for i in sink_reach if usable(i)]
+    hops: dict[int, float] = dict.fromkeys(range(len(usable)), math.inf)
+    frontier = [i for i in sink_reach if usable[i]]
     level = 1
     while frontier:
         nxt = []
@@ -150,7 +143,7 @@ def mattempt_build_hopcounts(nodes: list[SensorNode], params: MattemptParams,
                 continue
             hops[i] = level
             for j in adjacency[i]:
-                if hops[j] == math.inf and usable(j):
+                if hops[j] == math.inf and usable[j]:
                     nxt.append(j)
         frontier = nxt
         level += 1

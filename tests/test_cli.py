@@ -342,7 +342,8 @@ class TestNoCommand:
 
 
 # case -> (argv, exit code, text on stderr); every case runs in an empty
-# directory, must leave it empty and must start no run.
+# directory, must leave it empty and must start no run. A case's config file,
+# if it has one in CONFIG_FILES, lies next to that directory, as ../exp.ini.
 EXIT_CODES = {
     "help": (["--help"], 0, ""),
     "sweep_help": (["sweep", "--help"], 0, ""),
@@ -363,6 +364,11 @@ EXIT_CODES = {
     "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
     "out_null_byte": (["simulate", "--out", "o\x00"], 1, "--out: embedded null byte"),
     "plots_on_empty_dir": (["plots", "--in", "."], 2, "no metrics_*.csv"),
+    "ints_past_the_float_range": (["simulate", "--config", "../exp.ini", "--out", "o"], 1,
+                                  "sim.rounds: must lie in [0, 1000000]"),
+}
+CONFIG_FILES = {
+    "ints_past_the_float_range": f"[sim]\nnode_count = {10**400}\nrounds = {10**400}\n",
 }
 
 
@@ -377,11 +383,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))
     def test_exit_code(self, case, tmp_path, monkeypatch, capsys):
         argv, code, err = EXIT_CODES[case]
-        monkeypatch.chdir(tmp_path)
+        if case in CONFIG_FILES:
+            (tmp_path / "exp.ini").write_text(CONFIG_FILES[case], encoding="utf-8")
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
         runs = _no_runs(monkeypatch)
         assert main(argv) == code
         assert err in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert list(run_dir.iterdir()) == []
         assert runs == []
 
     def test_out_naming_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):

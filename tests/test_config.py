@@ -74,8 +74,9 @@ def _above(x):
 # values outside it (rejected), written out here rather than read from the
 # declarations they check.
 BOUNDARIES = [
-    ("sim.node_count", [1, 1000], [0, 1001]),
-    ("sim.rounds", [0, 1_000_000], [-1, 1_000_001]),
+    # 10**400 is past the float range, which the joint cap's product is in.
+    ("sim.node_count", [1, 1000], [0, 1001, 10**400]),
+    ("sim.rounds", [0, 1_000_000], [-1, 1_000_001, 10**400]),
     # The joint cap: a value is a dict of [sim] keys.
     ("sim.node_count*rounds", [{"node_count": 20, "rounds": 1_000_000},
                                {"node_count": 1000, "rounds": 20_000}],
@@ -193,6 +194,8 @@ class TestViolations:
         assert any(v.startswith("sim.node_count:") for v in exc.value.violations)
         cfg = parse_config("[sim]\nplacement = canonical\nnode_count = 19\n")
         assert cfg.node_count == 19
+        # A count past its own bound gets that message only.
+        assert violations(replace(cfg, node_count=1001)) == ["sim.node_count: must lie in [1, 1000]"]
 
 
 class TestSections:

@@ -5,8 +5,8 @@ import pytest
 from test_config import violations
 
 from wbansim.config import SimConfig
-from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.energy import ActionCounts, EnergyWeights, charge, round_cost
+from wbansim.energy import ActionCounts, EnergyWeights, round_cost
+from wbansim.engine import _SCHEMES
 
 
 def make_weights(**over):
@@ -15,9 +15,13 @@ def make_weights(**over):
     return EnergyWeights(**base)
 
 
-def make_node(residual=0.5, alive=True):
-    return SensorNode(id=0, kind=SensorKind.ECG, position=BodyPoint(0.1, 0.1),
-                      residual_energy=residual, alive=alive)
+def sim_with_node(residual=0.5, alive=True, **weights):
+    """A fresh default run under ``make_weights(**weights)``, and its node 0
+    set to hold ``residual`` joules."""
+    sim = _SCHEMES["amhrp"](replace(SimConfig(), energy=make_weights(**weights)))
+    node = sim.nodes[0]
+    node.residual_energy, node.alive = residual, alive
+    return sim, node
 
 
 class TestRoundCost:
@@ -69,50 +73,59 @@ class TestWeightValidation:
 
 
 class TestCharge:
+    """The death rule, ``_Sim.charge``, with the run's bookkeeping."""
+
     def test_simple_subtraction(self):
-        node = make_node(0.5)
-        drained = charge(node, 0.2, make_weights())
-        assert drained == 0.2
+        sim, node = sim_with_node(0.5)
+        sim.charge(node, 0.2)
+        assert sim.drained_total == 0.2
         assert node.residual_energy == pytest.approx(0.3, abs=1e-15)
         assert node.alive
+        assert sim.alive_count == sim.n
 
     def test_exhaustion(self):
-        node = make_node(0.1)
-        drained = charge(node, 0.2, make_weights())
+        sim, node = sim_with_node(0.1)
+        sim.charge(node, 0.2)
         assert node.residual_energy == 0.0
         assert not node.alive
-        assert drained == pytest.approx(0.1)
+        assert sim.drained_total == 0.1
+        assert sim.alive_count == sim.n - 1
 
     def test_zero_cost_identity(self):
-        node = make_node(0.5)
-        drained = charge(node, 0.0, make_weights())
-        assert drained == 0.0
+        sim, node = sim_with_node(0.5)
+        sim.charge(node, 0.0)
+        assert sim.drained_total == 0.0
         assert node.alive
         assert node.residual_energy == 0.5
+        assert sim.alive_count == sim.n
 
     def test_threshold_death(self):
         # Death triggers when the deduction cannot keep the node above x_t.
-        node = make_node(0.5)
-        drained = charge(node, 0.03, make_weights(x_t=0.48))
+        sim, node = sim_with_node(0.5, x_t=0.48)
+        sim.charge(node, 0.03)
         assert not node.alive
         assert node.residual_energy == 0.0
-        assert drained == pytest.approx(0.5)
+        assert sim.drained_total == 0.5
+        assert sim.alive_count == sim.n - 1
 
     def test_charging_dead_node_is_engine_bug(self):
-        node = make_node(0.5, alive=False)
+        sim, node = sim_with_node(0.5, alive=False)
         with pytest.raises(RuntimeError):
-            charge(node, 0.1, make_weights())
+            sim.charge(node, 0.1)
 
     def test_negative_cost_rejected(self):
+        sim, node = sim_with_node()
         with pytest.raises(ValueError):
-            charge(make_node(), -1e-9, make_weights())
+            sim.charge(node, -1e-9)
+        assert node.residual_energy == 0.5 and sim.drained_total == 0.0
 
     def test_residual_non_increasing_under_charges(self):
         g = np.random.Generator(np.random.PCG64(11))
-        node = make_node(0.5)
-        w = make_weights()
+        sim, node = sim_with_node(0.5)
         prev = node.residual_energy
         while node.alive:
-            charge(node, float(g.random()) * 0.05, w)
+            sim.charge(node, float(g.random()) * 0.05)
             assert node.residual_energy <= prev
             prev = node.residual_energy
+        assert sim.drained_total == pytest.approx(0.5, abs=1e-12)
+        assert sim.alive_count == sim.n - 1

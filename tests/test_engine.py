@@ -1,20 +1,21 @@
 import math
 import sys
 from collections import deque
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from recording import forwarding_acyclic, sends_per_round, walk_recorded
 from test_config import valid_configs
-from test_protocols import in_range_tables
+from test_protocols import in_range_tables, usable_flags
 
 from wbansim import engine
 from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
 from wbansim.core import BodyPoint, SensorKind, SensorNode
+from wbansim.energy import EnergyWeights
 from wbansim.channel import path_loss
 from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
                             RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL, assign_tdma,
@@ -293,7 +294,7 @@ class TestEngineSpecializations:
 
         def checked_begin_round(rnd):
             begin_round(rnd)
-            fresh = mattempt_build_hopcounts(sim.nodes, c.mattempt,
+            fresh = mattempt_build_hopcounts(usable_flags(sim.nodes, c.mattempt),
                                              *in_range_tables(sim.nodes, sim.sink, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
@@ -358,7 +359,7 @@ class TestEngineSpecializations:
             assert len(builds) - before == changed, f"round {rnd}"
             if changed:
                 built_from[0] = usable
-            fresh = mattempt_build_hopcounts(sim.nodes, c.mattempt,
+            fresh = mattempt_build_hopcounts(usable_flags(sim.nodes, c.mattempt),
                                              *in_range_tables(sim.nodes, sim.sink, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
@@ -418,9 +419,65 @@ def enum_member_reads(source):
     return reads
 
 
+_DEATH_STATE = {"alive", "residual_energy", "alive_count", "drained_total"}
+
+
+def death_state_writes(source):
+    """The writes to a node's ``alive`` or ``residual_energy``, or to
+    ``alive_count`` or ``drained_total``, in the functions and methods of
+    ``source``, as (function, line, attribute), a method named with its
+    class. Those in ``_Sim.charge`` and in an ``__init__`` are not listed."""
+    import ast
+
+    tree = ast.parse(source)
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    return sorted(((name, node.lineno, node.attr) for name, fn in functions
+                   if name != "_Sim.charge" and fn.name != "__init__"
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and node.attr in _DEATH_STATE), key=lambda write: write[1])
+
+
 class TestHotLoopRules:
     """The engine's hot-loop rules (see its module docstring) that a static
     check can hold."""
+
+    @pytest.mark.parametrize("module", ["engine", "protocols"])
+    def test_only_the_death_rule_writes_death_state(self, module):
+        import importlib
+        from pathlib import Path
+
+        path = Path(importlib.import_module(f"wbansim.{module}").__file__)
+        assert death_state_writes(path.read_text(encoding="utf-8")) == []
+
+    def test_the_death_state_check_sees_every_write(self):
+        source = (
+            "class _Sim:\n"
+            "    def __init__(self):\n"
+            "        self.alive_count = 0\n"
+            "    def charge(self, node):\n"
+            "        node.alive = False\n"
+            "    def run_round(self, node):\n"
+            "        self.drained_total += 1.0\n"
+            "        if node:\n"
+            "            node.residual_energy, x = 0.0, 1\n"
+            "class _Other(_Sim):\n"
+            "    def charge(self, node):\n"
+            "        node.alive: bool = False\n"
+            "def step(nodes):\n"
+            "    def inner(nd):\n"
+            "        nd.temperature = nd.alive_count = 1\n"
+            "    return inner\n"
+        )
+        assert death_state_writes(source) == [
+            ("_Sim.run_round", 7, "drained_total"),
+            ("_Sim.run_round", 9, "residual_energy"),
+            ("_Other.charge", 12, "alive"),
+            ("step", 15, "alive_count"),
+        ]
 
     @pytest.mark.parametrize("module", ["engine", "protocols"])
     def test_no_enum_member_read_in_a_function_body(self, module):
@@ -623,6 +680,16 @@ class TestDeadTail:
         assert len(set(runs[0].metrics[:, EQUILIBRIUM].tolist())) == 2
 
 
+    def test_huge_window_length_reads_as_one_longer_than_the_run(self):
+        # A window longer than the run never closes; 2**63 is past int64.
+        base = SimConfig()
+        runs = [run_simulation(replace(base, rounds=300,
+                                       amhrp=replace(base.amhrp, eq_window_len=length)))
+                for length in (301, 2**63, 10**400)]
+        # The flags, and with them every other column, read the same.
+        assert all(same_table(run.metrics, runs[0].metrics) for run in runs[1:])
+
+
 class EquilibriumTracker:
     """The reference for ``equilibrium_flags``: rolls the last l
     traffic-mix windows into the diagnostic series one round at a time.
@@ -714,6 +781,33 @@ class TestRunProperty:
         shorter = run_simulation(replace(c, rounds=rounds)).metrics
         assert np.array_equal(shorter[:, :EQUILIBRIUM], longer[:rounds, :EQUILIBRIUM],
                               equal_nan=True)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_configs(), st.integers(0, 150), st.floats(0.0, 5.0), st.sampled_from([-3, 2]))
+    def test_power_of_two_energy_scaling_is_exact(self, c, rounds, lam, k):
+        """Scaling ``initial_energy`` and every ``x_*`` weight by 2**k scales
+        every residual and every joule drained by exactly 2**k, and leaves
+        every death, routing choice and count as it was: binary scaling is
+        exact barring overflow and subnormals (Goldberg, ACM CSUR 23(1),
+        1991). The flag is left out: its series adds ``a0 = initial_energy``
+        to unit-free traffic shares."""
+        w = c.energy
+        # A nonzero weight of at least 2**-900 keeps every residual, cost and
+        # sum a multiple of 2**-952, so a normal float, after the scaling too.
+        assume(all(v == 0.0 or v >= 2.0**-900 for v in astuple(w)))
+        c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
+        scale = 2.0**k
+        scaled = replace(c, initial_energy=c.initial_energy * scale,
+                         energy=EnergyWeights(*(v * scale for v in astuple(w))))
+        base, run = run_simulation(c), run_simulation(scaled)
+        energy = [TOTAL_RESIDUAL, MEAN_RESIDUAL]
+        rest = [ROUND, ALIVE, SENT, RECEIVED, CRITICAL, PATH_LOSS]
+        assert np.array_equal(run.metrics[:, energy], base.metrics[:, energy] * scale)
+        assert np.array_equal(run.metrics[:, rest], base.metrics[:, rest], equal_nan=True)
+        assert run.audit.drained_total == base.audit.drained_total * scale
+        assert run.summary == replace(
+            base.summary, final_total_residual=base.summary.final_total_residual * scale)
 
 
 class _CountingRng:

@@ -32,6 +32,16 @@ def in_range_tables(nodes, sink, tx_range):
     return adjacency, [n.id for n in nodes if distance(n.position, sink.position) <= tx_range]
 
 
+def usable_flags(nodes, params=MattemptParams()):
+    """The usable flags a run passes to ``mattempt_build_hopcounts``, indexed
+    by node id: alive and at or below ``params.temp_threshold``. An id no
+    node in ``nodes`` has is unusable."""
+    flags = [False] * (1 + max((n.id for n in nodes), default=-1))
+    for n in nodes:
+        flags[n.id] = n.alive and n.temperature <= params.temp_threshold
+    return flags
+
+
 def node(nid, x, y, energy=0.5, kind=SensorKind.TOXIN, tx_range=0.5, alive=True, temp=37.0):
     return SensorNode(id=nid, kind=kind, position=BodyPoint(x, y),
                       residual_energy=energy, temperature=temp,
@@ -175,14 +185,14 @@ class TestEquilibrium:
 class TestMattemptHopCounts:
     def test_adjacent_to_sink_is_one_hop(self):
         nodes = [node(0, 0.4, 0.6)]
-        st = mattempt_build_hopcounts(nodes, MattemptParams(), *in_range_tables(nodes, SINK, 0.5))
+        st = mattempt_build_hopcounts(usable_flags(nodes), *in_range_tables(nodes, SINK, 0.5))
         assert st.hop_counts[0] == 1
 
     def test_chain_gives_two_hops(self):
         # B adjacent to the sink, A adjacent only to B
         b = node(1, 0.4, 1.3)   # 0.4 m from sink
         a = node(0, 0.4, 1.7)   # 0.8 m from sink, 0.4 m from B
-        st = mattempt_build_hopcounts([a, b], MattemptParams(),
+        st = mattempt_build_hopcounts(usable_flags([a, b]),
                                       *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[1] == 1
         assert st.hop_counts[0] == 2
@@ -190,7 +200,7 @@ class TestMattemptHopCounts:
     def test_overheated_relay_breaks_the_path(self):
         b = node(1, 0.4, 1.3, temp=39.5)
         a = node(0, 0.4, 1.7)
-        st = mattempt_build_hopcounts([a, b], MattemptParams(temp_threshold=38.5),
+        st = mattempt_build_hopcounts(usable_flags([a, b], MattemptParams(temp_threshold=38.5)),
                                       *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[1] == math.inf
         assert st.hop_counts[0] == math.inf
@@ -198,7 +208,7 @@ class TestMattemptHopCounts:
     def test_dead_nodes_excluded(self):
         b = node(1, 0.4, 1.3, alive=False)
         a = node(0, 0.4, 1.7)
-        st = mattempt_build_hopcounts([a, b], MattemptParams(),
+        st = mattempt_build_hopcounts(usable_flags([a, b]),
                                       *in_range_tables([a, b], SINK, 0.5))
         assert st.hop_counts[0] == math.inf
 
@@ -207,7 +217,7 @@ class TestMattemptNextHop:
     def setup_method(self):
         self.b = node(1, 0.4, 1.3)
         self.a = node(0, 0.4, 1.7)
-        self.state = mattempt_build_hopcounts([self.a, self.b], MattemptParams(),
+        self.state = mattempt_build_hopcounts(usable_flags([self.a, self.b]),
                                               *in_range_tables([self.a, self.b], SINK, 0.5))
         self.d_sink = to_sink(self.a, self.b)
 
@@ -232,7 +242,7 @@ class TestMattemptNextHop:
         c = node(2, 0.4, 0.5)
         d_ = node(3, 0.1, 1.25)
         far = node(4, 0.4, 1.75)
-        st = mattempt_build_hopcounts([c, d_, far], MattemptParams(),
+        st = mattempt_build_hopcounts(usable_flags([c, d_, far]),
                                       *in_range_tables([c, d_, far], SINK, 0.6))
         assert st.hop_counts[2] == 1 and st.hop_counts[3] == 1
         assert st.hop_counts[4] == 2
@@ -242,7 +252,7 @@ class TestMattemptNextHop:
 
     def test_unreachable_holds(self):
         lone = node(5, 0.4, 1.8)
-        st = mattempt_build_hopcounts([lone], MattemptParams(),
+        st = mattempt_build_hopcounts(usable_flags([lone]),
                                       *in_range_tables([lone], SINK, 0.3))
         d = mattempt_next_hop(lone, PacketKind.NORMAL, st, [], to_sink(lone))
         assert d.action is RouteAction.HOLD
@@ -444,12 +454,12 @@ class TestSharedVerdicts:
         assert amhrp_select_forwarder(src, [], d_sink, PacketKind.CRITICAL) == wsn
         assert amhrp_select_forwarder(src, [], d_sink, PacketKind.NORMAL) == hold
 
-        state = mattempt_build_hopcounts([src, relay], MattemptParams(),
+        state = mattempt_build_hopcounts(usable_flags([src, relay]),
                                          *in_range_tables([src, relay], SINK, 0.5))
         assert mattempt_next_hop(src, PacketKind.CRITICAL, state, [relay], d_sink) == boosted
         assert mattempt_next_hop(relay, PacketKind.NORMAL, state, [src], d_sink) == sink
         assert mattempt_next_hop(src, PacketKind.NORMAL, state, [relay], d_sink) == forward_1
-        lone = mattempt_build_hopcounts([src], MattemptParams(),
+        lone = mattempt_build_hopcounts(usable_flags([src]),
                                         *in_range_tables([src], SINK, 0.3))
         assert mattempt_next_hop(src, PacketKind.NORMAL, lone, [], d_sink) == hold
 
