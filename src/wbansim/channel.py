@@ -6,9 +6,10 @@ Loss in dB at distance d from a transmitter is
 
 where PL0 is the free-space loss at the reference distance d0 and n is the
 path-loss exponent of the on-body link class: line of sight or non line of
-sight, as in the IEEE 802.15.6 on-body channel model. X_sigma is a
-zero-mean Gaussian shadowing term drawn by the caller, so this module holds
-no random state.
+sight, as in the IEEE 802.15.6 on-body channel model. ``path_loss`` gives
+the deterministic part; X_sigma, a zero-mean Gaussian shadowing term with
+standard deviation ``sigma_db``, is drawn and added by the engine, so this
+module holds no random state.
 
 PL0 is computed as 20*log10(4*pi*d0*f / c), the standard free-space form,
 so the carrier frequency enters the loss only through PL0.
@@ -46,15 +47,10 @@ def reference_path_loss(p: ChannelParams) -> float:
     return 20.0 * math.log10(4.0 * math.pi * p.d0 * p.frequency / SPEED_OF_LIGHT)
 
 
-def path_loss(p: ChannelParams, d: float, link: LinkClass = LinkClass.LOS,
-              shadow_sample: float = 0.0) -> float:
-    """Loss in dB over a link of length ``d`` meters.
-
-    ``shadow_sample`` is the caller-drawn Normal(0, sigma_db) shadowing term
-    (pass 0 when shadowing is disabled).
-    """
+def path_loss(p: ChannelParams, d: float, link: LinkClass = LinkClass.LOS) -> float:
+    """Unshadowed loss in dB over a link of length ``d`` meters."""
     if d <= 0:
         raise ValueError(f"path_loss requires d > 0, got {d}")
     n = p.exponent(link)
-    return reference_path_loss(p) + 10.0 * n * math.log10(d / p.d0) + shadow_sample
+    return reference_path_loss(p) + 10.0 * n * math.log10(d / p.d0)
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelParams
 from .core import ALL_KINDS, Bound, SensorKind, bounded
-from .energy import EnergyWeights
 from .events import EventParams, SensingSchedule, default_schedule
 from .protocols import MattemptParams, SimpleParams
 
@@ -65,6 +64,25 @@ class ConfigError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.violations))
+
+
+@dataclass(frozen=True)
+class EnergyWeights:
+    """Weighted per-action energy costs, in joules.
+
+    Every chargeable action has a fixed cost: self-computation, a send to
+    the destined node, a send to the external WSN gateway, a packet forward,
+    and a control-packet exchange. Energy never couples to transmission
+    distance; path loss is a reported metric, not an energy input. The
+    engine's ``_Sim.charge`` debits each action's cost from its node and
+    applies the death threshold ``x_t``.
+    """
+    x_s: float = bounded(ge=0)  # self-computation / sensing
+    x_d: float = bounded(ge=0)  # send to destined node (forwarder or sink)
+    x_w: float = bounded(ge=0)  # send to external WSN gateway
+    x_f: float = bounded(ge=0)  # forward one packet at a relay
+    x_c: float = bounded(ge=0)  # control-packet exchange
+    x_t: float = bounded(ge=0)  # death threshold: a node dies when residual would not stay above it
 
 
 @dataclass(frozen=True)
@@ -158,15 +176,19 @@ def validate_config(cfg: SimConfig) -> None:
                 and not e.x_f < e.x_c < e.x_d):
             problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
     # A kind with no sensing period is caught here, before round 0. Node i
-    # carries ALL_KINDS[i % 19].
-    for kind in ALL_KINDS[:cfg.node_count]:
-        if kind not in cfg.schedule.periods:
-            problems.append(f"schedule.{kind.value}: no sensing period configured")
+    # carries ALL_KINDS[i % 19]. This rule and the NLOS pair rule read the
+    # node count, so they run only when it passed.
+    count_ok = "sim.node_count" not in failed
+    if count_ok:
+        for kind in ALL_KINDS[:cfg.node_count]:
+            if kind not in cfg.schedule.periods:
+                problems.append(f"schedule.{kind.value}: no sensing period configured")
     problems += [f"schedule.{kind.value}: period must be >= 1"
                  for kind, period in cfg.schedule.periods.items() if period < 1]
-    for a, b in cfg.nlos_pairs:
-        if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
-            problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
+    if count_ok:
+        for a, b in cfg.nlos_pairs:
+            if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
+                problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
     if problems:
         raise ConfigError(problems)
 

@@ -2,9 +2,8 @@
 
 The body is modelled as a 2D plane, 0.8 m wide by 1.8 m tall, origin at the
 bottom-left corner. The sink (the body-central collector) sits at the plane
-center unless configured otherwise. Nodes are placed either uniformly at
-random inside the plane or on a fixed coordinate table laid out like a
-standing adult (head, trunk, limbs).
+center. Nodes are placed either uniformly at random inside the plane or on a
+fixed coordinate table laid out like a standing adult (head, trunk, limbs).
 """
 from __future__ import annotations
 
@@ -114,8 +113,8 @@ def distance(a: BodyPoint, b: BodyPoint) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def sink_position(width: float = PLANE_WIDTH, height: float = PLANE_HEIGHT) -> BodyPoint:
-    return BodyPoint(width / 2.0, height / 2.0)
+def sink_position() -> BodyPoint:
+    return BodyPoint(PLANE_WIDTH / 2.0, PLANE_HEIGHT / 2.0)
 
 
 # Fixed on-body layout for a standing adult on the 0.8 x 1.8 m plane.

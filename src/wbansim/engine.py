@@ -1,6 +1,6 @@
 """Round-based simulation loop.
 
-One round is a full TDMA frame: every node owns one slot, slots run in id
+One round is a full TDMA frame: node i owns slot i, so slots run in id
 order, and a node may only originate traffic in its own slot. Within a slot
 the node takes any due scheduled reading (a normal packet) plus a
 Poisson-distributed number of emergency readings (one critical packet each)
@@ -34,13 +34,16 @@ hotspot bounce, SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature
 step, SIMPLE's aggregated uplink). Everything else (the transmit bookkeeping,
 charging, the control exchange, the metrics) is the base class's and shared.
 
-The per-send path: ``_route_packet`` asks ``decide`` once per hop, tests the
+The per-send path: ``_route_packet`` asks ``decide`` once per hop, counts the
+packet as sent on its originator's verdict unless that is a HOLD, tests the
 verdict's action once (a forward first, the commonest), and a forward goes
-through ``hand_over``. Every on-body send, a relay's bounce and SIMPLE's
-uplink included, goes through ``_transmit``, which counts it, records its
-link and charges the sender. Only M-ATTEMPT's thermal model reads the
-per-node send and receive counts (``heat_tx``, ``heat_rx``), so only
-``_Mattempt._transmit`` counts them.
+through ``hand_over``. A forward's target is always alive: every rule skips
+dead neighbours, SIMPLE's ``decide`` checks its forwarder, and nothing
+charges a node between a verdict and its hand-over. Every on-body send, a
+relay's bounce and SIMPLE's uplink included, goes through ``_transmit``,
+which counts it, records its link and charges the sender. Only M-ATTEMPT's
+thermal model reads the per-node send and receive counts (``heat_tx``,
+``heat_rx``), so only ``_Mattempt._transmit`` counts them.
 
 ``_Sim.charge`` is the one death rule, and the only code that writes a
 node's residual or alive flag, ``alive_count`` or ``drained_total``. Each
@@ -128,7 +131,8 @@ _CRITICAL_SLOT = (_CRITICAL,)
 (ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
  TOTAL_RESIDUAL, MEAN_RESIDUAL, PATH_LOSS, EQUILIBRIUM) = range(9)
 # A walked round's entry in ``_Sim.rows``: the columns before the flag, then
-# the round's action counts c1..c5 (as in ``energy.ActionCounts``).
+# the round's action counts c1..c5 (sensing, destined sends, escalations,
+# forwards, control exchanges; the weights x_s, x_d, x_w, x_f, x_c).
 _ROW = EQUILIBRIUM + 5
 _FLAG_CHUNK = 1 << 16  # rounds per step of ``equilibrium_flags``
 _LOSS_CHUNK = 1 << 10  # rounds the link log holds before ``_Sim.fill_path_losses``
@@ -157,13 +161,6 @@ class RunResult(NamedTuple):
     metrics: np.ndarray  # the run's (rounds, 9) table
     summary: RunSummary
     audit: RunAudit
-
-
-def assign_tdma(nodes: list[SensorNode]) -> dict[int, int]:
-    """Bijective node id -> slot map; slots run in id order, frame length n."""
-    if not nodes:
-        raise ValueError("assign_tdma requires a non-empty node list")
-    return {n.id: slot for slot, n in enumerate(sorted(nodes, key=lambda n: n.id))}
 
 
 def throughput(received: int, sent: int) -> float:
@@ -360,7 +357,8 @@ class _Sim:
         raise NotImplementedError
 
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
-        """Send to the alive relay ``target``; True when it carries the packet on."""
+        """Send to the relay ``target`` (always alive, see the module
+        docstring); True when it carries the packet on."""
         self._transmit(holder, target.id, is_origin)
         return True
 
@@ -438,19 +436,15 @@ class _Sim:
         for _hop in range(self.n + 2):
             decision = decide(holder, kind)
             act = decision.action
+            if is_origin and act is not _HOLD:
+                self.round_sent += 1  # counted once, when the originator transmits
             if act is _TO_FORWARDER:
                 target = nodes[decision.target]
-                if not target.alive:
-                    return  # stale choice of a mid-round casualty: packet dropped
-                if is_origin:
-                    self.round_sent += 1  # counted once, when the originator transmits
                 if not hand_over(holder, target, is_origin):
                     return
                 holder = target
                 is_origin = False
             elif act is _TO_SINK:
-                if is_origin:
-                    self.round_sent += 1
                 cost = None
                 if decision.boosted:
                     cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
@@ -466,8 +460,6 @@ class _Sim:
             else:
                 # Escalation to the external WSN gateway, an off-body
                 # receiver: no on-body link pair to record.
-                if is_origin:
-                    self.round_sent += 1
                 self.c3 += 1
                 self.charge(holder, self.w.x_w)
                 return
@@ -487,8 +479,8 @@ class _Sim:
         counts = self._event_counts(self.n)
         due = {i for period, ids in self.period_groups if rnd % period == 0 for i in ids}
         # Only nodes with a due reading or an event take readings, in id
-        # order; slots run in id order too (assign_tdma), so this list is
-        # also the transmit order. The readings' uniforms are skipped.
+        # order; node i owns slot i of the frame, so this list is also the
+        # transmit order. The readings' uniforms are skipped.
         originators: list[tuple[SensorNode, bool, int]] = []
         skip = 0
         for i, k in enumerate(counts):

@@ -25,11 +25,12 @@ class Recording(NamedTuple):
 
 def walk_recorded(cfg) -> Recording:
     """Run ``cfg`` round by round, logging each round's events-stream counts
-    and due flags, and every on-body send before its charge."""
+    and due flags, and every on-body send before its charge. Every forward's
+    target must be alive when it is handed the packet."""
     sim = _SCHEMES[cfg.protocol](cfg)
     traffic: list[tuple[int, int, int, bool]] = []
     links: list[tuple[int, int, int, bool]] = []
-    transmit, event_counts = sim._transmit, sim._event_counts
+    transmit, event_counts, hand_over = sim._transmit, sim._event_counts, sim.hand_over
 
     def logged_transmit(tx, rx_id, is_origin, cost=None):
         links.append((rnd, tx.id, rx_id, tx.alive))
@@ -43,8 +44,13 @@ def walk_recorded(cfg) -> Recording:
         traffic.extend((rnd, i, counts[i], i in due) for i in range(m))
         return counts
 
+    def checked_hand_over(holder, target, is_origin):
+        assert target.alive, f"round {rnd}: node {holder.id} forwards to dead node {target.id}"
+        return hand_over(holder, target, is_origin)
+
     sim._transmit = logged_transmit
     sim._event_counts = logged_event_counts
+    sim.hand_over = checked_hand_over
     for rnd in range(cfg.rounds):
         sim.run_round(rnd)
     table = sim.table()

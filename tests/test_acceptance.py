@@ -16,11 +16,9 @@ from recording import forwarding_acyclic, walk_recorded
 
 from wbansim.channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from wbansim.cli import main as cli_main
-from wbansim.config import ConfigError, SimConfig, parse_config, validate_config
-from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, build_topology, distance
-from wbansim.energy import ActionCounts, EnergyWeights, round_cost
-from wbansim.engine import (ALIVE, PATH_LOSS, RECEIVED, SENT, TOTAL_RESIDUAL, assign_tdma,
-                            run_simulation)
+from wbansim.config import ConfigError, EnergyWeights, SimConfig, parse_config, validate_config
+from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, distance
+from wbansim.engine import ALIVE, PATH_LOSS, RECEIVED, SENT, TOTAL_RESIDUAL, run_simulation
 from wbansim.events import poisson_pmf, sample_event_count
 from wbansim.protocols import amhrp_select_forwarder
 
@@ -131,18 +129,29 @@ class TestPathLossClosedForm:
 class TestEnergyLinearity:
     def test_additivity_exact_and_constraint_handling(self):
         # Dyadic weights make every product and sum exactly representable,
-        # so additivity can be asserted with no tolerance at all.
+        # so the engine's drained energy can be held to the weighted action
+        # counts with no tolerance at all. The runs have no death (a death
+        # writes off a residual, not an action's cost), a tight range so
+        # that AMHRP forwards and escalates, and unboosted critical sends.
         w = EnergyWeights(x_s=2.0**-20, x_d=2.0**-17, x_w=100.0 * 2.0**-17,
                           x_f=2.0**-22, x_c=2.0**-19, x_t=0.0)
-        validate_config(replace(SimConfig(), energy=w))
-        g = np.random.Generator(np.random.PCG64(99))
-        exact = True
-        for _ in range(1000):
-            v1, v2 = g.integers(0, 1000, size=5), g.integers(0, 1000, size=5)
-            c1, c2 = ActionCounts(*map(int, v1)), ActionCounts(*map(int, v2))
-            exact &= round_cost(w, ActionCounts(*map(int, v1 + v2))) \
-                == round_cost(w, c1) + round_cost(w, c2)
-        report("round_cost additivity exact over 1000 random count pairs", exact)
+        base = replace(SimConfig(), energy=w, initial_energy=1024.0, tx_range=0.3,
+                       rounds=500)
+        base = replace(base, events=replace(base.events, lam=0.5),
+                       mattempt=replace(base.mattempt, boost_multiplier=1.0))
+        exact, amhrp_actions = True, True
+        for protocol in PROTOCOLS:
+            for seed in (1, 2, 3):
+                cfg = replace(base, protocol=protocol, seed=seed)
+                validate_config(cfg)
+                rec = walk_recorded(cfg)
+                per_round = rec.actions @ np.array([w.x_s, w.x_d, w.x_w, w.x_f, w.x_c])
+                exact &= rec.result.audit.drained_total == math.fsum(per_round)
+                if protocol == "amhrp":
+                    amhrp_actions &= bool((rec.actions.sum(axis=0) > 0).all())
+        report("cost-model linearity: drained energy equals the weighted action "
+               "counts exactly (3 protocols x 3 seeds)", exact)
+        report("every action kind is charged in the AMHRP runs", amhrp_actions)
 
         derived = parse_config("[energy]\nx_d = 1e-3\nx_s = 1e-4\nx_f = 1e-5\nx_c = 5e-4\n")
         auto_ok = derived.energy.x_w == pytest.approx(0.1)
@@ -161,20 +170,12 @@ class TestRoutingInvariants:
         _, amhrp_links = recorded_sweep
         acyclic = True
         alive_senders = True
-        bijective = True
         for seed in SEEDS:
             links = amhrp_links[seed]
             alive_senders &= all(alive for _, _, _, alive in links)
             acyclic &= forwarding_acyclic(links)
-            cfg = replace(SimConfig(), seed=seed)
-            nodes, _ = build_topology(
-                cfg, np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence(seed).spawn(4)[0])))
-            slots = assign_tdma(nodes)
-            bijective &= sorted(slots.values()) == list(range(19))
         report("no cycle in any round's AMHRP forwarding graph", acyclic)
         report("no dead sender or relay in any transmission", alive_senders)
-        report("TDMA slot map is a bijection for every topology", bijective)
 
     def test_forwarder_argmax_scale_invariance(self):
         sink = Sink(BodyPoint(0.4, 0.9))

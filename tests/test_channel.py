@@ -8,6 +8,7 @@ from test_config import violations
 from wbansim.channel import (SPEED_OF_LIGHT, ChannelParams, LinkClass, path_loss,
                              reference_path_loss)
 from wbansim.config import SimConfig
+from wbansim.engine import PATH_LOSS, run_simulation
 
 
 class TestReferencePathLoss:
@@ -52,10 +53,18 @@ class TestPathLoss:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_shadow_shift_is_affine(self):
-        p = ChannelParams(sigma_db=4.0)
-        base = path_loss(p, 0.7, LinkClass.LOS, shadow_sample=0.0)
-        assert path_loss(p, 0.7, LinkClass.LOS, shadow_sample=2.5) == pytest.approx(
-            base + 2.5, abs=1e-12)
+        """The engine adds each send's shadowing draw to ``path_loss``: in a
+        one-node run, every round's shadowed loss is the unshadowed one plus
+        the next draw of the run's shadowing stream."""
+        c = replace(SimConfig(), node_count=1, protocol="simple", rounds=3000, tx_range=3.0)
+        base = run_simulation(c).metrics[:, PATH_LOSS]
+        shadowed = run_simulation(
+            replace(c, channel=replace(c.channel, sigma_db=4.0))).metrics[:, PATH_LOSS]
+        sent = ~np.isnan(base)
+        assert np.array_equal(sent, ~np.isnan(shadowed)) and sent.sum() > 100
+        shadow_ss = np.random.SeedSequence(c.seed).spawn(3)[2]
+        draws = np.random.Generator(np.random.PCG64(shadow_ss)).normal(0.0, 4.0, sent.sum())
+        assert shadowed[sent] - base[sent] == pytest.approx(draws, abs=1e-12)
 
     def test_shadow_mean_matches_deterministic_value(self):
         p = ChannelParams(sigma_db=4.0)

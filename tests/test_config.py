@@ -197,6 +197,19 @@ class TestViolations:
         # A count past its own bound gets that message only.
         assert violations(replace(cfg, node_count=1001)) == ["sim.node_count: must lie in [1, 1000]"]
 
+    @pytest.mark.parametrize("bad_count,good_count,over,message", [
+        (0, 1, {"nlos_pairs": ((0, 1),)}, "channel.nlos_pairs: invalid pair 0-1"),
+        (5000, 19, {"schedule": SensingSchedule(periods={
+            k: p for k, p in SensingSchedule().periods.items() if k is not SensorKind.POSITIONING})},
+         "schedule.positioning: no sensing period configured"),
+    ], ids=["nlos_pairs", "schedule"])
+    def test_a_bad_node_count_gets_one_message(self, bad_count, good_count, over, message):
+        """The NLOS pair rule and the missing-period rule read the node
+        count, so they run only on one that passed its own check."""
+        assert violations(replace(SimConfig(), node_count=good_count, **over)) == [message]
+        found = violations(replace(SimConfig(), node_count=bad_count, **over))
+        assert found == ["sim.node_count: must lie in [1, 1000]"]
+
 
 class TestSections:
     def test_events_lambda_key(self):

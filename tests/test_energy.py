@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from test_config import violations
 
-from wbansim.config import SimConfig
-from wbansim.energy import ActionCounts, EnergyWeights, round_cost
+from wbansim.config import EnergyWeights, SimConfig
 from wbansim.engine import _SCHEMES
 
 
@@ -22,31 +21,6 @@ def sim_with_node(residual=0.5, alive=True, **weights):
     node = sim.nodes[0]
     node.residual_energy, node.alive = residual, alive
     return sim, node
-
-
-class TestRoundCost:
-    def test_empty_window(self):
-        assert round_cost(make_weights(), ActionCounts()) == 0.0
-
-    def test_hand_derived(self):
-        # 2*1e-4 + 1*1e-3 + 0*0.1 + 3*1e-5 + 1*5e-4 = 1.73e-3
-        w = EnergyWeights(x_s=1e-4, x_d=1e-3, x_w=0.1, x_f=1e-5, x_c=5e-4, x_t=0.0)
-        c = ActionCounts(2, 1, 0, 3, 1)
-        assert round_cost(w, c) == pytest.approx(1.73e-3, abs=1e-15)
-
-    def test_external_send_uses_derived_x_w(self):
-        w = EnergyWeights(x_s=1e-4, x_d=1e-3, x_w=100.0 * 1e-3, x_f=1e-5, x_c=5e-4, x_t=0.0)
-        assert round_cost(w, ActionCounts(0, 0, 1, 0, 0)) == pytest.approx(0.1, abs=1e-15)
-
-    def test_additivity_sampled(self):
-        g = np.random.Generator(np.random.PCG64(7))
-        w = make_weights()
-        for _ in range(200):
-            v1, v2 = g.integers(0, 50, size=5), g.integers(0, 50, size=5)
-            c1, c2 = ActionCounts(*map(int, v1)), ActionCounts(*map(int, v2))
-            lhs = round_cost(w, ActionCounts(*map(int, v1 + v2)))
-            rhs = round_cost(w, c1) + round_cost(w, c2)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def weight_violations(w: EnergyWeights, allow_unconstrained: bool = False) -> list[str]:

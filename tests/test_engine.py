@@ -13,12 +13,12 @@ from test_config import valid_configs
 from test_protocols import in_range_tables, usable_flags
 
 from wbansim import engine
-from wbansim.config import PROTOCOLS, SimConfig, parse_config, render_config, validate_config
-from wbansim.core import BodyPoint, SensorKind, SensorNode
-from wbansim.energy import EnergyWeights
+from wbansim.config import (PROTOCOLS, EnergyWeights, SimConfig, parse_config, render_config,
+                            validate_config)
+from wbansim.core import SensorKind
 from wbansim.channel import path_loss
 from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
-                            RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL, assign_tdma,
+                            RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL,
                             equilibrium_flags, equilibrium_series, run_simulation,
                             summarize_run, throughput)
 
@@ -37,29 +37,6 @@ def table(rows):
 
 def same_table(a, b):
     return np.array_equal(a, b, equal_nan=True)
-
-
-class TestAssignTdma:
-    def test_nineteen_nodes_get_distinct_slots(self):
-        nodes = [SensorNode(id=i, kind=SensorKind.ECG, position=BodyPoint(0, 0),
-                            residual_energy=0.5) for i in range(19)]
-        slots = assign_tdma(nodes)
-        assert sorted(slots.values()) == list(range(19))
-
-    def test_single_node(self):
-        nodes = [SensorNode(id=0, kind=SensorKind.ECG, position=BodyPoint(0, 0),
-                            residual_energy=0.5)]
-        assert assign_tdma(nodes) == {0: 0}
-
-    def test_slot_order_follows_id_order(self):
-        nodes = [SensorNode(id=i, kind=SensorKind.ECG, position=BodyPoint(0, 0),
-                            residual_energy=0.5) for i in (4, 1, 3)]
-        slots = assign_tdma(nodes)
-        assert slots == {1: 0, 3: 1, 4: 2}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            assign_tdma([])
 
 
 class TestThroughput:
@@ -275,6 +252,17 @@ class TestEngineSpecializations:
         ])
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == self.AUDIT_FINGERPRINTS[case]
+
+    def test_a_relay_at_the_threshold_is_not_hot(self):
+        """M-ATTEMPT's hotspot check is strict. Drawn temperatures almost
+        never hit ``temp_threshold``; these dyadic ones do, and a check with
+        ``>=`` bounces one more packet (5820 received)."""
+        base = SimConfig()
+        p = replace(base.mattempt, ambient=37.0, cooling=0.5, delta_tx=0.25, delta_rx=0.25,
+                    temp_threshold=37.5)
+        res = run_simulation(replace(base, protocol="mattempt", seed=1, rounds=2000,
+                                     mattempt=p))
+        assert res.summary.packets_received_total == 5821
 
     def test_hopcount_cache_matches_fresh_bfs(self, monkeypatch):
         from wbansim.protocols import mattempt_build_hopcounts
@@ -712,7 +700,7 @@ class EquilibriumTracker:
         self.terms: tuple[tuple[int, float, float], ...] = ()
 
     def push_round(self, n1: int, n2: int, n3: int, n4: int, n5: int) -> None:
-        """Add one round's action counts (as in ``energy.ActionCounts``)."""
+        """Add one round's action counts c1..c5, as in the engine's rows."""
         self.cur_total += n1 + n2 + n3 + n4 + n5
         self.cur_forwards += n4
         self.cur_sends += n2
