@@ -86,8 +86,8 @@ class BodyPoint:
     x: float
     y: float
 
-    def in_bounds(self, width: float = PLANE_WIDTH, height: float = PLANE_HEIGHT) -> bool:
-        return 0.0 <= self.x <= width and 0.0 <= self.y <= height
+    def in_bounds(self) -> bool:
+        return 0.0 <= self.x <= PLANE_WIDTH and 0.0 <= self.y <= PLANE_HEIGHT
 
 
 @dataclass

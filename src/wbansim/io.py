@@ -11,13 +11,20 @@ A run is one table, as the engine returns it in ``RunResult.metrics``: a
 writes a table, ``read_metrics_csv`` parses a file back into the same table,
 ``median_series`` merges the tables of several seeds, and
 ``emit_plot_series`` writes the figure files column by column.
+
+The ``plots`` path holds little beyond the tables themselves: each
+protocol's tables plus one column of merge temporaries. A CSV is parsed
+from one buffer of its bytes into the memory of the table it becomes,
+``median_series`` merges one column of every seed at a time, and both
+writers format ``_CSV_CHUNK`` rows at a time.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import re
 import statistics
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,10 +39,17 @@ CSV_HEADER = ("round,alive,sent,received,critical_received,"
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
 # Rows formatted at a time: bounds the text a write holds in memory.
 _CSV_CHUNK = 2048
+# Bytes of a CSV rewritten at a time for the parse, beside the file itself.
+_BLOCK = 1 << 16
 # How each CSV field parses and prints; the flag is an int, 1 meaning it holds.
 _FIELD_TYPES = (int,) * 5 + (float,) * 3 + (int,)
 _CSV_DTYPE = np.dtype([(f"f{i}", np.int64 if t is int else np.float64)
                        for i, t in enumerate(_FIELD_TYPES)])
+_HEADER_LINE = (CSV_HEADER + "\n").encode()
+# Line breaks besides \n to str.splitlines, which numbers the lines of a bad
+# file; loadtxt reads them as blanks inside a field. The writer writes none,
+# and a row ending in one is rejected.
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class ResultFileError(ValueError):
@@ -43,65 +57,125 @@ class ResultFileError(ValueError):
     a set of result files that cannot be compared."""
 
 
+def _write_rows(path, header: str, rounds: int, fields, sep: str) -> None:
+    """Write ``header`` and ``rounds`` rows, ``_CSV_CHUNK`` at a time:
+    ``fields(rows)`` gives the field strings of the rows in the slice
+    ``rows``, one iterable per column, which ``sep`` joins."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(header + "\n")
+        for start in range(0, rounds, _CSV_CHUNK):
+            columns = fields(slice(start, min(start + _CSV_CHUNK, rounds)))
+            out.write("\n".join(map(sep.join, zip(*columns))) + "\n")
+
+
 def write_metrics_csv(table: np.ndarray, path) -> None:
     """One row per round of a run's table under the fixed header, formatted
     column by column: counts and the flag as ints, the rest with repr, and
     a NaN path loss (a round with no transmissions) as an empty field."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(CSV_HEADER + "\n")
-        for start in range(0, len(table), _CSV_CHUNK):
-            chunk = table[start:start + _CSV_CHUNK].T
-            fields = [map(str, col.astype(np.int64).tolist()) if parse is int
-                      else map(repr, col.tolist())
-                      for col, parse in zip(chunk, _FIELD_TYPES)]
-            fields[PATH_LOSS] = ("" if v != v else repr(v) for v in chunk[PATH_LOSS].tolist())
-            out.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    def fields(rows: slice):
+        chunk = table[rows].T
+        cells = [_ints(col) if parse is int else _floats(col)
+                 for col, parse in zip(chunk, _FIELD_TYPES)]
+        cells[PATH_LOSS] = ("" if v != v else repr(v) for v in chunk[PATH_LOSS].tolist())
+        return cells
+
+    _write_rows(path, CSV_HEADER, len(table), fields, ",")
 
 
-def _raise_bad_line(path, lines: list[str]) -> None:
-    """Parse the rows one by one with int and float, and name the first
-    that does not parse; called once the fast parse has failed."""
+def _ints(values: np.ndarray):
+    return map(str, values.astype(np.int64).tolist())
+
+
+def _floats(values: np.ndarray):
+    return map(repr, values.tolist())
+
+
+def _check_field(value: str, parse) -> None:
+    """Raise ValueError unless ``parse(value)`` succeeds, also rejecting what
+    int() and float() take but np.loadtxt does not: underscores, digits
+    other than 0-9, and counts outside int64."""
+    number = parse(value)
+    if ("_" in value or not value.strip().isascii()
+            or (parse is int and not -2**63 <= number < 2**63)):
+        kind = "int64" if parse is int else "float64"
+        raise ValueError(f"could not convert {value!r} to {kind}")
+
+
+def _raise_bad_line(path) -> None:
+    """Re-read the file and check its rows one by one, as the fast parse
+    reads them, naming the first it rejects; called once that parse has
+    failed."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     for lineno, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
+        row = line.rstrip("\n" + _ODD_BREAKS)
+        f = row.split(",")
         try:
             if len(f) != _CSV_FIELDS:
                 raise ValueError(f"{len(f)} fields, expected {_CSV_FIELDS}")
             for col, (value, parse) in enumerate(zip(f, _FIELD_TYPES)):
                 if value or col != PATH_LOSS:
-                    parse(value)
+                    _check_field(value, parse)
+            if int(f[EQUILIBRIUM]) not in (0, 1):
+                raise ValueError(f"equilibrium flag {f[EQUILIBRIUM]!r}, expected 0 or 1")
+            if line not in (row, row + "\n"):
+                raise ValueError(f"ends in {line[len(row):]!r}, not a newline")
         except ValueError as exc:
             raise ResultFileError(f"{path}: line {lineno}: {exc}") from None
 
 
+def _spelled_blocks(data: bytes):
+    """``data`` in blocks of whole lines, each at least ``_BLOCK`` bytes
+    long but the last. Only the path-loss field, next to the flag, may be
+    empty; loadtxt takes no empty number, so it gets a spelled-out NaN."""
+    view = memoryview(data)
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        yield re.sub(rb",,(?=[^,\n]*$)", b",nan,", view[start:stop], flags=re.MULTILINE)
+        start = stop
+
+
 def read_metrics_csv(path) -> np.ndarray:
-    """Inverse of write_metrics_csv, as a table (see the module docstring)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ResultFileError(f"{path}: not UTF-8 text: {exc}") from None
-    header, _, body = text.partition("\n")
-    if header != CSV_HEADER:
+    """Inverse of write_metrics_csv, as a table (see the module docstring).
+
+    The file is read into one buffer and parsed from it ``_BLOCK`` bytes
+    at a time; the table is built in the memory np.loadtxt returns. A file
+    the fast parse rejects is checked again line by line, to name the line
+    at fault."""
+    data = Path(path).read_bytes()
+    is_ascii = data.isascii()
+    if not is_ascii:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ResultFileError(f"{path}: not UTF-8 text: {exc}") from None
+    if b"\r" in data:  # as text mode reads it
+        data = re.sub(rb"\r\n?", b"\n", data)
+    if data[:len(_HEADER_LINE)] not in (_HEADER_LINE, _HEADER_LINE[:-1]):
         raise ResultFileError(f"{path}: not a metrics CSV (unexpected header)")
-    lines = text.splitlines()
-    if len(lines) == 1:
+    if len(data) <= len(_HEADER_LINE):
         return np.empty((0, _CSV_FIELDS))
-    # Only the path-loss field, next to the flag, may be empty; loadtxt
-    # takes no empty number, so it gets a spelled-out NaN.
-    body = (body + "\n").replace(",,0\n", ",nan,0\n").replace(",,1\n", ",nan,1\n")
     try:
-        with warnings.catch_warnings():  # "no data" when every row is blank
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(io.StringIO(body), dtype=_CSV_DTYPE, delimiter=",",
-                              comments=None, ndmin=1)
-        # loadtxt skips blank lines, and splitlines also breaks at \f, \x85 and
-        # the like, which loadtxt reads as blanks inside a field.
-        if len(rows) != len(lines) - 1:
-            raise ValueError(f"{len(rows)} rows parsed from {len(lines) - 1} lines")
+        # loadtxt skips blank lines and takes odd breaks for blanks, so the
+        # line-by-line check rejects both; an ASCII file holds only ASCII ones.
+        if b"\n\n" in data or any(c.encode() in data for c in _ODD_BREAKS
+                                   if c.isascii() or not is_ascii):
+            raise ValueError("a blank line, or a line break other than \\n")
+        lines = itertools.chain.from_iterable(map(io.BytesIO, _spelled_blocks(data)))
+        rows = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1, encoding="utf-8")
+        flags = rows[_CSV_DTYPE.names[EQUILIBRIUM]]
+        if flags.min() < 0 or flags.max() > 1:
+            raise ValueError("an equilibrium flag other than 0 or 1")
     except ValueError as exc:
-        _raise_bad_line(path, lines)
+        _raise_bad_line(path)
         raise ResultFileError(f"{path}: {exc}") from None
-    table = np.column_stack([rows[name] for name in _CSV_DTYPE.names])
-    table[:, EQUILIBRIUM] = rows[_CSV_DTYPE.names[EQUILIBRIUM]] == 1
+    # Each row's nine 8-byte fields become a row of the table in place.
+    table = rows.view(np.float64).reshape(-1, _CSV_FIELDS)
+    counts = rows.view(np.int64).reshape(-1, _CSV_FIELDS)
+    for col, parse in enumerate(_FIELD_TYPES):
+        if parse is int:
+            table[:, col] = counts[:, col]
     return table
 
 
@@ -139,19 +213,24 @@ def median_series(tables: list[np.ndarray]) -> np.ndarray:
     number: the middle value, or the mean of the two middle values. Counts
     take the int of the median; the path loss is NaN where no run
     transmitted; the equilibrium flag holds only when it holds in every run.
+    The merge goes column by column, so its temporaries hold one column of
+    every run.
     """
     lengths = {len(t) for t in tables}
     if len(lengths) != 1:
         raise ValueError(f"need runs of one length, got lengths {sorted(lengths)}")
-    runs = np.sort(np.stack(tables), axis=0)  # NaN sorts last
-    k = np.count_nonzero(~np.isnan(runs), axis=0)[np.newaxis]
-    # Where k == 0 the index -1 picks the last run, NaN like every run there.
-    lo = np.take_along_axis(runs, (k - 1) // 2, axis=0)[0]
-    hi = np.take_along_axis(runs, k // 2, axis=0)[0]
-    merged = np.where(k[0] % 2 == 1, lo, (lo + hi) / 2)
+    merged = np.empty((lengths.pop(), _CSV_FIELDS))
     merged[:, ROUND] = np.arange(len(merged))
-    merged[:, ALIVE:CRITICAL + 1] = np.trunc(merged[:, ALIVE:CRITICAL + 1])
-    merged[:, EQUILIBRIUM] = runs[0, :, EQUILIBRIUM]  # the smallest flag
+    for col in range(ALIVE, EQUILIBRIUM):
+        runs = np.column_stack([t[:, col] for t in tables])
+        runs.sort()  # NaN sorts last
+        k = np.count_nonzero(~np.isnan(runs), axis=1)[:, np.newaxis]
+        # Where k == 0 the index -1 picks the last run, NaN like every run there.
+        lo = np.take_along_axis(runs, (k - 1) // 2, axis=1)[:, 0]
+        hi = np.take_along_axis(runs, k // 2, axis=1)[:, 0]
+        median = np.where(k[:, 0] % 2 == 1, lo, (lo + hi) / 2)
+        merged[:, col] = np.trunc(median) if col <= CRITICAL else median
+    merged[:, EQUILIBRIUM] = np.min([t[:, EQUILIBRIUM] for t in tables], axis=0)
     return merged
 
 PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
@@ -163,7 +242,8 @@ def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
 
     ``runs`` maps protocol name to its metrics table; column order follows
     the mapping's order. Rounds with no transmissions emit ``nan`` in the
-    path-loss file (gnuplot-friendly missing marker).
+    path-loss file (gnuplot-friendly missing marker). Each file is written
+    ``_CSV_CHUNK`` rows at a time.
     """
     protocols = list(runs)
     if not protocols:
@@ -171,31 +251,26 @@ def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
     lengths = {len(m) for m in runs.values()}
     if len(lengths) != 1:
         raise ValueError(f"round counts differ across runs: {sorted(lengths)}")
-    rounds = [str(r) for r in range(lengths.pop())]
+    rounds = lengths.pop()
     tables = list(runs.values())
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = "# round " + " ".join(protocols)
 
-    def series(fname: str, columns) -> Path:
-        lines = [header, *map(" ".join, zip(rounds, *columns))]
+    def series(fname: str, columns: list[np.ndarray], fmt) -> Path:
         path = out / fname
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write_rows(path, header, rounds,
+                    lambda rows: [map(str, range(rows.start, rows.stop)),
+                                  *(fmt(c[rows]) for c in columns)], " ")
         return path
-
-    def ints(values: np.ndarray):
-        return map(str, values.astype(np.int64).tolist())
-
-    def floats(values: np.ndarray):
-        return map(repr, values.tolist())
 
     lifetime, throughput, residual, pathloss = PLOT_FILES
     return [
-        series(lifetime, [ints(t[:, ALIVE]) for t in tables]),
-        series(throughput, [ints(np.cumsum(t[:, RECEIVED])) for t in tables]),
-        series(residual, [floats(t[:, TOTAL_RESIDUAL]) for t in tables]),
-        series(pathloss, [floats(t[:, PATH_LOSS]) for t in tables]),
+        series(lifetime, [t[:, ALIVE] for t in tables], _ints),
+        series(throughput, [np.cumsum(t[:, RECEIVED]) for t in tables], _ints),
+        series(residual, [t[:, TOTAL_RESIDUAL] for t in tables], _floats),
+        series(pathloss, [t[:, PATH_LOSS] for t in tables], _floats),
     ]
 
 

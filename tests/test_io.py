@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -32,6 +33,41 @@ def summary(protocol, seed, stability, lifetime, tp=100.0, residual_pct=80.0):
                       final_total_residual=residual_pct * 9.5 / 100,
                       residual_pct_at_end=residual_pct,
                       packets_sent_total=1000, packets_received_total=990)
+
+
+def big_table(rounds, seed):
+    """An engine-like table: counts, residuals and path losses of typical
+    length, and about one round in eight quiet."""
+    rng = np.random.default_rng(seed)
+    t = np.empty((rounds, 9))
+    t[:, ROUND] = np.arange(rounds)
+    t[:, ALIVE:TOTAL_RESIDUAL] = rng.integers(0, 20, (rounds, 4))
+    t[:, TOTAL_RESIDUAL:PATH_LOSS] = rng.uniform(0.0, 9.5, (rounds, 2))
+    t[:, PATH_LOSS] = np.where(rng.random(rounds) < 0.125, math.nan,
+                               rng.uniform(20.0, 120.0, rounds))
+    t[:, EQUILIBRIUM] = rng.integers(0, 2, rounds)
+    return t
+
+
+@st.composite
+def csv_tables(draw):
+    """0-2500 rounds, so some cross the writer's 2048-row chunk: counts up
+    to 2**53, residuals from subnormal to near the largest float, quiet
+    rounds, both flags, and a few of Hypothesis's own edge floats (NaN,
+    infinities, -0.0) scattered over the float columns."""
+    rounds = draw(st.integers(0, 2500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.empty((rounds, 9))
+    t[:, ROUND] = np.arange(rounds)
+    t[:, ALIVE:TOTAL_RESIDUAL] = rng.integers(-2**53, 2**53, (rounds, 4), endpoint=True)
+    t[:, TOTAL_RESIDUAL:EQUILIBRIUM] = (rng.uniform(1.0, 2.0, (rounds, 3))
+                                        * 2.0 ** rng.integers(-1074, 1024, (rounds, 3)))
+    t[rng.random(rounds) < 0.3, PATH_LOSS] = math.nan
+    t[:, EQUILIBRIUM] = rng.integers(0, 2, rounds)
+    if rounds:
+        for value in draw(st.lists(st.floats(), max_size=5)):
+            t[rng.integers(rounds), rng.integers(TOTAL_RESIDUAL, EQUILIBRIUM)] = value
+    return t
 
 
 class TestMetricsCsv:
@@ -97,6 +133,16 @@ class TestMetricsCsv:
         "blank_line": ("", 3),
         "blank_line_with_spaces": ("   ", 3),
         "form_feed_inside_row": ("1,19,2,2\f,1,9.5,0.5,36.5,1", 3),
+        # int() and float() take these, np.loadtxt does not.
+        "count_past_int64": ("1,19,99999999999999999999,2,1,9.5,0.5,36.5,1", 3),
+        "underscore_in_count": ("1,19,1_9,2,1,9.5,0.5,36.5,1", 3),
+        "underscore_in_float": ("1,19,2,2,1,9.5_0,0.5,36.5,1", 3),
+        "non_ascii_digit_in_count": ("1,\uff11\uff19,2,2,1,9.5,0.5,36.5,1", 3),
+        "flag_two": ("1,19,2,2,1,9.5,0.5,36.5,2", 3),
+        "flag_minus_one": ("1,19,2,2,1,9.5,0.5,36.5,-1", 3),
+        "flag_two_quiet_round": ("1,19,0,0,1,9.5,0.5,,2", 3),
+        # Two good rows to str.splitlines, one of 17 fields to np.loadtxt.
+        "next_line_joining_two_rows": ("1,19,2,2,1,9.5,0.5,36.5,1\x851,19,2,2,1,9.5,0.5,36.5,1", 3),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_FILES))
@@ -141,9 +187,48 @@ class TestMetricsCsv:
     def test_crlf_file_and_missing_final_newline_still_read(self, tmp_path):
         metrics = table(row(0), row(1, loss=None))
         path = tmp_path / "m.csv"
+        for newline in (b"\r\n", b"\r"):
+            write_metrics_csv(metrics, path)
+            path.write_bytes(path.read_bytes().rstrip(b"\n").replace(b"\n", newline))
+            assert np.array_equal(read_metrics_csv(path), metrics, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_tables())
+    def test_round_trip_property(self, tmp_path_factory, metrics):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
         write_metrics_csv(metrics, path)
-        path.write_bytes(path.read_bytes().rstrip(b"\n").replace(b"\n", b"\r\n"))
-        assert np.array_equal(read_metrics_csv(path), metrics, equal_nan=True)
+        assert same_bits(read_metrics_csv(path), metrics)
+
+
+class TestPlotsMemory:
+    """tracemalloc sees numpy's buffers, so these peaks count every array."""
+
+    def traced_peak(self, call):
+        """``call()`` and the peak bytes it held beyond what it returned."""
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - result.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_reading_holds_about_one_copy_of_the_file(self, tmp_path):
+        # 10^4 rounds, about 0.7 MB: a whole-text parse held 8.0 times the
+        # file beyond its table, the one-buffer parse 1.3 times.
+        path = tmp_path / "m.csv"
+        write_metrics_csv(big_table(10_000, seed=1), path)
+        table, peak = self.traced_peak(lambda: read_metrics_csv(path))
+        assert table.shape == (10_000, 9)
+        assert peak <= 2 * path.stat().st_size
+
+    def test_median_holds_about_one_column_of_every_seed(self):
+        # 3 seeds of 10^4 rounds: merging all nine columns at once held 21
+        # times one column of every seed beyond the output, column by column
+        # 3.7 times.
+        tables = [big_table(10_000, seed) for seed in (1, 2, 3)]
+        merged, peak = self.traced_peak(lambda: median_series(tables))
+        assert merged.shape == (10_000, 9)
+        assert peak <= 6 * 10_000 * 8 * len(tables)
 
 
 class TestSummaryJson:
