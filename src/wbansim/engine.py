@@ -47,12 +47,13 @@ thermal model reads the per-node send and receive counts (``heat_tx``,
 
 ``_Sim.charge`` is the one death rule, and the only code that writes a
 node's residual or alive flag, ``alive_count`` or ``drained_total``. Each
-charge (sensing, send, escalation, control exchange) is one call to it. It
-debits the node, or, when the debit would not leave it above ``x_t``, writes
-it off to 0.0 and takes one off ``alive_count``; either way it adds the
-joules drained to ``drained_total``. Charging follows last-gasp semantics:
-the action a dying node paid for still completes, so its final transmission
-is delivered before it falls silent.
+charge (sensing, send, escalation) is one call to it, and a control exchange
+is one call for all the alive nodes, charged in id order. It debits a node,
+or, when the debit would not leave it above ``x_t``, writes it off to 0.0
+and takes one off ``alive_count``; either way it adds the joules drained to
+``drained_total``. Charging follows last-gasp semantics: the action a dying
+node paid for still completes, so its final transmission is delivered before
+it falls silent.
 
 A run is one table: ``RunResult.metrics`` is a ``(rounds, 9)`` float64 array
 with one row per round, its columns in the metrics CSV's order (``ROUND`` ...
@@ -88,9 +89,10 @@ its constant costs down. Code that runs per node, packet or round reads an
 Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``, ...), never
 as ``PacketKind.CRITICAL``: a member read costs several times a global's.
 And a per-node rule is one call per round over all the nodes
-(``mattempt_temperature_step``, ``simple_select_forwarder``), not one call
-per node; a round's derived state (M-ATTEMPT's usable set) is re-read only
-when such a call, or a death, signals that it may have changed.
+(``mattempt_temperature_step``, ``simple_select_forwarder``, the control
+exchange's ``charge``), not one call per node; a round's derived state
+(M-ATTEMPT's usable set) is re-read only when such a call, or a death,
+signals that it may have changed.
 """
 from __future__ import annotations
 
@@ -383,10 +385,34 @@ class _Sim:
         self.round_links[self.link_code[tx.id] + rx_id] = None
         self.charge(tx, cost)
 
-    def charge(self, node: SensorNode, cost: float) -> None:
+    def charge(self, node: SensorNode | None, cost: float) -> None:
         """Deduct ``cost`` joules from the live ``node`` (the death rule, see
         the module docstring): a node the debit would not leave above
-        ``x_t`` dies, its residual written off to 0.0."""
+        ``x_t`` dies, its residual written off to 0.0.
+
+        ``node`` None charges every alive node in id order, dead nodes
+        skipped: the same rule, node by node, in one call. A negative cost
+        is rejected before any node is debited."""
+        if node is None:
+            if cost < 0:
+                raise ValueError("charge cost must be >= 0")
+            # The joules go to a local and are written back once: the same
+            # additions, in the same order, as one call per node.
+            x_t, drained, deaths = self.w.x_t, self.drained_total, 0
+            for nd in self.nodes:
+                if nd.alive:
+                    residual = nd.residual_energy
+                    if residual - cost > x_t:
+                        nd.residual_energy = residual - cost
+                        drained += cost
+                    else:
+                        nd.residual_energy = 0.0
+                        nd.alive = False
+                        drained += residual
+                        deaths += 1
+            self.drained_total = drained
+            self.alive_count -= deaths
+            return
         if not node.alive:
             raise RuntimeError(f"charge on dead node {node.id} (engine bug)")
         if cost < 0:
@@ -403,11 +429,8 @@ class _Sim:
 
     def _control_exchange(self) -> None:
         """Every alive node pays one control-packet exchange."""
-        charge, x_c = self.charge, self.w.x_c
         self.c5 += self.alive_count  # one each, a node its own charge kills included
-        for nd in self.nodes:
-            if nd.alive:
-                charge(nd, x_c)
+        self.charge(None, self.w.x_c)
 
     def _event_counts(self, m: int) -> list[int]:
         """The next m entries of the events stream as Poisson counts,
@@ -433,6 +456,12 @@ class _Sim:
         decide, hand_over, nodes = self.decide, self.hand_over, self.nodes
         holder = origin
         is_origin = True
+        # A packet takes at most n decisions, one per holder, and no holder
+        # repeats: each AMHRP forward goes strictly closer to the sink, each
+        # M-ATTEMPT forward strictly down the hop counts, and SIMPLE parks a
+        # packet after one forward. So the walk always ends inside this
+        # bound; the RuntimeError below stays as a guard against an engine
+        # bug that breaks it.
         for _hop in range(self.n + 2):
             decision = decide(holder, kind)
             act = decision.action
@@ -586,10 +615,14 @@ class _Sim:
 class _Amhrp(_Sim):
     closer_only = True
 
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
+        self.control_period = cfg.amhrp.control_period
+
     def begin_round(self, rnd: int) -> None:
         # Nodes start knowing each other's location, so the first
         # residual-energy beacon exchange happens a full period in.
-        if rnd > 0 and rnd % self.cfg.amhrp.control_period == 0:
+        if rnd > 0 and rnd % self.control_period == 0:
             self._control_exchange()
 
     def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
@@ -668,11 +701,12 @@ class _Mattempt(_Sim):
 class _Simple(_Sim):
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
+        self.control_period = cfg.simple.control_period
         self.forwarder: int | None = None
         self.parked = 0
 
     def begin_round(self, rnd: int) -> None:
-        if rnd % self.cfg.simple.control_period == 0:
+        if rnd % self.control_period == 0:
             self._control_exchange()
         self.forwarder = simple_select_forwarder(self.nodes, self.d_sink)
         self.parked = 0

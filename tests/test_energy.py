@@ -1,7 +1,10 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_config import violations
 
 from wbansim.config import EnergyWeights, SimConfig
@@ -103,3 +106,64 @@ class TestCharge:
             prev = node.residual_energy
         assert sim.drained_total == pytest.approx(0.5, abs=1e-12)
         assert sim.alive_count == sim.n - 1
+
+    def test_every_alive_skips_dead_nodes(self):
+        sim, node = sim_with_node(0.0, alive=False)
+        sim.alive_count -= 1
+        sim.charge(None, 0.01)
+        assert node.residual_energy == 0.0 and not node.alive
+        assert all(nd.alive and nd.residual_energy == 0.49 for nd in sim.nodes[1:])
+        drained = 0.0
+        for _ in sim.nodes[1:]:
+            drained += 0.01
+        assert sim.drained_total == drained
+        assert sim.alive_count == sim.n - 1
+
+    def test_every_alive_writes_off_at_threshold(self):
+        # 0.5 - 0.03 = 0.47 is not above x_t: node 0 dies, writing off its
+        # 0.5 J; the others hold 0.6 J and pay the 0.03 J.
+        sim, node = sim_with_node(0.5, x_t=0.47)
+        for nd in sim.nodes[1:]:
+            nd.residual_energy = 0.6
+        sim.charge(None, 0.03)
+        assert node.residual_energy == 0.0 and not node.alive
+        assert all(nd.alive and nd.residual_energy == 0.6 - 0.03 for nd in sim.nodes[1:])
+        drained = 0.5
+        for _ in sim.nodes[1:]:
+            drained += 0.03
+        assert sim.drained_total == drained
+        assert sim.alive_count == sim.n - 1
+
+    def test_every_alive_negative_cost_rejected_before_any_debit(self):
+        sim, _ = sim_with_node(x_t=0.49)
+        before = [(nd.residual_energy, nd.alive) for nd in sim.nodes]
+        with pytest.raises(ValueError):
+            sim.charge(None, -1e-9)
+        assert [(nd.residual_energy, nd.alive) for nd in sim.nodes] == before
+        assert sim.drained_total == 0.0 and sim.alive_count == sim.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 0.45), st.floats(0.0, 0.02), st.floats(0.0, 5.0),
+           st.lists(st.tuples(st.booleans(),
+                              st.one_of(st.just(0.0), st.floats(-0.03, 0.03))),
+                    min_size=19, max_size=19))
+    def test_every_alive_is_the_per_node_loop(self, x_t, cost, drained, nodes):
+        """One call over the alive nodes leaves every residual, alive flag,
+        ``alive_count`` and the bits of ``drained_total`` as a loop of
+        single-node charges over a copy of the same sim does; the residuals
+        lie near ``x_t + cost``, so both sides of the threshold are hit."""
+        sim, _ = sim_with_node(x_t=x_t)
+        for nd, (alive, offset) in zip(sim.nodes, nodes):
+            nd.alive = alive
+            nd.residual_energy = x_t + cost + offset if alive else 0.0
+        sim.alive_count = sum(alive for alive, _ in nodes)
+        sim.drained_total = drained
+        ref = copy.deepcopy(sim)
+        sim.charge(None, cost)
+        for nd in ref.nodes:
+            if nd.alive:
+                ref.charge(nd, cost)
+        assert ([(nd.residual_energy, nd.alive) for nd in sim.nodes]
+                == [(nd.residual_energy, nd.alive) for nd in ref.nodes])
+        assert sim.alive_count == ref.alive_count
+        assert repr(sim.drained_total) == repr(ref.drained_total)

@@ -431,7 +431,7 @@ def death_state_writes(source):
 
 class TestHotLoopRules:
     """The engine's hot-loop rules (see its module docstring) that a static
-    check can hold."""
+    check or a call count can hold."""
 
     @pytest.mark.parametrize("module", ["engine", "protocols"])
     def test_only_the_death_rule_writes_death_state(self, module):
@@ -488,6 +488,29 @@ class TestHotLoopRules:
         )
         assert enum_member_reads(source) == [("g", 7, "LinkClass.LOS"),
                                              ("g", 8, "SensorKind.ECG")]
+
+    def test_control_exchange_is_one_charge_call(self, monkeypatch):
+        """A default SIMPLE run exchanges control packets every round: each
+        walked round's exchange is one call of the every-alive form, not one
+        call per alive node (a per-node exchange makes 90704 calls here)."""
+        charge, run_round = engine._Sim.charge, engine._Sim.run_round
+        calls, every_alive, control_rounds = [0], [0], [0]
+
+        def counted_charge(sim, node, cost):
+            calls[0] += 1
+            every_alive[0] += node is None
+            charge(sim, node, cost)
+
+        def counted_run_round(sim, rnd):
+            control_rounds[0] += rnd % sim.cfg.simple.control_period == 0
+            run_round(sim, rnd)
+
+        monkeypatch.setattr(engine._Sim, "charge", counted_charge)
+        monkeypatch.setattr(engine._Sim, "run_round", counted_run_round)
+        run_simulation(cfg(protocol="simple", seed=1))
+        assert control_rounds[0] > 0
+        assert every_alive[0] == control_rounds[0]
+        assert calls[0] <= 30000
 
 
 def _tail_config(case, protocol, seed):
