@@ -34,7 +34,9 @@ hotspot bounce, SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature
 step, SIMPLE's aggregated uplink). Everything else (the transmit bookkeeping,
 charging, the control exchange, the metrics) is the base class's and shared.
 
-The per-send path: ``_route_packet`` asks ``decide`` once per hop, counts the
+The per-round walk: ``run_round`` hands the round's originators to
+``route_round``, one call a round, whose one loop senses each reading and
+walks its packet hop by hop. It asks ``decide`` once per hop, counts the
 packet as sent on its originator's verdict unless that is a HOLD, tests the
 verdict's action once (a forward first, the commonest), and a forward goes
 through ``hand_over``. A forward's target is always alive: every rule skips
@@ -84,11 +86,17 @@ takes its draw but is left out of the round's mean.
 
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
-metrics and counts go to the buffer as plain numbers. Two more rules keep
-its constant costs down. Code that runs per node, packet or round reads an
-Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``, ...), never
-as ``PacketKind.CRITICAL``: a member read costs several times a global's.
-And a per-node rule is one call per round over all the nodes
+metrics and counts go to the buffer as plain numbers. ``route_round`` binds
+the hooks and ``charge`` once a round, not once a packet; they are the
+instance's, so a wrapper set on one instance sees every call. It keeps the
+round's sensing and escalation counts (``c1``, ``c3``) and its sent,
+received and critical counts in locals, written back once before
+``end_round`` (SIMPLE's uplink adds to ``round_received`` there). Its hop
+bound and the boosted send's cost are computed once a run. Two more rules
+keep the constant costs down. Code that runs per node, packet or round reads
+an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``, ...),
+never as ``PacketKind.CRITICAL``: a member read costs several times a
+global's. And a per-node rule is one call per round over all the nodes
 (``mattempt_temperature_step``, ``simple_select_forwarder``, the control
 exchange's ``charge``), not one call per node; a round's derived state
 (M-ATTEMPT's usable set) is re-read only when such a call, or a death,
@@ -342,6 +350,10 @@ class _Sim:
         # Node i's link to receiver j has code link_code[i] + j.
         self.link_code = [i * (self.n + 1) + 1 for i in range(self.n)]
         self.drained_total = 0.0
+        # Per-run constants of ``route_round``: its hop bound, and the cost
+        # of a boosted send to the sink.
+        self.hops = range(self.n + 2)
+        self.boosted_cost = self.w.x_d * cfg.mattempt.boost_multiplier
 
         # Per-round working state (plain ints: this is the hot loop).
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
@@ -449,59 +461,11 @@ class _Sim:
                 self._event_pos = pos
                 return counts
 
-    # -- packet routing -----------------------------------------------------
-
-    def _route_packet(self, origin: SensorNode, kind: PacketKind) -> None:
-        """Walk one packet from its originator toward the sink."""
-        decide, hand_over, nodes = self.decide, self.hand_over, self.nodes
-        holder = origin
-        is_origin = True
-        # A packet takes at most n decisions, one per holder, and no holder
-        # repeats: each AMHRP forward goes strictly closer to the sink, each
-        # M-ATTEMPT forward strictly down the hop counts, and SIMPLE parks a
-        # packet after one forward. So the walk always ends inside this
-        # bound; the RuntimeError below stays as a guard against an engine
-        # bug that breaks it.
-        for _hop in range(self.n + 2):
-            decision = decide(holder, kind)
-            act = decision.action
-            if is_origin and act is not _HOLD:
-                self.round_sent += 1  # counted once, when the originator transmits
-            if act is _TO_FORWARDER:
-                target = nodes[decision.target]
-                if not hand_over(holder, target, is_origin):
-                    return
-                holder = target
-                is_origin = False
-            elif act is _TO_SINK:
-                cost = None
-                if decision.boosted:
-                    cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
-                self._transmit(holder, SINK_ID, is_origin, cost)
-                self.round_received += 1
-                if kind is _CRITICAL:
-                    self.round_critical += 1
-                return
-            elif act is _HOLD:
-                # Origin: nothing transmitted. Relay: packet already counted
-                # as sent; it is dropped here (no queueing across rounds).
-                return
-            else:
-                # Escalation to the external WSN gateway, an off-body
-                # receiver: no on-body link pair to record.
-                self.c3 += 1
-                self.charge(holder, self.w.x_w)
-                return
-        raise RuntimeError("routing did not terminate (engine bug)")
-
     # -- one round ----------------------------------------------------------
 
     def run_round(self, rnd: int) -> None:
-        self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
+        self.c2 = self.c4 = self.c5 = 0
         self.round_links = {}
-        self.round_sent = 0
-        self.round_received = 0
-        self.round_critical = 0
 
         # Event counts are drawn for every node id, dead or alive, so the
         # stream consumed is identical across protocols under a shared seed.
@@ -520,21 +484,7 @@ class _Sim:
         self._event_pos += skip
 
         self.begin_round(rnd)
-
-        charge, x_s = self.charge, self.w.x_s
-        route = self._route_packet
-        for node, is_due, k in originators:
-            if not node.alive:
-                continue
-            for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
-                self.c1 += 1
-                charge(node, x_s)
-                if not node.alive:
-                    break  # the reading completed, but a dead node sends nothing
-                route(node, kind)
-                if not node.alive:
-                    break
-
+        self.route_round(originators)
         self.end_round(rnd)
 
         total_residual = self._total_residual()
@@ -546,6 +496,70 @@ class _Sim:
         self.link_counts.append(len(self.round_links))
         if len(self.link_counts) == _LOSS_CHUNK:
             self.fill_path_losses()
+
+    def route_round(self, originators: list[tuple[SensorNode, bool, int]]) -> None:
+        """The round's origination and routing: each alive originator, in
+        slot order, senses its readings one at a time and walks each one's
+        packet from holder to holder toward the sink (see the module
+        docstring). Sets the round's ``c1``, ``c3``, ``round_sent``,
+        ``round_received`` and ``round_critical``."""
+        decide, hand_over, transmit, charge = (self.decide, self.hand_over, self._transmit,
+                                               self.charge)
+        nodes, hops, x_s, x_w, boosted_cost = (self.nodes, self.hops, self.w.x_s, self.w.x_w,
+                                               self.boosted_cost)
+        c1 = c3 = sent = received = critical = 0
+        for origin, is_due, k in originators:
+            if not origin.alive:
+                continue
+            for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
+                c1 += 1
+                charge(origin, x_s)
+                if not origin.alive:
+                    break  # the reading completed, but a dead node sends nothing
+                holder = origin
+                is_origin = True
+                # A packet takes at most n decisions, one per holder, and no
+                # holder repeats: each AMHRP forward goes strictly closer to
+                # the sink, each M-ATTEMPT forward strictly down the hop
+                # counts, and SIMPLE parks a packet after one forward. So the
+                # walk always ends inside ``hops``; the RuntimeError below
+                # stays as a guard against an engine bug that breaks it.
+                for _hop in hops:
+                    decision = decide(holder, kind)
+                    act = decision.action
+                    if is_origin and act is not _HOLD:
+                        sent += 1  # counted once, when the originator transmits
+                    if act is _TO_FORWARDER:
+                        target = nodes[decision.target]
+                        if not hand_over(holder, target, is_origin):
+                            break
+                        holder = target
+                        is_origin = False
+                    elif act is _TO_SINK:
+                        transmit(holder, SINK_ID, is_origin,
+                                 boosted_cost if decision.boosted else None)
+                        received += 1
+                        if kind is _CRITICAL:
+                            critical += 1
+                        break
+                    elif act is _HOLD:
+                        # Origin: nothing transmitted. Relay: packet already
+                        # counted as sent; it is dropped here (no queueing
+                        # across rounds).
+                        break
+                    else:
+                        # Escalation to the external WSN gateway, an off-body
+                        # receiver: no on-body link pair to record.
+                        c3 += 1
+                        charge(holder, x_w)
+                        break
+                else:
+                    raise RuntimeError("routing did not terminate (engine bug)")
+                if not origin.alive:
+                    break
+        # Written back before ``end_round``, which may add to them.
+        self.c1, self.c3 = c1, c3
+        self.round_sent, self.round_received, self.round_critical = sent, received, critical
 
     def _total_residual(self) -> float:
         """The residuals added one by one from 0.0, in id order."""

@@ -159,17 +159,23 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("protocol,over", [
         ("amhrp", {}),
+        ("amhrp", {"events": replace(SimConfig().events, lam=2.0),
+                   "channel": replace(SimConfig().channel, sigma_db=4.0)}),
         ("mattempt", {"mattempt": replace(SimConfig().mattempt, temp_threshold=37.2)})],
-        ids=["amhrp", "mattempt_hot"])
+        ids=["amhrp", "amhrp_storm", "mattempt_hot"])
     def test_links_log_sees_every_send(self, protocol, over):
         """The no-dead-sender and acyclic-forwarding checks read the links
         log, so every on-body send must reach it: each round's logged sends
         are its destined sends plus its forwards (c2 + c4). The M-ATTEMPT
-        run's low threshold makes hotspot bounces."""
+        run's low threshold makes hotspot bounces; the AMHRP storm run has
+        escalations (checked here) and a HOLD at a relay, after the walk has
+        moved."""
         c = cfg(rounds=2000, seed=4, protocol=protocol, **over)
         _, _, links, actions = walk_recorded(c)
         counted = (actions[:, 1] + actions[:, 3]).tolist()
         assert sum(counted) > 0
+        if over.get("events"):
+            assert actions[:, 2].sum() > 0  # escalations
         assert sends_per_round(links, c.rounds) == counted
 
     def test_dead_network_rows_run_to_the_end(self):
@@ -511,6 +517,42 @@ class TestHotLoopRules:
         assert control_rounds[0] > 0
         assert every_alive[0] == control_rounds[0]
         assert calls[0] <= 30000
+
+    @pytest.mark.parametrize("case", ["simple_default", "amhrp_storm"])
+    def test_routing_is_one_call_per_round(self, case, monkeypatch):
+        """Each walked round routes all its packets in one ``route_round``
+        call; no per-packet routing method is left."""
+        c = (cfg(protocol="simple", seed=1) if case == "simple_default"
+             else _tail_config("storm", "amhrp", 1))
+        route_round, run_round = engine._Sim.route_round, engine._Sim.run_round
+        routed, walked = [0], [0]
+
+        def counted_route_round(sim, originators):
+            routed[0] += 1
+            route_round(sim, originators)
+
+        def counted_run_round(sim, rnd):
+            walked[0] += 1
+            run_round(sim, rnd)
+
+        monkeypatch.setattr(engine._Sim, "route_round", counted_route_round)
+        monkeypatch.setattr(engine._Sim, "run_round", counted_run_round)
+        res = run_simulation(c)
+        assert res.summary.packets_sent_total > 0
+        assert walked[0] > 0
+        assert routed[0] == walked[0]
+        assert not hasattr(engine._Sim, "_route_packet")
+
+    def test_a_walk_past_the_hop_bound_raises(self):
+        """A walk that never ends trips the engine-bug guard: here a decide
+        rule that always forwards to the other of two nodes."""
+        from wbansim.protocols import to_forwarder
+
+        c = cfg(protocol="amhrp", node_count=2, rounds=1, initial_energy=1e6)
+        sim = _SCHEMES["amhrp"](c)
+        sim.decide = lambda holder, kind: to_forwarder(1 - holder.id)
+        with pytest.raises(RuntimeError, match=r"^routing did not terminate \(engine bug\)$"):
+            sim.run_round(0)
 
 
 def _tail_config(case, protocol, seed):
