@@ -8,7 +8,7 @@ lands inside the plane.
 import numpy as np
 
 from wbansim.config import SimConfig
-from wbansim.core import build_topology, distance, format_layout
+from wbansim.core import SINK_POSITION, build_topology, distance, format_layout
 from dataclasses import replace
 
 
@@ -20,24 +20,24 @@ print("Canonical on-body layout (id,kind,x,y):")
 print(format_layout())
 
 cfg = SimConfig(seed=42)
-nodes, sink = build_topology(cfg, rng(42))
-again, _ = build_topology(cfg, rng(42))
+nodes = build_topology(cfg, rng(42))
+again = build_topology(cfg, rng(42))
 assert all(a.position == b.position for a, b in zip(nodes, again)), \
     "same seed must reproduce the same topology"
 
 print(f"Uniform placement, seed 42: {len(nodes)} nodes, sink at "
-      f"({sink.position.x}, {sink.position.y})")
+      f"({SINK_POSITION.x}, {SINK_POSITION.y})")
 for n in nodes[:5]:
-    d = distance(n.position, sink.position)
+    d = distance(n.position, SINK_POSITION)
     print(f"  node {n.id:2d} {n.kind.value:15s} ({n.position.x:.3f}, {n.position.y:.3f})"
           f"  {d:.3f} m from sink")
 print("  ...")
 
-in_range = sum(1 for n in nodes if distance(n.position, sink.position) <= n.tx_range)
+in_range = sum(1 for n in nodes if distance(n.position, SINK_POSITION) <= n.tx_range)
 print(f"{in_range} of {len(nodes)} nodes can reach the sink directly "
       f"(tx range {cfg.tx_range} m); the rest need a forwarder.")
 
-canon, _ = build_topology(replace(cfg, placement="canonical"), rng(0))
-farthest = max(canon, key=lambda n: distance(n.position, sink.position))
+canon = build_topology(replace(cfg, placement="canonical"), rng(0))
+farthest = max(canon, key=lambda n: distance(n.position, SINK_POSITION))
 print(f"Canonical mode: farthest sensor is {farthest.kind.value} at "
-      f"{distance(farthest.position, sink.position):.3f} m from the sink.")
+      f"{distance(farthest.position, SINK_POSITION):.3f} m from the sink.")

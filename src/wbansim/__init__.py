@@ -3,8 +3,8 @@
 from .channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from .config import (ConfigError, EnergyWeights, SimConfig, load_config, parse_config,
                      render_config, validate_config)
-from .core import (BodyPoint, PacketKind, SensorKind, SensorNode, Sink, build_topology,
-                   distance)
+from .core import (SINK_POSITION, BodyPoint, PacketKind, SensorKind, SensorNode,
+                   build_topology, distance)
 from .engine import RunResult, RunSummary, run_simulation, summarize_run, throughput
 from .events import EventParams, SensingSchedule, is_scheduled, poisson_pmf, sample_event_count
 from .io import compare_runs, emit_plot_series, read_metrics_csv, write_metrics_csv

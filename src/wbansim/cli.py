@@ -132,9 +132,8 @@ def cmd_sweep(args) -> int:
             for _ in pool.map(partial(_run_one, out=out), grid):
                 pass
         except BrokenProcessPool:
-            print("error: a simulation worker ended abruptly (killed, or out of memory)",
-                  file=sys.stderr)
-            return EXIT_IO
+            raise OSError("a simulation worker ended abruptly "
+                          "(killed, or out of memory)") from None
     print(f"ran {len(grid)} simulations into {out}")
     return EXIT_OK
 
@@ -143,8 +142,7 @@ def cmd_compare(args) -> int:
     in_dir = Path(args.in_dir)
     paths = sorted(in_dir.glob("summary_*.json"))
     if not paths:
-        print(f"no summary_*.json files in {in_dir}", file=sys.stderr)
-        return EXIT_IO
+        raise ResultFileError(f"no summary_*.json files in {in_dir}")
     summaries = [read_summary_json(p) for p in paths]
     try:
         report = compare_runs(summaries)
@@ -164,8 +162,7 @@ def cmd_plots(args) -> int:
     in_dir = Path(args.in_dir)
     paths = sorted(in_dir.glob("metrics_*.csv"))
     if not paths:
-        print(f"no metrics_*.csv files in {in_dir}", file=sys.stderr)
-        return EXIT_IO
+        raise ResultFileError(f"no metrics_*.csv files in {in_dir}")
     name_pattern = re.compile(rf"metrics_({'|'.join(PROTOCOLS)})_seed[0-9]+\.csv")
 
     def protocol_of(p: Path) -> str:

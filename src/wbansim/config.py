@@ -218,19 +218,12 @@ def _scalar_keys(cls: type) -> dict[str, tuple[str, type, Bound | None]]:
             for f in fields(cls) if hints[f.name] in (bool, int, float, str)}
 
 
-def _parse_bool(raw: str, path: str, problems: list[str]) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    problems.append(f"{path}: expected a boolean, got {raw!r}")
-    return False
-
-
 def _parse_scalar(raw: str, typ, path: str, problems: list[str]):
     if typ is bool:
-        return _parse_bool(raw, path, problems)
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if value is None:
+            problems.append(f"{path}: expected a boolean, got {raw!r}")
+        return bool(value)
     try:
         if typ is int:
             return int(raw.strip())

@@ -2,7 +2,8 @@
 
 The body is modelled as a 2D plane, 0.8 m wide by 1.8 m tall, origin at the
 bottom-left corner. The sink (the body-central collector) sits at the plane
-center. Nodes are placed either uniformly at random inside the plane or on a
+center, ``SINK_POSITION``; it has an unbounded power source, so its energy is
+not tracked. Nodes are placed either uniformly at random inside the plane or on a
 fixed coordinate table laid out like a standing adult (head, trunk, limbs).
 """
 from __future__ import annotations
@@ -86,8 +87,8 @@ class BodyPoint:
     x: float
     y: float
 
-    def in_bounds(self) -> bool:
-        return 0.0 <= self.x <= PLANE_WIDTH and 0.0 <= self.y <= PLANE_HEIGHT
+
+SINK_POSITION = BodyPoint(PLANE_WIDTH / 2.0, PLANE_HEIGHT / 2.0)
 
 
 @dataclass
@@ -101,20 +102,9 @@ class SensorNode:
     alive: bool = True
 
 
-@dataclass(frozen=True)
-class Sink:
-    position: BodyPoint
-
-    # The sink has an unbounded power source; its energy is not tracked.
-
-
 def distance(a: BodyPoint, b: BodyPoint) -> float:
     """Euclidean distance between two body-plane points, in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def sink_position() -> BodyPoint:
-    return BodyPoint(PLANE_WIDTH / 2.0, PLANE_HEIGHT / 2.0)
 
 
 # Fixed on-body layout for a standing adult on the 0.8 x 1.8 m plane.
@@ -152,7 +142,7 @@ def format_layout() -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_topology(config, rng: np.random.Generator) -> tuple[list[SensorNode], Sink]:
+def build_topology(config, rng: np.random.Generator) -> list[SensorNode]:
     """Place ``config.node_count`` sensor nodes on the body plane.
 
     ``uniform`` placement draws positions from the given random stream and is
@@ -174,4 +164,4 @@ def build_topology(config, rng: np.random.Generator) -> tuple[list[SensorNode], 
         nodes.append(SensorNode(id=i, kind=ALL_KINDS[i % len(ALL_KINDS)], position=pos,
                                 residual_energy=config.initial_energy,
                                 tx_range=config.tx_range))
-    return nodes, Sink(sink_position())
+    return nodes

@@ -113,7 +113,7 @@ import numpy as np
 
 from .channel import LinkClass, path_loss
 from .config import SimConfig, validate_config
-from .core import PacketKind, SensorKind, SensorNode, build_topology, distance
+from .core import SINK_POSITION, PacketKind, SensorKind, SensorNode, build_topology, distance
 from .events import invert_poisson, poisson_cdf_table, reading_draws
 from .protocols import (TO_SINK, MattemptState, RouteAction, RoutingDecision,
                         amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,
@@ -303,12 +303,12 @@ class _Sim:
         self.events_rng = np.random.Generator(np.random.PCG64(events_ss))
         self.shadow_rng = np.random.Generator(np.random.PCG64(shadow_ss))
 
-        self.nodes, self.sink = build_topology(cfg, np.random.Generator(np.random.PCG64(topo_ss)))
+        self.nodes = build_topology(cfg, np.random.Generator(np.random.PCG64(topo_ss)))
         self.n = cfg.node_count
         self.alive_count = self.n  # decremented on each death a charge causes
 
         # Static geometry caches.
-        self.d_sink = {nd.id: distance(nd.position, self.sink.position) for nd in self.nodes}
+        self.d_sink = {nd.id: distance(nd.position, SINK_POSITION) for nd in self.nodes}
         self.adjacency: dict[int, list[int]] = {nd.id: [] for nd in self.nodes}
         self.nlos = {frozenset(p) for p in cfg.nlos_pairs}
         for a in self.nodes:

@@ -23,8 +23,10 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import re
 import statistics
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -50,6 +52,10 @@ _HEADER_LINE = (CSV_HEADER + "\n").encode()
 # file; loadtxt reads them as blanks inside a field. The writer writes none,
 # and a row ending in one is rejected.
 _ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+# The summary fields write_summary_json writes as ints.
+_SUMMARY_INTS = {name for name, t in typing.get_type_hints(RunSummary).items() if t is int}
 
 
 class ResultFileError(ValueError):
@@ -180,22 +186,27 @@ def read_metrics_csv(path) -> np.ndarray:
 
 
 def write_summary_json(summary: RunSummary, path) -> None:
-    Path(path).write_text(json.dumps(asdict(summary), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(summary), indent=2, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def read_summary_json(path) -> RunSummary:
     """Inverse of write_summary_json; every field must be present and typed
-    as written (a number, the protocol a string, throughput possibly null)."""
+    as written (the protocol a string, the int fields ints, every other
+    field a finite number, throughput possibly null)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         summary = RunSummary(**data)
-    except (ValueError, TypeError) as exc:  # bad JSON, missing or unknown keys
+    # bad JSON, too deeply nested to parse, missing or unknown keys
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ResultFileError(f"{path}: not a run summary: {exc}") from None
     for key, value in data.items():
         if key == "protocol":
             ok = isinstance(value, str)
+        elif key in _SUMMARY_INTS:
+            ok = type(value) is int  # not a bool, nor a float such as 1.5 or NaN
         else:
-            ok = ((isinstance(value, (int, float)) and not isinstance(value, bool))
+            ok = (type(value) is int or (type(value) is float and math.isfinite(value))
                   or (value is None and key == "throughput_pct"))
         if not ok:
             raise ResultFileError(f"{path}: not a run summary: bad value for {key!r}")
@@ -388,5 +399,5 @@ def write_comparison(report: ComparisonReport, out_dir) -> tuple[Path, Path]:
         },
     }
     js = out / "comparison.json"
-    js.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    js.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return txt, js

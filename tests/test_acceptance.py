@@ -17,7 +17,7 @@ from recording import forwarding_acyclic, walk_recorded
 from wbansim.channel import ChannelParams, LinkClass, path_loss, reference_path_loss
 from wbansim.cli import main as cli_main
 from wbansim.config import ConfigError, EnergyWeights, SimConfig, parse_config, validate_config
-from wbansim.core import BodyPoint, SensorNode, SensorKind, Sink, distance
+from wbansim.core import SINK_POSITION, BodyPoint, SensorNode, SensorKind, distance
 from wbansim.engine import ALIVE, PATH_LOSS, RECEIVED, SENT, TOTAL_RESIDUAL, run_simulation
 from wbansim.events import poisson_pmf, sample_event_count
 from wbansim.protocols import amhrp_select_forwarder
@@ -178,7 +178,6 @@ class TestRoutingInvariants:
         report("no dead sender or relay in any transmission", alive_senders)
 
     def test_forwarder_argmax_scale_invariance(self):
-        sink = Sink(BodyPoint(0.4, 0.9))
         g = np.random.Generator(np.random.PCG64(17))
         invariant = True
         for _ in range(1000):
@@ -190,7 +189,7 @@ class TestRoutingInvariants:
                                     position=BodyPoint(*xy),
                                     residual_energy=float(e) + 0.01, tx_range=0.6)
                          for i, (xy, e) in enumerate(zip(coords[1:], g.random(6)))]
-            d_sink = {n.id: distance(n.position, sink.position) for n in [src, *neighbors]}
+            d_sink = {n.id: distance(n.position, SINK_POSITION) for n in [src, *neighbors]}
             before = amhrp_select_forwarder(src, neighbors, d_sink)
             scale = float(g.random()) * 9.9 + 0.1
             for m in neighbors:

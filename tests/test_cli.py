@@ -1,3 +1,4 @@
+import ast
 import json
 import multiprocessing
 import os
@@ -159,6 +160,10 @@ BAD_RESULT_FILES = {
     "summary_string_number": ("compare", "summary_amhrp_seed3.json",
                               _with_value("stability_period", "4500")),
     "summary_not_json": ("compare", "summary_mattempt_seed1.json", lambda t: t[:-5]),
+    "summary_nan_number": ("compare", "summary_simple_seed3.json",
+                           _with_value("stability_period", float("nan"))),
+    "summary_nested_too_deep": ("compare", "summary_amhrp_seed2.json",
+                                lambda t: "[" * 200_000),
     "metrics_short_row": ("plots", "metrics_amhrp_seed2.csv",
                           lambda t: t.rstrip("\n").rsplit(",", 1)[0] + "\n"),
     "metrics_bad_number": ("plots", "metrics_simple_seed1.csv",
@@ -364,6 +369,7 @@ EXIT_CODES = {
     "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
     "out_null_byte": (["simulate", "--out", "o\x00"], 1, "--out: embedded null byte"),
     "plots_on_empty_dir": (["plots", "--in", "."], 2, "no metrics_*.csv"),
+    "compare_on_empty_dir": (["compare", "--in", "."], 2, "i/o error: no summary_*.json"),
     "ints_past_the_float_range": (["simulate", "--config", "../exp.ini", "--out", "o"], 1,
                                   "sim.rounds: must lie in [0, 1000000]"),
 }
@@ -401,6 +407,15 @@ class TestExitCodes:
         assert main(["simulate", "--out", str(taken)]) == 2
         assert str(taken) in capsys.readouterr().err
         assert runs == []
+
+    def test_only_main_writes_to_stderr(self):
+        """The commands raise, and main prints each failure and picks its code."""
+        tree = ast.parse(Path(wbansim.cli.__file__).read_text(encoding="utf-8"))
+        writers = [getattr(top, "name", None) for top in tree.body
+                   if any(isinstance(n, ast.Attribute) and n.attr == "stderr"
+                          and isinstance(n.value, ast.Name) and n.value.id == "sys"
+                          for n in ast.walk(top))]
+        assert writers == ["main"]
 
 
 class TestSeedCap:

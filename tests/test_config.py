@@ -53,6 +53,19 @@ class TestEnergySection:
         assert any("x_f" in v for v in exc.value.violations)
 
 
+class TestBooleanKeys:
+    @pytest.mark.parametrize("word", ["1", "yes", "True", "ON", "0", "no", "false", "Off"])
+    def test_configparser_words(self, word):
+        cfg = parse_config(f"[sim]\nallow_unconstrained_weights = {word}\n")
+        assert cfg.allow_unconstrained_weights is (word.lower() in ("1", "yes", "true", "on"))
+
+    def test_other_word_names_its_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[sim]\nallow_unconstrained_weights = maybe\n")
+        assert exc.value.violations == [
+            "sim.allow_unconstrained_weights: expected a boolean, got 'maybe'"]
+
+
 def violations(cfg: SimConfig) -> list[str]:
     """What ``validate_config`` rejects ``cfg`` for; empty when it accepts it."""
     try:

@@ -5,7 +5,7 @@ import pytest
 
 from wbansim.config import SimConfig
 from wbansim.core import (ALL_KINDS, CANONICAL_LAYOUT, PLANE_HEIGHT, PLANE_WIDTH,
-                          BodyPoint, PacketKind, SensorKind, build_topology,
+                          SINK_POSITION, BodyPoint, PacketKind, SensorKind, build_topology,
                           distance, format_layout)
 
 
@@ -40,10 +40,10 @@ class TestKinds:
         assert len(ALL_KINDS) == 19
         assert len(set(ALL_KINDS)) == 19
 
-    def test_layout_covers_every_kind_in_bounds(self):
+    def test_layout_covers_every_kind_inside_the_plane(self):
         assert len(CANONICAL_LAYOUT) == 19
         for kind, x, y in CANONICAL_LAYOUT:
-            assert BodyPoint(x, y).in_bounds()
+            assert 0.0 <= x <= PLANE_WIDTH and 0.0 <= y <= PLANE_HEIGHT
 
     def test_format_layout_lines(self):
         lines = format_layout().strip().split("\n")
@@ -52,14 +52,14 @@ class TestKinds:
 
 
 class TestBuildTopology:
-    def test_uniform_in_bounds_and_deterministic(self):
+    def test_uniform_inside_the_plane_and_deterministic(self):
         cfg = SimConfig(seed=42)
-        nodes1, sink = build_topology(cfg, rng(42))
-        nodes2, _ = build_topology(cfg, rng(42))
+        nodes1 = build_topology(cfg, rng(42))
+        nodes2 = build_topology(cfg, rng(42))
         assert len(nodes1) == 19
-        assert sink.position == BodyPoint(0.4, 0.9)
+        assert SINK_POSITION == BodyPoint(0.4, 0.9)
         for n in nodes1:
-            assert n.position.in_bounds()
+            assert 0.0 <= n.position.x <= PLANE_WIDTH and 0.0 <= n.position.y <= PLANE_HEIGHT
             assert n.residual_energy == cfg.initial_energy
             assert n.alive
         assert [n.id for n in nodes1] == list(range(19))
@@ -68,13 +68,13 @@ class TestBuildTopology:
 
     def test_different_seeds_differ(self):
         cfg = SimConfig()
-        a, _ = build_topology(cfg, rng(42))
-        b, _ = build_topology(cfg, rng(43))
+        a = build_topology(cfg, rng(42))
+        b = build_topology(cfg, rng(43))
         assert any(x.position != y.position for x, y in zip(a, b))
 
     def test_canonical_single_node(self):
         cfg = replace(SimConfig(), placement="canonical", node_count=1)
-        nodes, _ = build_topology(cfg, rng(1))
+        nodes = build_topology(cfg, rng(1))
         assert len(nodes) == 1
         kind, x, y = CANONICAL_LAYOUT[0]
         assert nodes[0].kind is kind

@@ -15,7 +15,7 @@ from test_protocols import in_range_tables, usable_flags
 from wbansim import engine
 from wbansim.config import (PROTOCOLS, EnergyWeights, SimConfig, parse_config, render_config,
                             validate_config)
-from wbansim.core import SensorKind
+from wbansim.core import SINK_POSITION, SensorKind
 from wbansim.channel import path_loss
 from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
                             RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL,
@@ -81,6 +81,11 @@ class TestSummarizeRun:
 
 
 class TestRunSimulation:
+    def test_dispatch_knows_every_configured_protocol(self):
+        """Validation and the CLI read config.PROTOCOLS, dispatch reads
+        _SCHEMES: a name in one only would fail mid-run with a KeyError."""
+        assert tuple(_SCHEMES) == PROTOCOLS
+
     def test_quiescent_round_after_round_zero(self):
         c = cfg(rounds=2, events=replace(SimConfig().events, lam=0.0))
         res = run_simulation(c)
@@ -289,7 +294,7 @@ class TestEngineSpecializations:
         def checked_begin_round(rnd):
             begin_round(rnd)
             fresh = mattempt_build_hopcounts(usable_flags(sim.nodes, c.mattempt),
-                                             *in_range_tables(sim.nodes, sim.sink, c.tx_range))
+                                             *in_range_tables(sim.nodes, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
         sim.begin_round = checked_begin_round
@@ -354,7 +359,7 @@ class TestEngineSpecializations:
             if changed:
                 built_from[0] = usable
             fresh = mattempt_build_hopcounts(usable_flags(sim.nodes, c.mattempt),
-                                             *in_range_tables(sim.nodes, sim.sink, c.tx_range))
+                                             *in_range_tables(sim.nodes, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
         sim.begin_round = checked_begin_round
@@ -892,7 +897,7 @@ def _walk_events_stream(c):
     from wbansim.events import invert_poisson, is_scheduled, poisson_cdf_table
 
     topo_ss, events_ss, _ = np.random.SeedSequence(c.seed).spawn(3)
-    nodes, _ = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
+    nodes = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
     rng = _CountingRng(np.random.Generator(np.random.PCG64(events_ss)))
     cdf = poisson_cdf_table(c.events.lam)
     log, widest = [], 0
@@ -956,7 +961,7 @@ def path_loss_oracle(c, links):
 
     topo_ss, _, shadow_ss = np.random.SeedSequence(c.seed).spawn(3)
     # The engine's own name, so a test that moves the nodes moves them here.
-    nodes, sink = engine.build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
+    nodes = engine.build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
     shadow = np.random.Generator(np.random.PCG64(shadow_ss))
     nlos = {frozenset(p) for p in c.nlos_pairs}
     per_round = [{} for _ in range(c.rounds)]
@@ -969,7 +974,7 @@ def path_loss_oracle(c, links):
         total, used = 0.0, 0
         for (tx, rx), x in zip(pairs, draws):
             if rx == SINK_ID:
-                d, link = distance(nodes[tx].position, sink.position), LinkClass.LOS
+                d, link = distance(nodes[tx].position, SINK_POSITION), LinkClass.LOS
             else:
                 d = distance(nodes[tx].position, nodes[rx].position)
                 link = LinkClass.NLOS if frozenset((tx, rx)) in nlos else LinkClass.LOS
@@ -1007,10 +1012,10 @@ class TestPathLoss:
         build = engine.build_topology
 
         def collapsed(config, rng):
-            nodes, sink = build(config, rng)
-            nodes[2].position = sink.position
+            nodes = build(config, rng)
+            nodes[2].position = SINK_POSITION
             nodes[4].position = nodes[3].position
-            return nodes, sink
+            return nodes
 
         monkeypatch.setattr(engine, "build_topology", collapsed)
         c = cfg(protocol=protocol, rounds=400, seed=2, placement="canonical",

@@ -1,5 +1,6 @@
-"""Every name the package exports has a use in the program, its demos or
-its benchmark, so API that nothing runs does not build up again."""
+"""Every name the package exports, and every public function, class and
+method it defines, has a use in the program, its demos or its benchmark, so
+API that nothing runs does not build up again."""
 import ast
 from pathlib import Path
 
@@ -11,6 +12,29 @@ def exported_names() -> list[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(where, name) for each public top-level function and class of the
+    package and each public method of those classes; ``where`` reads
+    ``module.name`` or ``module.Class.method``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def program_names() -> set[str]:
+    """The names the package's modules, the demos and the benchmark use."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return used_names([p.read_text() for p in paths])
 
 
 def used_names(sources: list[str]) -> set[str]:
@@ -36,10 +60,13 @@ def used_names(sources: list[str]) -> set[str]:
 
 
 def test_every_export_is_used_outside_its_definition():
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = used_names([p.read_text() for p in paths])
+    used = program_names()
     assert [name for name in exported_names() if name not in used] == []
+
+
+def test_every_public_definition_is_used_outside_itself():
+    used = program_names()
+    assert [where for where, name in public_definitions() if name not in used] == []
 
 
 def test_the_check_skips_definitions_annotations_and_imports():

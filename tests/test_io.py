@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 import tracemalloc
@@ -14,7 +15,8 @@ from wbansim.engine import RunSummary, run_simulation
 from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND, SENT,
                         TOTAL_RESIDUAL, ResultFileError, compare_runs, emit_plot_series,
                         median_series, read_metrics_csv, read_summary_json,
-                        render_comparison, write_metrics_csv, write_summary_json)
+                        render_comparison, write_comparison, write_metrics_csv,
+                        write_summary_json)
 
 
 def row(r, alive=19, sent=2, received=2, loss=36.5, flag=1):
@@ -243,6 +245,37 @@ class TestSummaryJson:
         path = tmp_path / "s.json"
         write_summary_json(s, path)
         assert read_summary_json(path).throughput_pct is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("stability_period", math.nan),
+        ("network_lifetime", 4.5),
+        ("seed", 1.5),
+        ("packets_sent_total", True),
+        ("residual_pct_at_end", math.inf),
+        ("throughput_pct", math.nan),
+    ])
+    def test_rejects_what_the_writer_never_writes(self, key, value, tmp_path):
+        """Int fields hold JSON ints, every other number is finite; json.dumps
+        writes NaN and Infinity, which json.loads reads back."""
+        path = tmp_path / "s.json"
+        write_summary_json(summary("amhrp", 1, 4500, 10000), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ResultFileError, match=f"not a run summary: bad value for '{key}'"):
+            read_summary_json(path)
+
+    def test_deep_nesting_is_not_a_run_summary(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ResultFileError, match="not a run summary"):
+            read_summary_json(path)
+
+    def test_writers_refuse_non_finite_numbers(self, tmp_path):
+        s = summary("amhrp", 1, 4500, 10000, residual_pct=math.nan)
+        with pytest.raises(ValueError):
+            write_summary_json(s, tmp_path / "s.json")
+        report = compare_runs([s, replace(s, protocol="simple")])
+        with pytest.raises(ValueError):
+            write_comparison(report, tmp_path)
 
 
 class TestPlotSeries:

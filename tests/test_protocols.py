@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
-from wbansim.core import BodyPoint, PacketKind, SensorKind, SensorNode, Sink, distance
+from wbansim.core import (SINK_POSITION, BodyPoint, PacketKind, SensorKind, SensorNode,
+                          distance)
 from wbansim.engine import _SCHEMES, equilibrium_flags, equilibrium_series
 from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
                                MattemptParams, MattemptState, RouteAction, RoutingDecision,
@@ -15,21 +16,18 @@ from wbansim.protocols import (HOLD, TO_EXTERNAL_WSN, TO_SINK, TO_SINK_BOOSTED,
                                mattempt_next_hop, mattempt_temperature_step,
                                simple_select_forwarder, to_forwarder)
 
-SINK = Sink(BodyPoint(0.4, 0.9))
-
-
 def to_sink(*nodes):
-    """The ``d_sink`` map a run passes: node id -> distance to SINK."""
-    return {n.id: distance(n.position, SINK.position) for n in nodes}
+    """The ``d_sink`` map a run passes: node id -> distance to the sink."""
+    return {n.id: distance(n.position, SINK_POSITION) for n in nodes}
 
 
-def in_range_tables(nodes, sink, tx_range):
+def in_range_tables(nodes, tx_range):
     """The static tables a run passes to ``mattempt_build_hopcounts``, from
     the positions: each node's in-range ids, and the ids in range of the sink."""
     adjacency = {n.id: [m.id for m in nodes
                         if m.id != n.id and distance(n.position, m.position) <= tx_range]
                  for n in nodes}
-    return adjacency, [n.id for n in nodes if distance(n.position, sink.position) <= tx_range]
+    return adjacency, [n.id for n in nodes if distance(n.position, SINK_POSITION) <= tx_range]
 
 
 def usable_flags(nodes, params=MattemptParams()):
@@ -103,8 +101,8 @@ class TestAmhrpSelectForwarder:
                 chosen = next(m for m in neighbors if m.id == d.target)
                 assert chosen.alive
                 assert chosen.id != src.id
-                assert distance(chosen.position, SINK.position) < \
-                    distance(src.position, SINK.position)
+                assert distance(chosen.position, SINK_POSITION) < \
+                    distance(src.position, SINK_POSITION)
 
     def test_argmax_invariant_under_uniform_scaling(self):
         g = np.random.Generator(np.random.PCG64(3))
@@ -185,7 +183,7 @@ class TestEquilibrium:
 class TestMattemptHopCounts:
     def test_adjacent_to_sink_is_one_hop(self):
         nodes = [node(0, 0.4, 0.6)]
-        st = mattempt_build_hopcounts(usable_flags(nodes), *in_range_tables(nodes, SINK, 0.5))
+        st = mattempt_build_hopcounts(usable_flags(nodes), *in_range_tables(nodes, 0.5))
         assert st.hop_counts[0] == 1
 
     def test_chain_gives_two_hops(self):
@@ -193,7 +191,7 @@ class TestMattemptHopCounts:
         b = node(1, 0.4, 1.3)   # 0.4 m from sink
         a = node(0, 0.4, 1.7)   # 0.8 m from sink, 0.4 m from B
         st = mattempt_build_hopcounts(usable_flags([a, b]),
-                                      *in_range_tables([a, b], SINK, 0.5))
+                                      *in_range_tables([a, b], 0.5))
         assert st.hop_counts[1] == 1
         assert st.hop_counts[0] == 2
 
@@ -201,7 +199,7 @@ class TestMattemptHopCounts:
         b = node(1, 0.4, 1.3, temp=39.5)
         a = node(0, 0.4, 1.7)
         st = mattempt_build_hopcounts(usable_flags([a, b], MattemptParams(temp_threshold=38.5)),
-                                      *in_range_tables([a, b], SINK, 0.5))
+                                      *in_range_tables([a, b], 0.5))
         assert st.hop_counts[1] == math.inf
         assert st.hop_counts[0] == math.inf
 
@@ -209,7 +207,7 @@ class TestMattemptHopCounts:
         b = node(1, 0.4, 1.3, alive=False)
         a = node(0, 0.4, 1.7)
         st = mattempt_build_hopcounts(usable_flags([a, b]),
-                                      *in_range_tables([a, b], SINK, 0.5))
+                                      *in_range_tables([a, b], 0.5))
         assert st.hop_counts[0] == math.inf
 
 
@@ -218,7 +216,7 @@ class TestMattemptNextHop:
         self.b = node(1, 0.4, 1.3)
         self.a = node(0, 0.4, 1.7)
         self.state = mattempt_build_hopcounts(usable_flags([self.a, self.b]),
-                                              *in_range_tables([self.a, self.b], SINK, 0.5))
+                                              *in_range_tables([self.a, self.b], 0.5))
         self.d_sink = to_sink(self.a, self.b)
 
     def test_critical_goes_direct_boosted(self):
@@ -243,7 +241,7 @@ class TestMattemptNextHop:
         d_ = node(3, 0.1, 1.25)
         far = node(4, 0.4, 1.75)
         st = mattempt_build_hopcounts(usable_flags([c, d_, far]),
-                                      *in_range_tables([c, d_, far], SINK, 0.6))
+                                      *in_range_tables([c, d_, far], 0.6))
         assert st.hop_counts[2] == 1 and st.hop_counts[3] == 1
         assert st.hop_counts[4] == 2
         choice = mattempt_next_hop(far, PacketKind.NORMAL, st, [c, d_], to_sink(far, c, d_))
@@ -253,7 +251,7 @@ class TestMattemptNextHop:
     def test_unreachable_holds(self):
         lone = node(5, 0.4, 1.8)
         st = mattempt_build_hopcounts(usable_flags([lone]),
-                                      *in_range_tables([lone], SINK, 0.3))
+                                      *in_range_tables([lone], 0.3))
         d = mattempt_next_hop(lone, PacketKind.NORMAL, st, [], to_sink(lone))
         assert d.action is RouteAction.HOLD
 
@@ -455,12 +453,12 @@ class TestSharedVerdicts:
         assert amhrp_select_forwarder(src, [], d_sink, PacketKind.NORMAL) == hold
 
         state = mattempt_build_hopcounts(usable_flags([src, relay]),
-                                         *in_range_tables([src, relay], SINK, 0.5))
+                                         *in_range_tables([src, relay], 0.5))
         assert mattempt_next_hop(src, PacketKind.CRITICAL, state, [relay], d_sink) == boosted
         assert mattempt_next_hop(relay, PacketKind.NORMAL, state, [src], d_sink) == sink
         assert mattempt_next_hop(src, PacketKind.NORMAL, state, [relay], d_sink) == forward_1
         lone = mattempt_build_hopcounts(usable_flags([src]),
-                                        *in_range_tables([src], SINK, 0.3))
+                                        *in_range_tables([src], 0.3))
         assert mattempt_next_hop(src, PacketKind.NORMAL, lone, [], d_sink) == hold
 
         sim = _SCHEMES["simple"](replace(SimConfig(), protocol="simple", rounds=1))
