@@ -36,9 +36,18 @@ EXIT_IO = 2
 MAX_SEEDS = 100_000
 
 
+def _seed(text: str) -> int:
+    """One seed of a --seeds spec, in ASCII digits as the result files'
+    readers take them (int() also takes other scripts' digits and underscores)."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_seeds(spec: str) -> list[int]:
     """Accept '1..10' ranges (inclusive) and comma lists like '1,2,5', naming
-    at most ``MAX_SEEDS`` seeds (repeats counted) before any range is expanded."""
+    at most ``MAX_SEEDS`` seeds (repeats counted) before any range is expanded.
+    Empty parts, as in '1,,2', are skipped."""
     spans: list[tuple[int, int]] = []  # inclusive (first, last) per part
     try:
         for part in spec.split(","):
@@ -47,9 +56,9 @@ def _parse_seeds(spec: str) -> list[int]:
                 continue
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                spans.append((int(lo), int(hi)))
+                spans.append((_seed(lo), _seed(hi)))
             else:
-                spans.append((int(part), int(part)))
+                spans.append((_seed(part), _seed(part)))
     except ValueError:
         raise ValueError(f"--seeds: {spec!r} is not a list like '1..10' or '1,2,5'") from None
     count = sum(max(0, hi - lo + 1) for lo, hi in spans)

@@ -276,7 +276,10 @@ def parse_config(text: str, source: str = "<string>") -> SimConfig:
     try:
         cp.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ConfigError([f"parse error: {exc}"]) from exc
+        # Some messages span lines (the file, then the bad line); a violation
+        # is one line.
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError([f"parse error: {message}"]) from exc
 
     problems: list[str] = []
     for section in cp.sections():

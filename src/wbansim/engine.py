@@ -100,7 +100,10 @@ global's. And a per-node rule is one call per round over all the nodes
 (``mattempt_temperature_step``, ``simple_select_forwarder``, the control
 exchange's ``charge``), not one call per node; a round's derived state
 (M-ATTEMPT's usable set) is re-read only when such a call, or a death,
-signals that it may have changed.
+signals that it may have changed. In the temperature step an idle node
+pays only its relaxation: a heating term is added only for a nonzero
+count. That is exact: the deltas are finite, so a zero count's term is
++0.0, which moves no temperature and no threshold comparison.
 """
 from __future__ import annotations
 

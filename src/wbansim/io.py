@@ -96,13 +96,17 @@ def _floats(values: np.ndarray):
     return map(repr, values.tolist())
 
 
+def _in_int64(number: int) -> bool:
+    return -2**63 <= number < 2**63
+
+
 def _check_field(value: str, parse) -> None:
     """Raise ValueError unless ``parse(value)`` succeeds, also rejecting what
     int() and float() take but np.loadtxt does not: underscores, digits
     other than 0-9, and counts outside int64."""
     number = parse(value)
     if ("_" in value or not value.strip().isascii()
-            or (parse is int and not -2**63 <= number < 2**63)):
+            or (parse is int and not _in_int64(number))):
         kind = "int64" if parse is int else "float64"
         raise ValueError(f"could not convert {value!r} to {kind}")
 
@@ -193,7 +197,9 @@ def write_summary_json(summary: RunSummary, path) -> None:
 def read_summary_json(path) -> RunSummary:
     """Inverse of write_summary_json; every field must be present and typed
     as written (the protocol a string, the int fields ints, every other
-    field a finite number, throughput possibly null)."""
+    field a finite number, throughput possibly null). An int must fit int64,
+    as every count a run writes does: the comparison's float arithmetic
+    takes no larger one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         summary = RunSummary(**data)
@@ -208,7 +214,7 @@ def read_summary_json(path) -> RunSummary:
         else:
             ok = (type(value) is int or (type(value) is float and math.isfinite(value))
                   or (value is None and key == "throughput_pct"))
-        if not ok:
+        if not ok or (type(value) is int and not _in_int64(value)):
             raise ResultFileError(f"{path}: not a run summary: bad value for {key!r}")
     return summary
 
@@ -311,8 +317,9 @@ def compare_runs(summaries: list[RunSummary]) -> ComparisonReport:
     """Median-over-seeds per protocol plus pairwise improvement ratios.
 
     Only seeds shared by every protocol enter the medians, so the ratios
-    compare like with like. Fewer than two protocols, or no seed common to
-    all of them, is a ``ResultFileError``.
+    compare like with like. Fewer than two protocols, no seed common to all
+    of them, or a median or pairwise value that is not finite (finite inputs
+    near the float range can sum past it) is a ``ResultFileError``.
     """
     by_protocol: dict[str, dict[int, RunSummary]] = {}
     for s in summaries:
@@ -360,6 +367,14 @@ def compare_runs(summaries: list[RunSummary]) -> ComparisonReport:
                 "residual_delta_pct_points": (ma.residual_pct_at_end
                                               - mb.residual_pct_at_end),
             }
+    for m in medians:
+        for key, value in asdict(m).items():
+            if type(value) is float and not math.isfinite(value):
+                raise ResultFileError(f"{m.protocol}: the median {key} is not finite")
+    for (a, b), vals in pairwise.items():
+        for key, value in vals.items():
+            if value is not None and not math.isfinite(value):
+                raise ResultFileError(f"{a} vs {b}: {key} is not finite")
     return ComparisonReport(medians=tuple(medians), pairwise=pairwise)
 
 

@@ -199,6 +199,14 @@ def mattempt_temperature_step(params: MattemptParams, nodes: list[SensorNode],
     Returns True when some alive node's side of ``temp_threshold`` changed
     (it crossed above the threshold, or fell back to or below it), the only
     way a step changes M-ATTEMPT's usable set.
+
+    An idle node pays only its relaxation: a heating term is added only when
+    its count is nonzero. That is exact, because the deltas are finite
+    (``validate_config`` checks them), so a zero count's term is +0.0, and
+    adding +0.0 moves no temperature and no comparison (it only turns a -0.0
+    sum into +0.0). An active node's terms are added in the same order. The
+    crossing is one comparison, on the side the old temperature was on,
+    which equals ``(t <= threshold) != (new <= threshold)``, NaN included.
     """
     if nodes and (min(tx_counts) < 0 or min(rx_counts) < 0):
         raise ValueError("activity counts must be >= 0")
@@ -208,9 +216,16 @@ def mattempt_temperature_step(params: MattemptParams, nodes: list[SensorNode],
     for nd, tx, rx in zip(nodes, tx_counts, rx_counts):
         if nd.alive:
             t = nd.temperature
-            new = ambient + (t - ambient) * keep + tx * delta_tx + rx * delta_rx
+            new = ambient + (t - ambient) * keep
+            if tx:
+                new += tx * delta_tx
+            if rx:
+                new += rx * delta_rx
             nd.temperature = new
-            if (t <= threshold) != (new <= threshold):
+            if t <= threshold:
+                if not new <= threshold:
+                    crossed = True
+            elif new <= threshold:
                 crossed = True
     return crossed
 

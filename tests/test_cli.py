@@ -153,7 +153,15 @@ def _with_value(key, value):
     return corrupt
 
 
-# case -> (command, file to corrupt, corruption)
+def _residual_at_the_float_range(text):
+    """+1e308 for AMHRP, -1e308 for the others: each file is finite, but the
+    difference of two protocols' medians is not."""
+    data = json.loads(text)
+    return json.dumps({**data, "residual_pct_at_end": 1e308 if data["protocol"] == "amhrp"
+                       else -1e308})
+
+
+# case -> (command, files to corrupt (a glob; one name names its own file), corruption)
 BAD_RESULT_FILES = {
     "summary_missing_key": ("compare", "summary_amhrp_seed1.json", _without_key),
     "summary_unknown_key": ("compare", "summary_simple_seed2.json", _with_value("extra", 1)),
@@ -164,6 +172,11 @@ BAD_RESULT_FILES = {
                            _with_value("stability_period", float("nan"))),
     "summary_nested_too_deep": ("compare", "summary_amhrp_seed2.json",
                                 lambda t: "[" * 200_000),
+    "summary_int_past_int64": ("compare", "summary_amhrp_seed1.json",
+                               _with_value("stability_period", 10**400)),
+    # Two of three seeds per protocol, so each median is its +-1e308.
+    "summary_residual_deltas_overflow": ("compare", "summary_*_seed[12].json",
+                                         _residual_at_the_float_range),
     "metrics_short_row": ("plots", "metrics_amhrp_seed2.csv",
                           lambda t: t.rstrip("\n").rsplit(",", 1)[0] + "\n"),
     "metrics_bad_number": ("plots", "metrics_simple_seed1.csv",
@@ -178,13 +191,19 @@ BAD_RESULT_FILES = {
 class TestSweepCompareAndPlots:
     @pytest.mark.parametrize("case", sorted(BAD_RESULT_FILES))
     def test_bad_result_file_exits_2_naming_it(self, case, sweep_dir, tmp_path, capsys):
-        command, name, corrupt = BAD_RESULT_FILES[case]
+        """A bad file is named; a comparison that fails on valid files names
+        the directory."""
+        command, pattern, corrupt = BAD_RESULT_FILES[case]
         runs = tmp_path / "runs"
         shutil.copytree(sweep_dir, runs)
-        path = runs / name
-        path.write_text(corrupt(path.read_text()))
+        paths = sorted(runs.glob(pattern))
+        assert paths
+        for path in paths:
+            path.write_text(corrupt(path.read_text()))
         assert main([command, "--in", str(runs)]) == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ")
+        assert f"{paths[0] if len(paths) == 1 else runs}: " in err
 
     def test_sweep_writes_every_combo(self, sweep_dir):
         assert len(list(sweep_dir.glob("metrics_*.csv"))) == 9
@@ -364,6 +383,9 @@ EXIT_CODES = {
     "bad_seeds_range": (["sweep", "--seeds", "1..x", "--out", "o"], 1, "--seeds"),
     "seeds_over_cap": (["sweep", "--seeds", "1..1000000000000", "--out", "o"], 1, "--seeds"),
     "no_seeds": (["sweep", "--seeds", ",", "--out", "o"], 1, "--seeds"),
+    # ARABIC-INDIC DIGIT ONE, which int() reads as 1.
+    "seeds_non_ascii_digit": (["sweep", "--seeds", "\u0661", "--out", "o"], 1,
+                              "error: --seeds: "),
     "negative_seed_in_grid": (["sweep", "--seeds=2,-1", "--out", "o"], 1,
                               "sim.seed: must be >= 0"),
     "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
@@ -408,6 +430,19 @@ class TestExitCodes:
         assert str(taken) in capsys.readouterr().err
         assert runs == []
 
+    def test_config_syntax_error_is_one_violation_line(self, tmp_path, monkeypatch, capsys):
+        """configparser's message spans three lines here; the report keeps it
+        on the one indented line of its violation."""
+        (tmp_path / "exp.ini").write_text("rounds = 3\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        runs = _no_runs(monkeypatch)
+        assert main(["simulate", "--config", "exp.ini", "--out", "o"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: invalid configuration:\n"
+            "  parse error: File contains no section headers. "
+            "file: 'exp.ini', line: 1 'rounds = 3\\n'\n")
+        assert runs == []
+
     def test_only_main_writes_to_stderr(self):
         """The commands raise, and main prints each failure and picks its code."""
         tree = ast.parse(Path(wbansim.cli.__file__).read_text(encoding="utf-8"))
@@ -416,6 +451,16 @@ class TestExitCodes:
                           and isinstance(n.value, ast.Name) and n.value.id == "sys"
                           for n in ast.walk(top))]
         assert writers == ["main"]
+
+
+class TestSeedGrammar:
+    def test_ranges_and_lists_mix_and_empty_parts_are_skipped(self):
+        assert _parse_seeds(" 1..3,,7, ") == [1, 2, 3, 7]
+
+    @pytest.mark.parametrize("spec", ["1..\u0663", "1_0", "\uff11"])
+    def test_only_ascii_digits(self, spec):
+        with pytest.raises(ValueError, match="--seeds: "):
+            _parse_seeds(spec)
 
 
 class TestSeedCap:

@@ -253,10 +253,14 @@ class TestSummaryJson:
         ("packets_sent_total", True),
         ("residual_pct_at_end", math.inf),
         ("throughput_pct", math.nan),
+        ("stability_period", 2**63),
+        ("residual_pct_at_end", -2**63 - 1),
+        ("packets_sent_total", 10**400),
     ])
     def test_rejects_what_the_writer_never_writes(self, key, value, tmp_path):
-        """Int fields hold JSON ints, every other number is finite; json.dumps
-        writes NaN and Infinity, which json.loads reads back."""
+        """Int fields hold JSON ints, every other number is finite, and every
+        int fits int64; json.dumps writes NaN and Infinity, which json.loads
+        reads back."""
         path = tmp_path / "s.json"
         write_summary_json(summary("amhrp", 1, 4500, 10000), path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
@@ -273,7 +277,12 @@ class TestSummaryJson:
         s = summary("amhrp", 1, 4500, 10000, residual_pct=math.nan)
         with pytest.raises(ValueError):
             write_summary_json(s, tmp_path / "s.json")
-        report = compare_runs([s, replace(s, protocol="simple")])
+        # compare_runs rejects such a report itself (TestCompareRuns), so it
+        # is built by hand here.
+        report = compare_runs([summary("amhrp", 1, 4500, 10000),
+                               summary("simple", 1, 4500, 10000)])
+        nan_median = replace(report.medians[0], residual_pct_at_end=math.nan)
+        report = replace(report, medians=(nan_median, *report.medians[1:]))
         with pytest.raises(ValueError):
             write_comparison(report, tmp_path)
 
@@ -442,6 +451,21 @@ class TestCompareRuns:
     def test_no_shared_seeds_rejected(self):
         summaries = [summary("amhrp", 1, 1, 1), summary("mattempt", 2, 1, 1)]
         with pytest.raises(ResultFileError):
+            compare_runs(summaries)
+
+    def test_non_finite_median_rejected(self):
+        """Two finite residuals whose mean overflows."""
+        summaries = [summary(p, s, 1, 1, residual_pct=1e308)
+                     for p in ("amhrp", "simple") for s in (1, 2)]
+        with pytest.raises(ResultFileError, match="amhrp: the median residual_pct_at_end "
+                                                  "is not finite"):
+            compare_runs(summaries)
+
+    def test_non_finite_pairwise_value_rejected(self):
+        summaries = [summary("amhrp", 1, 1, 1, residual_pct=1e308),
+                     summary("simple", 1, 1, 1, residual_pct=-1e308)]
+        with pytest.raises(ResultFileError, match="amhrp vs simple: residual_delta_pct_points "
+                                                  "is not finite"):
             compare_runs(summaries)
 
     def test_single_protocol_rejected(self):

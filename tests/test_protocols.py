@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
@@ -340,6 +340,17 @@ class TestMattemptTemperature:
         with pytest.raises(ValueError):
             step_one(self.p, 37.0, -1, 0)
 
+    @pytest.mark.parametrize("bad", ["tx", "rx"])
+    def test_negative_count_rejected_before_any_node_changes(self, bad):
+        """The bad count is the last node's, so a check made node by node,
+        after the earlier nodes' updates, would leave them changed."""
+        nodes = [node(i, 0.4, 1.0, temp=39.0 + i) for i in range(4)]
+        counts = {"tx": [1, 0, 2, 0], "rx": [0, 3, 0, 0]}
+        counts[bad][-1] = -1
+        with pytest.raises(ValueError):
+            mattempt_temperature_step(self.p, nodes, counts["tx"], counts["rx"])
+        assert [nd.temperature for nd in nodes] == [39.0, 40.0, 41.0, 42.0]
+
 
 # Temperatures below, at and above the default threshold (38.5): a step from
 # 38.5 with no heat cools below it, and small heat can lift one across.
@@ -351,6 +362,16 @@ class TestMattemptTemperatureProperty:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.tuples(_TEMPERATURES, _HEAT, _HEAT, st.booleans()), max_size=10),
            st.sampled_from([37.2, 38.5, 39.0]))
+    # Every count zero, at the threshold and at ambient: no node crosses.
+    @example([(38.5, 0, 0, True), (37.0, 0, 0, True)], 38.5)
+    @example([(37.2, 0, 0, True), (37.0, 0, 0, True)], 37.2)
+    # One active node among idle ones below and above the threshold: it
+    # crosses upward from below; an idle one crosses downward past an active
+    # one that stays above.
+    @example([(38.0, 0, 0, True), (38.4, 4, 3, True), (39.0, 0, 0, True),
+              (38.6, 0, 0, True)], 38.5)
+    @example([(38.0, 0, 0, True), (38.6, 0, 0, True), (38.7, 0, 2, True),
+              (38.55, 0, 0, True)], 38.5)
     def test_matches_the_scalar_oracle(self, drawn, threshold):
         """Alive and dead nodes, zero and nonzero heat, temperatures on both
         sides of the threshold and exactly at it: each alive node takes the
