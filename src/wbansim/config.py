@@ -111,8 +111,8 @@ def default_energy_weights() -> EnergyWeights:
 class SimConfig:
     # The caps, with MAX_NODE_ROUNDS on their product weighted by the event
     # rate, keep one run within 1 GB, and on the host measured above within
-    # 10 minutes at the default rate and 17 at any: the neighbour tables grow
-    # up to node_count**2, and the run holds its table in memory.
+    # about 10 minutes at any rate: the neighbour tables grow up to
+    # node_count**2, and the run holds its table in memory.
     node_count: int = bounded(19, ge=1, le=1000)
     rounds: int = bounded(10000, ge=0, le=1_000_000)
     initial_energy: float = bounded(0.5, gt=0)

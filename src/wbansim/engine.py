@@ -104,10 +104,21 @@ signals that it may have changed. In the temperature step an idle node
 pays only its relaxation: a heating term is added only for a nonzero
 count. That is exact: the deltas are finite, so a zero count's term is
 +0.0, which moves no temperature and no threshold comparison.
+
+Two per-round rules keep the fixed cost of a long live run down. A walked
+round's row goes to ``rows`` as one ``struct`` pack of native doubles and
+one ``frombytes``: ``array.extend`` of a tuple converts its 13 values one at
+a time through the iterator protocol, two to three times the cost, and native
+``d`` is ``array("d")``'s own layout, so the buffer's bytes are the same.
+And ``_event_counts`` returns a slice of the current block when the block
+holds all the round's counts, the common case, without building the list a
+refill needs; the fast path sits inside the method, so a wrapper set on
+the instance still sees every round's counts.
 """
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,6 +158,8 @@ _CRITICAL_SLOT = (_CRITICAL,)
 # the round's action counts c1..c5 (sensing, destined sends, escalations,
 # forwards, control exchanges; the weights x_s, x_d, x_w, x_f, x_c).
 _ROW = EQUILIBRIUM + 5
+# One walked round's entry as bytes: native doubles, the layout of ``array("d")``.
+_PACK_ROW = struct.Struct(f"{_ROW}d").pack
 _FLAG_CHUNK = 1 << 16  # rounds per step of ``equilibrium_flags``
 _LOSS_CHUNK = 1 << 10  # rounds the link log holds before ``_Sim.fill_path_losses``
 
@@ -450,8 +463,12 @@ class _Sim:
     def _event_counts(self, m: int) -> list[int]:
         """The next m entries of the events stream as Poisson counts,
         refilling the block (and dropping skipped blocks) as needed."""
-        counts: list[int] = []
         pos = self._event_pos
+        block = self._event_block
+        if pos + m <= len(block):
+            self._event_pos = pos + m
+            return block[pos:pos + m]
+        counts: list[int] = []
         while True:
             while pos >= len(self._event_block):
                 pos -= len(self._event_block)
@@ -492,9 +509,10 @@ class _Sim:
 
         total_residual = self._total_residual()
         # PATH_LOSS stays NaN until ``fill_path_losses`` writes it.
-        self.rows.extend((rnd, self.alive_count, self.round_sent, self.round_received,
-                          self.round_critical, total_residual, total_residual / self.n,
-                          math.nan, self.c1, self.c2, self.c3, self.c4, self.c5))
+        self.rows.frombytes(_PACK_ROW(rnd, self.alive_count, self.round_sent,
+                                      self.round_received, self.round_critical,
+                                      total_residual, total_residual / self.n, math.nan,
+                                      self.c1, self.c2, self.c3, self.c4, self.c5))
         self.links.extend(self.round_links)
         self.link_counts.append(len(self.round_links))
         if len(self.link_counts) == _LOSS_CHUNK:

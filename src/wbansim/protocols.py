@@ -80,18 +80,24 @@ def amhrp_select_forwarder(node: SensorNode, neighbors: list[SensorNode],
         return TO_SINK
 
     # The key is (-residual, d, id): residuals are compared first, and the
-    # (d, id) tie-break is built only on an exact tie.
+    # (d, id) tie-break is built only on an exact tie. A neighbour whose
+    # residual is below the best so far can never win, so it is rejected
+    # before its distance is read. That is exact: the distance test only
+    # ever removes candidates, and ``not r >= best_r`` rejects just what the
+    # key would (a NaN residual never wins against a best, and -0.0 ties
+    # 0.0), so past it r > best_r or r == best_r.
     best = None
     best_r = best_d = 0.0
     for nb in neighbors:
         if not nb.alive or nb.id == node.id:
             continue
+        r = nb.residual_energy
+        if best is not None and not r >= best_r:
+            continue
         d = d_sink[nb.id]
         if d >= own:
             continue
-        r = nb.residual_energy
-        if (best is None or r > best_r
-                or (r == best_r and (d, nb.id) < (best_d, best.id))):
+        if best is None or r > best_r or (d, nb.id) < (best_d, best.id):
             best, best_r, best_d = nb, r, d
     if best is not None:
         return to_forwarder(best.id)

@@ -17,10 +17,10 @@ from wbansim.config import (PROTOCOLS, EnergyWeights, SimConfig, parse_config, r
                             validate_config)
 from wbansim.core import SINK_POSITION, SensorKind
 from wbansim.channel import path_loss
-from wbansim.engine import (_SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS,
-                            RECEIVED, ROUND, SENT, SINK_ID, TOTAL_RESIDUAL,
-                            equilibrium_flags, equilibrium_series, run_simulation,
-                            summarize_run, throughput)
+from wbansim.engine import (_ROW, _SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, EVENT_BLOCK,
+                            MEAN_RESIDUAL, PATH_LOSS, RECEIVED, ROUND, SENT, SINK_ID,
+                            TOTAL_RESIDUAL, equilibrium_flags, equilibrium_series,
+                            run_simulation, summarize_run, throughput)
 
 
 def cfg(**over):
@@ -548,6 +548,31 @@ class TestHotLoopRules:
         assert routed[0] == walked[0]
         assert not hasattr(engine._Sim, "_route_packet")
 
+    def test_a_walked_round_packs_its_row_in_column_order(self):
+        """One ``run_round`` leaves one ``_ROW``-wide entry in ``sim.rows``:
+        the round's columns before the flag, path loss NaN until it is
+        filled, then its action counts c1..c5. The round's counts are set to
+        distinct values after its walk, so a wrong field count, order or byte
+        order in the row pack fails here."""
+        sim = _SCHEMES["amhrp"](cfg(events=replace(SimConfig().events, lam=2.0)))
+        distinct = {"round_sent": 3, "round_received": 2, "round_critical": 1,
+                    "c1": 31, "c2": 32, "c3": 33, "c4": 34, "c5": 35}
+
+        def end_round(rnd):
+            for name, value in distinct.items():
+                setattr(sim, name, value)
+
+        sim.end_round = end_round
+        sim.run_round(11)
+        total = 0.0
+        for nd in sim.nodes:
+            total += nd.residual_energy
+        row = np.frombuffer(sim.rows)
+        assert len(row) == _ROW
+        assert np.isnan(row[PATH_LOSS])
+        assert np.array_equal(row, [11, 19, 3, 2, 1, total, total / 19, math.nan,
+                                    31, 32, 33, 34, 35], equal_nan=True)
+
     def test_a_walk_past_the_hop_bound_raises(self):
         """A walk that never ends trips the engine-bug guard: here a decide
         rule that always forwards to the other of two nodes."""
@@ -935,7 +960,6 @@ class TestEventStream:
     @pytest.mark.parametrize("lam,placement,n,rpd,rounds", CASES)
     def test_traffic_log_matches_call_by_call_walk(self, lam, placement, n, rpd, rounds):
         from wbansim.core import ALL_KINDS
-        from wbansim.engine import EVENT_BLOCK
         from wbansim.events import SensingSchedule, default_schedule
 
         assert SensorKind.BLOOD_PRESSURE in ALL_KINDS[:n]
@@ -948,6 +972,35 @@ class TestEventStream:
         if lam == 300.0 and n == 19:
             assert widest > EVENT_BLOCK  # one round skips past a whole block
         assert walk_recorded(c).traffic == log
+
+    # Each step is (m, skip): read m counts, then push the cursor on by
+    # skip, as a round's reading skip does.
+    CURSOR_CASES = {
+        "m ends at the block end": [(EVENT_BLOCK - 10, 0), (10, 0), (5, 0)],
+        "m straddles the block end": [(EVENT_BLOCK - 10, 0), (11, 0), (EVENT_BLOCK - 5, 0),
+                                      (25, 0)],
+        "a skip pushes the cursor past the end": [(19, EVENT_BLOCK - 16), (4, 0),
+                                                  (2, 2 * EVENT_BLOCK), (30, 0)],
+    }
+
+    @pytest.mark.parametrize("case", CURSOR_CASES)
+    def test_event_counts_read_one_long_stream(self, case):
+        """``_event_counts`` serves the events stream as if it were one long
+        ``Generator.random`` call inverted to counts, whatever the block
+        boundaries."""
+        from wbansim.events import invert_poisson, poisson_cdf_table
+
+        c = cfg(events=replace(SimConfig().events, lam=2.0))
+        sim = _SCHEMES["amhrp"](c)
+        _, events_ss, _ = np.random.SeedSequence(c.seed).spawn(3)
+        uniforms = np.random.Generator(np.random.PCG64(events_ss)).random(4 * EVENT_BLOCK)
+        stream = invert_poisson(poisson_cdf_table(c.events.lam), uniforms).tolist()
+        at = 0
+        for m, skip in self.CURSOR_CASES[case]:
+            assert sim._event_counts(m) == stream[at:at + m]
+            at += m + skip
+            sim._event_pos += skip
+        assert len(set(stream[:at])) > 2  # the counts vary, so an offset shows
 
 
 def path_loss_oracle(c, links):

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -141,6 +142,17 @@ _DISTANCES = st.sampled_from([0.2, 0.3, 0.45, 0.8, 1.0])
 
 class TestAmhrpTieBreakProperty:
     @settings(max_examples=400, deadline=None)
+    # A weaker neighbour nearer the sink, listed after the best one.
+    @example([(0.4, 0.45, True), (0.1, 0.2, True)], 0.8, False, PacketKind.NORMAL,
+             random.Random(0))
+    # Equal residuals: the later neighbour wins on (d, id).
+    @example([(0.25, 0.45, True), (0.25, 0.2, True), (0.25, 0.3, True)], 0.8, False,
+             PacketKind.NORMAL, random.Random(0))
+    # A -0.0 residual ties 0.0, either way round.
+    @example([(0.0, 0.45, True), (-0.0, 0.2, True)], 0.8, False, PacketKind.NORMAL,
+             random.Random(0))
+    @example([(-0.0, 0.45, True), (0.0, 0.2, True)], 0.8, False, PacketKind.CRITICAL,
+             random.Random(0))
     @given(st.lists(st.tuples(_RESIDUALS, _DISTANCES, st.booleans()), max_size=8),
            st.sampled_from([0.3, 0.8]), st.booleans(), st.sampled_from(list(PacketKind)),
            st.randoms(use_true_random=False))
