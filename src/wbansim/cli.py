@@ -6,12 +6,20 @@
     wbansim plots --in results/
     wbansim --dump-layout
 
+``sweep`` and ``plots`` run on worker processes, at most one per usable CPU
+(``taskset`` limits them). ``plots`` reads and merges each protocol's CSVs
+in a worker, which sends back only the four plotted series, then writes
+each ``.dat`` file in a worker. It checks every file name before a worker
+starts, and reports a failure as a serial read in path order would meet it,
+before any ``.dat`` file is written.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 I/O error (or a
-sweep worker process that ended abruptly).
+``sweep`` or ``plots`` worker process that ended abruptly).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import re
@@ -23,9 +31,12 @@ from pathlib import Path
 from .config import PROTOCOLS, ConfigError, SimConfig, load_config, validate_config
 from .core import format_layout
 from .engine import run_simulation
-from .io import (ResultFileError, compare_runs, emit_plot_series, median_series,
-                 read_metrics_csv, read_summary_json, render_comparison,
-                 write_comparison, write_metrics_csv, write_summary_json)
+from .io import (PLOT_FILES, ResultFileError, compare_runs, median_series, plot_series,
+                 read_metrics_csv, read_summary_json, render_comparison, write_comparison,
+                 write_metrics_csv, write_plot_file, write_summary_json)
+# Not called here since ``plots`` writes each file in a worker, but the
+# benchmark's tracer wraps the plot writer under this name.
+from .io import emit_plot_series  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,6 +92,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _worker_pool(tasks: int, kind: str):
+    """A process pool of ``min(tasks, _usable_cpus())`` workers, forked
+    where the platform can fork, so that they start with numpy already
+    imported. A worker that ends abruptly is an OSError naming the
+    ``kind`` of worker."""
+    # Imported here, so that ``import wbansim.cli``, which every command pays
+    # for at start-up, does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # With fork the pool starts every worker before its own thread, so no
+    # other Python thread runs at the fork.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(min(tasks, _usable_cpus()), mp_context=context) as pool:
+        try:
+            yield pool
+        except BrokenProcessPool:
+            raise OSError(f"a {kind} worker ended abruptly "
+                          "(killed, or out of memory)") from None
+
+
 def _make_out_dir(args, cfg: SimConfig) -> Path:
     """Make the output directory (``--out``, else ``sim.out_dir``) before any
     run starts, so that a bad one costs no run."""
@@ -125,24 +159,11 @@ def cmd_sweep(args) -> int:
     for run_cfg in grid:
         validate_config(run_cfg)
     out = _make_out_dir(args, cfg)
-    # Imported here, so that ``import wbansim.cli``, which every command pays
-    # for at start-up, does not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
     # Each run is a pure function of its config and writes its own two files,
-    # so the workers share nothing and return nothing. Forked workers start
-    # with numpy already imported. With fork the pool starts every worker
-    # before its own thread, so no other Python thread runs at the fork.
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(min(len(grid), _usable_cpus()), mp_context=context) as pool:
-        try:
-            for _ in pool.map(partial(_run_one, out=out), grid):
-                pass
-        except BrokenProcessPool:
-            raise OSError("a simulation worker ended abruptly "
-                          "(killed, or out of memory)") from None
+    # so the workers share nothing and return nothing.
+    with _worker_pool(len(grid), "simulation") as pool:
+        for _ in pool.map(partial(_run_one, out=out), grid):
+            pass
     print(f"ran {len(grid)} simulations into {out}")
     return EXIT_OK
 
@@ -160,6 +181,25 @@ def cmd_compare(args) -> int:
     write_comparison(report, in_dir)
     print(render_comparison(report), end="")
     return EXIT_OK
+
+
+def _merge_seeds(paths: list[Path]) -> tuple[list[int], list | Exception | None]:
+    """Read one protocol's CSVs in order and merge them. Returns each file's
+    row count and the merged table's ``plot_series``; in place of the
+    series, ``None`` once a count differs from the first file's (for
+    ``cmd_plots`` to report), or the error of a file that cannot be read.
+    The files after that one are not read."""
+    counts, tables = [], []
+    for p in paths:
+        try:
+            table = read_metrics_csv(p)
+        except (ValueError, OSError) as exc:
+            return counts, exc
+        counts.append(len(table))
+        if len(table) != counts[0]:
+            return counts, None
+        tables.append(table)
+    return counts, plot_series(median_series(tables))
 
 
 def cmd_plots(args) -> int:
@@ -181,24 +221,26 @@ def cmd_plots(args) -> int:
                                   f"(protocols: {', '.join(PROTOCOLS)})")
         return name[1]
 
-    runs = {}
+    # Sorted names keep each protocol's files together, in protocol order.
+    groups = {protocol: list(group)
+              for protocol, group in itertools.groupby(paths, key=protocol_of)}
+    series = {}
     rounds = None
-    # Sorted names keep each protocol's files together, in protocol order, so
-    # each protocol is merged as soon as its files are read and its per-seed
-    # tables dropped.
-    for protocol, group in itertools.groupby(paths, key=protocol_of):
-        tables = []
-        for p in group:
-            table = read_metrics_csv(p)
+    with _worker_pool(max(len(groups), len(PLOT_FILES)), "plots") as pool:
+        for (protocol, group), (counts, merged) in zip(
+                groups.items(), pool.map(_merge_seeds, groups.values())):
             # Every run has one row per round, so a file whose count differs is damaged.
-            if rounds is None:
-                rounds = len(table)
-            elif len(table) != rounds:
-                raise ResultFileError(
-                    f"{p}: {len(table)} rounds, but {paths[0].name} has {rounds}")
-            tables.append(table)
-        runs[protocol] = median_series(tables)
-    files = emit_plot_series(runs, in_dir)
+            for p, count in zip(group, counts):
+                if rounds is None:
+                    rounds = count
+                elif count != rounds:
+                    raise ResultFileError(
+                        f"{p}: {count} rounds, but {paths[0].name} has {rounds}")
+            if isinstance(merged, Exception):
+                raise merged
+            series[protocol] = merged
+        columns = [dict(zip(series, file_columns)) for file_columns in zip(*series.values())]
+        files = list(pool.map(write_plot_file, PLOT_FILES, columns, itertools.repeat(in_dir)))
     print("wrote " + ", ".join(f.name for f in files))
     return EXIT_OK
 

@@ -9,14 +9,18 @@ A run is one table, as the engine returns it in ``RunResult.metrics``: a
 ... ``EQUILIBRIUM``). A round with no transmissions holds NaN in
 ``PATH_LOSS``, and the equilibrium flag is 0 or 1. ``write_metrics_csv``
 writes a table, ``read_metrics_csv`` parses a file back into the same table,
-``median_series`` merges the tables of several seeds, and
-``emit_plot_series`` writes the figure files column by column.
+``median_series`` merges the tables of several seeds, ``plot_series`` takes
+the four plotted columns of a table, and ``write_plot_file`` writes one
+figure file from them, column by column; ``emit_plot_series`` writes all
+four.
 
-The ``plots`` path holds little beyond the tables themselves: each
-protocol's tables plus one column of merge temporaries. A CSV is parsed
-from one buffer of its bytes into the memory of the table it becomes,
-``median_series`` merges one column of every seed at a time, and both
-writers format ``_CSV_CHUNK`` rows at a time.
+The ``plots`` path holds little beyond the tables themselves. Each
+protocol's tables and one column of merge temporaries are held in the
+worker process that merges them; the ``plots`` process holds only the four
+plotted series of each protocol, which it hands to the workers that write
+the files. A CSV is parsed from one buffer of its bytes into the memory of
+the table it becomes, ``median_series`` merges one column of every seed at
+a time, and both writers format ``_CSV_CHUNK`` rows at a time.
 """
 from __future__ import annotations
 
@@ -251,6 +255,32 @@ def median_series(tables: list[np.ndarray]) -> np.ndarray:
     return merged
 
 PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
+# Counts are written as ints, energy and path loss with repr.
+_PLOT_FORMATS = dict(zip(PLOT_FILES, (_ints, _ints, _floats, _floats)))
+
+
+def plot_series(table: np.ndarray) -> list[np.ndarray]:
+    """The four plotted series of a table, in ``PLOT_FILES`` order: alive
+    nodes, cumulative packets received, total residual energy, and mean
+    path loss per round."""
+    return [table[:, ALIVE], np.cumsum(table[:, RECEIVED]), table[:, TOTAL_RESIDUAL],
+            table[:, PATH_LOSS]]
+
+
+def write_plot_file(name: str, columns: dict[str, np.ndarray], out_dir) -> Path:
+    """Write the figure file ``name``, one of ``PLOT_FILES``, into the
+    existing directory ``out_dir``: the round, then one column per protocol
+    in the mapping's order, each that protocol's ``plot_series`` entry for
+    the file. A round with no transmissions reads ``nan`` in the path-loss
+    file (gnuplot's missing marker). The file is written ``_CSV_CHUNK``
+    rows at a time."""
+    fmt = _PLOT_FORMATS[name]
+    rounds = len(next(iter(columns.values())))
+    path = Path(out_dir) / name
+    _write_rows(path, "# round " + " ".join(columns), rounds,
+                lambda rows: [map(str, range(rows.start, rows.stop)),
+                              *(fmt(c[rows]) for c in columns.values())], " ")
+    return path
 
 
 def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
@@ -258,37 +288,19 @@ def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
     total residual energy, and per-round mean path loss versus round.
 
     ``runs`` maps protocol name to its metrics table; column order follows
-    the mapping's order. Rounds with no transmissions emit ``nan`` in the
-    path-loss file (gnuplot-friendly missing marker). Each file is written
-    ``_CSV_CHUNK`` rows at a time.
+    the mapping's order. Each file is one ``write_plot_file``, in
+    ``PLOT_FILES`` order.
     """
-    protocols = list(runs)
-    if not protocols:
+    if not runs:
         raise ValueError("no runs supplied")
     lengths = {len(m) for m in runs.values()}
     if len(lengths) != 1:
         raise ValueError(f"round counts differ across runs: {sorted(lengths)}")
-    rounds = lengths.pop()
-    tables = list(runs.values())
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = "# round " + " ".join(protocols)
-
-    def series(fname: str, columns: list[np.ndarray], fmt) -> Path:
-        path = out / fname
-        _write_rows(path, header, rounds,
-                    lambda rows: [map(str, range(rows.start, rows.stop)),
-                                  *(fmt(c[rows]) for c in columns)], " ")
-        return path
-
-    lifetime, throughput, residual, pathloss = PLOT_FILES
-    return [
-        series(lifetime, [t[:, ALIVE] for t in tables], _ints),
-        series(throughput, [np.cumsum(t[:, RECEIVED]) for t in tables], _ints),
-        series(residual, [t[:, TOTAL_RESIDUAL] for t in tables], _floats),
-        series(pathloss, [t[:, PATH_LOSS] for t in tables], _floats),
-    ]
+    series = {protocol: plot_series(table) for protocol, table in runs.items()}
+    return [write_plot_file(name, dict(zip(series, columns)), out)
+            for name, columns in zip(PLOT_FILES, zip(*series.values()))]
 
 
 # ---------------------------------------------------------------------------

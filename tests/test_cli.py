@@ -19,6 +19,7 @@ from wbansim import config
 from wbansim.cli import _parse_seeds, main
 from wbansim.config import PROTOCOLS, SimConfig, load_config
 from wbansim.core import SensorKind
+from wbansim.io import PLOT_FILES, emit_plot_series, median_series, read_metrics_csv
 
 
 def run_cli(*args):
@@ -335,7 +336,8 @@ class TestSweepPool:
         monkeypatch.setattr(wbansim.cli, "run_simulation", dies_on_seed_2)
         assert self.sweep(short_config, tmp_path / "o") == 2
         err = capfd.readouterr().err
-        assert "a simulation worker ended abruptly" in err
+        assert err == ("i/o error: a simulation worker ended abruptly "
+                       "(killed, or out of memory)\n")
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
@@ -349,14 +351,111 @@ class TestSweepPool:
         assert multiprocessing.active_children() == []
 
     def test_importing_the_cli_leaves_the_pool_modules_out(self):
-        # ``sweep`` imports them itself; at module level they would add to
-        # the start-up time of every command.
-        code = ("import sys, wbansim.cli; "
-                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        # ``sweep`` and ``plots`` import them when they start their pool; at
+        # module level they would add to the start-up time of every command.
+        code = ("import sys, wbansim.cli; print(sorted(name for name in sys.modules "
+                "if name.split('.')[0] in ('multiprocessing', 'concurrent')))")
         env = {**os.environ, "PYTHONPATH": str(Path(wbansim.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout == "[]\n"
+
+
+def _cut_to_100_rounds(text):
+    return "".join(text.splitlines(keepends=True)[:101])
+
+
+def _bad_number(text):
+    return text.replace("\n5,", "\nfive,", 1)
+
+
+# case -> ({file: corruption, or None to put a directory in its place},
+#          the file the message names, the rest of the message or None for any)
+PLOTS_ERROR_ORDER = {
+    "two_bad_protocols": ({"metrics_mattempt_seed2.csv": _bad_number,
+                           "metrics_simple_seed1.csv": _bad_number},
+                          "metrics_mattempt_seed2.csv", None),
+    "short_later_protocol": ({f"metrics_simple_seed{s}.csv": _cut_to_100_rounds
+                              for s in (1, 2, 3)},
+                             "metrics_simple_seed1.csv",
+                             "100 rounds, but metrics_amhrp_seed1.csv has 300"),
+    "short_first_protocol": ({f"metrics_amhrp_seed{s}.csv": _cut_to_100_rounds
+                              for s in (1, 2, 3)},
+                             "metrics_mattempt_seed1.csv",
+                             "300 rounds, but metrics_amhrp_seed1.csv has 100"),
+    "short_then_bad": ({"metrics_mattempt_seed1.csv": _cut_to_100_rounds,
+                        "metrics_mattempt_seed2.csv": _bad_number},
+                       "metrics_mattempt_seed1.csv",
+                       "100 rounds, but metrics_amhrp_seed1.csv has 300"),
+    "bad_then_short_protocol": ({"metrics_mattempt_seed3.csv": _bad_number,
+                                 **{f"metrics_simple_seed{s}.csv": _cut_to_100_rounds
+                                    for s in (1, 2, 3)}},
+                                "metrics_mattempt_seed3.csv", None),
+    "directory_then_bad": ({"metrics_amhrp_seed3.csv": None,
+                            "metrics_simple_seed2.csv": _bad_number},
+                           "metrics_amhrp_seed3.csv", None),
+}
+
+
+class TestPlotsPool:
+    """``plots`` reads and merges each protocol in a worker process, then
+    writes each file in one, and reports failures as a serial read would."""
+
+    @pytest.fixture
+    def runs(self, sweep_dir, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs, ignore=shutil.ignore_patterns("*.dat"))
+        return runs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_series_match_the_in_process_merge_for_any_worker_count(self, cpus, runs,
+                                                                     tmp_path, monkeypatch):
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: cpus)
+        assert main(["plots", "--in", str(runs)]) == 0
+        assert multiprocessing.active_children() == []
+        merged = {protocol: median_series([read_metrics_csv(p) for p in
+                                           sorted(runs.glob(f"metrics_{protocol}_seed*.csv"))])
+                  for protocol in PROTOCOLS}
+        files = emit_plot_series(merged, tmp_path / "alone")
+        assert [f.name for f in files] == list(PLOT_FILES)
+        for path in files:
+            assert (runs / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_killed_worker_exits_2_without_traceback(self, runs, monkeypatch, capfd):
+        read = wbansim.cli.read_metrics_csv
+
+        def dies_on_one_file(path):
+            if Path(path).name == "metrics_mattempt_seed2.csv":
+                os._exit(3)
+            return read(path)
+
+        monkeypatch.setattr(wbansim.cli, "read_metrics_csv", dies_on_one_file)
+        assert main(["plots", "--in", str(runs)]) == 2
+        err = capfd.readouterr().err
+        assert err == "i/o error: a plots worker ended abruptly (killed, or out of memory)\n"
+        assert list(runs.glob("*.dat")) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("case", sorted(PLOTS_ERROR_ORDER))
+    def test_the_first_failure_in_path_order_is_reported(self, case, runs, capsys):
+        corruptions, named, message = PLOTS_ERROR_ORDER[case]
+        for name, corrupt in corruptions.items():
+            path = runs / name
+            if corrupt is None:
+                path.unlink()
+                path.mkdir()
+            else:
+                path.write_text(corrupt(path.read_text()))
+        assert main(["plots", "--in", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        if message is None:
+            assert str(runs / named) in err
+            assert all(name not in err for name in corruptions if name != named)
+        else:
+            assert err == f"i/o error: {runs / named}: {message}\n"
+        assert list(runs.glob("*.dat")) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestNoCommand:
