@@ -31,9 +31,9 @@ from pathlib import Path
 from .config import PROTOCOLS, ConfigError, SimConfig, load_config, validate_config
 from .core import format_layout
 from .engine import run_simulation
-from .io import (PLOT_FILES, ResultFileError, compare_runs, median_series, plot_series,
-                 read_metrics_csv, read_summary_json, render_comparison, write_comparison,
-                 write_metrics_csv, write_plot_file, write_summary_json)
+from .io import (PLOT_FILES, ResultFileError, compare_runs, plot_series, read_metrics_csv,
+                 read_summary_json, render_comparison, write_comparison, write_metrics_csv,
+                 write_plot_file, write_summary_json)
 # Not called here since ``plots`` writes each file in a worker, but the
 # benchmark's tracer wraps the plot writer under this name.
 from .io import emit_plot_series  # noqa: F401
@@ -185,10 +185,10 @@ def cmd_compare(args) -> int:
 
 def _merge_seeds(paths: list[Path]) -> tuple[list[int], list | Exception | None]:
     """Read one protocol's CSVs in order and merge them. Returns each file's
-    row count and the merged table's ``plot_series``; in place of the
-    series, ``None`` once a count differs from the first file's (for
-    ``cmd_plots`` to report), or the error of a file that cannot be read.
-    The files after that one are not read."""
+    row count and their ``plot_series``; in place of the series, ``None``
+    once a count differs from the first file's (for ``cmd_plots`` to
+    report), or the error of a file that cannot be read. The files after
+    that one are not read."""
     counts, tables = [], []
     for p in paths:
         try:
@@ -199,7 +199,7 @@ def _merge_seeds(paths: list[Path]) -> tuple[list[int], list | Exception | None]
         if len(table) != counts[0]:
             return counts, None
         tables.append(table)
-    return counts, plot_series(median_series(tables))
+    return counts, plot_series(tables)
 
 
 def cmd_plots(args) -> int:

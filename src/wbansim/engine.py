@@ -36,7 +36,10 @@ charging, the control exchange, the metrics) is the base class's and shared.
 
 The per-round walk: ``run_round`` hands the round's originators to
 ``route_round``, one call a round, whose one loop senses each reading and
-walks its packet hop by hop. It asks ``decide`` once per hop, counts the
+walks its packet hop by hop. It checks the originator's liveness in two
+places only: at the top of each reading, since the last reading's sends or
+escalation may have killed it, and after the sensing charge, since a node
+that dies sensing sends nothing. It asks ``decide`` once per hop, counts the
 packet as sent on its originator's verdict unless that is a HOLD, tests the
 verdict's action once (a forward first, the commonest), and a forward goes
 through ``hand_over``. A forward's target is always alive: every rule skips
@@ -110,10 +113,11 @@ round's row goes to ``rows`` as one ``struct`` pack of native doubles and
 one ``frombytes``: ``array.extend`` of a tuple converts its 13 values one at
 a time through the iterator protocol, two to three times the cost, and native
 ``d`` is ``array("d")``'s own layout, so the buffer's bytes are the same.
-And ``_event_counts`` returns a slice of the current block when the block
-holds all the round's counts, the common case, without building the list a
-refill needs; the fast path sits inside the method, so a wrapper set on
-the instance still sees every round's counts.
+And ``_event_counts`` is one refill loop that ends in one slice: when the
+block holds all the round's counts, the common case, it costs one
+comparison and the slice. A refill keeps the block's unread tail, or, when a
+round's reading skip ran past the block's end, drops the block and moves the
+cursor on by the overshoot.
 """
 from __future__ import annotations
 
@@ -304,7 +308,8 @@ def equilibrium_flags(counts: np.ndarray, cfg: SimConfig,
 
 class _Sim:
     """One run: the shared round loop and its bookkeeping. A subclass per
-    protocol fills in the four routing hooks.
+    protocol defines ``decide`` and overrides the other routing hooks it
+    needs.
 
     The rule functions are looked up as this module's globals at call time,
     so code that wraps them here also sees the engine's calls.
@@ -383,9 +388,6 @@ class _Sim:
     def begin_round(self, rnd: int) -> None:
         """Control phase, before the first slot."""
 
-    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        raise NotImplementedError
-
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
         """Send to the relay ``target`` (always alive, see the module
         docstring); True when it carries the packet on."""
@@ -463,23 +465,17 @@ class _Sim:
     def _event_counts(self, m: int) -> list[int]:
         """The next m entries of the events stream as Poisson counts,
         refilling the block (and dropping skipped blocks) as needed."""
-        pos = self._event_pos
-        block = self._event_block
-        if pos + m <= len(block):
-            self._event_pos = pos + m
-            return block[pos:pos + m]
-        counts: list[int] = []
-        while True:
-            while pos >= len(self._event_block):
-                pos -= len(self._event_block)
-                self._event_block = invert_poisson(
-                    self.poisson_cdf, self.events_rng.random(EVENT_BLOCK)).tolist()
-            got = self._event_block[pos:pos + m - len(counts)]
-            counts += got
-            pos += len(got)
-            if len(counts) == m:
-                self._event_pos = pos
-                return counts
+        pos, block = self._event_pos, self._event_block
+        while pos + m > len(block):
+            pos -= len(block)
+            fresh = invert_poisson(self.poisson_cdf, self.events_rng.random(EVENT_BLOCK)).tolist()
+            if pos < 0:  # keep the block's unread tail
+                block, pos = block[pos:] + fresh, 0
+            else:  # a skip reached or passed the block's end
+                block = fresh
+            self._event_block = block
+        self._event_pos = pos + m
+        return block[pos:pos + m]
 
     # -- one round ----------------------------------------------------------
 
@@ -519,10 +515,10 @@ class _Sim:
             self.fill_path_losses()
 
     def route_round(self, originators: list[tuple[SensorNode, bool, int]]) -> None:
-        """The round's origination and routing: each alive originator, in
-        slot order, senses its readings one at a time and walks each one's
-        packet from holder to holder toward the sink (see the module
-        docstring). Sets the round's ``c1``, ``c3``, ``round_sent``,
+        """The round's origination and routing: each originator, in slot
+        order, senses its readings one at a time while it is alive and
+        walks each one's packet from holder to holder toward the sink (see
+        the module docstring). Sets the round's ``c1``, ``c3``, ``round_sent``,
         ``round_received`` and ``round_critical``."""
         decide, hand_over, transmit, charge = (self.decide, self.hand_over, self._transmit,
                                                self.charge)
@@ -530,9 +526,9 @@ class _Sim:
                                                self.boosted_cost)
         c1 = c3 = sent = received = critical = 0
         for origin, is_due, k in originators:
-            if not origin.alive:
-                continue
             for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
+                if not origin.alive:
+                    break  # a dead node senses nothing
                 c1 += 1
                 charge(origin, x_s)
                 if not origin.alive:
@@ -576,8 +572,6 @@ class _Sim:
                         break
                 else:
                     raise RuntimeError("routing did not terminate (engine bug)")
-                if not origin.alive:
-                    break
         # Written back before ``end_round``, which may add to them.
         self.c1, self.c3 = c1, c3
         self.round_sent, self.round_received, self.round_critical = sent, received, critical

@@ -25,6 +25,10 @@ LAMBDA_MAX = 1000.0
 
 @dataclass(frozen=True)
 class EventParams:
+    """The ``[events]`` keys. ``rounds_per_day`` shapes the default sensing
+    periods only when a config is parsed (``config.load_config``); the
+    engine never reads it, so Python code that sets it with ``replace``
+    must also set ``SimConfig.schedule`` to match."""
     lam: float = bounded(0.1, ge=0, le=LAMBDA_MAX)  # expected events per round per node
     rounds_per_day: int = bounded(24, ge=1)
 

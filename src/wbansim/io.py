@@ -9,17 +9,16 @@ A run is one table, as the engine returns it in ``RunResult.metrics``: a
 ... ``EQUILIBRIUM``). A round with no transmissions holds NaN in
 ``PATH_LOSS``, and the equilibrium flag is 0 or 1. ``write_metrics_csv``
 writes a table, ``read_metrics_csv`` parses a file back into the same table,
-``median_series`` merges the tables of several seeds, ``plot_series`` takes
-the four plotted columns of a table, and ``write_plot_file`` writes one
-figure file from them, column by column; ``emit_plot_series`` writes all
-four.
+``plot_series`` merges the four plotted columns of one or more seeds'
+tables, and ``write_plot_file`` writes one figure file from them, column by
+column; ``emit_plot_series`` writes all four.
 
 The ``plots`` path holds little beyond the tables themselves. Each
 protocol's tables and one column of merge temporaries are held in the
 worker process that merges them; the ``plots`` process holds only the four
 plotted series of each protocol, which it hands to the workers that write
 the files. A CSV is parsed from one buffer of its bytes into the memory of
-the table it becomes, ``median_series`` merges one column of every seed at
+the table it becomes, ``plot_series`` merges one column of every seed at
 a time, and both writers format ``_CSV_CHUNK`` rows at a time.
 """
 from __future__ import annotations
@@ -36,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-# The table's columns are the engine's, which builds the table.
+# The table's columns are the engine's, which builds the table; all nine are
+# exported here, beside the reader and writer.
 from .engine import (ALIVE, CRITICAL, EQUILIBRIUM, MEAN_RESIDUAL, PATH_LOSS, RECEIVED,
                      ROUND, SENT, TOTAL_RESIDUAL, RunSummary)
 
@@ -227,22 +227,28 @@ def read_summary_json(path) -> RunSummary:
 # Plot series (one file per figure family, one column per protocol)
 # ---------------------------------------------------------------------------
 
-def median_series(tables: list[np.ndarray]) -> np.ndarray:
-    """Per-round median of the tables of one or more runs of equal length.
+PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
+# Counts are written as ints, energy and path loss with repr.
+_PLOT_FORMATS = dict(zip(PLOT_FILES, (_ints, _ints, _floats, _floats)))
 
-    Each cell is ``statistics.median`` over the runs whose value is a
-    number: the middle value, or the mean of the two middle values. Counts
-    take the int of the median; the path loss is NaN where no run
-    transmitted; the equilibrium flag holds only when it holds in every run.
-    The merge goes column by column, so its temporaries hold one column of
-    every run.
+
+def plot_series(tables: list[np.ndarray]) -> list[np.ndarray]:
+    """The four plotted series of one or more runs of equal length, in
+    ``PLOT_FILES`` order: per round, the median alive nodes, the running
+    sum of the median packets received, the median total residual energy,
+    and the median mean path loss.
+
+    Each median is ``statistics.median`` over the runs whose value is a
+    number: the middle value, or the mean of the two middle values. The
+    counts take the int of their median; the path loss is NaN where no run
+    transmitted. The merge goes column by column, so its temporaries hold
+    one column of every run.
     """
     lengths = {len(t) for t in tables}
     if len(lengths) != 1:
         raise ValueError(f"need runs of one length, got lengths {sorted(lengths)}")
-    merged = np.empty((lengths.pop(), _CSV_FIELDS))
-    merged[:, ROUND] = np.arange(len(merged))
-    for col in range(ALIVE, EQUILIBRIUM):
+    series = []
+    for col in (ALIVE, RECEIVED, TOTAL_RESIDUAL, PATH_LOSS):
         runs = np.column_stack([t[:, col] for t in tables])
         runs.sort()  # NaN sorts last
         k = np.count_nonzero(~np.isnan(runs), axis=1)[:, np.newaxis]
@@ -250,21 +256,9 @@ def median_series(tables: list[np.ndarray]) -> np.ndarray:
         lo = np.take_along_axis(runs, (k - 1) // 2, axis=1)[:, 0]
         hi = np.take_along_axis(runs, k // 2, axis=1)[:, 0]
         median = np.where(k[:, 0] % 2 == 1, lo, (lo + hi) / 2)
-        merged[:, col] = np.trunc(median) if col <= CRITICAL else median
-    merged[:, EQUILIBRIUM] = np.min([t[:, EQUILIBRIUM] for t in tables], axis=0)
-    return merged
-
-PLOT_FILES = ("lifetime.dat", "throughput.dat", "residual.dat", "pathloss.dat")
-# Counts are written as ints, energy and path loss with repr.
-_PLOT_FORMATS = dict(zip(PLOT_FILES, (_ints, _ints, _floats, _floats)))
-
-
-def plot_series(table: np.ndarray) -> list[np.ndarray]:
-    """The four plotted series of a table, in ``PLOT_FILES`` order: alive
-    nodes, cumulative packets received, total residual energy, and mean
-    path loss per round."""
-    return [table[:, ALIVE], np.cumsum(table[:, RECEIVED]), table[:, TOTAL_RESIDUAL],
-            table[:, PATH_LOSS]]
+        series.append(np.trunc(median) if col < TOTAL_RESIDUAL else median)
+    alive, received, residual, loss = series
+    return [alive, np.cumsum(received), residual, loss]
 
 
 def write_plot_file(name: str, columns: dict[str, np.ndarray], out_dir) -> Path:
@@ -298,7 +292,7 @@ def emit_plot_series(runs: dict[str, np.ndarray], out_dir) -> list[Path]:
         raise ValueError(f"round counts differ across runs: {sorted(lengths)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = {protocol: plot_series(table) for protocol, table in runs.items()}
+    series = {protocol: plot_series([table]) for protocol, table in runs.items()}
     return [write_plot_file(name, dict(zip(series, columns)), out)
             for name, columns in zip(PLOT_FILES, zip(*series.values()))]
 

@@ -19,7 +19,7 @@ from wbansim import config
 from wbansim.cli import _parse_seeds, main
 from wbansim.config import PROTOCOLS, SimConfig, load_config
 from wbansim.core import SensorKind
-from wbansim.io import PLOT_FILES, emit_plot_series, median_series, read_metrics_csv
+from wbansim.io import PLOT_FILES, plot_series, read_metrics_csv, write_plot_file
 
 
 def run_cli(*args):
@@ -413,13 +413,12 @@ class TestPlotsPool:
         monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: cpus)
         assert main(["plots", "--in", str(runs)]) == 0
         assert multiprocessing.active_children() == []
-        merged = {protocol: median_series([read_metrics_csv(p) for p in
-                                           sorted(runs.glob(f"metrics_{protocol}_seed*.csv"))])
+        series = {protocol: plot_series([read_metrics_csv(p) for p in
+                                         sorted(runs.glob(f"metrics_{protocol}_seed*.csv"))])
                   for protocol in PROTOCOLS}
-        files = emit_plot_series(merged, tmp_path / "alone")
-        assert [f.name for f in files] == list(PLOT_FILES)
-        for path in files:
-            assert (runs / path.name).read_bytes() == path.read_bytes(), path.name
+        for name, columns in zip(PLOT_FILES, zip(*series.values())):
+            path = write_plot_file(name, dict(zip(series, columns)), tmp_path)
+            assert (runs / name).read_bytes() == path.read_bytes(), name
 
     def test_killed_worker_exits_2_without_traceback(self, runs, monkeypatch, capfd):
         read = wbansim.cli.read_metrics_csv

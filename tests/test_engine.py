@@ -981,6 +981,8 @@ class TestEventStream:
                                       (25, 0)],
         "a skip pushes the cursor past the end": [(19, EVENT_BLOCK - 16), (4, 0),
                                                   (2, 2 * EVENT_BLOCK), (30, 0)],
+        "a skip lands on the block end": [(19, EVENT_BLOCK - 19), (5, 0), (7, 0)],
+        "a skip lands two blocks on": [(19, 2 * EVENT_BLOCK - 19), (5, 0), (7, 0)],
     }
 
     @pytest.mark.parametrize("case", CURSOR_CASES)

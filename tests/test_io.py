@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import statistics
@@ -12,11 +13,10 @@ from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
 from wbansim.engine import RunSummary, run_simulation
-from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND, SENT,
+from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND,
                         TOTAL_RESIDUAL, ResultFileError, compare_runs, emit_plot_series,
-                        median_series, read_metrics_csv, read_summary_json,
-                        render_comparison, write_comparison, write_metrics_csv,
-                        write_summary_json)
+                        plot_series, read_metrics_csv, read_summary_json, render_comparison,
+                        write_comparison, write_metrics_csv, write_summary_json)
 
 
 def row(r, alive=19, sent=2, received=2, loss=36.5, flag=1):
@@ -206,11 +206,13 @@ class TestPlotsMemory:
     """tracemalloc sees numpy's buffers, so these peaks count every array."""
 
     def traced_peak(self, call):
-        """``call()`` and the peak bytes it held beyond what it returned."""
+        """``call()`` and the peak bytes it held beyond what it returned, an
+        array or a list of arrays."""
         tracemalloc.start()
         try:
             result = call()
-            return result, tracemalloc.get_traced_memory()[1] - result.nbytes
+            kept = sum(a.nbytes for a in result) if isinstance(result, list) else result.nbytes
+            return result, tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
 
@@ -225,11 +227,11 @@ class TestPlotsMemory:
 
     def test_median_holds_about_one_column_of_every_seed(self):
         # 3 seeds of 10^4 rounds: merging all nine columns at once held 21
-        # times one column of every seed beyond the output, column by column
-        # 3.7 times.
+        # times one column of every seed beyond the output; the four plotted
+        # columns, one at a time, hold 2.7 times.
         tables = [big_table(10_000, seed) for seed in (1, 2, 3)]
-        merged, peak = self.traced_peak(lambda: median_series(tables))
-        assert merged.shape == (10_000, 9)
+        series, peak = self.traced_peak(lambda: plot_series(tables))
+        assert [s.shape for s in series] == [(10_000,)] * 4
         assert peak <= 6 * 10_000 * 8 * len(tables)
 
 
@@ -337,19 +339,18 @@ class TestPlotSeries:
 
 
 def median_oracle(tables):
-    """The per-round merge with statistics.median, one round at a time."""
-    merged = []
+    """The four plotted series with statistics.median, one round at a time:
+    the counts as ints, the received medians as their running sum."""
+    alive, received, residual, loss = [], [], [], []
     for r in range(len(tables[0])):
         rows = [t[r] for t in tables]
+        alive.append(int(statistics.median(m[ALIVE] for m in rows)))
+        received.append(int(statistics.median(m[RECEIVED] for m in rows)))
+        residual.append(statistics.median(m[TOTAL_RESIDUAL] for m in rows))
         losses = [m[PATH_LOSS] for m in rows if not math.isnan(m[PATH_LOSS])]
-        merged.append([r]
-                      + [int(statistics.median(m[c] for m in rows))
-                         for c in range(ALIVE, TOTAL_RESIDUAL)]
-                      + [statistics.median(m[c] for m in rows)
-                         for c in range(TOTAL_RESIDUAL, PATH_LOSS)]
-                      + [statistics.median(losses) if losses else math.nan,
-                         all(m[EQUILIBRIUM] == 1 for m in rows)])
-    return np.array(merged, dtype=np.float64).reshape(-1, 9)
+        loss.append(statistics.median(losses) if losses else math.nan)
+    return [np.array(col, dtype=np.float64)
+            for col in (alive, list(itertools.accumulate(received)), residual, loss)]
 
 
 def same_bits(a, b):
@@ -378,42 +379,50 @@ def run_tables(draw):
 
 
 class TestMedianSeries:
+    """``plot_series`` merges the four plotted columns of several runs."""
+
     def test_field_medians(self):
         runs = [table(row(0, alive=19, sent=4, received=3, loss=30.0)),
                 table(row(0, alive=17, sent=1, received=1, loss=40.0)),
                 table(row(0, alive=18, sent=9, received=8, loss=35.5))]
-        (m,) = median_series(runs)
-        assert (m[ROUND], m[ALIVE], m[SENT], m[RECEIVED]) == (0, 18, 4, 3)
-        assert m[PATH_LOSS] == 35.5
-        assert m[TOTAL_RESIDUAL] == row(0)[TOTAL_RESIDUAL]
+        alive, received, residual, loss = plot_series(runs)
+        assert (alive.tolist(), received.tolist(), loss.tolist()) == ([18], [3], [35.5])
+        assert residual.tolist() == [row(0)[TOTAL_RESIDUAL]]
 
     def test_even_count_median_truncated_to_int(self):
-        (m,) = median_series([table(row(0, alive=19)), table(row(0, alive=18))])
-        assert m[ALIVE] == 18  # int(18.5)
+        alive, received, _, _ = plot_series([table(row(0, alive=19, received=2)),
+                                              table(row(0, alive=18, received=1))])
+        assert (alive.tolist(), received.tolist()) == ([18], [1])  # int(18.5), int(1.5)
+
+    def test_one_table_gives_its_own_columns(self):
+        t = big_table(3000, seed=4)
+        expected = [t[:, ALIVE], np.cumsum(t[:, RECEIVED]), t[:, TOTAL_RESIDUAL],
+                    t[:, PATH_LOSS]]
+        assert all(map(same_bits, plot_series([t]), expected))
 
     def test_path_loss_over_transmitting_runs_only(self):
         quiet = table(row(0, loss=None), row(1, loss=None))
         loud = table(row(0, loss=None), row(1, loss=42.0))
-        merged = median_series([quiet, quiet, loud])
-        assert math.isnan(merged[0, PATH_LOSS])
-        assert merged[1, PATH_LOSS] == 42.0
-
-    def test_equilibrium_flag_anded_across_runs(self):
-        ok = table(row(0), row(1))
-        broken = table(row(0), row(1, flag=0))
-        merged = median_series([ok, broken, ok])
-        assert merged[:, EQUILIBRIUM].tolist() == [1.0, 0.0]
+        loss = plot_series([quiet, quiet, loud])[3]
+        assert math.isnan(loss[0])
+        assert loss[1] == 42.0
+        # About one round in eight is quiet in each run, so some rounds are
+        # quiet in every run and many in only some.
+        tables = [big_table(3000, seed) for seed in (1, 2)]
+        nowhere = np.all([np.isnan(t[:, PATH_LOSS]) for t in tables], axis=0)
+        assert 0 < nowhere.sum() < np.isnan(tables[0][:, PATH_LOSS]).sum()
+        assert np.array_equal(np.isnan(plot_series(tables)[3]), nowhere)
 
     def test_unequal_lengths_rejected(self):
         for lengths in [(5, 3, 4), (5, 5, 4), ()]:
             runs = [table(*(row(r) for r in range(n))) for n in lengths]
             with pytest.raises(ValueError):
-                median_series(runs)
+                plot_series(runs)
 
     @settings(max_examples=200, deadline=None)
     @given(run_tables())
     def test_equals_the_statistics_median_oracle(self, tables):
-        assert same_bits(median_series(tables), median_oracle(tables))
+        assert all(map(same_bits, plot_series(tables), median_oracle(tables)))
 
 
 class TestCompareRuns:

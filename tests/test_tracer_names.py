@@ -3,9 +3,13 @@ that drops one breaks the traced benchmark. These checks keep that visible
 in the main suite."""
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+import wbansim.engine
+from wbansim.config import PROTOCOLS, SimConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +42,23 @@ def test_tracer_puts_every_name_back(tracer):
         pass
     assert all(getattr(module, attr) is obj
                for (module, attr), obj in zip(targets, before))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_traced_run_counts_every_leaf_it_reaches(tracer, protocol):
+    """A short run under the tracer counts the protocol's rules, the events
+    draws and the path losses, so the benchmark's per-layer split is not
+    emptied by a change that stops calling a wrapped name; and tracing
+    leaves the run's table as it is."""
+    cfg = replace(SimConfig(), protocol=protocol, rounds=200,
+                  events=replace(SimConfig().events, lam=0.5))
+    plain = wbansim.engine.run_simulation(cfg)
+    with tracer.Tracer() as t:
+        traced = wbansim.engine.run_simulation(cfg)
+    layers = t.layer_metrics()
+    rules = [name for name in tracer.LEAVES.values()
+             if name.startswith(f"protocols.{protocol}_")]
+    assert rules
+    for name in rules + ["events.invert_poisson", "channel.path_loss"]:
+        assert layers[f"{name}.calls"] > 0, name
+    assert traced.metrics.tobytes() == plain.metrics.tobytes()
