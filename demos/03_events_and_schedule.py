@@ -19,9 +19,9 @@ g = np.random.Generator(np.random.PCG64(1))
 draws = [sample_event_count(lam, g) for _ in range(50000)]
 print(f"  empirical mean over 50k draws: {np.mean(draws):.4f}")
 
-s = SensingSchedule()
+periods = SensingSchedule().resolve(rounds_per_day=24)
 print("\nscheduled sensing periods (rounds, 1 round = 1 hour):")
 for kind in (SensorKind.BLOOD_PRESSURE, SensorKind.GLUCOSE, SensorKind.INSULIN,
              SensorKind.ECG, SensorKind.EMG):
-    due = [r for r in range(200) if is_scheduled(kind, r, s)][:4]
-    print(f"  {kind.value:15s} period {s.periods[kind]:4d}, due at rounds {due}")
+    due = [r for r in range(200) if is_scheduled(kind, r, periods)][:4]
+    print(f"  {kind.value:15s} period {periods[kind]:4d}, due at rounds {due}")

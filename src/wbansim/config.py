@@ -13,7 +13,9 @@ Sections: sim, energy, channel, events, schedule, amhrp, mattempt, simple.
 A section's scalar keys are the bool/int/float/str fields of its dataclass
 (``[sim]``: SimConfig's own; ``events.lambda`` is the field ``lam``), each
 with its allowed values (``core.bounded``), declared nowhere else;
-``channel.nlos_pairs`` and the schedule periods have their own syntax.
+``channel.nlos_pairs`` and the schedule periods have their own syntax; a
+kind that ``[schedule]`` leaves unset takes its default period at
+``events.rounds_per_day``.
 Unknown sections or keys are hard errors, every constraint violation is
 reported with its key path, and unspecified keys take the
 defaults below (19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
@@ -76,13 +78,18 @@ class EnergyWeights:
     distance; path loss is a reported metric, not an energy input. The
     engine's ``_Sim.charge`` debits each action's cost from its node and
     applies the death threshold ``x_t``.
+
+    The defaults are calibrated so the default AMHRP run's first node death
+    lands in the 4000-5000 round window while the network keeps most of its
+    charge; see docs/calibration.md for the procedure and the reasoning
+    behind x_t.
     """
-    x_s: float = bounded(ge=0)  # self-computation / sensing
-    x_d: float = bounded(ge=0)  # send to destined node (forwarder or sink)
-    x_w: float = bounded(ge=0)  # send to external WSN gateway
-    x_f: float = bounded(ge=0)  # forward one packet at a relay
-    x_c: float = bounded(ge=0)  # control-packet exchange
-    x_t: float = bounded(ge=0)  # death threshold: a node dies when residual would not stay above it
+    x_s: float = bounded(2e-6, ge=0)  # self-computation / sensing
+    x_d: float = bounded(7e-6, ge=0)  # send to destined node (forwarder or sink)
+    x_w: float = bounded(7e-4, ge=0)  # send to external WSN gateway
+    x_f: float = bounded(1e-6, ge=0)  # forward one packet at a relay
+    x_c: float = bounded(4e-6, ge=0)  # control-packet exchange
+    x_t: float = bounded(0.48, ge=0)  # death threshold: a node dies when residual would not stay above it
 
 
 @dataclass(frozen=True)
@@ -91,20 +98,6 @@ class AmhrpParams:
     alpha_star: float = 0.0                  # equilibrium diagnostic threshold
     eq_windows: int = bounded(8, ge=1)       # series length l: number of logged traffic windows
     eq_window_len: int = bounded(50, ge=1)   # rounds per window
-
-
-def default_energy_weights() -> EnergyWeights:
-    """Calibrated so the default AMHRP run's first node death lands in the
-    4000-5000 round window while the network keeps most of its charge; see
-    docs/calibration.md for the procedure and the reasoning behind x_t."""
-    return EnergyWeights(
-        x_s=2e-6,
-        x_d=7e-6,
-        x_w=7e-4,
-        x_f=1e-6,
-        x_c=4e-6,
-        x_t=0.48,
-    )
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class SimConfig:
     tx_range: float = bounded(0.6, gt=0)
     allow_unconstrained_weights: bool = False
     out_dir: str = "results"
-    energy: EnergyWeights = field(default_factory=default_energy_weights)
+    energy: EnergyWeights = field(default_factory=EnergyWeights)
     channel: ChannelParams = field(default_factory=ChannelParams)
     nlos_pairs: tuple[tuple[int, int], ...] = ()
     events: EventParams = field(default_factory=EventParams)
@@ -175,17 +168,15 @@ def validate_config(cfg: SimConfig) -> None:
         if (failed.isdisjoint(("energy.x_f", "energy.x_c", "energy.x_d"))
                 and not e.x_f < e.x_c < e.x_d):
             problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
-    # A kind with no sensing period is caught here, before round 0. Node i
-    # carries ALL_KINDS[i % 19]. This rule and the NLOS pair rule read the
-    # node count, so they run only when it passed.
-    count_ok = "sim.node_count" not in failed
-    if count_ok:
-        for kind in ALL_KINDS[:cfg.node_count]:
-            if kind not in cfg.schedule.periods:
-                problems.append(f"schedule.{kind.value}: no sensing period configured")
+    if "events.rounds_per_day" not in failed:
+        try:
+            default_schedule(cfg.events.rounds_per_day)
+        except OverflowError:  # a day past the float range has no periods in rounds
+            problems.append("events.rounds_per_day: too large to derive the sensing periods")
     problems += [f"schedule.{kind.value}: period must be >= 1"
                  for kind, period in cfg.schedule.periods.items() if period < 1]
-    if count_ok:
+    # The NLOS pair rule reads the node count, so it runs only when that passed.
+    if "sim.node_count" not in failed:
         for a, b in cfg.nlos_pairs:
             if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
                 problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
@@ -299,20 +290,15 @@ def parse_config(text: str, source: str = "<string>") -> SimConfig:
     energy = over["energy"]
     if "x_d" in energy and "x_w" not in energy:
         energy["x_w"] = 100.0 * energy["x_d"]
-    cfg = replace(cfg, **over.pop("sim"), nlos_pairs=nlos_pairs)
-    cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
-
-    try:
-        periods = default_schedule(cfg.events.rounds_per_day)
-    except OverflowError:  # a day past the float range has no periods in rounds
-        problems.append("events.rounds_per_day: too large to derive the sensing periods")
-        periods = default_schedule()
+    periods = {}
     for key, text in schedule.items():
         if key not in _KIND_BY_NAME:
             problems.append(f"unknown key schedule.{key}")
             continue
         periods[_KIND_BY_NAME[key]] = _parse_scalar(text, int, f"schedule.{key}", problems)
-    cfg = replace(cfg, schedule=SensingSchedule(periods=periods))
+    cfg = replace(cfg, **over.pop("sim"), nlos_pairs=nlos_pairs,
+                  schedule=SensingSchedule(periods))
+    cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
 
     if problems:
         raise ConfigError(problems)
@@ -343,7 +329,7 @@ def render_config(cfg: SimConfig) -> str:
     if cfg.nlos_pairs:
         sections["channel"].append(
             ("nlos_pairs", ", ".join(f"{a}-{b}" for a, b in cfg.nlos_pairs)))
-    sections["schedule"] = [(k.value, cfg.schedule.periods[k]) for k in SensorKind]
+    sections["schedule"] = [(k.value, p) for k, p in cfg.schedule.periods.items()]
 
     out = io.StringIO()
     for name, pairs in sections.items():

@@ -354,9 +354,10 @@ class _Sim:
         self._event_pos = 0
         self.draws_per_reading = [reading_draws(nd.kind) for nd in self.nodes]
         # Node ids grouped by sensing period, each group in id order.
+        periods = cfg.schedule.resolve(cfg.events.rounds_per_day)
         groups: dict[int, list[int]] = {}
         for nd in self.nodes:
-            groups.setdefault(cfg.schedule.periods[nd.kind], []).append(nd.id)
+            groups.setdefault(periods[nd.kind], []).append(nd.id)
         self.period_groups = list(groups.items())
         self.rows = array("d")  # one _ROW-wide entry per walked round
         # The link log (see the module docstring): the distinct link codes of

@@ -25,12 +25,9 @@ LAMBDA_MAX = 1000.0
 
 @dataclass(frozen=True)
 class EventParams:
-    """The ``[events]`` keys. ``rounds_per_day`` shapes the default sensing
-    periods only when a config is parsed (``config.load_config``); the
-    engine never reads it, so Python code that sets it with ``replace``
-    must also set ``SimConfig.schedule`` to match."""
+    """The ``[events]`` keys."""
     lam: float = bounded(0.1, ge=0, le=LAMBDA_MAX)  # expected events per round per node
-    rounds_per_day: int = bounded(24, ge=1)
+    rounds_per_day: int = bounded(24, ge=1)  # scales the periods [schedule] leaves unset
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def reading_draws(kind: SensorKind) -> int:
 # Sensing schedule
 # ---------------------------------------------------------------------------
 
-def default_schedule(rounds_per_day: int = 24) -> dict[SensorKind, int]:
+def default_schedule(rounds_per_day: int) -> dict[SensorKind, int]:
     """Per-kind sensing periods in rounds, one round = one hour by default.
 
     ECG weekly, blood pressure every 3 hours, glucose and body temperature
@@ -126,17 +123,21 @@ def default_schedule(rounds_per_day: int = 24) -> dict[SensorKind, int]:
 
 @dataclass(frozen=True)
 class SensingSchedule:
-    periods: dict[SensorKind, int] = field(default_factory=default_schedule)
+    """The ``[schedule]`` keys: the sensing periods set explicitly, in rounds.
+    Every other kind takes its ``default_schedule`` period."""
+    periods: dict[SensorKind, int] = field(default_factory=dict)
+
+    def resolve(self, rounds_per_day: int) -> dict[SensorKind, int]:
+        """Every kind's sensing period at ``rounds_per_day`` rounds a day."""
+        return {**default_schedule(rounds_per_day), **self.periods}
 
 
-def is_scheduled(kind: SensorKind, round_index: int, s: SensingSchedule) -> bool:
-    """True when a routine reading of ``kind`` is due this round.
+def is_scheduled(kind: SensorKind, round_index: int, periods: dict[SensorKind, int]) -> bool:
+    """True when a routine reading of ``kind`` is due this round, given every
+    kind's period (``SensingSchedule.resolve``).
 
     Round 0 counts as due for every kind (initial full report).
     """
     if round_index < 0:
         raise ValueError("round index must be >= 0")
-    period = s.periods.get(kind)
-    if period is None:
-        raise KeyError(f"no sensing period configured for {kind.value}")
-    return round_index % period == 0
+    return round_index % periods[kind] == 0

@@ -87,10 +87,15 @@ class TestSimulate:
         ("seed = -1\n", "sim.seed: must be >= 0"),
         ("node_count = 1001\n", "sim.node_count: must lie in [1, 1000]"),
         ("[events]\nrounds_per_day = 1" + "0" * 400 + "\n",
-         "events.rounds_per_day: too large"),
+         "events.rounds_per_day: too large to derive the sensing periods"),
+        ("[DEFAULT]\nrounds = 5\n", "key 'rounds' outside any section"),
+        ("[channel]\nnlos_pairs = 0-1, 3\n",
+         "channel.nlos_pairs: expected 'i-j' pairs, got '3'"),
+        ("[schedule]\nbogus = 5\n", "unknown key schedule.bogus"),
     ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
             "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed",
-            "node_count_over_cap", "rounds_per_day_past_float_range"])
+            "node_count_over_cap", "rounds_per_day_past_float_range", "default_section",
+            "nlos_pair_without_dash", "unknown_schedule_key"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sim]\nrounds = 5\n" + text)

@@ -10,7 +10,9 @@ from wbansim.channel import ChannelParams
 from wbansim.config import (MAX_NODE_ROUNDS, PLACEMENTS, PROTOCOLS, ConfigError, SimConfig,
                             node_round_weight, parse_config, render_config, validate_config)
 from wbansim.core import SensorKind
-from wbansim.events import LAMBDA_MAX, EventParams, SensingSchedule
+from wbansim.engine import run_simulation
+from wbansim.events import LAMBDA_MAX, EventParams, SensingSchedule, default_schedule
+from wbansim.io import write_metrics_csv
 
 
 class TestDefaults:
@@ -212,13 +214,10 @@ class TestViolations:
 
     @pytest.mark.parametrize("bad_count,good_count,over,message", [
         (0, 1, {"nlos_pairs": ((0, 1),)}, "channel.nlos_pairs: invalid pair 0-1"),
-        (5000, 19, {"schedule": SensingSchedule(periods={
-            k: p for k, p in SensingSchedule().periods.items() if k is not SensorKind.POSITIONING})},
-         "schedule.positioning: no sensing period configured"),
-    ], ids=["nlos_pairs", "schedule"])
+    ], ids=["nlos_pairs"])
     def test_a_bad_node_count_gets_one_message(self, bad_count, good_count, over, message):
-        """The NLOS pair rule and the missing-period rule read the node
-        count, so they run only on one that passed its own check."""
+        """The NLOS pair rule reads the node count, so it runs only on one
+        that passed its own check."""
         assert violations(replace(SimConfig(), node_count=good_count, **over)) == [message]
         found = violations(replace(SimConfig(), node_count=bad_count, **over))
         assert found == ["sim.node_count: must lie in [1, 1000]"]
@@ -231,20 +230,29 @@ class TestSections:
 
     def test_schedule_override(self):
         cfg = parse_config("[schedule]\necg = 24\n")
-        assert cfg.schedule.periods[SensorKind.ECG] == 24
+        assert cfg.schedule.periods == {SensorKind.ECG: 24}
         # untouched kinds keep their defaults
-        assert cfg.schedule.periods[SensorKind.BLOOD_PRESSURE] == 3
+        assert cfg.schedule.resolve(cfg.events.rounds_per_day)[SensorKind.BLOOD_PRESSURE] == 3
 
     def test_rounds_per_day_rescales_default_schedule(self):
         cfg = parse_config("[events]\nrounds_per_day = 48\n")
-        assert cfg.schedule.periods[SensorKind.BLOOD_PRESSURE] == 6
-        assert cfg.schedule.periods[SensorKind.ECG] == 336
+        periods = cfg.schedule.resolve(cfg.events.rounds_per_day)
+        assert periods[SensorKind.BLOOD_PRESSURE] == 6
+        assert periods[SensorKind.ECG] == 336
 
-    def test_missing_sensing_period_of_a_carried_kind_rejected(self):
-        cfg = replace(SimConfig(), schedule=SensingSchedule(periods={}))
-        with pytest.raises(ConfigError) as exc:
-            validate_config(cfg)
-        assert "schedule.ecg: no sensing period configured" in exc.value.violations
+    def test_rounds_per_day_set_in_python_runs_as_in_a_file(self, tmp_path):
+        """The periods derive from ``rounds_per_day`` where the run reads
+        them, so a config built in Python and one parsed from a file run
+        alike, and not as a 24-rounds-a-day run does."""
+        base = replace(SimConfig(), rounds=500)
+        built = replace(base, events=replace(base.events, rounds_per_day=48))
+        parsed = parse_config("[sim]\nrounds = 500\n[events]\nrounds_per_day = 48\n")
+        assert built == parsed
+        csvs = []
+        for name, cfg in (("built", built), ("parsed", parsed), ("base", base)):
+            write_metrics_csv(run_simulation(cfg).metrics, tmp_path / name)
+            csvs.append((tmp_path / name).read_bytes())
+        assert csvs[0] == csvs[1] != csvs[2]
 
     def test_nlos_pairs(self):
         cfg = parse_config("[channel]\nnlos_pairs = 0-3, 2-7\n")
@@ -356,7 +364,7 @@ def valid_configs(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(1, max(1, n - 1))).map(
         lambda t: (t[0], (t[0] + t[1]) % n))
     nlos_pairs = tuple(draw(st.lists(pair, max_size=0 if n == 1 else 6)))
-    periods = draw(st.fixed_dictionaries({k: st.integers(1, 10**4) for k in SensorKind}))
+    periods = draw(st.dictionaries(st.sampled_from(SensorKind), st.integers(1, 10**4)))
     cfg = replace(SimConfig(), **over.pop("sim"), nlos_pairs=nlos_pairs,
                   schedule=SensingSchedule(periods))
     cfg = replace(cfg, **{name: replace(getattr(cfg, name), **o) for name, o in over.items()})
@@ -370,7 +378,8 @@ def valid_configs(draw):
 
 class TestDeclaredKeys:
     def test_section_keys_are_the_scalar_fields(self):
-        cfg = replace(SimConfig(), nlos_pairs=((0, 1),))
+        cfg = replace(SimConfig(), nlos_pairs=((0, 1),),
+                      schedule=SensingSchedule(default_schedule(24)))
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
         cp.read_string(render_config(cfg))

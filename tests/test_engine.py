@@ -925,12 +925,13 @@ def _walk_events_stream(c):
     nodes = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
     rng = _CountingRng(np.random.Generator(np.random.PCG64(events_ss)))
     cdf = poisson_cdf_table(c.events.lam)
+    periods = c.schedule.resolve(c.events.rounds_per_day)
     log, widest = [], 0
     for rnd in range(c.rounds):
         before = rng.used
         counts = invert_poisson(cdf, rng.random(len(nodes))).tolist()
         for nd, k in zip(nodes, counts):
-            due = is_scheduled(nd.kind, rnd, c.schedule)
+            due = is_scheduled(nd.kind, rnd, periods)
             log.append((rnd, nd.id, k, due))
             draws = (_BP_READING_DRAWS if nd.kind is SensorKind.BLOOD_PRESSURE
                      else _READING_DRAWS)
@@ -960,13 +961,11 @@ class TestEventStream:
     @pytest.mark.parametrize("lam,placement,n,rpd,rounds", CASES)
     def test_traffic_log_matches_call_by_call_walk(self, lam, placement, n, rpd, rounds):
         from wbansim.core import ALL_KINDS
-        from wbansim.events import SensingSchedule, default_schedule
 
         assert SensorKind.BLOOD_PRESSURE in ALL_KINDS[:n]
         base = SimConfig()
         c = replace(base, rounds=rounds, seed=5, node_count=n, placement=placement,
-                    events=replace(base.events, lam=lam, rounds_per_day=rpd),
-                    schedule=SensingSchedule(default_schedule(rpd)))
+                    events=replace(base.events, lam=lam, rounds_per_day=rpd))
         log, used, widest = _walk_events_stream(c)
         assert used > 3 * EVENT_BLOCK  # the run crosses several blocks
         if lam == 300.0 and n == 19:

@@ -43,6 +43,10 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(-0.1, 0)
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            poisson_pmf(1.0, -1)
+
     def test_values_are_probabilities(self):
         for k in range(30):
             assert 0.0 <= poisson_pmf(3.0, k) <= 1.0
@@ -95,26 +99,34 @@ class TestSampleEventCount:
 
 class TestSchedule:
     def test_blood_pressure_every_three_rounds(self):
-        s = SensingSchedule()
+        s = default_schedule(24)
         due = [r for r in range(10) if is_scheduled(SensorKind.BLOOD_PRESSURE, r, s)]
         assert due == [0, 3, 6, 9]
 
     def test_ecg_weekly(self):
-        s = SensingSchedule()
-        assert s.periods[SensorKind.ECG] == 168
+        s = default_schedule(24)
+        assert s[SensorKind.ECG] == 168
         assert is_scheduled(SensorKind.ECG, 168, s)
         assert not is_scheduled(SensorKind.ECG, 167, s)
 
     def test_round_zero_due_for_every_kind(self):
-        s = SensingSchedule()
+        s = default_schedule(24)
         assert all(is_scheduled(k, 0, s) for k in SensorKind)
 
     def test_periodicity(self):
-        s = SensingSchedule()
+        s = default_schedule(24)
         for kind in SensorKind:
-            p = s.periods[kind]
+            p = s[kind]
             for r in (0, 1, 5, 17):
                 assert is_scheduled(kind, r, s) == is_scheduled(kind, r + p, s)
+
+    def test_resolve_derives_every_unset_period(self):
+        assert SensingSchedule().periods == {}
+        assert SensingSchedule().resolve(48) == default_schedule(48)
+        set_periods = {SensorKind.ECG: 5, SensorKind.TILT: 1}
+        resolved = SensingSchedule(set_periods).resolve(48)
+        assert resolved == default_schedule(48) | set_periods
+        assert resolved[SensorKind.BLOOD_PRESSURE] == 6
 
     def test_known_periods_at_24_rounds_per_day(self):
         p = default_schedule(24)
@@ -126,7 +138,7 @@ class TestSchedule:
 
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
-            is_scheduled(SensorKind.ECG, -1, SensingSchedule())
+            is_scheduled(SensorKind.ECG, -1, default_schedule(24))
 
 
 def sample_reading(kind, critical, profile, rng):

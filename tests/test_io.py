@@ -337,6 +337,11 @@ class TestPlotSeries:
         with pytest.raises(ValueError):
             emit_plot_series(runs, tmp_path)
 
+    def test_no_runs_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no runs supplied"):
+            emit_plot_series({}, tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 def median_oracle(tables):
     """The four plotted series with statistics.median, one round at a time:
@@ -480,6 +485,17 @@ class TestCompareRuns:
     def test_single_protocol_rejected(self):
         with pytest.raises(ResultFileError):
             compare_runs([summary("amhrp", 1, 1, 1)])
+
+    def test_zero_median_stability_has_no_improvement(self, tmp_path):
+        summaries = [summary("amhrp", 1, 6000, 10000), summary("simple", 1, 0, 4000)]
+        report = compare_runs(summaries)
+        assert report.pairwise[("amhrp", "simple")]["stability_improvement_pct"] is None
+        assert report.pairwise[("simple", "amhrp")]["stability_improvement_pct"] == -100.0
+        txt, js = write_comparison(report, tmp_path)
+        pair = json.loads(js.read_text())["pairwise"]["amhrp_vs_simple"]
+        assert pair["stability_improvement_pct"] is None
+        assert '"stability_improvement_pct": null' in js.read_text()
+        assert "amhrp vs simple: stability n/a, lifetime +150.0%" in txt.read_text()
 
     def test_seed_order_permutation_invariant(self):
         fwd = [summary("amhrp", s, 4000 + 100 * s, 9000) for s in (1, 2, 3)]
