@@ -247,11 +247,12 @@ def _parse_pairs(raw: str, problems: list[str]) -> tuple[tuple[int, int], ...]:
         tok = tok.strip()
         if not tok:
             continue
-        parts = tok.split("-")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except (ValueError, IndexError):
+            a, b = map(int, tok.split("-"))  # two ints joined by one dash
+        except ValueError:
             problems.append(f"channel.nlos_pairs: expected 'i-j' pairs, got {tok!r}")
+        else:
+            pairs.append((a, b))
     return tuple(pairs)
 
 

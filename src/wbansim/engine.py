@@ -28,11 +28,14 @@ uniforms per reading) would give.
 A run is one object: ``_SCHEMES`` maps each protocol to its subclass of
 ``_Sim``, which keeps the protocol's state and overrides the round's four
 hooks: ``begin_round`` (the control exchange; M-ATTEMPT also rebuilds its hop
-counts, SIMPLE elects its forwarder), ``decide`` (the public rule in
-``protocols``), ``hand_over`` (the send to an alive relay: M-ATTEMPT's
-hotspot bounce, SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature
-step, SIMPLE's aggregated uplink). Everything else (the transmit bookkeeping,
-charging, the control exchange, the metrics) is the base class's and shared.
+counts, SIMPLE elects its forwarder), ``decide`` (a holder's verdict, asked
+as ``decide(holder, neighbors[holder.id], d_sink, kind)``: AMHRP's is the
+public rule ``amhrp_select_forwarder`` itself, M-ATTEMPT's adds the hop
+counts of its last rebuild, SIMPLE's reads its elected forwarder),
+``hand_over`` (the send to an alive relay: M-ATTEMPT's hotspot bounce,
+SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature step, SIMPLE's
+aggregated uplink). Everything else (the transmit bookkeeping, charging, the
+control exchange, the metrics) is the base class's and shared.
 
 The per-round walk: ``run_round`` hands the round's originators to
 ``route_round``, one call a round, whose one loop senses each reading and
@@ -90,23 +93,26 @@ takes its draw but is left out of the round's mean.
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
 metrics and counts go to the buffer as plain numbers. ``route_round`` binds
-the hooks and ``charge`` once a round, not once a packet; they are the
-instance's, so a wrapper set on one instance sees every call. It keeps the
-round's sensing and escalation counts (``c1``, ``c3``) and its sent,
-received and critical counts in locals, written back once before
-``end_round`` (SIMPLE's uplink adds to ``round_received`` there). Its hop
-bound and the boosted send's cost are computed once a run. Two more rules
-keep the constant costs down. Code that runs per node, packet or round reads
-an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``, ...),
-never as ``PacketKind.CRITICAL``: a member read costs several times a
+the hooks, ``charge`` and the neighbour and distance tables once a round,
+not once a packet. It reads each hook when it binds it, from the instance,
+so a wrapper set on one instance sees every call. AMHRP's ``decide`` reads
+as this module's global ``amhrp_select_forwarder``: each hop calls the rule
+with no engine frame around it, and a wrapper set on that name sees every
+verdict. It keeps the round's sensing and escalation counts (``c1``, ``c3``)
+and its sent, received and critical counts in locals, written back once
+before ``end_round`` (SIMPLE's uplink adds to ``round_received`` there). Its
+hop bound and the boosted send's cost are computed once a run. Two more
+rules keep the constant costs down. Code that runs per node, packet or round
+reads an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``,
+...), never as ``PacketKind.CRITICAL``: a member read costs several times a
 global's. And a per-node rule is one call per round over all the nodes
 (``mattempt_temperature_step``, ``simple_select_forwarder``, the control
 exchange's ``charge``), not one call per node; a round's derived state
 (M-ATTEMPT's usable set) is re-read only when such a call, or a death,
-signals that it may have changed. In the temperature step an idle node
-pays only its relaxation: a heating term is added only for a nonzero
-count. That is exact: the deltas are finite, so a zero count's term is
-+0.0, which moves no temperature and no threshold comparison.
+signals that it may have changed. In the temperature step an idle node pays
+only its relaxation: a heating term is added only for a nonzero count. That
+is exact: the deltas are finite, so a zero count's term is +0.0, which moves
+no temperature and no threshold comparison.
 
 Two per-round rules keep the fixed cost of a long live run down. A walked
 round's row goes to ``rows`` as one ``struct`` pack of native doubles and
@@ -311,8 +317,9 @@ class _Sim:
     protocol defines ``decide`` and overrides the other routing hooks it
     needs.
 
-    The rule functions are looked up as this module's globals at call time,
-    so code that wraps them here also sees the engine's calls.
+    The rule functions are this module's globals, read when they are called
+    or, for AMHRP's ``decide``, when a round binds it, so code that wraps
+    them here also sees every call the engine makes.
     """
     closer_only = False  # neighbor lists keep only nodes strictly closer to the sink
 
@@ -523,8 +530,8 @@ class _Sim:
         ``round_received`` and ``round_critical``."""
         decide, hand_over, transmit, charge = (self.decide, self.hand_over, self._transmit,
                                                self.charge)
-        nodes, hops, x_s, x_w, boosted_cost = (self.nodes, self.hops, self.w.x_s, self.w.x_w,
-                                               self.boosted_cost)
+        nodes, neighbors, d_sink, hops = self.nodes, self.neighbors, self.d_sink, self.hops
+        x_s, x_w, boosted_cost = self.w.x_s, self.w.x_w, self.boosted_cost
         c1 = c3 = sent = received = critical = 0
         for origin, is_due, k in originators:
             for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
@@ -543,7 +550,7 @@ class _Sim:
                 # walk always ends inside ``hops``; the RuntimeError below
                 # stays as a guard against an engine bug that breaks it.
                 for _hop in hops:
-                    decision = decide(holder, kind)
+                    decision = decide(holder, neighbors[holder.id], d_sink, kind)
                     act = decision.action
                     if is_origin and act is not _HOLD:
                         sent += 1  # counted once, when the originator transmits
@@ -655,8 +662,11 @@ class _Amhrp(_Sim):
         if rnd > 0 and rnd % self.control_period == 0:
             self._control_exchange()
 
-    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        return amhrp_select_forwarder(holder, self.neighbors[holder.id], self.d_sink, kind)
+    @property
+    def decide(self):
+        """The public rule itself, read as this module's global when a round
+        binds it (see the module docstring)."""
+        return amhrp_select_forwarder
 
 
 class _Mattempt(_Sim):
@@ -702,9 +712,10 @@ class _Mattempt(_Sim):
             self._usable = usable
             self.state = mattempt_build_hopcounts(usable, self.adjacency, self.sink_reach)
 
-    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
-        return mattempt_next_hop(holder, kind, self.state, self.neighbors[holder.id],
-                                 self.d_sink)
+    def decide(self, holder: SensorNode, neighbors: list[SensorNode],
+               d_sink: dict[int, float], kind: PacketKind) -> RoutingDecision:
+        # The one frame the rule needs: it adds the hop counts of the last rebuild.
+        return mattempt_next_hop(holder, kind, self.state, neighbors, d_sink)
 
     def hand_over(self, holder: SensorNode, target: SensorNode, is_origin: bool) -> bool:
         p = self.p
@@ -741,7 +752,8 @@ class _Simple(_Sim):
         self.forwarder = simple_select_forwarder(self.nodes, self.d_sink)
         self.parked = 0
 
-    def decide(self, holder: SensorNode, kind: PacketKind) -> RoutingDecision:
+    def decide(self, holder: SensorNode, neighbors: list[SensorNode],
+               d_sink: dict[int, float], kind: PacketKind) -> RoutingDecision:
         # Critical packets and the ECG node go straight to the sink,
         # everything else goes to the round's elected forwarder.
         fw = self.forwarder

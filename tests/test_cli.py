@@ -91,11 +91,16 @@ class TestSimulate:
         ("[DEFAULT]\nrounds = 5\n", "key 'rounds' outside any section"),
         ("[channel]\nnlos_pairs = 0-1, 3\n",
          "channel.nlos_pairs: expected 'i-j' pairs, got '3'"),
+        ("[channel]\nnlos_pairs = 0-1, 1-2-3\n",
+         "channel.nlos_pairs: expected 'i-j' pairs, got '1-2-3'"),
+        ("[channel]\nnlos_pairs = 1-2-\n",
+         "channel.nlos_pairs: expected 'i-j' pairs, got '1-2-'"),
         ("[schedule]\nbogus = 5\n", "unknown key schedule.bogus"),
     ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
             "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed",
             "node_count_over_cap", "rounds_per_day_past_float_range", "default_section",
-            "nlos_pair_without_dash", "unknown_schedule_key"])
+            "nlos_pair_without_dash", "nlos_pair_with_two_dashes",
+            "nlos_pair_with_trailing_dash", "unknown_schedule_key"])
     def test_rejected_config_exits_1(self, text, path, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sim]\nrounds = 5\n" + text)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from recording import forwarding_acyclic, sends_per_round, walk_recorded
 from test_config import valid_configs
@@ -573,14 +573,16 @@ class TestHotLoopRules:
         assert np.array_equal(row, [11, 19, 3, 2, 1, total, total / 19, math.nan,
                                     31, 32, 33, 34, 35], equal_nan=True)
 
-    def test_a_walk_past_the_hop_bound_raises(self):
+    def test_a_walk_past_the_hop_bound_raises(self, monkeypatch):
         """A walk that never ends trips the engine-bug guard: here a decide
-        rule that always forwards to the other of two nodes."""
+        rule that always forwards to the other of two nodes, set as the
+        engine's AMHRP rule, which a round reads when it binds it."""
         from wbansim.protocols import to_forwarder
 
         c = cfg(protocol="amhrp", node_count=2, rounds=1, initial_energy=1e6)
         sim = _SCHEMES["amhrp"](c)
-        sim.decide = lambda holder, kind: to_forwarder(1 - holder.id)
+        monkeypatch.setattr(engine, "amhrp_select_forwarder",
+                            lambda holder, neighbors, d_sink, kind: to_forwarder(1 - holder.id))
         with pytest.raises(RuntimeError, match=r"^routing did not terminate \(engine bug\)$"):
             sim.run_round(0)
 
@@ -823,6 +825,18 @@ def series_flag(eq, terms, x):
     return equilibrium_series(eq.a0, terms, min(x, eq.L), eq.L) > eq.alpha_star
 
 
+# The relations' explicit examples: a default run, and a config whose
+# channel, flag and scheme keys all differ from the default's.
+_SEED_2 = replace(SimConfig(), seed=2)
+_KEYS_SET = replace(
+    SimConfig(), nlos_pairs=((0, 5), (3, 7)),
+    channel=replace(SimConfig().channel, d0=0.2, exponent_los=3.0, sigma_db=4.0),
+    amhrp=replace(SimConfig().amhrp, control_period=3, alpha_star=0.52, eq_windows=4,
+                  eq_window_len=20),
+    mattempt=replace(SimConfig().mattempt, hello_period=2, temp_threshold=37.0),
+    simple=replace(SimConfig().simple, control_period=3))
+
+
 class TestRunProperty:
     """Run invariants over the whole valid config space (short runs, a
     bounded event rate to keep each example small)."""
@@ -865,6 +879,41 @@ class TestRunProperty:
         assert np.array_equal(shorter[:, :EQUILIBRIUM], longer[:rounds, :EQUILIBRIUM],
                               equal_nan=True)
 
+    @settings(max_examples=12, deadline=None)
+    @given(valid_configs(), valid_configs(), st.integers(0, 200), st.floats(0.0, 5.0),
+           st.booleans())
+    @example(_SEED_2, _KEYS_SET, 200, 0.1, True)
+    @example(replace(_SEED_2, protocol="mattempt"), _KEYS_SET, 200, 0.1, True)
+    @example(replace(_SEED_2, protocol="simple"), _KEYS_SET, 200, 0.1, True)
+    def test_each_key_moves_only_its_own_column(self, c, other, rounds, lam, lasting):
+        """Keys set from another valid config: the ``[channel]`` keys and the
+        NLOS pairs move only ``mean_path_loss_db``, the flag's keys
+        (``amhrp.alpha_star``, ``eq_windows``, ``eq_window_len``) only
+        ``equilibrium_ok``, and the other schemes' keys nothing. The summary
+        and the joules drained never move. A drawn config's network often
+        dies within a few rounds, so half the draws take the default energy
+        budget, and the explicit examples move both columns in every
+        protocol."""
+        c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
+        if lasting:
+            c = replace(c, initial_energy=_SEED_2.initial_energy, energy=_SEED_2.energy)
+        base = run_simulation(c)
+        schemes = {"amhrp": replace(c.amhrp, control_period=other.amhrp.control_period),
+                   "mattempt": other.mattempt, "simple": other.simple}
+        del schemes[c.protocol]
+        flag = {k: getattr(other.amhrp, k) for k in ("alpha_star", "eq_windows", "eq_window_len")}
+        variants = {
+            PATH_LOSS: replace(c, channel=other.channel, nlos_pairs=tuple(
+                p for p in other.nlos_pairs if max(p) < c.node_count)),
+            EQUILIBRIUM: replace(c, amhrp=replace(c.amhrp, **flag)),
+            None: replace(c, **schemes),
+        }
+        for moved, variant in variants.items():
+            run = run_simulation(variant)
+            kept = [col for col in range(EQUILIBRIUM + 1) if col != moved]
+            assert run.metrics[:, kept].tobytes() == base.metrics[:, kept].tobytes(), moved
+            assert run.summary == base.summary
+            assert run.audit == base.audit
 
     @settings(max_examples=30, deadline=None)
     @given(valid_configs(), st.integers(0, 150), st.floats(0.0, 5.0), st.sampled_from([-3, 2]))

@@ -498,7 +498,11 @@ class TestSharedVerdicts:
         sim.begin_round(0)
         fw = sim.forwarder
         holder = next(nd for nd in sim.nodes if nd.kind is not SensorKind.ECG and nd.id != fw)
-        assert sim.decide(holder, PacketKind.NORMAL) == \
+
+        def decide(nd, kind):
+            return sim.decide(nd, sim.neighbors[nd.id], sim.d_sink, kind)
+
+        assert decide(holder, PacketKind.NORMAL) == \
             RoutingDecision(RouteAction.SEND_TO_FORWARDER, target=fw)
-        assert sim.decide(holder, PacketKind.CRITICAL) == sink
-        assert sim.decide(sim.nodes[fw], PacketKind.NORMAL) == sink
+        assert decide(holder, PacketKind.CRITICAL) == sink
+        assert decide(sim.nodes[fw], PacketKind.NORMAL) == sink

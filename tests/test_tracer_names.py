@@ -62,3 +62,24 @@ def test_a_traced_run_counts_every_leaf_it_reaches(tracer, protocol):
     for name in rules + ["events.invert_poisson", "channel.path_loss"]:
         assert layers[f"{name}.calls"] > 0, name
     assert traced.metrics.tobytes() == plain.metrics.tobytes()
+
+
+@pytest.mark.parametrize("protocol, rule, verdicts", [
+    ("amhrp", "amhrp_select_forwarder", 43131),
+    ("mattempt", "mattempt_next_hop", 10787),
+])
+def test_a_wrapper_on_the_rule_sees_every_verdict(protocol, rule, verdicts, monkeypatch):
+    """The tracer counts a rule's calls by wrapping its engine name, so that
+    name must carry every verdict of a run: a default seed-1 run asks for
+    exactly this many."""
+    calls = 0
+    call = getattr(wbansim.engine, rule)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return call(*args)
+
+    monkeypatch.setattr(wbansim.engine, rule, counted)
+    wbansim.engine.run_simulation(replace(SimConfig(), protocol=protocol, seed=1))
+    assert calls == verdicts
