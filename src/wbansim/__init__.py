@@ -6,7 +6,7 @@ from .config import (ConfigError, EnergyWeights, SimConfig, load_config, parse_c
 from .core import (SINK_POSITION, BodyPoint, PacketKind, SensorKind, SensorNode,
                    build_topology, distance)
 from .engine import RunResult, RunSummary, run_simulation, summarize_run, throughput
-from .events import EventParams, SensingSchedule, is_scheduled, poisson_pmf, sample_event_count
+from .events import EventParams, SensingSchedule, poisson_pmf
 from .io import compare_runs, emit_plot_series, read_metrics_csv, write_metrics_csv
 from .protocols import (MattemptParams, MattemptState, RouteAction, RoutingDecision,
                         amhrp_select_forwarder, mattempt_build_hopcounts, mattempt_next_hop,

@@ -6,6 +6,10 @@
     wbansim plots --in results/
     wbansim --dump-layout
 
+``compare`` and ``plots`` read a results directory by one rule: they take
+only the file names ``simulate`` and ``sweep`` write, and of those only the
+seeds that every protocol in the directory ran.
+
 ``sweep`` and ``plots`` run on worker processes, at most one per usable CPU
 (``taskset`` limits them). ``plots`` reads and merges each protocol's CSVs
 in a worker, which sends back only the four plotted series, then writes
@@ -168,12 +172,40 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _shared_runs(in_dir: Path, kind: str, suffix: str) -> dict[str, dict[int, Path]]:
+    """The ``<kind>_<protocol>_seed<n><suffix>`` files in ``in_dir``, as
+    ``_run_one`` names them, by protocol and then seed, in path order, keeping
+    only the seeds every protocol there has. Another name with that prefix
+    and suffix, or no shared seed, is a ``ResultFileError``."""
+    paths = sorted(in_dir.glob(f"{kind}_*{suffix}"))
+    if not paths:
+        raise ResultFileError(f"no {kind}_*{suffix} files in {in_dir}")
+    name_pattern = re.compile(
+        rf"{kind}_({'|'.join(PROTOCOLS)})_seed(0|[1-9][0-9]*){re.escape(suffix)}")
+    runs: dict[str, dict[int, Path]] = {}
+    for p in paths:
+        name = name_pattern.fullmatch(p.name)
+        if name is None:
+            raise ResultFileError(f"{p}: not a {kind}_<protocol>_seed<int>{suffix} name "
+                                  f"(protocols: {', '.join(PROTOCOLS)}; no leading zeros)")
+        runs.setdefault(name[1], {})[int(name[2])] = p
+    shared = set.intersection(*map(set, runs.values()))
+    if not shared:
+        raise ResultFileError(f"{in_dir}: no seed is shared by all protocols")
+    return {protocol: {seed: p for seed, p in files.items() if seed in shared}
+            for protocol, files in runs.items()}
+
+
 def cmd_compare(args) -> int:
     in_dir = Path(args.in_dir)
-    paths = sorted(in_dir.glob("summary_*.json"))
-    if not paths:
-        raise ResultFileError(f"no summary_*.json files in {in_dir}")
-    summaries = [read_summary_json(p) for p in paths]
+    summaries = []
+    for protocol, files in _shared_runs(in_dir, "summary", ".json").items():
+        for seed, p in files.items():
+            summary = read_summary_json(p)
+            if (summary.protocol, summary.seed) != (protocol, seed):
+                raise ResultFileError(f"{p}: holds {summary.protocol!r} seed "
+                                      f"{summary.seed}, not the run its name says")
+            summaries.append(summary)
     try:
         report = compare_runs(summaries)
     except ResultFileError as exc:
@@ -206,24 +238,14 @@ def cmd_plots(args) -> int:
     """Build the four plot series from a sweep directory.
 
     With several seeds per protocol the emitted curve is the per-round median
-    across seeds, matching the comparison report's median convention.
+    across seeds. Only the seeds every protocol ran enter it, as in
+    ``compare``, so the curves and the comparison report are medians over
+    the same runs.
     """
     in_dir = Path(args.in_dir)
-    paths = sorted(in_dir.glob("metrics_*.csv"))
-    if not paths:
-        raise ResultFileError(f"no metrics_*.csv files in {in_dir}")
-    name_pattern = re.compile(rf"metrics_({'|'.join(PROTOCOLS)})_seed[0-9]+\.csv")
-
-    def protocol_of(p: Path) -> str:
-        name = name_pattern.fullmatch(p.name)
-        if name is None:
-            raise ResultFileError(f"{p}: not a metrics_<protocol>_seed<int>.csv name "
-                                  f"(protocols: {', '.join(PROTOCOLS)})")
-        return name[1]
-
-    # Sorted names keep each protocol's files together, in protocol order.
-    groups = {protocol: list(group)
-              for protocol, group in itertools.groupby(paths, key=protocol_of)}
+    groups = {protocol: list(files.values())
+              for protocol, files in _shared_runs(in_dir, "metrics", ".csv").items()}
+    first = next(iter(groups.values()))[0]
     series = {}
     rounds = None
     with _worker_pool(max(len(groups), len(PLOT_FILES)), "plots") as pool:
@@ -235,7 +257,7 @@ def cmd_plots(args) -> int:
                     rounds = count
                 elif count != rounds:
                     raise ResultFileError(
-                        f"{p}: {count} rounds, but {paths[0].name} has {rounds}")
+                        f"{p}: {count} rounds, but {first.name} has {rounds}")
             if isinstance(merged, Exception):
                 raise merged
             series[protocol] = merged

@@ -28,6 +28,7 @@ import configparser
 import functools
 import io
 import math
+import re
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -180,6 +181,14 @@ def validate_config(cfg: SimConfig) -> None:
         for a, b in cfg.nlos_pairs:
             if not (0 <= a < cfg.node_count and 0 <= b < cfg.node_count) or a == b:
                 problems.append(f"channel.nlos_pairs: invalid pair {a}-{b}")
+    # parse_config strips a value's outer whitespace and ends it at a line
+    # break or an inline comment, so render_config could not write such an
+    # out_dir back.
+    out_dir = cfg.out_dir
+    if (out_dir != out_dir.strip() or len(out_dir.splitlines()) > 1
+            or re.search(r"(^|\s)[#;]", out_dir)):
+        problems.append(f"sim.out_dir: must not start or end with whitespace, hold a line "
+                        f"break, or hold '#' or ';' first or after whitespace, got {out_dir!r}")
     if problems:
         raise ConfigError(problems)
 

@@ -108,11 +108,11 @@ reads an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``,
 global's. And a per-node rule is one call per round over all the nodes
 (``mattempt_temperature_step``, ``simple_select_forwarder``, the control
 exchange's ``charge``), not one call per node; a round's derived state
-(M-ATTEMPT's usable set) is re-read only when such a call, or a death,
-signals that it may have changed. In the temperature step an idle node pays
-only its relaxation: a heating term is added only for a nonzero count. That
-is exact: the deltas are finite, so a zero count's term is +0.0, which moves
-no temperature and no threshold comparison.
+(M-ATTEMPT's usable set and hop counts) is rebuilt only when such a call, or
+a death, signals that it may have changed. In the temperature step an idle
+node pays only its relaxation: a heating term is added only for a nonzero
+count. That is exact: the deltas are finite, so a zero count's term is
++0.0, which moves no temperature and no threshold comparison.
 
 Two per-round rules keep the fixed cost of a long live run down. A walked
 round's row goes to ``rows`` as one ``struct`` pack of native doubles and
@@ -674,10 +674,9 @@ class _Mattempt(_Sim):
         super().__init__(cfg)
         self.p = cfg.mattempt
         self.state: MattemptState | None = None
-        self._usable: list[bool] | None = None  # usable flags state was built from
         # The usable set changes only when a node dies or an alive node's
         # temperature crosses temp_threshold. These record both since the
-        # flags were last read; the first hello round reads them.
+        # last rebuild; the first hello round rebuilds.
         self._crossed = True
         self._usable_alive = self.n
         for nd in self.nodes:
@@ -699,18 +698,16 @@ class _Mattempt(_Sim):
             return
         self._control_exchange()
         # The hop counts are a pure function of the usable set (the
-        # adjacency is static): rebuild only when that set changed. The flags
-        # are read only after a death or a crossing: a node that crossed and
-        # crossed back leaves the set as it was, so it is still compared.
+        # adjacency is static), so they are rebuilt only after a death or a
+        # crossing. A node that crossed and crossed back since the last
+        # rebuild leaves the set as it was and costs one needless rebuild.
         if not self._crossed and self.alive_count == self._usable_alive:
             return
         self._crossed = False
         self._usable_alive = self.alive_count
         threshold = self.p.temp_threshold
         usable = [nd.alive and nd.temperature <= threshold for nd in self.nodes]
-        if usable != self._usable:
-            self._usable = usable
-            self.state = mattempt_build_hopcounts(usable, self.adjacency, self.sink_reach)
+        self.state = mattempt_build_hopcounts(usable, self.adjacency, self.sink_reach)
 
     def decide(self, holder: SensorNode, neighbors: list[SensorNode],
                d_sink: dict[int, float], kind: PacketKind) -> RoutingDecision:

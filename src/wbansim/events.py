@@ -1,15 +1,17 @@
 """Event generation, the readings' stream contract and the sensing schedule.
 
 Emergency traffic arrives as a Poisson stream: each node sees on average
-``lam`` events per round, and each event sends one critical packet. Routine
-traffic follows a per-kind sensing schedule (blood pressure every 3 hours,
-glucose three times a day, ECG weekly, and so on), with one round equal to
-one hour by default. Each reading consumes ``reading_draws`` uniforms from
-the events stream; its value is never computed.
+``lam`` events per round, and each event sends one critical packet. The
+engine draws a block of uniforms at a time and maps them to counts with
+``invert_poisson`` over one ``poisson_cdf_table`` per run. Routine traffic
+follows a per-kind sensing schedule (blood pressure every 3 hours, glucose
+three times a day, ECG weekly, and so on), with one round equal to one hour
+by default: a reading of a kind is due in every round that is a multiple of
+its period, round 0 included. Each reading consumes ``reading_draws``
+uniforms from the events stream; its value is never computed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,32 +53,19 @@ def poisson_pmf(lam: float, k: int) -> float:
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
-@functools.lru_cache(maxsize=128)
 def poisson_cdf_table(lam: float) -> np.ndarray:
-    """Cumulative probabilities P(X <= k) out to the far tail of Poisson(lam).
-
-    Memoized per ``lam``; the returned array is shared by every caller, so it
-    is read-only.
-    """
+    """Cumulative probabilities P(X <= k) out to the far tail of Poisson(lam)."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     k_max = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
     pmf = np.array([poisson_pmf(lam, k) for k in range(k_max + 1)])
-    table = np.cumsum(pmf)
-    table.setflags(write=False)
-    return table
+    return np.cumsum(pmf)
 
 
-def invert_poisson(cdf: np.ndarray, u) -> np.ndarray | int:
+def invert_poisson(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniform variates in [0, 1) to Poisson counts via CDF inversion."""
     k = np.searchsorted(cdf, u, side="right")
     return np.minimum(k, len(cdf) - 1)
-
-
-def sample_event_count(lam: float, rng: np.random.Generator) -> int:
-    """One Poisson(lam) draw from a single uniform variate."""
-    cdf = poisson_cdf_table(lam)
-    return int(invert_poisson(cdf, rng.random()))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +119,3 @@ class SensingSchedule:
     def resolve(self, rounds_per_day: int) -> dict[SensorKind, int]:
         """Every kind's sensing period at ``rounds_per_day`` rounds a day."""
         return {**default_schedule(rounds_per_day), **self.periods}
-
-
-def is_scheduled(kind: SensorKind, round_index: int, periods: dict[SensorKind, int]) -> bool:
-    """True when a routine reading of ``kind`` is due this round, given every
-    kind's period (``SensingSchedule.resolve``).
-
-    Round 0 counts as due for every kind (initial full report).
-    """
-    if round_index < 0:
-        raise ValueError("round index must be >= 0")
-    return round_index % periods[kind] == 0

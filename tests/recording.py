@@ -39,7 +39,7 @@ def walk_recorded(cfg) -> Recording:
     def logged_event_counts(m):
         counts = event_counts(m)
         # The engine's own schedule grouping, so a test comparing this log
-        # with ``is_scheduled`` checks it.
+        # with ``rnd % periods[kind] == 0`` checks it.
         due = {i for period, ids in sim.period_groups if rnd % period == 0 for i in ids}
         traffic.extend((rnd, i, counts[i], i in due) for i in range(m))
         return counts

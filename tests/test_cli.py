@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -239,7 +240,8 @@ class TestSweepCompareAndPlots:
             assert lines[0] == "# round amhrp mattempt simple"
 
     @pytest.mark.parametrize("stray", ["metrics_backup.csv", "metrics_amhrp_seedX.csv",
-                                       "metrics_foo_seed1.csv", "metrics__seed1.csv"])
+                                       "metrics_foo_seed1.csv", "metrics__seed1.csv",
+                                       "metrics_amhrp_seed01.csv"])
     def test_plots_rejects_a_stray_file_name(self, stray, sweep_dir, tmp_path, capsys):
         runs = tmp_path / "runs"
         shutil.copytree(sweep_dir, runs, ignore=shutil.ignore_patterns("*.dat"))
@@ -247,6 +249,63 @@ class TestSweepCompareAndPlots:
         assert main(["plots", "--in", str(runs)]) == 2
         assert stray in capsys.readouterr().err
         assert not (runs / "lifetime.dat").exists()
+
+    @pytest.mark.parametrize("stray", ["summary_zz.json", "summary_amhrp_seed01.json",
+                                       "summary_foo_seed1.json"])
+    def test_compare_rejects_a_stray_file_name(self, stray, sweep_dir, tmp_path, capsys):
+        """A stray summary holding a real run with another result may not
+        stand in for that run."""
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs, ignore=shutil.ignore_patterns("comparison.*"))
+        data = json.loads((runs / "summary_amhrp_seed1.json").read_text())
+        (runs / stray).write_text(json.dumps({**data, "stability_period": 1}))
+        assert main(["compare", "--in", str(runs)]) == 2
+        assert stray in capsys.readouterr().err
+        assert not (runs / "comparison.txt").exists()
+
+    @pytest.mark.parametrize("name,holds", [
+        ("summary_amhrp_seed2.json", "summary_amhrp_seed1.json"),
+        ("summary_simple_seed1.json", "summary_amhrp_seed1.json"),
+    ], ids=["seed", "protocol"])
+    def test_compare_rejects_a_summary_unlike_its_name(self, name, holds, sweep_dir,
+                                                       tmp_path, capsys):
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs, ignore=shutil.ignore_patterns("comparison.*"))
+        shutil.copy(runs / holds, runs / name)
+        assert main(["compare", "--in", str(runs)]) == 2
+        assert capsys.readouterr().err.startswith(f"i/o error: {runs / name}: ")
+        assert not (runs / "comparison.txt").exists()
+
+    def test_plots_and_compare_use_the_shared_seeds(self, sweep_dir, tmp_path, capsys):
+        """With SIMPLE's seed 3 missing, both commands take seeds 1 and 2 of
+        every protocol."""
+        runs = tmp_path / "runs"
+        shutil.copytree(sweep_dir, runs,
+                        ignore=shutil.ignore_patterns("*.dat", "comparison.*"))
+        for path in runs.glob("*_simple_seed3.*"):
+            path.unlink()
+        assert main(["compare", "--in", str(runs)]) == 0
+        assert capsys.readouterr().out.startswith("seeds: 1, 2\n")
+        assert main(["plots", "--in", str(runs)]) == 0
+        series = {p: plot_series([read_metrics_csv(runs / f"metrics_{p}_seed{s}.csv")
+                                  for s in (1, 2)]) for p in PROTOCOLS}
+        every_seed = plot_series([read_metrics_csv(p)
+                                  for p in sorted(runs.glob("metrics_amhrp_seed*.csv"))])
+        assert any(not np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(series["amhrp"], every_seed))
+        for name, columns in zip(PLOT_FILES, zip(*series.values())):
+            path = write_plot_file(name, dict(zip(series, columns)), tmp_path)
+            assert (runs / name).read_bytes() == path.read_bytes(), name
+
+    def test_plots_without_a_shared_seed_exits_2(self, sweep_dir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in ("metrics_amhrp_seed1.csv", "metrics_simple_seed2.csv"):
+            shutil.copy(sweep_dir / name, runs / name)
+        assert main(["plots", "--in", str(runs)]) == 2
+        assert capsys.readouterr().err == \
+            f"i/o error: {runs}: no seed is shared by all protocols\n"
+        assert list(runs.glob("*.dat")) == []
 
     def test_plots_on_zero_round_sweep_writes_headers_only(self, tmp_path, capfd):
         cfg = tmp_path / "exp.ini"

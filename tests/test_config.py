@@ -403,3 +403,26 @@ class TestRoundTripProperty:
     @given(valid_configs())
     def test_render_parse_round_trip(self, cfg):
         assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out_dir", ["a#b", "a;b", "a b", "x=y: z", ""])
+    def test_out_dir_with_inner_marks_round_trips(self, out_dir):
+        cfg = replace(SimConfig(), out_dir=out_dir)
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out_dir", ["runs ;old", "a #b", " lead", "trail ", "#a", ";a",
+                                         "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+    def test_out_dir_that_cannot_round_trip_is_rejected(self, out_dir):
+        assert violations(replace(SimConfig(), out_dir=out_dir)) == [
+            "sim.out_dir: must not start or end with whitespace, hold a line break, or hold "
+            f"'#' or ';' first or after whitespace, got {out_dir!r}"]
+
+    # Spaces, comment marks and line breaks: the characters an INI line reads
+    # specially.
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs(), st.text("ab/. #;\n\r\t", max_size=12))
+    def test_every_valid_out_dir_round_trips(self, cfg, out_dir):
+        cfg = replace(cfg, out_dir=out_dir)
+        found = violations(cfg)
+        assert all(v.startswith("sim.out_dir: ") for v in found)
+        if not found:
+            assert parse_config(render_config(cfg)) == cfg

@@ -328,7 +328,10 @@ class TestEngineSpecializations:
         crossings of a hot threshold: at 37.2 mostly by crossings, at 38.0
         also by deaths of nodes that no crossing made unusable. At every
         hello round the hop counts are a fresh BFS's, and they were rebuilt
-        exactly when the usable set differs from the one of the last build."""
+        exactly once when a node died or an alive node crossed the threshold
+        since the last rebuild (or at the first hello round), else not at
+        all, even when a crossing and a crossing back left the set as it
+        was."""
         from wbansim.protocols import mattempt_build_hopcounts
 
         base = SimConfig()
@@ -343,7 +346,9 @@ class TestEngineSpecializations:
         monkeypatch.setattr(engine, "mattempt_build_hopcounts", counted_build)
         sim = _SCHEMES["mattempt"](c)
         begin_round = sim.begin_round
-        built_from = [None]  # the usable set of the last build
+        # Whether a crossing happened since the last rebuild, and the alive
+        # count that rebuild saw; None before the first one.
+        since = {"crossed": False, "alive": None}
         hello_rounds = []
 
         def checked_begin_round(rnd):
@@ -353,20 +358,25 @@ class TestEngineSpecializations:
                 assert len(builds) == before, f"round {rnd}"
                 return
             hello_rounds.append(rnd)
-            usable = [nd.alive and nd.temperature <= threshold for nd in sim.nodes]
-            changed = usable != built_from[0]
-            assert len(builds) - before == changed, f"round {rnd}"
-            if changed:
-                built_from[0] = usable
+            alive = sum(nd.alive for nd in sim.nodes)
+            due = since["crossed"] or alive != since["alive"]
+            assert len(builds) - before == due, f"round {rnd}"
+            if due:
+                since.update(crossed=False, alive=alive)
             fresh = mattempt_build_hopcounts(usable_flags(sim.nodes, c.mattempt),
                                              *in_range_tables(sim.nodes, c.tx_range))
             assert sim.state.hop_counts == fresh.hop_counts, f"round {rnd}"
 
         sim.begin_round = checked_begin_round
+        cool = [nd.temperature <= threshold for nd in sim.nodes]
         for rnd in range(c.rounds):
             if sim.alive_count == 0:
                 break
             sim.run_round(rnd)
+            now = [nd.temperature <= threshold for nd in sim.nodes]
+            if any(nd.alive and old != new for nd, old, new in zip(sim.nodes, cool, now)):
+                since["crossed"] = True
+            cool = now
         assert sim.alive_count == 0
         assert 1 < len(builds) < len(hello_rounds)
 
@@ -968,7 +978,7 @@ def _walk_events_stream(c):
     import numpy as np
 
     from wbansim.core import build_topology
-    from wbansim.events import invert_poisson, is_scheduled, poisson_cdf_table
+    from wbansim.events import invert_poisson, poisson_cdf_table
 
     topo_ss, events_ss, _ = np.random.SeedSequence(c.seed).spawn(3)
     nodes = build_topology(c, np.random.Generator(np.random.PCG64(topo_ss)))
@@ -980,7 +990,7 @@ def _walk_events_stream(c):
         before = rng.used
         counts = invert_poisson(cdf, rng.random(len(nodes))).tolist()
         for nd, k in zip(nodes, counts):
-            due = is_scheduled(nd.kind, rnd, periods)
+            due = rnd % periods[nd.kind] == 0
             log.append((rnd, nd.id, k, due))
             draws = (_BP_READING_DRAWS if nd.kind is SensorKind.BLOOD_PRESSURE
                      else _READING_DRAWS)

@@ -3,17 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from recording import walk_recorded
 from test_config import violations
 
 from wbansim.config import SimConfig
-from wbansim.core import SensorKind
-from wbansim.events import (LAMBDA_MAX, EventParams, SensingSchedule,
-                            default_schedule, is_scheduled, poisson_cdf_table,
-                            poisson_pmf, reading_draws, sample_event_count)
+from wbansim.core import ALL_KINDS, SensorKind
+from wbansim.events import (LAMBDA_MAX, EventParams, SensingSchedule, default_schedule,
+                            invert_poisson, poisson_cdf_table, poisson_pmf, reading_draws)
 
 
 def rng(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def event_counts(lam, g, n):
+    """``n`` Poisson(lam) counts drawn as the engine draws them: one block
+    of uniforms inverted through the CDF table."""
+    return invert_poisson(poisson_cdf_table(lam), g.random(n))
 
 
 class TestPoissonPmf:
@@ -53,16 +59,6 @@ class TestPoissonPmf:
 
 
 class TestPoissonCdfTable:
-    def test_memoized_per_lambda(self):
-        assert poisson_cdf_table(4.0) is poisson_cdf_table(4.0)
-        assert poisson_cdf_table(4.0) is not poisson_cdf_table(2.0)
-
-    def test_shared_table_is_read_only(self):
-        table = poisson_cdf_table(4.0)
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-        assert table[0] == pytest.approx(math.exp(-4.0), rel=1e-12)
-
     def test_matches_cumulative_pmf(self):
         table = poisson_cdf_table(1.5)
         expected = np.cumsum([poisson_pmf(1.5, k) for k in range(len(table))])
@@ -75,50 +71,51 @@ class TestPoissonCdfTable:
 
 class TestSampleEventCount:
     def test_lambda_zero_always_zero(self):
-        g = rng(1)
-        assert all(sample_event_count(0.0, g) == 0 for _ in range(100))
+        assert not event_counts(0.0, rng(1), 100).any()
 
     def test_same_seed_same_sequence(self):
-        a = [sample_event_count(2.0, rng(9)) for _ in range(1)]
-        g1, g2 = rng(9), rng(9)
-        s1 = [sample_event_count(2.0, g1) for _ in range(200)]
-        s2 = [sample_event_count(2.0, g2) for _ in range(200)]
-        assert s1 == s2
+        a = event_counts(2.0, rng(9), 1)
+        s1 = event_counts(2.0, rng(9), 200)
+        s2 = event_counts(2.0, rng(9), 200)
+        assert np.array_equal(s1, s2)
         assert s1[0] == a[0]
 
     def test_empirical_mean_lambda4(self):
-        g = rng(42)
-        draws = [sample_event_count(4.0, g) for _ in range(10**5)]
+        draws = event_counts(4.0, rng(42), 10**5)
         assert abs(np.mean(draws) - 4.0) < 0.05
 
     def test_empirical_variance_lambda4(self):
-        g = rng(43)
-        draws = [sample_event_count(4.0, g) for _ in range(10**5)]
+        draws = event_counts(4.0, rng(43), 10**5)
         assert abs(np.var(draws) - 4.0) / 4.0 < 0.03
 
 
-class TestSchedule:
-    def test_blood_pressure_every_three_rounds(self):
-        s = default_schedule(24)
-        due = [r for r in range(10) if is_scheduled(SensorKind.BLOOD_PRESSURE, r, s)]
-        assert due == [0, 3, 6, 9]
+def due_flags(rounds, rounds_per_day):
+    """Per node of a default run (node i senses ``ALL_KINDS[i]``), the
+    engine's due flag in every round, and that node's period."""
+    base = SimConfig()
+    c = replace(base, rounds=rounds,
+                events=replace(base.events, rounds_per_day=rounds_per_day))
+    periods = c.schedule.resolve(rounds_per_day)
+    due = {}
+    for _, node, _, flag in walk_recorded(c).traffic:
+        due.setdefault(node, []).append(flag)
+    return [(due[i], periods[kind]) for i, kind in enumerate(ALL_KINDS[:c.node_count])]
 
-    def test_ecg_weekly(self):
-        s = default_schedule(24)
-        assert s[SensorKind.ECG] == 168
-        assert is_scheduled(SensorKind.ECG, 168, s)
-        assert not is_scheduled(SensorKind.ECG, 167, s)
+
+class TestSchedule:
+    """A reading of a kind is due in every round that is a multiple of its
+    period, as the engine's traffic log shows."""
 
     def test_round_zero_due_for_every_kind(self):
-        s = default_schedule(24)
-        assert all(is_scheduled(k, 0, s) for k in SensorKind)
+        flags = due_flags(1, 24)
+        assert len(flags) == len(SensorKind)
+        assert all(due == [True] for due, _ in flags)
 
     def test_periodicity(self):
-        s = default_schedule(24)
-        for kind in SensorKind:
-            p = s[kind]
-            for r in (0, 1, 5, 17):
-                assert is_scheduled(kind, r, s) == is_scheduled(kind, r + p, s)
+        for due, p in due_flags(64, 1):
+            assert p <= 30
+            for r in (0, 1, 5, 17, 33):
+                assert due[r] == due[r + p] == (r % p == 0)
 
     def test_resolve_derives_every_unset_period(self):
         assert SensingSchedule().periods == {}
@@ -130,15 +127,13 @@ class TestSchedule:
 
     def test_known_periods_at_24_rounds_per_day(self):
         p = default_schedule(24)
+        assert p[SensorKind.BLOOD_PRESSURE] == 3
+        assert p[SensorKind.ECG] == 168
         assert p[SensorKind.GLUCOSE] == 8
         assert p[SensorKind.TEMPERATURE] == 8
         assert p[SensorKind.INSULIN] == 24
         assert p[SensorKind.EMG] == 720
         assert p[SensorKind.SPO2] == 720
-
-    def test_negative_round_rejected(self):
-        with pytest.raises(ValueError):
-            is_scheduled(SensorKind.ECG, -1, default_schedule(24))
 
 
 def sample_reading(kind, critical, profile, rng):

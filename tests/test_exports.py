@@ -1,11 +1,17 @@
 """Every name the package exports, and every public function, class and
-method it defines, has a use in the program, its demos or its benchmark, so
-API that nothing runs does not build up again."""
+method it defines, has a use in the program or its benchmark, so API that
+no run needs does not build up again. A use in a demo or a test alone does
+not count: a demo shows what the program does, so it calls what the
+program calls."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wbansim"
+# The one name kept without such a use. The benchmark's tracer wraps the plot
+# writer as the attribute ``wbansim.cli.emit_plot_series``, named in a string
+# that this check does not read, so ``cli`` imports it for the tracer alone.
+WRAPPED_BY_THE_BENCHMARK = {"emit_plot_series"}
 
 
 def exported_names() -> list[str]:
@@ -31,10 +37,11 @@ def public_definitions() -> list[tuple[str, str]]:
 
 
 def program_names() -> set[str]:
-    """The names the package's modules, the demos and the benchmark use."""
+    """The names the package's modules and the benchmark use, plus
+    ``WRAPPED_BY_THE_BENCHMARK``."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return used_names([p.read_text() for p in paths])
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return used_names([p.read_text() for p in paths]) | WRAPPED_BY_THE_BENCHMARK
 
 
 def used_names(sources: list[str]) -> set[str]:
