@@ -106,6 +106,19 @@ class TestSchedule:
     """A reading of a kind is due in every round that is a multiple of its
     period, as the engine's traffic log shows."""
 
+    def test_blood_pressure_every_three_rounds(self):
+        flags = dict(zip(ALL_KINDS, due_flags(10, 24)))
+        due, p = flags[SensorKind.BLOOD_PRESSURE]
+        assert p == 3
+        assert [r for r in range(10) if due[r]] == [0, 3, 6, 9]
+
+    def test_ecg_weekly(self):
+        flags = dict(zip(ALL_KINDS, due_flags(169, 24)))
+        due, p = flags[SensorKind.ECG]
+        assert p == 168
+        assert due[168]
+        assert not due[167]
+
     def test_round_zero_due_for_every_kind(self):
         flags = due_flags(1, 24)
         assert len(flags) == len(SensorKind)
