@@ -10,17 +10,16 @@ The config format is a flat-sectioned key=value document:
     x_d = 7e-6
 
 Sections: sim, energy, channel, events, schedule, amhrp, mattempt, simple.
-A section's scalar keys are the bool/int/float/str fields of its dataclass
+A section's scalar keys are the int/float/str fields of its dataclass
 (``[sim]``: SimConfig's own; ``events.lambda`` is the field ``lam``), each
 with its allowed values (``core.bounded``), declared nowhere else;
 ``channel.nlos_pairs`` and the schedule periods have their own syntax; a
 kind that ``[schedule]`` leaves unset takes its default period at
 ``events.rounds_per_day``.
 Unknown sections or keys are hard errors, every constraint violation is
-reported with its key path, and unspecified keys take the
-defaults below (19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost x_w is pinned to 100 * x_d:
-leaving it unset derives it, setting it to anything else is rejected unless
-unconstrained weights are explicitly allowed.
+reported with its key path, and unspecified keys take the defaults below
+(19 nodes, 10000 rounds, 0.5 J, 2.4 GHz, AMHRP). The external-WSN send cost
+x_w is not a key: it is always 100 * x_d.
 """
 from __future__ import annotations
 
@@ -87,10 +86,14 @@ class EnergyWeights:
     """
     x_s: float = bounded(2e-6, ge=0)  # self-computation / sensing
     x_d: float = bounded(7e-6, ge=0)  # send to destined node (forwarder or sink)
-    x_w: float = bounded(7e-4, ge=0)  # send to external WSN gateway
     x_f: float = bounded(1e-6, ge=0)  # forward one packet at a relay
     x_c: float = bounded(4e-6, ge=0)  # control-packet exchange
     x_t: float = bounded(0.48, ge=0)  # death threshold: a node dies when residual would not stay above it
+
+    @property
+    def x_w(self) -> float:
+        """Send to the external WSN gateway: always 100 * x_d."""
+        return 100.0 * self.x_d
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,14 @@ class SimConfig:
     # node_count**2, and the run holds its table in memory.
     node_count: int = bounded(19, ge=1, le=1000)
     rounds: int = bounded(10000, ge=0, le=1_000_000)
-    initial_energy: float = bounded(0.5, gt=0)
+    # The summary's residual_pct_at_end multiplies the total residual, up to
+    # 1000 nodes * initial_energy, by 100; the cap keeps that product finite.
+    initial_energy: float = bounded(0.5, gt=0, le=1e300)
     protocol: str = bounded("amhrp", choices=PROTOCOLS)
-    seed: int = bounded(1, ge=0)
+    # The summary records the seed, and read_summary_json takes only int64.
+    seed: int = bounded(1, ge=0, le=2**63 - 1)
     placement: str = bounded("uniform", choices=PLACEMENTS)
     tx_range: float = bounded(0.6, gt=0)
-    allow_unconstrained_weights: bool = False
     out_dir: str = "results"
     energy: EnergyWeights = field(default_factory=EnergyWeights)
     channel: ChannelParams = field(default_factory=ChannelParams)
@@ -161,14 +166,9 @@ def validate_config(cfg: SimConfig) -> None:
             f"sim.node_count: canonical placement supports at most {len(ALL_KINDS)} nodes"
         )
     e = cfg.energy
-    if not cfg.allow_unconstrained_weights:
-        if (failed.isdisjoint(("energy.x_w", "energy.x_d"))
-                and abs(e.x_w - 100.0 * e.x_d) > 1e-12 * max(1.0, abs(e.x_w))):
-            problems.append(
-                f"energy.x_w: must equal 100 * x_d ({100.0 * e.x_d!r}), got {e.x_w!r}")
-        if (failed.isdisjoint(("energy.x_f", "energy.x_c", "energy.x_d"))
-                and not e.x_f < e.x_c < e.x_d):
-            problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
+    if (failed.isdisjoint(("energy.x_f", "energy.x_c", "energy.x_d"))
+            and not e.x_f < e.x_c < e.x_d):
+        problems.append("energy.x_f/x_c/x_d: ordering x_f < x_c < x_d is required")
     if "events.rounds_per_day" not in failed:
         try:
             default_schedule(cfg.events.rounds_per_day)
@@ -210,20 +210,15 @@ def _section(cfg: SimConfig, name: str):
 
 @functools.cache
 def _scalar_keys(cls: type) -> dict[str, tuple[str, type, Bound | None]]:
-    """INI key -> (field, type, declared bound) for each bool, int, float or
-    str field of a section dataclass, in declaration order: exactly the
-    section's scalar keys."""
+    """INI key -> (field, type, declared bound) for each int, float or str
+    field of a section dataclass, in declaration order: exactly the section's
+    scalar keys."""
     hints = typing.get_type_hints(cls)
     return {_INI_KEY.get(f.name, f.name): (f.name, hints[f.name], f.metadata.get("bound"))
-            for f in fields(cls) if hints[f.name] in (bool, int, float, str)}
+            for f in fields(cls) if hints[f.name] in (int, float, str)}
 
 
 def _parse_scalar(raw: str, typ, path: str, problems: list[str]):
-    if typ is bool:
-        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
-        if value is None:
-            problems.append(f"{path}: expected a boolean, got {raw!r}")
-        return bool(value)
     try:
         if typ is int:
             return int(raw.strip())
@@ -297,9 +292,6 @@ def parse_config(text: str, source: str = "<string>") -> SimConfig:
     schedule = raw.pop("schedule")
     over = {name: _parse_scalars(name, type(_section(cfg, name)), keys, problems)
             for name, keys in raw.items()}
-    energy = over["energy"]
-    if "x_d" in energy and "x_w" not in energy:
-        energy["x_w"] = 100.0 * energy["x_d"]
     periods = {}
     for key, text in schedule.items():
         if key not in _KIND_BY_NAME:
@@ -345,8 +337,6 @@ def render_config(cfg: SimConfig) -> str:
     for name, pairs in sections.items():
         out.write(f"[{name}]\n")
         for key, val in pairs:
-            if isinstance(val, bool):
-                val = "true" if val else "false"
             out.write(f"{key} = {val}\n")
         out.write("\n")
     return out.getvalue()

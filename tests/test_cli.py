@@ -20,7 +20,8 @@ from wbansim import config
 from wbansim.cli import _parse_seeds, main
 from wbansim.config import PROTOCOLS, SimConfig, load_config
 from wbansim.core import SensorKind
-from wbansim.io import PLOT_FILES, plot_series, read_metrics_csv, write_plot_file
+from wbansim.io import (PLOT_FILES, plot_series, read_metrics_csv, read_summary_json,
+                        write_plot_file)
 
 
 def run_cli(*args):
@@ -85,7 +86,11 @@ class TestSimulate:
         ("initial_energy = nan\n", "sim.initial_energy: must be finite"),
         ("[channel]\nsigma_db = nan\n", "channel.sigma_db: must be finite"),
         ("[energy]\nx_t = inf\n", "energy.x_t: must be finite"),
-        ("seed = -1\n", "sim.seed: must be >= 0"),
+        ("seed = -1\n", "sim.seed: must lie in [0, 9223372036854775807]"),
+        ("seed = 9223372036854775808\n", "sim.seed: must lie in [0, 9223372036854775807]"),
+        ("initial_energy = 1e305\n", "sim.initial_energy: must lie in (0, 1e+300]"),
+        ("[energy]\nx_w = 7e-4\n", "unknown key energy.x_w"),
+        ("allow_unconstrained_weights = true\n", "unknown key sim.allow_unconstrained_weights"),
         ("node_count = 1001\n", "sim.node_count: must lie in [1, 1000]"),
         ("[events]\nrounds_per_day = 1" + "0" * 400 + "\n",
          "events.rounds_per_day: too large to derive the sensing periods"),
@@ -99,6 +104,8 @@ class TestSimulate:
         ("[schedule]\nbogus = 5\n", "unknown key schedule.bogus"),
     ], ids=["vitals_section", "exponent_free", "k_freq", "stop_on_all_dead",
             "x_s_nan", "initial_energy_nan", "sigma_db_nan", "x_t_inf", "negative_seed",
+            "seed_past_int64", "initial_energy_over_cap", "x_w_key",
+            "allow_unconstrained_weights_key",
             "node_count_over_cap", "rounds_per_day_past_float_range", "default_section",
             "nlos_pair_without_dash", "nlos_pair_with_two_dashes",
             "nlos_pair_with_trailing_dash", "unknown_schedule_key"])
@@ -109,6 +116,16 @@ class TestSimulate:
         assert code == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_largest_initial_energy_writes_a_readable_summary(self, tmp_path):
+        """At its cap, initial_energy keeps every summary number finite even
+        on the largest network."""
+        cfg = tmp_path / "big.ini"
+        cfg.write_text("[sim]\nnode_count = 1000\nrounds = 1\ninitial_energy = 1e300\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        summary = read_summary_json(out / "summary_amhrp_seed1.json")
+        assert summary.residual_pct_at_end == pytest.approx(100.0)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         text = b"[sim]\nrounds = 7\nseed = 4\n[channel]\nsigma_db = 1.5\n"
@@ -554,7 +571,11 @@ EXIT_CODES = {
     "seeds_non_ascii_digit": (["sweep", "--seeds", "\u0661", "--out", "o"], 1,
                               "error: --seeds: "),
     "negative_seed_in_grid": (["sweep", "--seeds=2,-1", "--out", "o"], 1,
-                              "sim.seed: must be >= 0"),
+                              "sim.seed: must lie in [0, 9223372036854775807]"),
+    # read_summary_json takes only int64, so compare could not read the run.
+    "seed_past_int64_in_grid": (["sweep", "--protocols", "amhrp,simple",
+                                 "--seeds", "9223372036854775808", "--out", "o"], 1,
+                                "sim.seed: must lie in [0, 9223372036854775807]"),
     "missing_config": (["simulate", "--config", "nope.ini", "--out", "o"], 2, "nope.ini"),
     "out_null_byte": (["simulate", "--out", "o\x00"], 1, "--out: embedded null byte"),
     "plots_on_empty_dir": (["plots", "--in", "."], 2, "no metrics_*.csv"),

@@ -12,7 +12,7 @@ from wbansim.engine import _SCHEMES
 
 
 def make_weights(**over):
-    base = dict(x_s=1e-5, x_d=5e-5, x_w=5e-3, x_f=5e-6, x_c=2e-5, x_t=0.0)
+    base = dict(x_s=1e-5, x_d=5e-5, x_f=5e-6, x_c=2e-5, x_t=0.0)
     base.update(over)
     return EnergyWeights(**base)
 
@@ -26,19 +26,13 @@ def sim_with_node(residual=0.5, alive=True, **weights):
     return sim, node
 
 
-def weight_violations(w: EnergyWeights, allow_unconstrained: bool = False) -> list[str]:
-    return violations(replace(SimConfig(), energy=w,
-                              allow_unconstrained_weights=allow_unconstrained))
+def weight_violations(w: EnergyWeights) -> list[str]:
+    return violations(replace(SimConfig(), energy=w))
 
 
 class TestWeightValidation:
     def test_constraint_holds_for_defaults(self):
         assert weight_violations(make_weights()) == []
-
-    def test_x_w_ratio_violation(self):
-        w = make_weights(x_w=1e-3)
-        assert any("x_w" in p for p in weight_violations(w))
-        assert weight_violations(w, allow_unconstrained=True) == []
 
     def test_ordering_violation(self):
         w = make_weights(x_f=3e-5)  # x_f > x_c
