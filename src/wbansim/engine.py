@@ -37,21 +37,24 @@ SIMPLE's parking) and ``end_round`` (M-ATTEMPT's temperature step, SIMPLE's
 aggregated uplink). Everything else (the transmit bookkeeping, charging, the
 control exchange, the metrics) is the base class's and shared.
 
-The per-round walk: ``run_round`` hands the round's originators to
-``route_round``, one call a round, whose one loop senses each reading and
-walks its packet hop by hop. It checks the originator's liveness in two
-places only: at the top of each reading, since the last reading's sends or
-escalation may have killed it, and after the sensing charge, since a node
-that dies sensing sends nothing. It asks ``decide`` once per hop, counts the
-packet as sent on its originator's verdict unless that is a HOLD, tests the
-verdict's action once (a forward first, the commonest), and a forward goes
-through ``hand_over``. A forward's target is always alive: every rule skips
-dead neighbours, SIMPLE's ``decide`` checks its forwarder, and nothing
-charges a node between a verdict and its hand-over. Every on-body send, a
-relay's bounce and SIMPLE's uplink included, goes through ``_transmit``,
-which counts it, records its link and charges the sender. Only M-ATTEMPT's
-thermal model reads the per-node send and receive counts (``heat_tx``,
-``heat_rx``), so only ``_Mattempt._transmit`` counts them.
+One loop per run: ``_Sim.run`` walks the rounds it is given, each round's
+body in one pass: the event counts and the originator list, ``begin_round``,
+the packet walk, ``end_round`` and the round's row. It stops after a round
+that leaves no node alive, so a full run ends at the last death, and a call
+that starts on a dead network still walks its first round. The walk senses
+each reading and walks its packet hop by hop. It checks the originator's
+liveness in two places only: at the top of each reading, since the last
+reading's sends or escalation may have killed it, and after the sensing
+charge, since a node that dies sensing sends nothing. It asks ``decide`` once
+per hop, counts the packet as sent on its originator's verdict unless that is
+a HOLD, tests the verdict's action once (a forward first, the commonest), and
+a forward goes through ``hand_over``. A forward's target is always alive:
+every rule skips dead neighbours, SIMPLE's ``decide`` checks its forwarder,
+and nothing charges a node between a verdict and its hand-over. Every on-body
+send, a relay's bounce and SIMPLE's uplink included, goes through
+``_transmit``, which counts it, records its link and charges the sender. Only
+M-ATTEMPT's thermal model reads the per-node send and receive counts
+(``heat_tx``, ``heat_rx``), so only ``_Mattempt._transmit`` counts them.
 
 ``_Sim.charge`` is the one death rule, and the only code that writes a
 node's residual or alive flag, ``alive_count`` or ``drained_total``. Each
@@ -69,12 +72,13 @@ with one row per round, its columns in the metrics CSV's order (``ROUND`` ...
 the equilibrium flag is 0 or 1. Each walked round appends its row to one flat
 buffer, with the round's five action counts after it; ``_Sim.table``
 assembles the table from it. Once the last node is dead the rounds are not
-walked: their rows are filled column by column. That is exact: a dead node's
-residual is clamped to 0.0, and a dead round sends nothing, records no link,
-draws no shadowing and counts no action. The residuals are added one by one
-from 0.0 in id order, never with ``sum()``, whose float result depends on the
-Python version (compensated from 3.12). The flag column is computed once per
-run from the count columns (``equilibrium_flags``).
+walked: their rows are filled column by column, the residual columns from
+the last walked row. That is exact: no charge follows that row, and a dead
+round sends nothing, records no link, draws no shadowing and counts no
+action. A row's residuals are added one by one from 0.0 in id order, never
+with ``sum()``, whose float result depends on the Python version
+(compensated from 3.12). The flag column is computed once per run from the
+count columns (``equilibrium_flags``).
 
 The path-loss column is computed in blocks of rounds, from the link log: each
 walked round appends its distinct links, in first-send order, to one flat
@@ -92,17 +96,23 @@ takes its draw but is left out of the round's mean.
 
 The hot loop builds nothing it does not keep: routing rules return shared
 verdicts (``protocols.TO_SINK``, ``to_forwarder(id)``, ...), and a round's
-metrics and counts go to the buffer as plain numbers. ``route_round`` binds
-the hooks, ``charge`` and the neighbour and distance tables once a round,
-not once a packet. It reads each hook when it binds it, from the instance,
-so a wrapper set on one instance sees every call. AMHRP's ``decide`` reads
-as this module's global ``amhrp_select_forwarder``: each hop calls the rule
-with no engine frame around it, and a wrapper set on that name sees every
-verdict. It keeps the round's sensing and escalation counts (``c1``, ``c3``)
-and its sent, received and critical counts in locals, written back once
-before ``end_round`` (SIMPLE's uplink adds to ``round_received`` there). Its
-hop bound and the boosted send's cost are computed once a run. Two more
-rules keep the constant costs down. Code that runs per node, packet or round
+metrics and counts go to the buffer as plain numbers. ``run`` binds the
+hooks (``decide``, ``hand_over``, ``_transmit``, ``charge``,
+``_event_counts``, ``begin_round``, ``end_round``), the tables and the
+weights once a run, not once a round or a packet, so a round calls no engine
+method but the hooks (and ``fill_path_losses`` once per ``_LOSS_CHUNK``
+rounds). It reads each hook when it binds it, from the instance, so a
+wrapper set on one instance before the run sees every call. It binds no
+state a hook replaces: the hooks read their own (M-ATTEMPT's ``heat_tx``
+lists, the round's link dict) through ``self``, and the link log is bound
+again after each ``fill_path_losses``. AMHRP's ``decide`` reads as this
+module's global ``amhrp_select_forwarder``: each hop calls the rule with no
+engine frame around it, and a wrapper set on that name before the run sees
+every verdict. The walk keeps the round's sensing and escalation counts
+(``c1``, ``c3``) and its sent, received and critical counts in locals,
+written back once before ``end_round`` (SIMPLE's uplink adds to
+``round_received`` there). Its hop bound and the boosted send's cost are
+computed once a run. Two more rules keep the constant costs down. Code that runs per node, packet or round
 reads an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``,
 ...), never as ``PacketKind.CRITICAL``: a member read costs several times a
 global's. And a per-node rule is one call per round over all the nodes
@@ -130,6 +140,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -318,7 +329,7 @@ class _Sim:
     needs.
 
     The rule functions are this module's globals, read when they are called
-    or, for AMHRP's ``decide``, when a round binds it, so code that wraps
+    or, for AMHRP's ``decide``, when ``run`` binds it, so code that wraps
     them here also sees every call the engine makes.
     """
     closer_only = False  # neighbor lists keep only nodes strictly closer to the sink
@@ -379,10 +390,6 @@ class _Sim:
         # Node i's link to receiver j has code link_code[i] + j.
         self.link_code = [i * (self.n + 1) + 1 for i in range(self.n)]
         self.drained_total = 0.0
-        # Per-run constants of ``route_round``: its hop bound, and the cost
-        # of a boosted send to the sink.
-        self.hops = range(self.n + 2)
-        self.boosted_cost = self.w.x_d * cfg.mattempt.boost_multiplier
 
         # Per-round working state (plain ints: this is the hot loop).
         self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = 0
@@ -485,111 +492,116 @@ class _Sim:
         self._event_pos = pos + m
         return block[pos:pos + m]
 
-    # -- one round ----------------------------------------------------------
+    # -- the round loop -----------------------------------------------------
 
-    def run_round(self, rnd: int) -> None:
-        self.c2 = self.c4 = self.c5 = 0
-        self.round_links = {}
-
-        # Event counts are drawn for every node id, dead or alive, so the
-        # stream consumed is identical across protocols under a shared seed.
-        counts = self._event_counts(self.n)
-        due = {i for period, ids in self.period_groups if rnd % period == 0 for i in ids}
-        # Only nodes with a due reading or an event take readings, in id
-        # order; node i owns slot i of the frame, so this list is also the
-        # transmit order. The readings' uniforms are skipped.
-        originators: list[tuple[SensorNode, bool, int]] = []
-        skip = 0
-        for i, k in enumerate(counts):
-            is_due = i in due
-            if k or is_due:
-                originators.append((self.nodes[i], is_due, k))
-                skip += (is_due + k) * self.draws_per_reading[i]
-        self._event_pos += skip
-
-        self.begin_round(rnd)
-        self.route_round(originators)
-        self.end_round(rnd)
-
-        total_residual = self._total_residual()
-        # PATH_LOSS stays NaN until ``fill_path_losses`` writes it.
-        self.rows.frombytes(_PACK_ROW(rnd, self.alive_count, self.round_sent,
-                                      self.round_received, self.round_critical,
-                                      total_residual, total_residual / self.n, math.nan,
-                                      self.c1, self.c2, self.c3, self.c4, self.c5))
-        self.links.extend(self.round_links)
-        self.link_counts.append(len(self.round_links))
-        if len(self.link_counts) == _LOSS_CHUNK:
-            self.fill_path_losses()
-
-    def route_round(self, originators: list[tuple[SensorNode, bool, int]]) -> None:
-        """The round's origination and routing: each originator, in slot
-        order, senses its readings one at a time while it is alive and
-        walks each one's packet from holder to holder toward the sink (see
-        the module docstring). Sets the round's ``c1``, ``c3``, ``round_sent``,
-        ``round_received`` and ``round_critical``."""
+    def run(self, rounds: Iterable[int]) -> None:
+        """Walk ``rounds`` in order, each one whole: its event counts and
+        originators, ``begin_round``, the packet walk, ``end_round`` and its
+        row (see the module docstring). Stop after a round that leaves no
+        node alive; a call that starts on a dead network still walks its
+        first round."""
         decide, hand_over, transmit, charge = (self.decide, self.hand_over, self._transmit,
                                                self.charge)
-        nodes, neighbors, d_sink, hops = self.nodes, self.neighbors, self.d_sink, self.hops
-        x_s, x_w, boosted_cost = self.w.x_s, self.w.x_w, self.boosted_cost
-        c1 = c3 = sent = received = critical = 0
-        for origin, is_due, k in originators:
-            for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
-                if not origin.alive:
-                    break  # a dead node senses nothing
-                c1 += 1
-                charge(origin, x_s)
-                if not origin.alive:
-                    break  # the reading completed, but a dead node sends nothing
-                holder = origin
-                is_origin = True
-                # A packet takes at most n decisions, one per holder, and no
-                # holder repeats: each AMHRP forward goes strictly closer to
-                # the sink, each M-ATTEMPT forward strictly down the hop
-                # counts, and SIMPLE parks a packet after one forward. So the
-                # walk always ends inside ``hops``; the RuntimeError below
-                # stays as a guard against an engine bug that breaks it.
-                for _hop in hops:
-                    decision = decide(holder, neighbors[holder.id], d_sink, kind)
-                    act = decision.action
-                    if is_origin and act is not _HOLD:
-                        sent += 1  # counted once, when the originator transmits
-                    if act is _TO_FORWARDER:
-                        target = nodes[decision.target]
-                        if not hand_over(holder, target, is_origin):
-                            break
-                        holder = target
-                        is_origin = False
-                    elif act is _TO_SINK:
-                        transmit(holder, SINK_ID, is_origin,
-                                 boosted_cost if decision.boosted else None)
-                        received += 1
-                        if kind is _CRITICAL:
-                            critical += 1
-                        break
-                    elif act is _HOLD:
-                        # Origin: nothing transmitted. Relay: packet already
-                        # counted as sent; it is dropped here (no queueing
-                        # across rounds).
-                        break
-                    else:
-                        # Escalation to the external WSN gateway, an off-body
-                        # receiver: no on-body link pair to record.
-                        c3 += 1
-                        charge(holder, x_w)
-                        break
-                else:
-                    raise RuntimeError("routing did not terminate (engine bug)")
-        # Written back before ``end_round``, which may add to them.
-        self.c1, self.c3 = c1, c3
-        self.round_sent, self.round_received, self.round_critical = sent, received, critical
+        event_counts, begin_round, end_round = (self._event_counts, self.begin_round,
+                                                self.end_round)
+        nodes, neighbors, d_sink, n = self.nodes, self.neighbors, self.d_sink, self.n
+        period_groups, draws_per_reading = self.period_groups, self.draws_per_reading
+        append_row, links, link_counts = self.rows.frombytes, self.links, self.link_counts
+        x_s, x_w = self.w.x_s, self.w.x_w
+        boosted_cost = self.w.x_d * self.cfg.mattempt.boost_multiplier
+        # A packet takes at most n decisions, one per holder, and no holder
+        # repeats: each AMHRP forward goes strictly closer to the sink, each
+        # M-ATTEMPT forward strictly down the hop counts, and SIMPLE parks a
+        # packet after one forward. So the walk always ends inside ``hops``;
+        # the RuntimeError below stays as a guard against an engine bug that
+        # breaks it.
+        hops = range(n + 2)
+        for rnd in rounds:
+            self.c2 = self.c4 = self.c5 = 0
+            round_links = self.round_links = {}
 
-    def _total_residual(self) -> float:
-        """The residuals added one by one from 0.0, in id order."""
-        total = 0.0
-        for nd in self.nodes:
-            total += nd.residual_energy
-        return total
+            # Event counts are drawn for every node id, dead or alive, so the
+            # stream consumed is identical across protocols under a shared seed.
+            counts = event_counts(n)
+            due = {i for period, ids in period_groups if rnd % period == 0 for i in ids}
+            # Only nodes with a due reading or an event take readings, in id
+            # order; node i owns slot i of the frame, so this list is also the
+            # transmit order. The readings' uniforms are skipped.
+            originators: list[tuple[SensorNode, bool, int]] = []
+            skip = 0
+            for i, k in enumerate(counts):
+                is_due = i in due
+                if k or is_due:
+                    originators.append((nodes[i], is_due, k))
+                    skip += (is_due + k) * draws_per_reading[i]
+            self._event_pos += skip
+
+            begin_round(rnd)
+            # Each originator, in slot order, senses its readings one at a
+            # time while it is alive and walks each one's packet from holder
+            # to holder toward the sink.
+            c1 = c3 = sent = received = critical = 0
+            for origin, is_due, k in originators:
+                for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
+                    if not origin.alive:
+                        break  # a dead node senses nothing
+                    c1 += 1
+                    charge(origin, x_s)
+                    if not origin.alive:
+                        break  # the reading completed, but a dead node sends nothing
+                    holder = origin
+                    is_origin = True
+                    for _hop in hops:
+                        decision = decide(holder, neighbors[holder.id], d_sink, kind)
+                        act = decision.action
+                        if is_origin and act is not _HOLD:
+                            sent += 1  # counted once, when the originator transmits
+                        if act is _TO_FORWARDER:
+                            target = nodes[decision.target]
+                            if not hand_over(holder, target, is_origin):
+                                break
+                            holder = target
+                            is_origin = False
+                        elif act is _TO_SINK:
+                            transmit(holder, SINK_ID, is_origin,
+                                     boosted_cost if decision.boosted else None)
+                            received += 1
+                            if kind is _CRITICAL:
+                                critical += 1
+                            break
+                        elif act is _HOLD:
+                            # Origin: nothing transmitted. Relay: packet already
+                            # counted as sent; it is dropped here (no queueing
+                            # across rounds).
+                            break
+                        else:
+                            # Escalation to the external WSN gateway, an
+                            # off-body receiver: no on-body link pair to record.
+                            c3 += 1
+                            charge(holder, x_w)
+                            break
+                    else:
+                        raise RuntimeError("routing did not terminate (engine bug)")
+            # Written back before ``end_round``, which may add to them.
+            self.c1, self.c3 = c1, c3
+            self.round_sent, self.round_received, self.round_critical = sent, received, critical
+            end_round(rnd)
+
+            # The residuals added one by one from 0.0, in id order.
+            total_residual = 0.0
+            for nd in nodes:
+                total_residual += nd.residual_energy
+            # PATH_LOSS stays NaN until ``fill_path_losses`` writes it.
+            append_row(_PACK_ROW(rnd, self.alive_count, self.round_sent, self.round_received,
+                                 self.round_critical, total_residual, total_residual / n,
+                                 math.nan, self.c1, self.c2, self.c3, self.c4, self.c5))
+            links.extend(round_links)
+            link_counts.append(len(round_links))
+            if len(link_counts) == _LOSS_CHUNK:
+                self.fill_path_losses()  # it starts a new link log
+                links, link_counts = self.links, self.link_counts
+            if self.alive_count == 0:
+                break
 
     def _base_loss(self, code: int) -> float:
         """The unshadowed loss of the link with code ``code``; NaN for a
@@ -638,9 +650,12 @@ class _Sim:
         done, rounds = len(walked), self.cfg.rounds
         table = np.empty((rounds, EQUILIBRIUM + 1))
         table[:done, :EQUILIBRIUM] = walked[:, :EQUILIBRIUM]
-        total = self._total_residual()
-        table[done:, ROUND] = np.arange(done, rounds)
-        table[done:, ALIVE:EQUILIBRIUM] = (0, 0, 0, 0, total, total / self.n, math.nan)
+        if done < rounds:
+            # No charge follows the last walked row, so the tail keeps its
+            # residuals.
+            table[done:, ROUND] = np.arange(done, rounds)
+            table[done:, ALIVE:EQUILIBRIUM] = (0, 0, 0, 0, *walked[-1, TOTAL_RESIDUAL:PATH_LOSS],
+                                               math.nan)
         table[:, EQUILIBRIUM] = equilibrium_flags(walked[:, EQUILIBRIUM:], self.cfg, rounds)
         return table
 
@@ -664,7 +679,7 @@ class _Amhrp(_Sim):
 
     @property
     def decide(self):
-        """The public rule itself, read as this module's global when a round
+        """The public rule itself, read as this module's global when ``run``
         binds it (see the module docstring)."""
         return amhrp_select_forwarder
 
@@ -787,10 +802,7 @@ def run_simulation(config: SimConfig) -> RunResult:
     """
     validate_config(config)
     sim = _SCHEMES[config.protocol](config)
-    for rnd in range(config.rounds):
-        if sim.alive_count == 0:
-            break
-        sim.run_round(rnd)
+    sim.run(range(config.rounds))
     table = sim.table()
     return RunResult(table, summarize_run(table, config),
                      RunAudit(drained_total=sim.drained_total))

@@ -1,11 +1,12 @@
 """Recorded runs for the tests: the every-round walk, with its traffic and
 link logs.
 
-``walk_recorded`` drives ``_Sim.run_round`` for every round, dead rounds
-included, so it is also the reference that the engine's filled dead tail is
+``walk_recorded`` walks every round, dead rounds included: one ``_Sim.run``
+call up to the last death, then one single-round call for each round after
+it. So it is also the reference that the engine's filled dead tail is
 compared against; it builds its table through the engine's ``_Sim.table``.
-It logs through wrappers on one ``_Sim`` instance; the engine itself records
-nothing.
+It logs through wrappers on one ``_Sim`` instance, set before the first
+``run`` call binds the hooks; the engine itself records nothing.
 """
 from collections import defaultdict
 from typing import NamedTuple
@@ -24,19 +25,22 @@ class Recording(NamedTuple):
 
 
 def walk_recorded(cfg) -> Recording:
-    """Run ``cfg`` round by round, logging each round's events-stream counts
-    and due flags, and every on-body send before its charge. Every forward's
-    target must be alive when it is handed the packet."""
+    """Run ``cfg``, every round walked, logging each round's events-stream
+    counts and due flags, and every on-body send before its charge. Every
+    forward's target must be alive when it is handed the packet."""
     sim = _SCHEMES[cfg.protocol](cfg)
     traffic: list[tuple[int, int, int, bool]] = []
     links: list[tuple[int, int, int, bool]] = []
     transmit, event_counts, hand_over = sim._transmit, sim._event_counts, sim.hand_over
+    rnd = 0  # the round being walked, set as it draws its event counts
 
     def logged_transmit(tx, rx_id, is_origin, cost=None):
         links.append((rnd, tx.id, rx_id, tx.alive))
         transmit(tx, rx_id, is_origin, cost)
 
     def logged_event_counts(m):
+        nonlocal rnd
+        rnd = len(sim.rows) // _ROW  # the rounds are walked in order from 0
         counts = event_counts(m)
         # The engine's own schedule grouping, so a test comparing this log
         # with ``rnd % periods[kind] == 0`` checks it.
@@ -51,8 +55,10 @@ def walk_recorded(cfg) -> Recording:
     sim._transmit = logged_transmit
     sim._event_counts = logged_event_counts
     sim.hand_over = checked_hand_over
-    for rnd in range(cfg.rounds):
-        sim.run_round(rnd)
+    sim.run(range(cfg.rounds))
+    # ``run`` stops after the last death; a single-round call walks a dead round.
+    for dead in range(len(sim.rows) // _ROW, cfg.rounds):
+        sim.run((dead,))
     table = sim.table()
     result = RunResult(table, summarize_run(table, cfg),
                        RunAudit(drained_total=sim.drained_total))

@@ -303,7 +303,7 @@ class TestEngineSpecializations:
         prev = [True] * sim.n
         alive_log = []
         for rnd in range(c.rounds):
-            sim.run_round(rnd)
+            sim.run((rnd,))
             alive = sum(nd.alive for nd in sim.nodes)
             assert sim.alive_count == alive, f"round {rnd}"
             alive_log.append(alive)
@@ -372,7 +372,7 @@ class TestEngineSpecializations:
         for rnd in range(c.rounds):
             if sim.alive_count == 0:
                 break
-            sim.run_round(rnd)
+            sim.run((rnd,))
             now = [nd.temperature <= threshold for nd in sim.nodes]
             if any(nd.alive and old != new for nd, old, new in zip(sim.nodes, cool, now)):
                 since["crossed"] = True
@@ -389,7 +389,7 @@ class TestEngineSpecializations:
         forwarded = 0
         alive_log = []
         for rnd in range(c.rounds):
-            sim.run_round(rnd)
+            sim.run((rnd,))
             assert sim.alive_count == sum(nd.alive for nd in sim.nodes)
             alive_log.append(sim.alive_count)
             for nd in sim.nodes:
@@ -405,6 +405,26 @@ class TestEngineSpecializations:
         assert forwarded
         assert sim.alive_count == 0
         assert sim.table()[:, ALIVE].tolist() == alive_log
+
+
+def run_keeping_sim(config, monkeypatch):
+    """``run_simulation(config)``'s result, and the one ``_Sim`` whose one
+    ``run`` call walked it."""
+    run, sims = engine._Sim.run, []
+
+    def kept_run(sim, rounds):
+        sims.append(sim)
+        run(sim, rounds)
+
+    monkeypatch.setattr(engine._Sim, "run", kept_run)
+    result = run_simulation(config)
+    [sim] = sims
+    return result, sim
+
+
+def walked_rounds(sim):
+    """The round numbers of ``sim``'s walked rows, in walk order."""
+    return np.frombuffer(sim.rows).reshape(-1, _ROW)[:, ROUND].astype(int).tolist()
 
 
 _ENUMS = {"PacketKind", "SensorKind", "RouteAction", "LinkClass"}
@@ -469,7 +489,7 @@ class TestHotLoopRules:
             "        self.alive_count = 0\n"
             "    def charge(self, node):\n"
             "        node.alive = False\n"
-            "    def run_round(self, node):\n"
+            "    def run(self, node):\n"
             "        self.drained_total += 1.0\n"
             "        if node:\n"
             "            node.residual_energy, x = 0.0, 1\n"
@@ -482,8 +502,8 @@ class TestHotLoopRules:
             "    return inner\n"
         )
         assert death_state_writes(source) == [
-            ("_Sim.run_round", 7, "drained_total"),
-            ("_Sim.run_round", 9, "residual_energy"),
+            ("_Sim.run", 7, "drained_total"),
+            ("_Sim.run", 9, "residual_energy"),
             ("_Other.charge", 12, "alive"),
             ("step", 15, "alive_count"),
         ]
@@ -514,52 +534,36 @@ class TestHotLoopRules:
         """A default SIMPLE run exchanges control packets every round: each
         walked round's exchange is one call of the every-alive form, not one
         call per alive node (a per-node exchange makes 90704 calls here)."""
-        charge, run_round = engine._Sim.charge, engine._Sim.run_round
-        calls, every_alive, control_rounds = [0], [0], [0]
+        charge = engine._Sim.charge
+        calls, every_alive = [0], [0]
 
         def counted_charge(sim, node, cost):
             calls[0] += 1
             every_alive[0] += node is None
             charge(sim, node, cost)
 
-        def counted_run_round(sim, rnd):
-            control_rounds[0] += rnd % sim.cfg.simple.control_period == 0
-            run_round(sim, rnd)
-
         monkeypatch.setattr(engine._Sim, "charge", counted_charge)
-        monkeypatch.setattr(engine._Sim, "run_round", counted_run_round)
-        run_simulation(cfg(protocol="simple", seed=1))
-        assert control_rounds[0] > 0
-        assert every_alive[0] == control_rounds[0]
+        _, sim = run_keeping_sim(cfg(protocol="simple", seed=1), monkeypatch)
+        control_rounds = sum(rnd % sim.cfg.simple.control_period == 0
+                             for rnd in walked_rounds(sim))
+        assert control_rounds > 0
+        assert every_alive[0] == control_rounds
         assert calls[0] <= 30000
 
     @pytest.mark.parametrize("case", ["simple_default", "amhrp_storm"])
-    def test_routing_is_one_call_per_round(self, case, monkeypatch):
-        """Each walked round routes all its packets in one ``route_round``
-        call; no per-packet routing method is left."""
+    def test_routing_is_one_run_call_per_simulation(self, case, monkeypatch):
+        """A run walks all its rounds, and routes all their packets, in one
+        ``run`` call; no per-round or per-packet routing method is left."""
         c = (cfg(protocol="simple", seed=1) if case == "simple_default"
              else _tail_config("storm", "amhrp", 1))
-        route_round, run_round = engine._Sim.route_round, engine._Sim.run_round
-        routed, walked = [0], [0]
-
-        def counted_route_round(sim, originators):
-            routed[0] += 1
-            route_round(sim, originators)
-
-        def counted_run_round(sim, rnd):
-            walked[0] += 1
-            run_round(sim, rnd)
-
-        monkeypatch.setattr(engine._Sim, "route_round", counted_route_round)
-        monkeypatch.setattr(engine._Sim, "run_round", counted_run_round)
-        res = run_simulation(c)
+        res, sim = run_keeping_sim(c, monkeypatch)
         assert res.summary.packets_sent_total > 0
-        assert walked[0] > 0
-        assert routed[0] == walked[0]
-        assert not hasattr(engine._Sim, "_route_packet")
+        assert walked_rounds(sim)
+        for name in ("run_round", "route_round", "_route_packet"):
+            assert not hasattr(engine._Sim, name), name
 
     def test_a_walked_round_packs_its_row_in_column_order(self):
-        """One ``run_round`` leaves one ``_ROW``-wide entry in ``sim.rows``:
+        """A one-round ``run`` leaves one ``_ROW``-wide entry in ``sim.rows``:
         the round's columns before the flag, path loss NaN until it is
         filled, then its action counts c1..c5. The round's counts are set to
         distinct values after its walk, so a wrong field count, order or byte
@@ -573,7 +577,7 @@ class TestHotLoopRules:
                 setattr(sim, name, value)
 
         sim.end_round = end_round
-        sim.run_round(11)
+        sim.run((11,))
         total = 0.0
         for nd in sim.nodes:
             total += nd.residual_energy
@@ -586,7 +590,7 @@ class TestHotLoopRules:
     def test_a_walk_past_the_hop_bound_raises(self, monkeypatch):
         """A walk that never ends trips the engine-bug guard: here a decide
         rule that always forwards to the other of two nodes, set as the
-        engine's AMHRP rule, which a round reads when it binds it."""
+        engine's AMHRP rule, which ``run`` reads when it binds it."""
         from wbansim.protocols import to_forwarder
 
         c = cfg(protocol="amhrp", node_count=2, rounds=1, initial_energy=1e6)
@@ -594,7 +598,7 @@ class TestHotLoopRules:
         monkeypatch.setattr(engine, "amhrp_select_forwarder",
                             lambda holder, neighbors, d_sink, kind: to_forwarder(1 - holder.id))
         with pytest.raises(RuntimeError, match=r"^routing did not terminate \(engine bug\)$"):
-            sim.run_round(0)
+            sim.run((0,))
 
 
 def _tail_config(case, protocol, seed):
@@ -640,21 +644,12 @@ class TestDeadTail:
 
     @pytest.mark.parametrize("protocol", ["amhrp", "mattempt", "simple"])
     def test_rounds_after_the_last_death_are_not_walked(self, protocol, monkeypatch):
-        from wbansim.engine import _Sim
-
-        calls = []
-        run_round = _Sim.run_round
-
-        def counted(self, rnd):
-            calls.append(rnd)
-            return run_round(self, rnd)
-
-        monkeypatch.setattr(_Sim, "run_round", counted)
         c = _tail_config("dying", protocol, 1)
-        res = run_simulation(c)
+        res, sim = run_keeping_sim(c, monkeypatch)
         lifetime = res.summary.network_lifetime
         assert lifetime < c.rounds
-        assert calls == list(range(lifetime + 1))
+        assert len(sim.rows) // _ROW == lifetime + 1
+        assert walked_rounds(sim) == list(range(lifetime + 1))
 
     def test_flat_series_flag_equals_the_series(self):
         base = SimConfig()
@@ -736,7 +731,7 @@ class TestDeadTail:
         c = _tail_config("dying", "amhrp", 1)
         sim = _SCHEMES["amhrp"](c)
         for rnd in range(c.rounds):
-            sim.run_round(rnd)
+            sim.run((rnd,))
         # Each walked round's entry ends with its action counts c1..c5.
         counts = np.frombuffer(sim.rows).reshape(c.rounds, -1)[:, -5:].astype(np.int64)
 
@@ -888,6 +883,35 @@ class TestRunProperty:
         shorter = run_simulation(replace(c, rounds=rounds)).metrics
         assert np.array_equal(shorter[:, :EQUILIBRIUM], longer[:rounds, :EQUILIBRIUM],
                               equal_nan=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_configs(), st.sampled_from(PROTOCOLS), st.integers(0, 200),
+           st.floats(0.0, 5.0), st.booleans(), st.lists(st.integers(0, 200), max_size=6),
+           st.integers(1, 20))
+    def test_a_run_split_across_calls_is_one_call(self, c, protocol, rounds, lam, lasting,
+                                                  cuts, chunk):
+        """``run`` binds its hooks, tables and weights when it starts. Rounds
+        split across several calls, each started while a node is alive,
+        give the table bytes, summary and joules drained of one call, so
+        nothing bound goes stale when a hook replaces state (M-ATTEMPT's
+        ``heat_tx`` lists, the round's link dict) or when the link log,
+        filled every ``chunk`` rounds, starts anew. Half the draws take the
+        default energy budget, so the splits fall in live rounds too."""
+        c = replace(c, protocol=protocol, rounds=rounds, events=replace(c.events, lam=lam))
+        if lasting:
+            c = replace(c, initial_energy=_SEED_2.initial_energy, energy=_SEED_2.energy)
+        with mock.patch.object(engine, "_LOSS_CHUNK", chunk):
+            whole = run_simulation(c)
+            sim = _SCHEMES[protocol](c)
+            bounds = sorted({0, rounds, *(min(cut, rounds) for cut in cuts)})
+            for start, end in zip(bounds, bounds[1:]):
+                if sim.alive_count == 0:
+                    break
+                sim.run(range(start, end))
+            table = sim.table()
+        assert table.tobytes() == whole.metrics.tobytes()
+        assert summarize_run(table, c) == whole.summary
+        assert repr(sim.drained_total) == repr(whole.audit.drained_total)
 
     @settings(max_examples=12, deadline=None)
     @given(valid_configs(), valid_configs(), st.integers(0, 200), st.floats(0.0, 5.0),
