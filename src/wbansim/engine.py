@@ -38,23 +38,30 @@ aggregated uplink). Everything else (the transmit bookkeeping, charging, the
 control exchange, the metrics) is the base class's and shared.
 
 One loop per run: ``_Sim.run`` walks the rounds it is given, each round's
-body in one pass: the event counts and the originator list, ``begin_round``,
-the packet walk, ``end_round`` and the round's row. It stops after a round
-that leaves no node alive, so a full run ends at the last death, and a call
-that starts on a dead network still walks its first round. The walk senses
-each reading and walks its packet hop by hop. It checks the originator's
-liveness in two places only: at the top of each reading, since the last
-reading's sends or escalation may have killed it, and after the sensing
-charge, since a node that dies sensing sends nothing. It asks ``decide`` once
-per hop, counts the packet as sent on its originator's verdict unless that is
-a HOLD, tests the verdict's action once (a forward first, the commonest), and
-a forward goes through ``hand_over``. A forward's target is always alive:
-every rule skips dead neighbours, SIMPLE's ``decide`` checks its forwarder,
-and nothing charges a node between a verdict and its hand-over. Every on-body
-send, a relay's bounce and SIMPLE's uplink included, goes through
-``_transmit``, which counts it, records its link and charges the sender. Only
-M-ATTEMPT's thermal model reads the per-node send and receive counts
-(``heat_tx``, ``heat_rx``), so only ``_Mattempt._transmit`` counts them.
+body in one pass: the event counts and the due set, ``begin_round``, the
+packet walk, ``end_round`` and the round's row. It stops after a round that
+leaves no node alive, so a full run ends at the last death, and a call that
+starts on a dead network still walks its first round. The walk takes the
+round's originators in id order straight from its counts: the ids with an
+event, ``compress(range(n), counts)``, merged with the due set by one
+``sorted`` union on a round where some sensing period falls due. For each id
+it reads the count and the due flag and adds the readings' uniforms to the
+round's skip, a dead originator's too; the events cursor moves by the skip
+once the walk ends, since nothing between the draw and the next round reads
+the stream. The walk senses each reading and walks its packet hop by hop. It
+checks the originator's liveness in two places only: at the top of each
+reading, since the last reading's sends or escalation may have killed it,
+and after the sensing charge, since a node that dies sensing sends nothing.
+It asks ``decide`` once per hop, counts the packet as sent on its
+originator's verdict unless that is a HOLD, tests the verdict's action once
+(a forward first, the commonest), and a forward goes through ``hand_over``.
+A forward's target is always alive: every rule skips dead neighbours,
+SIMPLE's ``decide`` checks its forwarder, and nothing charges a node between
+a verdict and its hand-over. Every on-body send, a relay's bounce and
+SIMPLE's uplink included, goes through ``_transmit``, which counts it,
+records its link and charges the sender. Only M-ATTEMPT's thermal model
+reads the per-node send and receive counts (``heat_tx``, ``heat_rx``), so
+only ``_Mattempt._transmit`` counts them.
 
 ``_Sim.charge`` is the one death rule, and the only code that writes a
 node's residual or alive flag, ``alive_count`` or ``drained_total``. Each
@@ -112,28 +119,34 @@ every verdict. The walk keeps the round's sensing and escalation counts
 (``c1``, ``c3``) and its sent, received and critical counts in locals,
 written back once before ``end_round`` (SIMPLE's uplink adds to
 ``round_received`` there). Its hop bound and the boosted send's cost are
-computed once a run. Two more rules keep the constant costs down. Code that runs per node, packet or round
-reads an Enum member through a module alias (``_CRITICAL``, ``_TO_SINK``,
-...), never as ``PacketKind.CRITICAL``: a member read costs several times a
-global's. And a per-node rule is one call per round over all the nodes
-(``mattempt_temperature_step``, ``simple_select_forwarder``, the control
-exchange's ``charge``), not one call per node; a round's derived state
-(M-ATTEMPT's usable set and hop counts) is rebuilt only when such a call, or
-a death, signals that it may have changed. In the temperature step an idle
-node pays only its relaxation: a heating term is added only for a nonzero
-count. That is exact: the deltas are finite, so a zero count's term is
-+0.0, which moves no temperature and no threshold comparison.
+computed once a run. Two more rules keep the constant costs down. Code that
+runs per node, packet or round reads an Enum member through a module alias
+(``_CRITICAL``, ``_TO_SINK``, ...), never as ``PacketKind.CRITICAL``: a
+member read costs several times a global's. And a per-node rule is one call
+per round over all the nodes (``mattempt_temperature_step``,
+``simple_select_forwarder``, the control exchange's ``charge``), not one
+call per node; a round's derived state (M-ATTEMPT's usable set and hop
+counts) is rebuilt only when such a call, or a death, signals that it may
+have changed. In the temperature step an idle node pays only its
+relaxation: a heating term is added only for a nonzero count. That is
+exact: the deltas are finite, so a zero count's term is +0.0, which moves
+no temperature and no threshold comparison.
 
-Two per-round rules keep the fixed cost of a long live run down. A walked
-round's row goes to ``rows`` as one ``struct`` pack of native doubles and
-one ``frombytes``: ``array.extend`` of a tuple converts its 13 values one at
-a time through the iterator protocol, two to three times the cost, and native
-``d`` is ``array("d")``'s own layout, so the buffer's bytes are the same.
-And ``_event_counts`` is one refill loop that ends in one slice: when the
-block holds all the round's counts, the common case, it costs one
-comparison and the slice. A refill keeps the block's unread tail, or, when a
-round's reading skip ran past the block's end, drops the block and moves the
-cursor on by the overshoot.
+Three per-round rules keep the fixed cost of a long live run down. A
+round's originators are found in C, with no Python step per node id: the
+due set is a union of ``period_groups``' frozensets, built by a plain loop
+over the groups, and ``compress`` picks the ids with an event. A default
+round has about 3 originators among 19 ids, so the walk goes over those
+alone and builds no list or tuple of them. A walked round's row goes to
+``rows`` as one ``struct`` pack of native doubles and one ``frombytes``:
+``array.extend`` of a tuple converts its 13 values one at a time through the
+iterator protocol, two to three times the cost, and native ``d`` is
+``array("d")``'s own layout, so the buffer's bytes are the same. And
+``_event_counts`` is one refill loop that ends in one slice: when the block
+holds all the round's counts, the common case, it costs one comparison and
+the slice. A refill keeps the block's unread tail, or, when a round's
+reading skip ran past the block's end, drops the block and moves the cursor
+on by the overshoot.
 """
 from __future__ import annotations
 
@@ -142,6 +155,7 @@ import struct
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -171,6 +185,7 @@ _LOS = LinkClass.LOS
 _NLOS = LinkClass.NLOS
 _NORMAL_SLOT = (PacketKind.NORMAL,)
 _CRITICAL_SLOT = (_CRITICAL,)
+_NO_IDS: frozenset[int] = frozenset()
 
 # The run table's columns, in the metrics CSV's order.
 (ROUND, ALIVE, SENT, RECEIVED, CRITICAL,
@@ -371,12 +386,13 @@ class _Sim:
         self._event_block: list[int] = []
         self._event_pos = 0
         self.draws_per_reading = [reading_draws(nd.kind) for nd in self.nodes]
-        # Node ids grouped by sensing period, each group in id order.
+        # Node ids grouped by sensing period, each group a frozenset, so a
+        # round's due set is built from them by unions in C.
         periods = cfg.schedule.resolve(cfg.events.rounds_per_day)
         groups: dict[int, list[int]] = {}
         for nd in self.nodes:
             groups.setdefault(periods[nd.kind], []).append(nd.id)
-        self.period_groups = list(groups.items())
+        self.period_groups = [(period, frozenset(ids)) for period, ids in groups.items()]
         self.rows = array("d")  # one _ROW-wide entry per walked round
         # The link log (see the module docstring): the distinct link codes of
         # each walked round not yet filled, and how many there were. C ints
@@ -496,15 +512,17 @@ class _Sim:
 
     def run(self, rounds: Iterable[int]) -> None:
         """Walk ``rounds`` in order, each one whole: its event counts and
-        originators, ``begin_round``, the packet walk, ``end_round`` and its
-        row (see the module docstring). Stop after a round that leaves no
-        node alive; a call that starts on a dead network still walks its
-        first round."""
+        due set, ``begin_round``, the packet walk over its originators (read
+        straight from the counts and the due set), ``end_round`` and its row
+        (see the module docstring). Stop after a round that leaves no node
+        alive; a call that starts on a dead network still walks its first
+        round."""
         decide, hand_over, transmit, charge = (self.decide, self.hand_over, self._transmit,
                                                self.charge)
         event_counts, begin_round, end_round = (self._event_counts, self.begin_round,
                                                 self.end_round)
         nodes, neighbors, d_sink, n = self.nodes, self.neighbors, self.d_sink, self.n
+        node_ids = range(n)
         period_groups, draws_per_reading = self.period_groups, self.draws_per_reading
         append_row, links, link_counts = self.rows.frombytes, self.links, self.link_counts
         x_s, x_w = self.w.x_s, self.w.x_w
@@ -523,25 +541,28 @@ class _Sim:
             # Event counts are drawn for every node id, dead or alive, so the
             # stream consumed is identical across protocols under a shared seed.
             counts = event_counts(n)
-            due = {i for period, ids in period_groups if rnd % period == 0 for i in ids}
+            due = _NO_IDS
+            for period, ids in period_groups:
+                if rnd % period == 0:
+                    due = due | ids
             # Only nodes with a due reading or an event take readings, in id
-            # order; node i owns slot i of the frame, so this list is also the
-            # transmit order. The readings' uniforms are skipped.
-            originators: list[tuple[SensorNode, bool, int]] = []
-            skip = 0
-            for i, k in enumerate(counts):
-                is_due = i in due
-                if k or is_due:
-                    originators.append((nodes[i], is_due, k))
-                    skip += (is_due + k) * draws_per_reading[i]
-            self._event_pos += skip
+            # order; node i owns slot i of the frame, so this is also the
+            # transmit order.
+            slots = compress(node_ids, counts)
+            if due:
+                slots = sorted(due.union(slots))
 
             begin_round(rnd)
             # Each originator, in slot order, senses its readings one at a
             # time while it is alive and walks each one's packet from holder
-            # to holder toward the sink.
-            c1 = c3 = sent = received = critical = 0
-            for origin, is_due, k in originators:
+            # to holder toward the sink. The readings' uniforms are skipped,
+            # a dead originator's too.
+            c1 = c3 = sent = received = critical = skip = 0
+            for i in slots:
+                k = counts[i]
+                is_due = i in due
+                skip += (is_due + k) * draws_per_reading[i]
+                origin = nodes[i]
                 for kind in _NORMAL_SLOT * is_due + _CRITICAL_SLOT * k:
                     if not origin.alive:
                         break  # a dead node senses nothing
@@ -582,6 +603,7 @@ class _Sim:
                             break
                     else:
                         raise RuntimeError("routing did not terminate (engine bug)")
+            self._event_pos += skip
             # Written back before ``end_round``, which may add to them.
             self.c1, self.c3 = c1, c3
             self.round_sent, self.round_received, self.round_critical = sent, received, critical

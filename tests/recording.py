@@ -42,8 +42,10 @@ def walk_recorded(cfg) -> Recording:
         nonlocal rnd
         rnd = len(sim.rows) // _ROW  # the rounds are walked in order from 0
         counts = event_counts(m)
-        # The engine's own schedule grouping, so a test comparing this log
-        # with ``rnd % periods[kind] == 0`` checks it.
+        # The engine's own schedule grouping (each period's ids as one
+        # frozenset), so a test comparing this log with
+        # ``rnd % periods[kind] == 0`` checks it, and one comparing it with
+        # the round's sensing count ``c1`` checks the walk's originators.
         due = {i for period, ids in sim.period_groups if rnd % period == 0 for i in ids}
         traffic.extend((rnd, i, counts[i], i in due) for i in range(m))
         return counts

@@ -21,6 +21,7 @@ from wbansim.engine import (_ROW, _SCHEMES, ALIVE, CRITICAL, EQUILIBRIUM, EVENT_
                             MEAN_RESIDUAL, PATH_LOSS, RECEIVED, ROUND, SENT, SINK_ID,
                             TOTAL_RESIDUAL, equilibrium_flags, equilibrium_series,
                             run_simulation, summarize_run, throughput)
+from wbansim.events import SensingSchedule
 
 
 def cfg(**over):
@@ -848,10 +849,13 @@ class TestRunProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(valid_configs(), st.integers(0, 400), st.floats(0.0, 5.0))
+    @example(replace(_SEED_2, schedule=SensingSchedule(dict.fromkeys(SensorKind, 1))), 200, 0.0)
+    @example(replace(_SEED_2, schedule=SensingSchedule(dict.fromkeys(SensorKind, 10**4))),
+             200, 5.0)
     def test_tail_conservation_and_delivery(self, c, rounds, lam):
         c = replace(c, rounds=rounds, events=replace(c.events, lam=lam))
         tail = run_simulation(c)
-        walked, _, links, actions = walk_recorded(c)
+        walked, traffic, links, actions = walk_recorded(c)
         assert same_table(tail.metrics, walked.metrics)
         assert tail.summary == walked.summary
         # A rerun of the rendered and re-parsed config behaves the same.
@@ -871,6 +875,15 @@ class TestRunProperty:
         # hotspot bounce sends a packet back on purpose, a 2-cycle.
         if c.protocol != "mattempt":
             assert forwarding_acyclic(links)
+        # The walk picks its originators from the logged stream: a round
+        # senses at most its logged events and due readings, and exactly
+        # those when no node dies in it or before it.
+        readings = np.zeros(rounds, dtype=np.int64)
+        for rnd, _, k, due in traffic:
+            readings[rnd] += k + due
+        assert all(actions[:, 0] <= readings)
+        full = walked.metrics[:, ALIVE] == c.node_count
+        assert np.array_equal(actions[full, 0], readings[full])
 
     @settings(max_examples=30, deadline=None)
     @given(valid_configs(), st.integers(0, 150), st.integers(1, 150), st.floats(0.0, 5.0))
