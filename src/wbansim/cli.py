@@ -11,14 +11,16 @@ only the file names ``simulate`` and ``sweep`` write, and of those only the
 seeds that every protocol in the directory ran.
 
 ``sweep`` and ``plots`` run on worker processes, at most one per usable CPU
-(``taskset`` limits them). ``plots`` reads and merges each protocol's CSVs
-in a worker, which sends back only the four plotted series, then writes
-each ``.dat`` file in a worker. It checks every file name before a worker
-starts, and reports a failure as a serial read in path order would meet it,
-before any ``.dat`` file is written.
+(``taskset`` limits them); where that is one worker, they run in-process
+instead. ``plots`` reads and merges each protocol's CSVs in a worker, which
+sends back only the four plotted series, then writes each ``.dat`` file in a
+worker. It checks every file name before a worker starts, and reports a
+failure as a serial read in path order would meet it, before any ``.dat``
+file is written.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 I/O error (or a
-``sweep`` or ``plots`` worker process that ended abruptly).
+``sweep`` or ``plots`` worker process that ended abruptly; one-worker work
+runs in-process, so it has no worker to lose).
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import itertools
 import os
 import re
 import sys
+import types
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -101,7 +104,13 @@ def _worker_pool(tasks: int, kind: str):
     """A process pool of ``min(tasks, _usable_cpus())`` workers, forked
     where the platform can fork, so that they start with numpy already
     imported. A worker that ends abruptly is an OSError naming the
-    ``kind`` of worker."""
+    ``kind`` of worker. A pool of one worker would only add a fork and the
+    pickling, so its tasks run in this process: it yields an object whose
+    ``map`` is the builtin ``map``."""
+    workers = min(tasks, _usable_cpus())
+    if workers == 1:
+        yield types.SimpleNamespace(map=map)
+        return
     # Imported here, so that ``import wbansim.cli``, which every command pays
     # for at start-up, does not load them.
     import multiprocessing
@@ -111,7 +120,7 @@ def _worker_pool(tasks: int, kind: str):
     # other Python thread runs at the fork.
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(min(tasks, _usable_cpus()), mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
         try:
             yield pool
         except BrokenProcessPool:

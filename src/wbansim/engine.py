@@ -85,7 +85,10 @@ round sends nothing, records no link, draws no shadowing and counts no
 action. A row's residuals are added one by one from 0.0 in id order, never
 with ``sum()``, whose float result depends on the Python version
 (compensated from 3.12). The flag column is computed once per run from the
-count columns (``equilibrium_flags``).
+count columns (``equilibrium_flags``), with the series summed only for the
+rounds whose windows reach a walked round: once every window in a round's
+series starts after the last walked round, each term adds a signed zero to
+``a0``, so that round's flag is ``a0 > alpha_star``.
 
 The path-loss column is computed in blocks of rounds, from the link log: each
 walked round appends its distinct links, in first-send order, to one flat
@@ -306,11 +309,15 @@ def equilibrium_flags(counts: np.ndarray, cfg: SimConfig,
     b = np.append(windows[:, 1] / actions, 0.0)
     # At most ``closes`` windows ever close, so a longer series reads the same.
     l = min(cfg.amhrp.eq_windows, closes)
+    # From round ``quiet`` on, every window in the series starts at or past
+    # round k, so each term adds a signed zero to a0 and the flag is a0's.
+    quiet = max(0, min(rows, (-(-len(counts) // W) + l) * W - 1))
     flags = np.empty(rows, dtype=bool)
+    flags[quiet:] = a0 > alpha_star
     # Each round's flag depends only on its own inputs, so the rounds go in
     # chunks of _FLAG_CHUNK, which bounds the temporaries below.
-    for start in range(0, rows, _FLAG_CHUNK):
-        r = np.arange(start, min(rows, start + _FLAG_CHUNK))
+    for start in range(0, quiet, _FLAG_CHUNK):
+        r = np.arange(start, min(quiet, start + _FLAG_CHUNK))
         closed = (r + 1) // W
         first = np.maximum(closed - l, 0)
         base = math.pi * np.minimum(r, L) / L

@@ -17,9 +17,18 @@ The ``plots`` path holds little beyond the tables themselves. Each
 protocol's tables and one column of merge temporaries are held in the
 worker process that merges them; the ``plots`` process holds only the four
 plotted series of each protocol, which it hands to the workers that write
-the files. A CSV is parsed from one buffer of its bytes into the memory of
-the table it becomes, ``plot_series`` merges one column of every seed at
-a time, and both writers format ``_CSV_CHUNK`` rows at a time.
+the files. (With one usable CPU there are no workers: the ``plots`` process
+does their work itself.) A CSV is parsed from one buffer of its bytes into the memory of
+the table it becomes, and ``plot_series`` merges one column of every seed
+at a time.
+
+Both writers go through ``_write_rows``, ``_CSV_CHUNK`` rows at a time. A
+network that dies leaves a run of rows at the end that repeat the last
+row in every column but the round. The writer finds that run by comparing
+bits, formats the last row's fields once, and writes each row of the run as
+its round and those fields, one chunk of round labels at a time. Only the
+rows before it are formatted column by column, so the formatting work
+follows the live rounds.
 """
 from __future__ import annotations
 
@@ -67,37 +76,63 @@ class ResultFileError(ValueError):
     a set of result files that cannot be compared."""
 
 
-def _write_rows(path, header: str, rounds: int, fields, sep: str) -> None:
-    """Write ``header`` and ``rounds`` rows, ``_CSV_CHUNK`` at a time:
-    ``fields(rows)`` gives the field strings of the rows in the slice
-    ``rows``, one iterable per column, which ``sep`` joins."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(header + "\n")
-        for start in range(0, rounds, _CSV_CHUNK):
-            columns = fields(slice(start, min(start + _CSV_CHUNK, rounds)))
-            out.write("\n".join(map(sep.join, zip(*columns))) + "\n")
-
-
-def write_metrics_csv(table: np.ndarray, path) -> None:
-    """One row per round of a run's table under the fixed header, formatted
-    column by column: counts and the flag as ints, the rest with repr, and
-    a NaN path loss (a round with no transmissions) as an empty field."""
-    def fields(rows: slice):
-        chunk = table[rows].T
-        cells = [_ints(col) if parse is int else _floats(col)
-                 for col, parse in zip(chunk, _FIELD_TYPES)]
-        cells[PATH_LOSS] = ("" if v != v else repr(v) for v in chunk[PATH_LOSS].tolist())
-        return cells
-
-    _write_rows(path, CSV_HEADER, len(table), fields, ",")
-
-
 def _ints(values: np.ndarray):
     return map(str, values.astype(np.int64).tolist())
 
 
 def _floats(values: np.ndarray):
     return map(repr, values.tolist())
+
+
+def _losses(values: np.ndarray):
+    """Path losses with repr, a NaN (a round with no transmissions) as an
+    empty field."""
+    return ("" if v != v else repr(v) for v in values.tolist())
+
+
+# How write_metrics_csv formats each column.
+_CSV_FORMATS = tuple(_losses if col == PATH_LOSS else _ints if parse is int else _floats
+                     for col, parse in enumerate(_FIELD_TYPES))
+
+
+def _write_rows(path, header: str, sep: str, columns, formats) -> None:
+    """Write ``header``, then one row per round, ``_CSV_CHUNK`` rows at a
+    time. ``columns`` holds the rounds, then the float64 columns of the
+    rows' values, all of one length; each column's entry of ``formats``
+    gives the field strings of a slice of it, and ``sep`` joins a row's
+    fields.
+
+    The trailing run of rows whose values after the round have the same
+    bits as the last row's (compared as int64, so -0.0 differs from 0.0 and
+    NaNs of other payloads differ) is what a dead network leaves: the last
+    row's fields are formatted once and written after each round of the run.
+    The rows before it are formatted column by column."""
+    rounds = len(columns[0])
+    same = np.ones(rounds, dtype=bool)
+    for col in columns[1:]:
+        bits = col.view(np.int64)
+        same &= bits == bits[-1:]
+    # The run starts after the last row that differs from the last row.
+    tail = 0 if same.all() else rounds - int(same[::-1].argmin())
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(header + "\n")
+        for start in range(0, tail, _CSV_CHUNK):
+            rows = slice(start, min(start + _CSV_CHUNK, tail))
+            fields = [fmt(col[rows]) for col, fmt in zip(columns, formats)]
+            out.write("\n".join(map(sep.join, zip(*fields))) + "\n")
+        if tail < rounds:
+            end = "".join(sep + next(fmt(col[-1:]))
+                          for col, fmt in zip(columns[1:], formats[1:])) + "\n"
+            for start in range(tail, rounds, _CSV_CHUNK):
+                out.write(end.join(formats[0](columns[0][start:start + _CSV_CHUNK])))
+                out.write(end)
+
+
+def write_metrics_csv(table: np.ndarray, path) -> None:
+    """One row per round of a run's table under the fixed header, formatted
+    column by column: counts and the flag as ints, the rest with repr, and
+    a NaN path loss (a round with no transmissions) as an empty field."""
+    _write_rows(path, CSV_HEADER, ",", table.T, _CSV_FORMATS)
 
 
 def _in_int64(number: int) -> bool:
@@ -268,12 +303,10 @@ def write_plot_file(name: str, columns: dict[str, np.ndarray], out_dir) -> Path:
     the file. A round with no transmissions reads ``nan`` in the path-loss
     file (gnuplot's missing marker). The file is written ``_CSV_CHUNK``
     rows at a time."""
-    fmt = _PLOT_FORMATS[name]
-    rounds = len(next(iter(columns.values())))
+    values = list(columns.values())
     path = Path(out_dir) / name
-    _write_rows(path, "# round " + " ".join(columns), rounds,
-                lambda rows: [map(str, range(rows.start, rows.stop)),
-                              *(fmt(c[rows]) for c in columns.values())], " ")
+    _write_rows(path, "# round " + " ".join(columns), " ", [range(len(values[0])), *values],
+                [lambda rounds: map(str, rounds)] + [_PLOT_FORMATS[name]] * len(values))
     return path
 
 

@@ -412,6 +412,9 @@ class TestSweepPool:
 
     def test_killed_worker_exits_2_without_traceback(self, short_config, tmp_path,
                                                      monkeypatch, capfd):
+        # Two workers: one worker's tasks run in this process, which
+        # ``os._exit`` would end.
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: 2)
         run = wbansim.cli.run_simulation
 
         def dies_on_seed_2(cfg):
@@ -426,6 +429,26 @@ class TestSweepPool:
                        "(killed, or out of memory)\n")
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("tasks, cpus", [(6, 1), (1, 3)])
+    def test_one_worker_runs_in_process(self, tasks, cpus, monkeypatch):
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: cpus)
+        with wbansim.cli._worker_pool(tasks, "simulation") as pool:
+            assert pool.map is map
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_sweep_forks_nothing(self, short_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: 1)
+        run = wbansim.cli.run_simulation
+        pids = []
+
+        def recording_pid(cfg):
+            pids.append(os.getpid())
+            return run(cfg)
+
+        monkeypatch.setattr(wbansim.cli, "run_simulation", recording_pid)
+        assert self.sweep(short_config, tmp_path / "o") == 0
+        assert pids == [os.getpid()] * 6
 
     def test_worker_io_error_names_the_file(self, short_config, tmp_path, capfd):
         out = tmp_path / "o"
@@ -507,6 +530,8 @@ class TestPlotsPool:
             assert (runs / name).read_bytes() == path.read_bytes(), name
 
     def test_killed_worker_exits_2_without_traceback(self, runs, monkeypatch, capfd):
+        # Two workers, as for ``sweep``'s killed worker.
+        monkeypatch.setattr(wbansim.cli, "_usable_cpus", lambda: 2)
         read = wbansim.cli.read_metrics_csv
 
         def dies_on_one_file(path):

@@ -683,6 +683,16 @@ class TestDeadTail:
     @given(st.lists(st.one_of(st.just((0, 0, 0, 0, 0)), st.tuples(*[st.integers(0, 6)] * 5)),
                     max_size=40),
            st.floats(-1.0, 2.0), st.integers(1, 5), st.integers(1, 6), st.integers(1, 60))
+    # The flag cut's boundary (``quiet`` in ``equilibrium_flags``): k rounds a
+    # multiple of the window length W, and one more or less; eq_windows below,
+    # equal to and above the number of closed windows; alpha_star at a0 = 0.5
+    # and the float below it. In the first example the series of the last
+    # round holds one window, that round's own, so a cut one round early
+    # flips its flag.
+    @example([(0, 1, 0, 0, 0)] * 3, 0.5, 1, 1, 60)
+    @example([(1, 1, 0, 1, 0)] * 6, math.nextafter(0.5, -math.inf), 2, 3, 6)
+    @example([(0, 2, 0, 1, 1)] * 7, 0.5, 3, 3, 20)
+    @example([(0, 0, 0, 0, 0)] * 4 + [(0, 1, 0, 0, 0)], math.nextafter(0.5, -math.inf), 1, 3, 5)
     def test_flag_equals_the_series(self, rounds_counts, alpha_star, eq_windows,
                                     eq_window_len, rounds):
         """Each round's flag from drawn count columns, which leaves out zero
@@ -707,15 +717,25 @@ class TestDeadTail:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 6)] * 5), max_size=40), st.integers(0, 30),
-           st.integers(1, 7), st.integers(1, 5), st.integers(1, 6))
+           st.integers(1, 7), st.integers(1, 5), st.integers(1, 6), st.floats(-1.0, 2.0))
+    # As for the series test above, at the cut's boundary. In the first three
+    # examples the last round before the cut still holds a live window, so a
+    # cut one round early flips its flag; the last has no counted round and
+    # no window that closes.
+    @example([(0, 1, 0, 0, 0)] * 4, 10, 3, 1, 2, 0.5)
+    @example([(0, 1, 0, 0, 0)] * 5, 4, 1, 1, 2, math.nextafter(0.5, -math.inf))
+    @example([(2, 3, 0, 0, 0)] * 5, 20, 4, 2, 3, 0.55)
+    @example([(1, 1, 1, 1, 1)] * 6, 6, 2, 4, 3, 0.5)
+    @example([(0, 1, 0, 0, 0)] * 7, 5, 7, 5, 3, math.nextafter(0.5, -math.inf))
+    @example([], 5, 1, 1, 6, 0.55)
     def test_chunks_and_uncounted_rounds_change_no_flag(self, rounds_counts, uncounted, chunk,
-                                                        eq_windows, eq_window_len):
+                                                        eq_windows, eq_window_len, alpha_star):
         """Flags taken ``chunk`` rounds at a time, with the last rounds given
         as uncounted rather than as zero counts, are the flags of one pass."""
         base = SimConfig()
         rows = len(rounds_counts) + uncounted
         c = replace(base, rounds=rows, initial_energy=0.5,
-                    amhrp=replace(base.amhrp, alpha_star=0.55, eq_windows=eq_windows,
+                    amhrp=replace(base.amhrp, alpha_star=alpha_star, eq_windows=eq_windows,
                                   eq_window_len=eq_window_len))
         counts = np.array(rounds_counts, dtype=np.int64).reshape(-1, 5)
         padded = np.vstack([counts, np.zeros((uncounted, 5), dtype=np.int64)])

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from wbansim.config import SimConfig
 from wbansim.engine import RunSummary, run_simulation
-from wbansim.io import (ALIVE, CSV_HEADER, EQUILIBRIUM, PATH_LOSS, RECEIVED, ROUND,
-                        TOTAL_RESIDUAL, ResultFileError, compare_runs, emit_plot_series,
-                        plot_series, read_metrics_csv, read_summary_json, render_comparison,
-                        write_comparison, write_metrics_csv, write_summary_json)
+from wbansim.io import (_CSV_CHUNK, ALIVE, CRITICAL, CSV_HEADER, EQUILIBRIUM, MEAN_RESIDUAL,
+                        PATH_LOSS, PLOT_FILES, RECEIVED, ROUND, SENT, TOTAL_RESIDUAL,
+                        ResultFileError, compare_runs, emit_plot_series, plot_series,
+                        read_metrics_csv, read_summary_json, render_comparison,
+                        write_comparison, write_metrics_csv, write_plot_file,
+                        write_summary_json)
 
 
 def row(r, alive=19, sent=2, received=2, loss=36.5, flag=1):
@@ -202,16 +204,97 @@ class TestMetricsCsv:
         assert same_bits(read_metrics_csv(path), metrics)
 
 
+@st.composite
+def tables_ending_in_a_run(draw):
+    """Tables whose last rows repeat one row in every column but the round,
+    as a dead network leaves them: the run starts before, on or after a
+    ``_CSV_CHUNK`` boundary, or takes the whole table, and tables have 0 and
+    1 rows. The row before the run may differ from it only by -0.0 against
+    0.0 in one float column, only by the flag, or only by a NaN path loss of
+    another payload; the run's path loss is NaN (quiet rounds) or a number."""
+    rounds = draw(st.sampled_from([0, 1, 2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                   2 * _CSV_CHUNK + 3]))
+    start = min(rounds, draw(st.sampled_from([0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+                             | st.integers(0, rounds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.empty((rounds, 9))
+    t[:, ROUND] = np.arange(rounds)
+    t[:, ALIVE:TOTAL_RESIDUAL] = rng.integers(-2**53, 2**53, (rounds, 4), endpoint=True)
+    t[:, TOTAL_RESIDUAL:EQUILIBRIUM] = (rng.uniform(-2.0, 2.0, (rounds, 3))
+                                        * 2.0 ** rng.integers(-1074, 1024, (rounds, 3)))
+    t[rng.random(rounds) < 0.3, PATH_LOSS] = math.nan
+    t[:, EQUILIBRIUM] = rng.integers(0, 2, rounds)
+    if rounds:
+        run = t[-1, ALIVE:].copy()
+        if draw(st.booleans()):
+            run[PATH_LOSS - 1] = math.nan
+        t[start:, ALIVE:] = run
+        edge = draw(st.sampled_from(["live", "zero sign", "flag", "nan payload"]))
+        if start and edge != "live":
+            t[start - 1, ALIVE:] = run
+            if edge == "zero sign":
+                col = draw(st.sampled_from([TOTAL_RESIDUAL, MEAN_RESIDUAL, PATH_LOSS]))
+                sign = draw(st.sampled_from([1.0, -1.0]))
+                t[start:, col] = sign * 0.0
+                t[start - 1, col] = -sign * 0.0
+            elif edge == "flag":
+                t[start - 1, EQUILIBRIUM] = 1.0 - run[EQUILIBRIUM - 1]
+            else:
+                t[start:, PATH_LOSS] = math.nan
+                t.view(np.int64)[start - 1, PATH_LOSS] = 0x7FF8_0000_0000_0001
+    return t
+
+
+def csv_reference(t):
+    """The metrics CSV of ``t``, formatted row by row and field by field."""
+    lines = [CSV_HEADER]
+    for values in t.tolist():
+        lines.append(",".join("" if col == PATH_LOSS and v != v
+                              else repr(v) if TOTAL_RESIDUAL <= col <= PATH_LOSS
+                              else str(int(v)) for col, v in enumerate(values)))
+    return "\n".join(lines) + "\n"
+
+
+def dat_reference(name, columns):
+    """The figure file ``name`` of ``columns``, formatted row by row."""
+    as_int = name in ("lifetime.dat", "throughput.dat")
+    lines = ["# round " + " ".join(columns)]
+    for r, values in enumerate(zip(*(c.tolist() for c in columns.values()))):
+        lines.append(" ".join([str(r), *(str(int(v)) if as_int else repr(v) for v in values)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestRepeatedTailWriting:
+    """The writers format a table's trailing run of repeated rows once; the
+    bytes are those of a row-by-row formatter."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(tables_ending_in_a_run())
+    def test_writers_equal_a_row_by_row_reference(self, tmp_path_factory, t):
+        out = tmp_path_factory.mktemp("tail")
+        write_metrics_csv(t, out / "m.csv")
+        assert (out / "m.csv").read_text() == csv_reference(t)
+        assert same_bits(read_metrics_csv(out / "m.csv"), t)
+        plotted = dict(zip(PLOT_FILES, ((ALIVE, SENT), (RECEIVED, CRITICAL),
+                                        (TOTAL_RESIDUAL, MEAN_RESIDUAL),
+                                        (PATH_LOSS, MEAN_RESIDUAL))))
+        for name, cols in plotted.items():
+            columns = {f"p{col}": t[:, col] for col in cols}
+            path = write_plot_file(name, columns, out)
+            assert path.read_text() == dat_reference(name, columns), name
+
+
 class TestPlotsMemory:
     """tracemalloc sees numpy's buffers, so these peaks count every array."""
 
     def traced_peak(self, call):
         """``call()`` and the peak bytes it held beyond what it returned, an
-        array or a list of arrays."""
+        array, a list of arrays or None."""
         tracemalloc.start()
         try:
             result = call()
-            kept = sum(a.nbytes for a in result) if isinstance(result, list) else result.nbytes
+            kept = (0 if result is None else sum(a.nbytes for a in result)
+                    if isinstance(result, list) else result.nbytes)
             return result, tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
@@ -224,6 +307,21 @@ class TestPlotsMemory:
         table, peak = self.traced_peak(lambda: read_metrics_csv(path))
         assert table.shape == (10_000, 9)
         assert peak <= 2 * path.stat().st_size
+
+    def test_writing_a_dead_network_holds_one_chunk_not_the_file(self, tmp_path):
+        # 4 * 10^4 rounds, 2.2 MB of text, of a network that dies at round
+        # 600: the rows after it repeat the last, and are written one chunk
+        # of 2048 round labels at a time, 0.37 MB at the peak. Formatting
+        # the chunks column by column held 0.71 MB.
+        t = big_table(40_000, seed=1)
+        # The rows the engine fills in after the last death.
+        t[600:, ALIVE:TOTAL_RESIDUAL] = 0
+        t[600:, TOTAL_RESIDUAL:PATH_LOSS] = t[599, TOTAL_RESIDUAL:PATH_LOSS]
+        t[600:, PATH_LOSS] = math.nan
+        t[600:, EQUILIBRIUM] = 1
+        path = tmp_path / "m.csv"
+        _, peak = self.traced_peak(lambda: write_metrics_csv(t, path))
+        assert peak <= path.stat().st_size / 4
 
     def test_median_holds_about_one_column_of_every_seed(self):
         # 3 seeds of 10^4 rounds: merging all nine columns at once held 21
